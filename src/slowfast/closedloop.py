@@ -6,6 +6,8 @@ worker. State vectors are packed as [x_1, ..., x_m, z].
 """
 from __future__ import annotations
 
+import ast
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -16,12 +18,26 @@ from .control import (
     HighGainParams,
     Theorem2Params,
     Theorem3Params,
-    _thm2_u,
-    _thm3_w,
+    _highgain_law,
+    _thm2_law,
+    _thm3_law,
 )
 from .normal_form import NormalFormSystem
-from .sim import IntegratorConfig, Outcome, Trajectory, classify, integrate
-from .systems import TunnelDiodeSystem, example1_controllers
+from .sim import (
+    IntegratorConfig,
+    NonFiniteError,
+    Outcome,
+    Trajectory,
+    classify,
+    integrate,
+)
+from .systems import (
+    CIRCUIT_DRIFT,
+    TunnelDiodeSystem,
+    _additive_field,
+    _fold_law,
+    _translated_field,
+)
 
 __all__ = [
     "OpenLoop",
@@ -92,7 +108,9 @@ def build_closed_loop(system, variant: Variant):
 
     ``control_eval`` reports the signal that is recorded in trajectories;
     for the circuit fold stabilizer these are the literal slot controls,
-    for everything else the additive control vector.
+    for everything else the additive control vector. Both take the state
+    as an array and return lists of floats; the control law is built once
+    here, so a call only unpacks the state and does the arithmetic.
     """
     if isinstance(system, NormalFormSystem):
         return _build_normal_form(system, variant)
@@ -101,31 +119,24 @@ def build_closed_loop(system, variant: Variant):
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 
-def _build_normal_form(sys: NormalFormSystem, variant: Variant):
-    k, eps, f = sys.k, sys.epsilon, sys.slow_f
+def _normal_form_law(sys: NormalFormSystem, variant: Variant):
+    """Control law (x, z) -> u of ``variant`` on the normal-form system."""
+    k, eps = sys.k, float(sys.epsilon)
     m = k - 1
-
     if isinstance(variant, OpenLoop):
-        zeros = np.zeros(m)
-
-        def ueval(t, y):
-            return zeros
-    elif isinstance(variant, Thm2):
-        p = variant.p
-        if p.a.size != m:
-            raise ValueError(f"controller sized for k = {p.a.size + 1}, system has k = {k}")
-
-        def ueval(t, y):
-            return _thm2_u(y[:-1], y[-1], eps, k, p)
-    elif isinstance(variant, Thm2Plus3):
+        return lambda x, z: [0.0] * m
+    if isinstance(variant, Thm2):
+        if variant.p.a.size != m:
+            raise ValueError(
+                f"controller sized for k = {variant.p.a.size + 1}, system has k = {k}")
+        return _thm2_law(eps, k, variant.p)
+    if isinstance(variant, Thm2Plus3):
         p2, p3 = variant.p2, variant.p3
         if p2.a.size != m or p3.K.size != m:
             raise ValueError(f"controller sized for k = {p2.a.size + 1}, system has k = {k}")
-
-        def ueval(t, y):
-            x, z = y[:-1], y[-1]
-            return _thm2_u(x, z, eps, k, p2) + _thm3_w(x, z, k, p3)
-    elif isinstance(variant, HighGain):
+        thm2, thm3 = _thm2_law(eps, k, p2), _thm3_law(k, p3)
+        return lambda x, z: [u + w for u, w in zip(thm2(x, z), thm3(x, z))]
+    if isinstance(variant, HighGain):
         hg = HighGainParams(
             a=np.asarray(variant.a, dtype=float),
             b=variant.b,
@@ -134,128 +145,195 @@ def _build_normal_form(sys: NormalFormSystem, variant: Variant):
         )
         if hg.a.size != m:
             raise ValueError(f"controller sized for {hg.a.size} slow states, system has {m}")
-        ainv = hg.a / eps
-        binv = hg.b / eps
-        const = hg.constants if hg.constants is not None else np.zeros(m)
+        return _highgain_law(hg)
+    raise TypeError(f"unknown controller variant {variant!r}")
 
-        def ueval(t, y):
-            v = -ainv * y[:-1] - const
-            v[0] += binv * y[-1]
-            return v
-    else:
-        raise TypeError(f"unknown controller variant {variant!r}")
 
-    if k == 2:
-        # scalar fast path; the sweep spends nearly all its time here
-        def rhs(t, y):
-            u = ueval(t, y)
-            z = y[1]
-            return np.array(
-                [f(y[:1], z, eps)[0] + u[0], -(z * z + y[0]) / eps]
-            )
-    else:
-        def rhs(t, y):
-            x, z = y[:-1], y[-1]
-            u = ueval(t, y)
-            out = np.empty(k)
-            out[:-1] = f(x, z, eps) + u
-            s = z**k
-            zp = 1.0
-            for i in range(m):
-                s += x[i] * zp
-                zp *= z
-            out[-1] = -s / eps
-            return out
+def _build_normal_form(sys: NormalFormSystem, variant: Variant):
+    eps, f = float(sys.epsilon), sys.slow_f
+    law = _normal_form_law(sys, variant)
 
-    return rhs, ueval, m
+    def ueval(t, y):
+        *x, z = y.tolist()
+        return law(x, z)
+
+    def rhs(t, y):
+        *x, z = y.tolist()
+        fx = np.asarray(f(y[:-1], z, eps), dtype=float).tolist()
+        out = [fi + ui for fi, ui in zip(fx, law(x, z))]
+        # z^k + sum_i x_i z^(i-1) in Horner form
+        s = z
+        for xi in reversed(x):
+            s = s * z + xi
+        out.append(-s / eps)
+        return out
+
+    return rhs, ueval, sys.k - 1
 
 
 def _build_tunnel_diode(sys: TunnelDiodeSystem, variant: Variant):
-    eps = sys.epsilon
-    m = 2
+    eps, params = float(sys.epsilon), sys.params
+
+    if isinstance(variant, HighGain):
+        hg = _highgain_law(HighGainParams(
+            a=np.asarray(variant.a, dtype=float), b=variant.b, epsilon=eps,
+            constants=np.array(CIRCUIT_DRIFT) if variant.cancel_constants else None,
+        ))
+
+        def ueval(t, y):
+            *x, z = y.tolist()
+            return hg(x, z)
+
+        def rhs(t, y):
+            x1, x2, z = y.tolist()
+            v1, v2 = hg([x1, x2], z)
+            return _additive_field(params, x1, x2, z, v1, v2)
+
+        return rhs, ueval, 2
 
     if isinstance(variant, OpenLoop):
-        zeros = np.zeros(m)
-
-        def ueval(t, y):
-            return zeros
-
-        def rhs(t, y):
-            return sys.rhs_translated(y, zeros)
+        def law(x1, x2, z):
+            return [0.0, 0.0]
     elif isinstance(variant, Thm2):
         p = variant.p
-        if p.a.size != m:
+        if p.a.size != 2:
             raise ValueError("circuit controller needs gains for 2 slow states")
-        u_fold, _ = example1_controllers(eps, p.a[0], p.a[1], p.b)
-        c1, c2 = p.c
-
-        def ueval(t, y):
-            u = u_fold(y[0], y[1], y[2])
-            # shift the printed constants (4, 16) if other drift constants
-            # were requested in the configuration
-            u[0] += 4.0 - c1
-            u[1] += c2 - 16.0
-            return u
-
-        def rhs(t, y):
-            return sys.rhs_translated(y, ueval(t, y))
-    elif isinstance(variant, HighGain):
-        _, v_eval = example1_controllers(
-            eps, 1.0, 1.0, 1.0, A1=variant.a[0], A2=variant.a[1], B=variant.b,
-            cancel_constants=variant.cancel_constants,
-        )
-
-        def ueval(t, y):
-            return v_eval(y[0], y[1], y[2])
-
-        def rhs(t, y):
-            return sys.rhs_additive(y, ueval(t, y))
+        law = _fold_law(eps, *p.a.tolist(), p.b, c=p.c.tolist())
     else:
         raise TypeError(
             f"controller variant {describe(variant)} is not defined for the circuit"
         )
 
-    return rhs, ueval, m
+    def ueval(t, y):
+        return law(*y.tolist())
+
+    def rhs(t, y):
+        x1, x2, z = y.tolist()
+        u1, u2 = law(x1, x2, z)
+        return _translated_field(params, x1, x2, z, u1, u2)
+
+    return rhs, ueval, 2
+
+
+_EXPR_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh")
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _pow(base, exponent):
+    """``base ** exponent`` with NaN, as numpy gives, where Python gives a complex."""
+    r = base ** exponent
+    return math.nan if isinstance(r, complex) else r
+
+
+class _ExprChecker(ast.NodeTransformer):
+    """Admits only the slow-field expression grammar, in one pass.
+
+    Numbers become floats, ``a ** b`` becomes ``_pow(a, b)``; any other
+    node type is an error, so no attribute, subscript, comprehension or
+    call outside the listed numpy functions can reach the compiler.
+    """
+
+    def __init__(self, names: frozenset[str]):
+        self.names = names
+
+    def generic_visit(self, node):
+        raise ValueError(f"`{type(node).__name__}` is not allowed")
+
+    def visit_Expression(self, node):
+        node.body = self.visit(node.body)
+        return node
+
+    def visit_Constant(self, node):
+        if type(node.value) not in (int, float):
+            raise ValueError(f"constant {node.value!r} is not a real number")
+        return ast.Constant(float(node.value))
+
+    def visit_Name(self, node):
+        if node.id not in self.names:
+            raise ValueError(f"unknown name `{node.id}`")
+        return node
+
+    def visit_UnaryOp(self, node):
+        if not isinstance(node.op, (ast.USub, ast.UAdd)):
+            raise ValueError(f"`{type(node.op).__name__}` is not allowed")
+        node.operand = self.visit(node.operand)
+        return node
+
+    def visit_BinOp(self, node):
+        if not isinstance(node.op, _EXPR_BINOPS):
+            raise ValueError(f"operator `{type(node.op).__name__}` is not allowed")
+        left, right = self.visit(node.left), self.visit(node.right)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("_pow", ast.Load()), [left, right], [])
+        node.left, node.right = left, right
+        return node
+
+    def visit_Call(self, node):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS
+                and len(node.args) == 1 and not node.keywords
+                and not isinstance(node.args[0], ast.Starred)):
+            raise ValueError(
+                f"only one-argument calls of {', '.join(_EXPR_FUNCS)} are allowed")
+        node.args = [self.visit(node.args[0])]
+        return node
 
 
 @lru_cache(maxsize=64)
 def _compile_exprs(exprs: tuple[str, ...]):
-    return tuple(compile(e, f"<slow_f[{i}]>", "eval") for i, e in enumerate(exprs))
+    """One function (x1, ..., xm, z, epsilon) -> tuple of the m expressions.
 
-
-_EXPR_NAMES = {
-    name: getattr(np, name)
-    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh")
-}
-_EXPR_NAMES["pi"] = float(np.pi)
+    Each string is parsed and checked against the expression grammar before
+    anything is compiled; the checked trees become the body of a single
+    function whose only globals are the listed numpy functions and ``pi``.
+    """
+    params = [f"x{i + 1}" for i in range(len(exprs))] + ["z", "epsilon"]
+    checker = _ExprChecker(frozenset(params) | {"pi"})
+    scope = {name: getattr(np, name) for name in _EXPR_FUNCS}
+    scope.update(pi=math.pi, _pow=_pow, __builtins__={})
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in params],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    bodies = []
+    for i, src in enumerate(exprs):
+        try:
+            bodies.append(checker.visit(ast.parse(src, mode="eval")).body)
+        except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"slow field expression {i + 1} ({src!r}): {exc}") from None
+    fn = ast.Expression(ast.Lambda(args, ast.Tuple(bodies, ast.Load())))
+    return eval(compile(ast.fix_missing_locations(fn), "<slow_f>", "eval"), scope)
 
 
 @dataclass(frozen=True)
 class ExprSlowField:
     """Slow drift defined by expression strings in x1..xm, z and epsilon.
 
-    Holds only the source strings, so instances pickle cleanly into sweep
-    workers; compilation is cached per expression tuple.
+    The grammar is numbers, those names, ``pi``, ``+ - * / **``, unary
+    minus and one-argument calls of sin, cos, tan, exp, log, sqrt, abs and
+    tanh (the numpy versions, so sqrt and log of a negative number give
+    NaN). Anything else raises ValueError on construction. Instances hold
+    only the source strings, so they pickle cleanly into sweep workers;
+    the compiled function is cached per expression tuple.
     """
 
     exprs: tuple[str, ...]
 
+    def __post_init__(self):
+        _compile_exprs(self.exprs)
+
     def __call__(self, x, z: float, eps: float) -> np.ndarray:
-        env = {f"x{i + 1}": float(x[i]) for i in range(len(self.exprs))}
-        env["z"] = float(z)
-        env["epsilon"] = float(eps)
-        env.update(_EXPR_NAMES)
-        codes = _compile_exprs(self.exprs)
-        return np.array([float(eval(c, {"__builtins__": {}}, env)) for c in codes])
+        xs = np.asarray(x, dtype=float).tolist()
+        return np.array(_compile_exprs(self.exprs)(*xs, float(z), float(eps)),
+                        dtype=float)
 
 
 @dataclass(frozen=True)
 class CellRunner:
     """Classifies one initial condition under a fixed closed loop.
 
-    Numerical failures are recorded as diverged so a sweep never aborts.
-    Planar k = 2 cells go through the scalar fast path unless
-    ``use_fast_path`` is cleared (tests clear it to cross-check the paths).
+    Numerical failures (a non-finite initial condition or field there, an
+    ArithmeticError) are recorded as diverged so that a sweep goes on; any
+    other exception is a bug and propagates. Planar k = 2 cells go through
+    the scalar fast path unless ``use_fast_path`` is cleared (tests clear
+    it to cross-check the paths).
     """
 
     system: object
@@ -306,6 +384,6 @@ class CellRunner:
                         early_stop=self.early_stop, **args,
                     )
             traj = self.simulate(ic)
-        except Exception:  # noqa: BLE001 - cell failures must not kill a sweep
+        except (NonFiniteError, ArithmeticError):
             return Outcome.diverged(0.0)
         return classify(traj, ball=self.ball, dwell=self.dwell)

@@ -114,21 +114,45 @@ def _gain_powers(epsilon: float, k: int) -> tuple[float, float]:
     return inv ** (1.0 / (2 * k - 1)), inv ** (k / (2 * k - 1))
 
 
-def _thm2_u(x: np.ndarray, z: float, epsilon: float, k: int,
-            p: Theorem2Params) -> np.ndarray:
+def _thm2_law(epsilon: float, k: int, p: Theorem2Params):
+    """Baseline law as a closure (x, z) -> u over plain floats.
+
+    The gain powers and constants are taken once, so each evaluation only
+    does the arithmetic; every caller of the baseline law goes through it.
+    """
     pz, px = _gain_powers(epsilon, k)
-    u = -p.c - px * p.a * x
-    u[0] += p.b * pz * z
-    return u
+    c, a, bz = p.c.tolist(), p.a.tolist(), p.b * pz
+
+    def law(x, z: float) -> list[float]:
+        u = [-ci - px * ai * xi for ci, ai, xi in zip(c, a, x)]
+        u[0] += bz * z
+        return u
+
+    return law
 
 
-def _thm3_w(x: np.ndarray, z: float, k: int, p: Theorem3Params) -> np.ndarray:
-    return np.array(
-        [
-            p.K[i] * (x[i] * z + (-z) ** (k - i + 1) * p.chi_star[i])
-            for i in range(k - 1)
-        ]
-    )
+def _thm3_law(k: int, p: Theorem3Params):
+    """Compensation law as a closure (x, z) -> w over plain floats."""
+    terms = tuple(zip(p.K.tolist(), range(k + 1, 2, -1), p.chi_star.tolist()))
+
+    def law(x, z: float) -> list[float]:
+        return [Ki * (xi * z + (-z) ** n * chi)
+                for (Ki, n, chi), xi in zip(terms, x)]
+
+    return law
+
+
+def _highgain_law(p: HighGainParams):
+    """1/eps benchmark law as a closure (x, z) -> v over plain floats."""
+    a, b, eps = p.a.tolist(), p.b, p.epsilon
+    const = p.constants.tolist() if p.constants is not None else [0.0] * len(a)
+
+    def law(x, z: float) -> list[float]:
+        v = [-ai * xi / eps for ai, xi in zip(a, x)]
+        v[0] += b * z / eps
+        return [vi - ci for vi, ci in zip(v, const)]
+
+    return law
 
 
 def thm2_control(s: State, epsilon: float, k: int, p: Theorem2Params) -> ControlInput:
@@ -140,7 +164,7 @@ def thm2_control(s: State, epsilon: float, k: int, p: Theorem2Params) -> Control
     x = _vec(s.x, k - 1, "x")
     if p.a.size != k - 1:
         raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
-    return ControlInput(_thm2_u(x, float(s.z), epsilon, k, p))
+    return ControlInput(_thm2_law(epsilon, k, p)(x.tolist(), float(s.z)))
 
 
 def thm3_compensation(s: State, k: int, p: Theorem3Params) -> ControlInput:
@@ -148,15 +172,16 @@ def thm3_compensation(s: State, k: int, p: Theorem3Params) -> ControlInput:
     x = _vec(s.x, k - 1, "x")
     if p.K.size != k - 1:
         raise ValueError(f"params sized for k = {p.K.size + 1}, got k = {k}")
-    return ControlInput(_thm3_w(x, float(s.z), k, p))
+    return ControlInput(_thm3_law(k, p)(x.tolist(), float(s.z)))
 
 
 def full_control(s: State, epsilon: float, k: int, p2: Theorem2Params,
                  p3: Theorem3Params) -> ControlInput:
     """Baseline controller plus compensation; K = 0 reduces to the baseline."""
-    x = _vec(s.x, k - 1, "x")
+    x = _vec(s.x, k - 1, "x").tolist()
     z = float(s.z)
-    return ControlInput(_thm2_u(x, z, epsilon, k, p2) + _thm3_w(x, z, k, p3))
+    u, w = _thm2_law(epsilon, k, p2)(x, z), _thm3_law(k, p3)(x, z)
+    return ControlInput([ui + wi for ui, wi in zip(u, w)])
 
 
 def chart_controller_family(c: FamilyChartState, k: int,
@@ -191,11 +216,7 @@ def highgain_control(s: State, p: HighGainParams) -> ControlInput:
     x = _vec(s.x, name="x")
     if p.a.size != x.size:
         raise ValueError(f"params sized for {p.a.size} slow states, got {x.size}")
-    v = -p.a * x / p.epsilon
-    v[0] += p.b * float(s.z) / p.epsilon
-    if p.constants is not None:
-        v -= p.constants
-    return ControlInput(v)
+    return ControlInput(_highgain_law(p)(x.tolist(), float(s.z)))
 
 
 def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:

@@ -12,25 +12,13 @@ from __future__ import annotations
 
 import math
 
-from .sim import IntegratorConfig, Outcome
+from .sim import (  # the Dormand-Prince tableau is shared with the generic stepper
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7, IntegratorConfig, NonFiniteError, Outcome,
+)
 
 __all__ = ["classify_planar_cell"]
-
-# Dormand-Prince coefficients, identical to slowfast.sim
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 
 
 def _make_rhs(kind: str, eps: float, c1: float, a1: float, b: float,
@@ -79,10 +67,10 @@ def classify_planar_cell(
     rhs = _make_rhs(kind, eps, c1, a1, b, K1, chi1)
     x, z = float(ic[0]), float(ic[1])
     if not (math.isfinite(x) and math.isfinite(z)):
-        raise ValueError("initial condition contains non-finite entries")
+        raise NonFiniteError("initial condition contains non-finite entries")
     k1x, k1z = rhs(x, z)
     if not (math.isfinite(k1x) and math.isfinite(k1z)):
-        raise ValueError("rhs is not finite at the initial condition")
+        raise NonFiniteError("rhs is not finite at the initial condition")
 
     t0 = 0.0
     t_final = cfg.t_final

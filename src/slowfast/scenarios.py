@@ -165,6 +165,10 @@ def _parse_system(section, where="system") -> SystemConfig:
             isinstance(e, str) for e in f
         ):
             raise ConfigError(f"{where}.f must be a list of {k - 1} expression strings")
+        try:
+            ExprSlowField(exprs=tuple(f))
+        except ValueError as exc:
+            raise ConfigError(f"{where}.f: {exc}") from None
         return SystemConfig(builtin="custom", k=k, f=tuple(f))
     raise ConfigError(
         f"{where}.builtin must be one of planar, tunnel_diode, custom; got {builtin!r}"

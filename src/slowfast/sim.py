@@ -6,6 +6,15 @@ mild enough that an explicit pair with max_step tied to eps/2 is cheaper
 and more reproducible than an implicit solver. Finite-time blow-up of the
 fast state (z' ~ -z^k/eps) is detected by step-size collapse in addition
 to a norm threshold, since no norm test alone is robust for it.
+
+The closed loops integrated here have 2 to a handful of states, where
+per-call array overhead costs far more than the arithmetic. The stepper
+therefore keeps the state and the seven stages as lists of Python floats
+and forms each stage combination with one zip over the components; the
+right-hand side still receives a fresh float array and may return a list,
+which the closures of :mod:`slowfast.closedloop` do. Everything is plain
+IEEE double arithmetic in a fixed order, so the results do not depend on
+the BLAS build.
 """
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "IntegratorConfig",
+    "NonFiniteError",
     "config_for",
     "Outcome",
     "Trajectory",
@@ -26,31 +36,35 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
-ControlEval = Callable[[float, np.ndarray], np.ndarray]
+RHS = Callable[[float, np.ndarray], Sequence[float]]
+ControlEval = Callable[[float, np.ndarray], Sequence[float]]
 
 # Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
-# last stage is reused as the first of the next step (FSAL).
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-)
-_B5 = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-                -2187.0 / 6784.0, 11.0 / 84.0])
-_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
-_A_ROWS = tuple(np.array(row) for row in _A)
+# last stage is reused as the first of the next step (FSAL). The b2 and e2
+# weights are zero and left out of the combinations below.
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
+                          64448.0 / 6561.0, -212.0 / 729.0)
+_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
+                                46732.0 / 5247.0, 49.0 / 176.0,
+                                -5103.0 / 18656.0)
+_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
+                           -2187.0 / 6784.0, 11.0 / 84.0)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
+                                71.0 / 1920.0, -17253.0 / 339200.0,
+                                22.0 / 525.0, -1.0 / 40.0)
 
 _ORDER_EXP = -0.2  # 1/(order+1) exponent of the step controller
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+
+
+class NonFiniteError(ValueError):
+    """The initial condition, or the field at it, is not finite."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +152,15 @@ def _record_times(t0: float, t_final: float, stride: float) -> list[float]:
     return pts
 
 
+def _rms(values: list, scales: list) -> float:
+    """Root mean square of values / scales; inf, not OverflowError, if huge."""
+    acc = 0.0
+    for v, s in zip(values, scales):
+        q = v / s
+        acc += q * q
+    return math.sqrt(acc / len(scales))
+
+
 def integrate(
     rhs: RHS,
     ic: Sequence[float] | np.ndarray,
@@ -156,43 +179,57 @@ def integrate(
     ``stop_ball`` is given, integration also halts once the state has
     remained inside that ball for ``stop_dwell`` time units (plus a small
     margin so that :func:`classify` sees a full dwell window).
+
+    ``rhs`` and ``control`` receive the state as a fresh 1-d float array
+    and may return any sequence of floats. A stage at which ``rhs`` raises
+    an :class:`ArithmeticError` counts as non-finite, like a stage that
+    returns inf or NaN: the step is halved and retried.
     """
-    y = np.array(ic, dtype=float)
-    if y.ndim != 1:
+    y0 = np.array(ic, dtype=float)
+    if y0.ndim != 1:
         raise ValueError("initial condition must be a 1-d vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial condition contains non-finite entries")
-    f0 = np.asarray(rhs(t0, y), dtype=float)
-    if f0.shape != y.shape or not np.all(np.isfinite(f0)):
-        raise ValueError("rhs is not finite at the initial condition")
+    if not np.all(np.isfinite(y0)):
+        raise NonFiniteError("initial condition contains non-finite entries")
+    n = y0.size
+
+    def ev(t: float, yl: list) -> list:
+        f = rhs(t, np.array(yl))
+        return f if type(f) is list else np.asarray(f, dtype=float).tolist()
+
+    y = y0.tolist()
+    k1 = ev(t0, y)
+    if not (isinstance(k1, list) and len(k1) == n):
+        raise ValueError(f"rhs must return {n} values, got {np.shape(k1)}")
+    if not all(map(math.isfinite, k1)):
+        raise NonFiniteError("rhs is not finite at the initial condition")
     if not cfg.t_final > t0:
         raise ValueError("t_final must exceed the initial time")
 
     stride = cfg.record_stride
     pending = _record_times(t0, cfg.t_final, stride)
     times = [t0]
-    states = [y.copy()]
-    controls = [np.asarray(control(t0, y), dtype=float)] if control else None
+    states = [y]
+    controls = [control(t0, y0)] if control else None
 
-    def emit(t: float, yv: np.ndarray) -> None:
+    def emit(t: float, yl: list) -> None:
         times.append(t)
-        states.append(yv.copy())
+        states.append(yl)
         if controls is not None:
-            controls.append(np.asarray(control(t, yv), dtype=float))
+            controls.append(control(t, np.array(yl)))
 
-    n = y.size
-    K = np.empty((7, n))
-    K[0] = f0
+    rtol, atol = cfg.rtol, cfg.atol
+    max_step, min_step = cfg.max_step, cfg.min_step
+    div_norm = cfg.divergence_norm
+    hypot, isfinite, sqrt = math.hypot, math.isfinite, math.sqrt
     outcome = Outcome.undecided()
 
     # first step guess, bounded by the output cadence
-    scale0 = cfg.atol + cfg.rtol * np.abs(y)
-    d0 = math.sqrt(float(np.mean((y / scale0) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale0) ** 2)))
-    h = min(cfg.max_step, cfg.t_final - t0)
+    scale0 = [atol + rtol * abs(v) for v in y]
+    d0, d1 = _rms(y, scale0), _rms(k1, scale0)
+    h = min(max_step, cfg.t_final - t0)
     if d1 > 0:
         h = min(h, 0.01 * max(d0, 1e-6) / d1)
-    h = max(h, cfg.min_step)
+    h = max(h, min_step)
 
     t = t0
     rec_i = 0
@@ -202,33 +239,50 @@ def integrate(
     while rec_i < len(pending):
         t_target = pending[rec_i]
         gap = t_target - t
-        h_try = min(h, cfg.max_step, gap)
+        h_try = min(h, max_step, gap)
         # stretch onto the boundary rather than leave an unsteppable sliver
-        clamped = h_try >= gap - cfg.min_step
+        clamped = h_try >= gap - min_step
         if clamped:
             h_try = gap
-        if h_try < cfg.min_step:
+        if h_try < min_step:
             outcome = Outcome.diverged(t)
             if times[-1] < t:
                 emit(t, y)
             break
 
-        bad = False
-        for j in range(1, 6):
-            yj = y + h_try * (K[:j].T @ _A_ROWS[j])
-            K[j] = rhs(t + _C[j] * h_try, yj)
-        y_new = y + h_try * (K[:6].T @ _B5)
-        if np.all(np.isfinite(y_new)):
-            K[6] = rhs(t + h_try, y_new)
-            err_vec = h_try * (K.T @ _E)
-            sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
-            if not math.isfinite(err):
-                bad = True
-        else:
-            bad = True
+        err = math.nan  # stays NaN when a stage is not finite
+        try:
+            k2 = ev(t + _C2 * h_try,
+                    [v + h_try * (_A21 * a) for v, a in zip(y, k1)])
+            k3 = ev(t + _C3 * h_try,
+                    [v + h_try * (_A31 * a + _A32 * b)
+                     for v, a, b in zip(y, k1, k2)])
+            k4 = ev(t + _C4 * h_try,
+                    [v + h_try * (_A41 * a + _A42 * b + _A43 * c)
+                     for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = ev(t + _C5 * h_try,
+                    [v + h_try * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                     for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = ev(t + h_try,
+                    [v + h_try * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                  + _A65 * e)
+                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h_try * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+                     for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+            norm = hypot(*y_new)
+            if isfinite(norm):
+                k7 = ev(t + h_try, y_new)
+                acc = 0.0
+                for v, w, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                    v, w = abs(v), abs(w)
+                    q = h_try * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f
+                                 + _E7 * g) / (atol + rtol * (v if v > w else w))
+                    acc += q * q
+                err = sqrt(acc / n)
+        except ArithmeticError:
+            pass
 
-        if bad:
+        if not isfinite(err):
             h = 0.5 * h_try
             continue
         if err > 1.0:
@@ -238,14 +292,13 @@ def integrate(
         # accepted
         t = t_target if clamped else t + h_try
         y = y_new
-        K[0] = K[6]
+        k1 = k7
         factor = _MAX_FACTOR if err == 0.0 else min(
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
         )
-        h = min(cfg.max_step, h_try * factor)
+        h = min(max_step, h_try * factor)
 
-        norm = float(np.linalg.norm(y))
-        if not math.isfinite(norm) or norm > cfg.divergence_norm:
+        if norm > div_norm:
             outcome = Outcome.diverged(t)
             emit(t, y)
             break
@@ -268,7 +321,7 @@ def integrate(
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        controls=np.array(controls) if controls is not None else None,
+        controls=np.array(controls, dtype=float) if controls is not None else None,
         outcome=outcome,
     )
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import HighGainParams, highgain_control
-from .normal_form import NormalFormSystem, State, _vec
+from .control import HighGainParams, _highgain_law
+from .normal_form import NormalFormSystem, _vec
 
 __all__ = [
     "TunnelDiodeParams",
@@ -102,27 +102,15 @@ class TunnelDiodeSystem:
 
     def rhs_translated(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Slow-time field with the translated control slots (+u1/L, -u2/Cap)."""
-        x1, x2, z = y
-        L, Cap, eps = self.params.L, self.params.Cap, self.params.epsilon
-        return np.array(
-            [
-                (x2 + z + 4.0 + u[0]) / L,
-                (16.0 - x1 - u[1]) / Cap,
-                -(3.0 * z * z + x1 + z**3) / eps,
-            ]
-        )
+        x1, x2, z = np.asarray(y, dtype=float).tolist()
+        u1, u2 = np.asarray(u, dtype=float).tolist()
+        return np.array(_translated_field(self.params, x1, x2, z, u1, u2))
 
     def rhs_additive(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Slow-time field with control added to the slow drift, dx = f + u."""
-        x1, x2, z = y
-        L, Cap, eps = self.params.L, self.params.Cap, self.params.epsilon
-        return np.array(
-            [
-                (x2 + z + 4.0) / L + u[0],
-                (16.0 - x1) / Cap + u[1],
-                -(3.0 * z * z + x1 + z**3) / eps,
-            ]
-        )
+        x1, x2, z = np.asarray(y, dtype=float).tolist()
+        u1, u2 = np.asarray(u, dtype=float).tolist()
+        return np.array(_additive_field(self.params, x1, x2, z, u1, u2))
 
     def rhs_circuit(self, y: np.ndarray, u_circuit: np.ndarray) -> np.ndarray:
         """Physical-coordinate field, used to validate the coordinate change."""
@@ -156,6 +144,51 @@ def build_tunnel_diode(p: TunnelDiodeParams | None = None) -> TunnelDiodeSystem:
     return TunnelDiodeSystem(params=p or TunnelDiodeParams())
 
 
+def _translated_field(p: TunnelDiodeParams, x1: float, x2: float, z: float,
+                      u1: float, u2: float) -> list[float]:
+    """Float form of :meth:`TunnelDiodeSystem.rhs_translated`."""
+    return [
+        (x2 + z + 4.0 + u1) / p.L,
+        (16.0 - x1 - u2) / p.Cap,
+        -(3.0 * z * z + x1 + z**3) / p.epsilon,
+    ]
+
+
+def _additive_field(p: TunnelDiodeParams, x1: float, x2: float, z: float,
+                    v1: float, v2: float) -> list[float]:
+    """Float form of :meth:`TunnelDiodeSystem.rhs_additive`."""
+    return [
+        (x2 + z + 4.0) / p.L + v1,
+        (16.0 - x1) / p.Cap + v2,
+        -(3.0 * z * z + x1 + z**3) / p.epsilon,
+    ]
+
+
+#: slow drift (4, 16) of the translated circuit at the origin, for L = Cap = 1
+CIRCUIT_DRIFT = (4.0, 16.0)
+
+
+def _fold_law(epsilon: float, a1: float, a2: float, b: float,
+              c: tuple[float, float] = CIRCUIT_DRIFT):
+    """Fold stabilizer in the translated slots as a float closure (x1, x2, z) -> u.
+
+    u1 = -c1 - eps^(-2/3) a1 x1 + b eps^(-1/3) z and
+    u2 = c2 + eps^(-2/3) a2 x2; the constants cancel the drift through the
+    slot signs.
+    """
+    epsilon, a1, a2, b = (float(v) for v in (epsilon, a1, a2, b))
+    if not (epsilon > 0 and a1 > 0 and a2 > 0 and b > 0):
+        raise ValueError("epsilon, a1, a2 and b must all be > 0")
+    g1 = epsilon ** (-1.0 / 3.0)
+    g2 = epsilon ** (-2.0 / 3.0)
+    c1, c2 = (float(v) for v in c)
+
+    def law(x1: float, x2: float, z: float) -> list[float]:
+        return [-c1 - g2 * a1 * x1 + b * g1 * z, c2 + g2 * a2 * x2]
+
+    return law
+
+
 def example1_controllers(
     epsilon: float,
     a1: float,
@@ -166,7 +199,7 @@ def example1_controllers(
     B: float = 10.0,
     cancel_constants: bool = False,
 ):
-    """Controller pair for the circuit benchmark.
+    """Controller pair (x1, x2, z) -> [u1, u2] for the circuit benchmark.
 
     The first evaluator is the fold stabilizer in the translated control
     slots,
@@ -178,26 +211,19 @@ def example1_controllers(
     the 1/eps high-gain benchmark (applied additively to the slow drift);
     it carries no constants unless ``cancel_constants`` is set, in which
     case the drift (4, 16) is subtracted so the loop settles at the exact
-    origin instead of an O(eps)-shifted point.
+    origin instead of an O(eps)-shifted point. Both return lists of floats
+    and are the laws the circuit closed loops run.
     """
-    if not (epsilon > 0 and a1 > 0 and a2 > 0 and b > 0):
-        raise ValueError("epsilon, a1, a2 and b must all be > 0")
-    g1 = epsilon ** (-1.0 / 3.0)
-    g2 = epsilon ** (-2.0 / 3.0)
-    hg = HighGainParams(
+    u_eval = _fold_law(epsilon, a1, a2, b)
+    v_law = _highgain_law(HighGainParams(
         a=np.array([A1, A2]),
         b=B,
         epsilon=epsilon,
-        constants=np.array([4.0, 16.0]) if cancel_constants else None,
-    )
+        constants=np.array(CIRCUIT_DRIFT) if cancel_constants else None,
+    ))
 
-    def u_eval(x1: float, x2: float, z: float) -> np.ndarray:
-        return np.array(
-            [-4.0 - g2 * a1 * x1 + b * g1 * z, 16.0 + g2 * a2 * x2]
-        )
-
-    def v_eval(x1: float, x2: float, z: float) -> np.ndarray:
-        return highgain_control(State(x=np.array([x1, x2]), z=z), hg).u
+    def v_eval(x1: float, x2: float, z: float) -> list[float]:
+        return v_law([x1, x2], z)
 
     return u_eval, v_eval
 

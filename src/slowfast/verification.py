@@ -326,10 +326,7 @@ def _directional_pushforward_error(
     p3 = control.Theorem3Params(K=rng.uniform(0.0, 5.0, k - 1), chi_star=chi_star)
 
     def ctrl(x, z, eps):
-        return (
-            control._thm2_u(np.asarray(x), z, eps, k, p2)
-            + control._thm3_w(np.asarray(x), z, k, p3)
-        )
+        return control.full_control(normal_form.State(x=x, z=z), eps, k, p2, p3).u
 
     # rho <= 1 keeps the rho^(2k-1) powers from amplifying the finite
     # difference truncation error past the certificate tolerance

@@ -55,6 +55,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+HOSTILE = {"builtin": "custom", "k": 2,
+           "f": ["().__class__.__base__.__subclasses__().__len__()"]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+def test_expression_outside_the_grammar_exits_one(tmp_path, capsys, command):
+    raw = dict(PLANAR)
+    raw["system"] = HOSTILE
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "system.f" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRoaCommand:
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)

@@ -99,6 +99,28 @@ class TestExprSlowField:
         assert rhs(0.0, y) == pytest.approx(direct(0.0, y), rel=1e-14)
 
 
+    def test_rejects_code_outside_the_grammar(self):
+        for src in ("().__class__.__base__.__subclasses__().__len__()",
+                    "__import__('os')", "x1.real", "x2", "x1 // 2", "True"):
+            with pytest.raises(ValueError):
+                ExprSlowField(exprs=(src,))
+
+    def test_numpy_semantics_for_invalid_arguments(self):
+        f = ExprSlowField(exprs=("x1 ** 0.5", "log(x2)"))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = f(np.array([-4.0, -1.0]), 0.0, 0.01)
+        assert np.all(np.isnan(out))
+
+    def test_constants_pi_and_unary_minus(self):
+        f = ExprSlowField(exprs=("-x1 + 2 ** 3 * pi - epsilon / z",))
+        assert f(np.array([1.0]), 2.0, 0.5) == pytest.approx(
+            [-1.0 + 8.0 * np.pi - 0.25], rel=1e-15)
+
+
+def _mistyped_field(x, z, eps):
+    return np.array([x[0] + "z"])  # a bug, not a numerical failure
+
+
 class TestCellRunner:
     def test_fast_path_agrees_with_generic(self):
         sys = build_planar_example(0.01)
@@ -131,3 +153,22 @@ class TestCellRunner:
         runner = CellRunner(system=bad, variant=OpenLoop(),
                             cfg=config_for(0.01, 1.0))
         assert runner((0.5, 0.5)).is_diverged
+
+    def test_programming_errors_propagate(self):
+        from slowfast.roa import GridSpec, sweep
+
+        bad = NormalFormSystem(k=2, epsilon=0.01, slow_f=_mistyped_field)
+        cfg = config_for(0.01, 1.0)
+        runner = CellRunner(system=bad, variant=OpenLoop(), cfg=cfg)
+        with pytest.raises(TypeError):
+            runner((0.5, 0.5))
+        grid = GridSpec(x_ranges=((-1.0, 1.0, 2),), z_range=(-1.0, 1.0, 2))
+        with pytest.raises(TypeError):
+            sweep(bad, OpenLoop(), grid, cfg, jobs=1)
+
+    def test_overflow_counts_as_diverged(self):
+        blowup = NormalFormSystem(
+            k=2, epsilon=0.01, slow_f=ExprSlowField(exprs=("x1 ** 400",)))
+        runner = CellRunner(system=blowup, variant=OpenLoop(),
+                            cfg=config_for(0.01, 1.0))
+        assert runner((10.0, 0.0)).is_diverged

@@ -77,6 +77,27 @@ class TestIntegrate:
         traj = integrate(pole, np.array([0.0]), IntegratorConfig(t_final=1.0))
         assert traj.outcome.is_diverged
 
+    def test_stage_overflow_is_diverged_not_crash(self):
+        raised = []
+
+        def cube(t, y):  # plain floats: z ** 3 raises OverflowError
+            z = float(y[0])
+            try:
+                return [z**3]
+            except OverflowError:
+                raised.append(t)
+                raise
+
+        cfg = IntegratorConfig(t_final=1.0, divergence_norm=1e300)
+        traj = integrate(cube, np.array([1e100]), cfg)
+        assert raised
+        assert traj.outcome.is_diverged
+
+    def test_rhs_of_wrong_length_rejected(self):
+        cfg = IntegratorConfig(t_final=1.0)
+        with pytest.raises(ValueError, match="must return 2 values"):
+            integrate(lambda t, y: [0.0], np.array([1.0, 1.0]), cfg)
+
     def test_records_follow_stride(self):
         cfg = IntegratorConfig(t_final=0.5, record_stride=0.1, max_step=1e-2)
         traj = integrate(decay, np.array([1.0]), cfg)
