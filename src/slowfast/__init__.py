@@ -57,7 +57,6 @@ from .systems import (
     build_planar_example,
     build_tunnel_diode,
     diode_fold_points,
-    example1_controllers,
 )
 
 __version__ = "0.1.0"

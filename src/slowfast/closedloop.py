@@ -31,13 +31,7 @@ from .sim import (
     classify,
     integrate,
 )
-from .systems import (
-    CIRCUIT_DRIFT,
-    TunnelDiodeSystem,
-    _additive_field,
-    _fold_law,
-    _translated_field,
-)
+from .systems import planar_slow_f
 
 __all__ = [
     "OpenLoop",
@@ -46,6 +40,7 @@ __all__ = [
     "HighGain",
     "Variant",
     "describe",
+    "drift_at_origin",
     "build_closed_loop",
     "CellRunner",
     "ExprSlowField",
@@ -98,121 +93,75 @@ def describe(variant: Variant) -> str:
     raise TypeError(f"unknown controller variant {variant!r}")
 
 
-def _drift_at_origin(system) -> np.ndarray:
-    m = system.n_slow
-    return np.asarray(system.slow_f(np.zeros(m), 0.0, 0.0), dtype=float)
+def drift_at_origin(system) -> list[float]:
+    """f(0, 0, 0): the slow drift at the origin, as floats."""
+    f0 = system.slow_f([0.0] * system.n_slow, 0.0, 0.0)
+    return np.asarray(f0, dtype=float).tolist()
+
+
+def _law(system, variant: Variant):
+    """Additive control law (x, z) -> v of ``variant`` on ``system``.
+
+    The baseline gains scale with the system's degeneracy order ``k``;
+    ``cancel_constants`` cancels the drift at the origin. Compensation is
+    designed in the z < 0 chart of the normal form, so it needs one.
+    """
+    k, m, eps = system.k, system.n_slow, float(system.epsilon)
+    if isinstance(variant, OpenLoop):
+        return lambda x, z: [0.0] * m
+    if isinstance(variant, HighGain):
+        a = np.asarray(variant.a, dtype=float)
+        _check_size(a, m)
+        const = drift_at_origin(system) if variant.cancel_constants else None
+        return _highgain_law(HighGainParams(a=a, b=variant.b, epsilon=eps,
+                                            constants=const))
+    if isinstance(variant, Thm2):
+        _check_size(variant.p.a, m)
+        return _thm2_law(eps, k, variant.p)
+    if isinstance(variant, Thm2Plus3):
+        if not isinstance(system, NormalFormSystem):
+            raise TypeError(f"controller variant {describe(variant)} is not defined "
+                            f"for {type(system).__name__}")
+        p2, p3 = variant.p2, variant.p3
+        _check_size(p2.a, m)
+        _check_size(p3.K, m)
+        thm2, thm3 = _thm2_law(eps, k, p2), _thm3_law(k, p3)
+        return lambda x, z: [u + w for u, w in zip(thm2(x, z), thm3(x, z))]
+    raise TypeError(f"unknown controller variant {variant!r}")
+
+
+def _check_size(gains: np.ndarray, m: int) -> None:
+    if gains.size != m:
+        raise ValueError(f"controller sized for {gains.size} slow states, system has {m}")
 
 
 def build_closed_loop(system, variant: Variant):
     """(rhs, control_eval, n_controls) for the slow-time closed loop.
 
-    ``control_eval`` reports the signal that is recorded in trajectories;
-    for the circuit fold stabilizer these are the literal slot controls,
-    for everything else the additive control vector. Both take the state
-    as an array and return lists of floats; the control law is built once
-    here, so a call only unpacks the state and does the arithmetic.
+    The right-hand side is one call of the control law and one call of the
+    system's float field (:meth:`float_field`, control added to the slow
+    drift). ``control_eval`` reports the signal that is recorded in
+    trajectories: the additive control, except that the baseline law on a
+    system with control slots (``to_slots``, the circuit) is recorded in
+    slot form. Both take the state as an array and return lists of floats.
     """
-    if isinstance(system, NormalFormSystem):
-        return _build_normal_form(system, variant)
-    if isinstance(system, TunnelDiodeSystem):
-        return _build_tunnel_diode(system, variant)
-    raise TypeError(f"unsupported system type {type(system).__name__}")
-
-
-def _normal_form_law(sys: NormalFormSystem, variant: Variant):
-    """Control law (x, z) -> u of ``variant`` on the normal-form system."""
-    k, eps = sys.k, float(sys.epsilon)
-    m = k - 1
-    if isinstance(variant, OpenLoop):
-        return lambda x, z: [0.0] * m
-    if isinstance(variant, Thm2):
-        if variant.p.a.size != m:
-            raise ValueError(
-                f"controller sized for k = {variant.p.a.size + 1}, system has k = {k}")
-        return _thm2_law(eps, k, variant.p)
-    if isinstance(variant, Thm2Plus3):
-        p2, p3 = variant.p2, variant.p3
-        if p2.a.size != m or p3.K.size != m:
-            raise ValueError(f"controller sized for k = {p2.a.size + 1}, system has k = {k}")
-        thm2, thm3 = _thm2_law(eps, k, p2), _thm3_law(k, p3)
-        return lambda x, z: [u + w for u, w in zip(thm2(x, z), thm3(x, z))]
-    if isinstance(variant, HighGain):
-        hg = HighGainParams(
-            a=np.asarray(variant.a, dtype=float),
-            b=variant.b,
-            epsilon=eps,
-            constants=_drift_at_origin(sys) if variant.cancel_constants else None,
-        )
-        if hg.a.size != m:
-            raise ValueError(f"controller sized for {hg.a.size} slow states, system has {m}")
-        return _highgain_law(hg)
-    raise TypeError(f"unknown controller variant {variant!r}")
-
-
-def _build_normal_form(sys: NormalFormSystem, variant: Variant):
-    eps, f = float(sys.epsilon), sys.slow_f
-    law = _normal_form_law(sys, variant)
-
-    def ueval(t, y):
-        *x, z = y.tolist()
-        return law(x, z)
+    law, field = _law(system, variant), system.float_field()
 
     def rhs(t, y):
         *x, z = y.tolist()
-        fx = np.asarray(f(y[:-1], z, eps), dtype=float).tolist()
-        out = [fi + ui for fi, ui in zip(fx, law(x, z))]
-        # z^k + sum_i x_i z^(i-1) in Horner form
-        s = z
-        for xi in reversed(x):
-            s = s * z + xi
-        out.append(-s / eps)
-        return out
+        return field(x, z, law(x, z))
 
-    return rhs, ueval, sys.k - 1
-
-
-def _build_tunnel_diode(sys: TunnelDiodeSystem, variant: Variant):
-    eps, params = float(sys.epsilon), sys.params
-
-    if isinstance(variant, HighGain):
-        hg = _highgain_law(HighGainParams(
-            a=np.asarray(variant.a, dtype=float), b=variant.b, epsilon=eps,
-            constants=np.array(CIRCUIT_DRIFT) if variant.cancel_constants else None,
-        ))
-
-        def ueval(t, y):
-            *x, z = y.tolist()
-            return hg(x, z)
-
-        def rhs(t, y):
-            x1, x2, z = y.tolist()
-            v1, v2 = hg([x1, x2], z)
-            return _additive_field(params, x1, x2, z, v1, v2)
-
-        return rhs, ueval, 2
-
-    if isinstance(variant, OpenLoop):
-        def law(x1, x2, z):
-            return [0.0, 0.0]
-    elif isinstance(variant, Thm2):
-        p = variant.p
-        if p.a.size != 2:
-            raise ValueError("circuit controller needs gains for 2 slow states")
-        law = _fold_law(eps, *p.a.tolist(), p.b, c=p.c.tolist())
-    else:
-        raise TypeError(
-            f"controller variant {describe(variant)} is not defined for the circuit"
-        )
+    record = law
+    to_slots = getattr(system, "to_slots", None)
+    if to_slots is not None and isinstance(variant, Thm2):
+        def record(x, z):
+            return to_slots(law(x, z))
 
     def ueval(t, y):
-        return law(*y.tolist())
+        *x, z = y.tolist()
+        return record(x, z)
 
-    def rhs(t, y):
-        x1, x2, z = y.tolist()
-        u1, u2 = law(x1, x2, z)
-        return _translated_field(params, x1, x2, z, u1, u2)
-
-    return rhs, ueval, 2
+    return rhs, ueval, system.n_slow
 
 
 _EXPR_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh")
@@ -319,10 +268,8 @@ class ExprSlowField:
     def __post_init__(self):
         _compile_exprs(self.exprs)
 
-    def __call__(self, x, z: float, eps: float) -> np.ndarray:
-        xs = np.asarray(x, dtype=float).tolist()
-        return np.array(_compile_exprs(self.exprs)(*xs, float(z), float(eps)),
-                        dtype=float)
+    def __call__(self, x, z: float, eps: float) -> list:
+        return list(_compile_exprs(self.exprs)(*x, z, eps))
 
 
 @dataclass(frozen=True)
@@ -351,8 +298,6 @@ class CellRunner:
                          stop_ball=stop, stop_dwell=self.dwell)
 
     def _fast_args(self) -> dict | None:
-        from .systems import planar_slow_f
-
         sysm, variant = self.system, self.variant
         if not (isinstance(sysm, NormalFormSystem) and sysm.k == 2
                 and sysm.slow_f is planar_slow_f):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +29,10 @@ __all__ = [
     "on_manifold_tolerance",
 ]
 
-# (x, z, epsilon) -> dx/dt contribution of the uncontrolled slow dynamics
-SlowField = Callable[[np.ndarray, float, float], np.ndarray]
+# (x, z, epsilon) -> dx/dt contribution of the uncontrolled slow dynamics:
+# sequence in, sequence out (closed loops pass x as a list of floats, the
+# analysis functions as an array)
+SlowField = Callable[[Sequence[float], float, float], Sequence[float]]
 
 #: scale factor of the |g| <= tol * (1 + ||(x,z)||^k) manifold membership test
 MANIFOLD_TOL = 1e-9
@@ -85,6 +87,27 @@ class NormalFormSystem:
     @property
     def n_slow(self) -> int:
         return self.k - 1
+
+    def float_field(self):
+        """Slow-time field (x, z, v) -> list with control v added to the drift.
+
+        x and v are lists of floats; a ``slow_f`` result that is not a list
+        is converted once. The fast equation is -g/eps in Horner form.
+        """
+        f, eps = self.slow_f, float(self.epsilon)
+
+        def rhs(x: list, z: float, v: list) -> list[float]:
+            fx = f(x, z, eps)
+            if type(fx) is not list:
+                fx = np.asarray(fx, dtype=float).tolist()
+            out = [fi + vi for fi, vi in zip(fx, v)]
+            s = z  # z^k + sum_i x_i z^(i-1)
+            for xi in reversed(x):
+                s = s * z + xi
+            out.append(-s / eps)
+            return out
+
+        return rhs
 
 
 def eval_g(x, z: float, k: int) -> float:

@@ -24,12 +24,14 @@ from .closedloop import (
     Variant,
     build_closed_loop,
     describe,
+    drift_at_origin,
 )
 from .control import Theorem2Params, Theorem3Params
 from .normal_form import NormalFormSystem
 from .roa import GridSpec, RoAComparison, RoAReport, compare, sweep, write_report_csv
 from .sim import (
     IntegratorConfig,
+    NonFiniteError,
     Outcome,
     Trajectory,
     classify,
@@ -304,10 +306,7 @@ def build_variant(cfg: ScenarioConfig, system) -> Variant:
     if cc.type == "none":
         return OpenLoop()
     if cc.type in ("thm2", "thm2plus3"):
-        c = cc.c
-        if c is None:
-            m = system.n_slow
-            c = tuple(np.asarray(system.slow_f(np.zeros(m), 0.0, 0.0), dtype=float))
+        c = cc.c if cc.c is not None else drift_at_origin(system)
         p2 = Theorem2Params(c=np.asarray(c), a=np.asarray(cc.a), b=cc.b)
         if cc.type == "thm2":
             return Thm2(p2)
@@ -376,7 +375,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
         try:
             traj = simulate_switched(system, variant, ic, icfg,
                                      switch_on_time=cfg.switch_on_time)
-        except Exception as exc:  # noqa: BLE001 - per-IC failures are results
+        except (NonFiniteError, ArithmeticError) as exc:  # numerical failures are results
             trajectories.append(None)
             outcomes.append(Outcome.diverged(0.0))
             failures.append(str(exc))

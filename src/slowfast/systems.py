@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import HighGainParams, _highgain_law
 from .normal_form import NormalFormSystem, _vec
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "diode_current",
     "diode_fold_points",
     "build_tunnel_diode",
-    "example1_controllers",
     "planar_slow_f",
     "build_planar_example",
 ]
@@ -77,7 +75,8 @@ class TunnelDiodeSystem:
     z^3 term is kept everywhere, no truncation to the local normal form.)
     Control slots follow the translated equations: +u1/L in the x1 equation
     and -u2/Cap in the x2 equation, which corresponds to circuit inputs
-    (u1_circuit, u2_circuit) = (-u1, -u2).
+    (u1_circuit, u2_circuit) = (-u1, -u2). Controllers are designed on the
+    additive form dx = f + v, with v = (u1/L, -u2/Cap).
     """
 
     params: TunnelDiodeParams
@@ -85,6 +84,11 @@ class TunnelDiodeSystem:
     @property
     def epsilon(self) -> float:
         return self.params.epsilon
+
+    @property
+    def k(self) -> int:
+        """Degeneracy order of the fold at the origin."""
+        return 2
 
     @property
     def n_slow(self) -> int:
@@ -100,17 +104,20 @@ class TunnelDiodeSystem:
         x = _vec(x, 2, "x")
         return -(3.0 * z * z + x[0] + z**3)
 
+    def float_field(self):
+        """Slow-time field (x, z, v) -> list with control v added to the drift."""
+        return _additive_field(self.params)
+
+    def to_slots(self, v) -> list[float]:
+        """Additive control v as the translated slot controls (L v1, -Cap v2)."""
+        return [self.params.L * v[0], -self.params.Cap * v[1]]
+
     def rhs_translated(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Slow-time field with the translated control slots (+u1/L, -u2/Cap)."""
-        x1, x2, z = np.asarray(y, dtype=float).tolist()
+        *x, z = np.asarray(y, dtype=float).tolist()
         u1, u2 = np.asarray(u, dtype=float).tolist()
-        return np.array(_translated_field(self.params, x1, x2, z, u1, u2))
-
-    def rhs_additive(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Slow-time field with control added to the slow drift, dx = f + u."""
-        x1, x2, z = np.asarray(y, dtype=float).tolist()
-        u1, u2 = np.asarray(u, dtype=float).tolist()
-        return np.array(_additive_field(self.params, x1, x2, z, u1, u2))
+        v = [u1 / self.params.L, -u2 / self.params.Cap]
+        return np.array(self.float_field()(x, z, v))
 
     def rhs_circuit(self, y: np.ndarray, u_circuit: np.ndarray) -> np.ndarray:
         """Physical-coordinate field, used to validate the coordinate change."""
@@ -144,93 +151,24 @@ def build_tunnel_diode(p: TunnelDiodeParams | None = None) -> TunnelDiodeSystem:
     return TunnelDiodeSystem(params=p or TunnelDiodeParams())
 
 
-def _translated_field(p: TunnelDiodeParams, x1: float, x2: float, z: float,
-                      u1: float, u2: float) -> list[float]:
-    """Float form of :meth:`TunnelDiodeSystem.rhs_translated`."""
-    return [
-        (x2 + z + 4.0 + u1) / p.L,
-        (16.0 - x1 - u2) / p.Cap,
-        -(3.0 * z * z + x1 + z**3) / p.epsilon,
-    ]
+def _additive_field(p: TunnelDiodeParams):
+    """Float closure (x, z, v) -> list of the circuit field, dx = f + v."""
+    L, Cap, eps = p.L, p.Cap, p.epsilon
+
+    def rhs(x: list, z: float, v: list) -> list[float]:
+        x1, x2 = x
+        return [
+            (x2 + z + 4.0) / L + v[0],
+            (16.0 - x1) / Cap + v[1],
+            -(3.0 * z * z + x1 + z**3) / eps,
+        ]
+
+    return rhs
 
 
-def _additive_field(p: TunnelDiodeParams, x1: float, x2: float, z: float,
-                    v1: float, v2: float) -> list[float]:
-    """Float form of :meth:`TunnelDiodeSystem.rhs_additive`."""
-    return [
-        (x2 + z + 4.0) / p.L + v1,
-        (16.0 - x1) / p.Cap + v2,
-        -(3.0 * z * z + x1 + z**3) / p.epsilon,
-    ]
-
-
-#: slow drift (4, 16) of the translated circuit at the origin, for L = Cap = 1
-CIRCUIT_DRIFT = (4.0, 16.0)
-
-
-def _fold_law(epsilon: float, a1: float, a2: float, b: float,
-              c: tuple[float, float] = CIRCUIT_DRIFT):
-    """Fold stabilizer in the translated slots as a float closure (x1, x2, z) -> u.
-
-    u1 = -c1 - eps^(-2/3) a1 x1 + b eps^(-1/3) z and
-    u2 = c2 + eps^(-2/3) a2 x2; the constants cancel the drift through the
-    slot signs.
-    """
-    epsilon, a1, a2, b = (float(v) for v in (epsilon, a1, a2, b))
-    if not (epsilon > 0 and a1 > 0 and a2 > 0 and b > 0):
-        raise ValueError("epsilon, a1, a2 and b must all be > 0")
-    g1 = epsilon ** (-1.0 / 3.0)
-    g2 = epsilon ** (-2.0 / 3.0)
-    c1, c2 = (float(v) for v in c)
-
-    def law(x1: float, x2: float, z: float) -> list[float]:
-        return [-c1 - g2 * a1 * x1 + b * g1 * z, c2 + g2 * a2 * x2]
-
-    return law
-
-
-def example1_controllers(
-    epsilon: float,
-    a1: float,
-    a2: float,
-    b: float,
-    A1: float = 1.0,
-    A2: float = 1.0,
-    B: float = 10.0,
-    cancel_constants: bool = False,
-):
-    """Controller pair (x1, x2, z) -> [u1, u2] for the circuit benchmark.
-
-    The first evaluator is the fold stabilizer in the translated control
-    slots,
-
-        u1 = -4 - eps^(-2/3) a1 x1 + b eps^(-1/3) z
-        u2 = 16 + eps^(-2/3) a2 x2,
-
-    whose constants cancel the drift through the slot signs. The second is
-    the 1/eps high-gain benchmark (applied additively to the slow drift);
-    it carries no constants unless ``cancel_constants`` is set, in which
-    case the drift (4, 16) is subtracted so the loop settles at the exact
-    origin instead of an O(eps)-shifted point. Both return lists of floats
-    and are the laws the circuit closed loops run.
-    """
-    u_eval = _fold_law(epsilon, a1, a2, b)
-    v_law = _highgain_law(HighGainParams(
-        a=np.array([A1, A2]),
-        b=B,
-        epsilon=epsilon,
-        constants=np.array(CIRCUIT_DRIFT) if cancel_constants else None,
-    ))
-
-    def v_eval(x1: float, x2: float, z: float) -> list[float]:
-        return v_law([x1, x2], z)
-
-    return u_eval, v_eval
-
-
-def planar_slow_f(x, z: float, eps: float) -> np.ndarray:
+def planar_slow_f(x, z: float, eps: float) -> list[float]:
     """Slow drift 1 + x + z of the planar fold example."""
-    return np.array([1.0 + float(np.asarray(x).reshape(-1)[0]) + z])
+    return [1.0 + x[0] + z]
 
 
 def build_planar_example(epsilon: float) -> NormalFormSystem:

@@ -13,7 +13,8 @@ from slowfast.scenarios import (
     select_compensation_gain,
     simulate_switched,
 )
-from slowfast.closedloop import Thm2
+from slowfast import scenarios
+from slowfast.closedloop import Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
 from slowfast.sim import config_for
 from slowfast.systems import build_planar_example
@@ -93,6 +94,20 @@ class TestConfigSchema:
         cfg = parse_config(raw)
         assert build_system(cfg).n_slow == 2
 
+    @pytest.mark.parametrize("controller", [
+        {"type": "thm2", "a": [1.0, 1.0], "b": 10.0},
+        {"type": "highgain", "A": [1.0, 1.0], "B": 10.0, "cancel_constants": True},
+    ])
+    def test_circuit_origin_is_equilibrium_at_any_L_Cap(self, controller):
+        # c and cancel_constants act additively: they cancel f(0) = (4/L, 16/Cap)
+        raw = planar_config(epsilon=0.01, controller=controller,
+                            ics=[[0.0, 0.0, 0.0]])
+        raw["system"] = {"builtin": "tunnel_diode", "L": 2.0, "Cap": 0.5}
+        cfg = parse_config(raw)
+        system = build_system(cfg)
+        rhs, _, _ = build_closed_loop(system, build_variant(cfg, system))
+        assert rhs(0.0, np.zeros(3)) == [0.0, 0.0, 0.0]
+
 
 class TestRunScenario:
     def test_planar_thm2_converges(self, tmp_path):
@@ -130,6 +145,14 @@ class TestRunScenario:
                          "f": ["sqrt(-1.0 - x1*x1)"]}
         result = run_scenario(parse_config(raw))
         assert result.all_failed
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a numerical failure")
+
+        monkeypatch.setattr(scenarios, "simulate_switched", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_scenario(parse_config(planar_config()))
 
 
 class TestSwitching:

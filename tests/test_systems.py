@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 
+from slowfast.closedloop import HighGain, Thm2, build_closed_loop, drift_at_origin
+from slowfast.control import Theorem2Params
 from slowfast.normal_form import State
 from slowfast.systems import (
     TunnelDiodeParams,
     build_planar_example,
     build_tunnel_diode,
     diode_fold_points,
-    example1_controllers,
 )
+
+
+def example1_controllers(epsilon, a1, a2, b, A1=1.0, A2=1.0, B=10.0,
+                         cancel_constants=False):
+    """Recorded controls (x1, x2, z) -> list of the two circuit loops of ex1."""
+    sys = build_tunnel_diode(TunnelDiodeParams(epsilon=epsilon))
+    p = Theorem2Params(c=drift_at_origin(sys), a=[a1, a2], b=b)
+    hg = HighGain(a=(A1, A2), b=B, cancel_constants=cancel_constants)
+    _, u_eval, _ = build_closed_loop(sys, Thm2(p))
+    _, v_eval, _ = build_closed_loop(sys, hg)
+    return (lambda x1, x2, z: u_eval(0.0, np.array([x1, x2, z])),
+            lambda x1, x2, z: v_eval(0.0, np.array([x1, x2, z])))
 
 
 class TestFoldPoints:
@@ -91,6 +104,23 @@ class TestTunnelDiodeSystem:
             scale = max(1.0, float(np.max(np.abs(direct))))
             worst = max(worst, float(np.max(np.abs(pushed - direct))) / scale)
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("L, Cap", [(1.0, 1.0), (2.0, 0.5)])
+    def test_stabilizer_loop_is_translated_field_of_recorded_slots(self, L, Cap):
+        # the merged builder adds v to the drift; fed back through the slots
+        # (+u1/L, -u2/Cap), the recorded u must give the same field
+        sys = build_tunnel_diode(TunnelDiodeParams(L=L, Cap=Cap, epsilon=0.01))
+        p = Theorem2Params(c=drift_at_origin(sys), a=[1.0, 2.0], b=10.0)
+        rhs, ueval, _ = build_closed_loop(sys, Thm2(p))
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            y = rng.uniform(-5.0, 5.0, 3)
+            got = np.asarray(rhs(0.0, y))
+            want = sys.rhs_translated(y, ueval(0.0, y))
+            if L == Cap == 1.0:
+                assert np.array_equal(got, want)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
     def test_cubic_expansion_identity(self):
         sympy = pytest.importorskip("sympy")
