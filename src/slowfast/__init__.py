@@ -25,13 +25,9 @@ from .control import (
     closed_loop_jacobian_origin,
     closed_loop_rhs_family,
     eigenvalues_origin,
-    full_control,
     highgain_control,
-    thm2_control,
-    thm3_compensation,
 )
 from .normal_form import (
-    ControlInput,
     NormalFormSystem,
     State,
     degeneracy_order,

@@ -143,12 +143,20 @@ def build_closed_loop(system, variant: Variant):
     drift). ``control_eval`` reports the signal that is recorded in
     trajectories: the additive control, except that the baseline law on a
     system with control slots (``to_slots``, the circuit) is recorded in
-    slot form. Both take the state as an array and return lists of floats.
+    slot form. Both take the state as an array and return lists of floats;
+    each carries its float function ``(t, list) -> list`` as ``float_fn``,
+    which :func:`slowfast.sim.integrate` calls directly.
     """
     law, field = _law(system, variant), system.float_field()
 
+    # the array forms repeat the float bodies rather than call them, so a
+    # caller without float_fn pays no extra frame per call
     def rhs(t, y):
         *x, z = y.tolist()
+        return field(x, z, law(x, z))
+
+    def rhs_floats(t, y):
+        *x, z = y
         return field(x, z, law(x, z))
 
     record = law
@@ -161,6 +169,11 @@ def build_closed_loop(system, variant: Variant):
         *x, z = y.tolist()
         return record(x, z)
 
+    def ueval_floats(t, y):
+        *x, z = y
+        return record(x, z)
+
+    rhs.float_fn, ueval.float_fn = rhs_floats, ueval_floats
     return rhs, ueval, system.n_slow
 
 
@@ -177,9 +190,11 @@ def _pow(base, exponent):
 class _ExprChecker(ast.NodeTransformer):
     """Admits only the slow-field expression grammar, in one pass.
 
-    Numbers become floats, ``a ** b`` becomes ``_pow(a, b)``; any other
-    node type is an error, so no attribute, subscript, comprehension or
-    call outside the listed numpy functions can reach the compiler.
+    Numbers become floats, ``a ** b`` becomes ``_pow(a, b)`` and a call
+    ``fn(a)`` becomes ``float(fn(a))``, so every value is a Python float;
+    any other node type is an error, so no attribute, subscript,
+    comprehension or call outside the listed numpy functions can reach the
+    compiler.
     """
 
     def __init__(self, names: frozenset[str]):
@@ -224,31 +239,33 @@ class _ExprChecker(ast.NodeTransformer):
             raise ValueError(
                 f"only one-argument calls of {', '.join(_EXPR_FUNCS)} are allowed")
         node.args = [self.visit(node.args[0])]
-        return node
+        return ast.Call(ast.Name("float", ast.Load()), [node], [])
 
 
 @lru_cache(maxsize=64)
 def _compile_exprs(exprs: tuple[str, ...]):
-    """One function (x1, ..., xm, z, epsilon) -> tuple of the m expressions.
+    """One function (x, z, epsilon) -> list of the m expressions.
 
     Each string is parsed and checked against the expression grammar before
-    anything is compiled; the checked trees become the body of a single
-    function whose only globals are the listed numpy functions and ``pi``.
+    anything is compiled; the checked trees fill the returned list of a
+    function that unpacks x into x1..xm and whose only globals are the
+    listed numpy functions, ``pi`` and ``float``.
     """
-    params = [f"x{i + 1}" for i in range(len(exprs))] + ["z", "epsilon"]
-    checker = _ExprChecker(frozenset(params) | {"pi"})
+    names = [f"x{i + 1}" for i in range(len(exprs))]
+    checker = _ExprChecker(frozenset(names) | {"z", "epsilon", "pi"})
     scope = {name: getattr(np, name) for name in _EXPR_FUNCS}
-    scope.update(pi=math.pi, _pow=_pow, __builtins__={})
-    args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in params],
-                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    scope.update(pi=math.pi, _pow=_pow, float=float, __builtins__={})
     bodies = []
     for i, src in enumerate(exprs):
         try:
             bodies.append(checker.visit(ast.parse(src, mode="eval")).body)
         except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"slow field expression {i + 1} ({src!r}): {exc}") from None
-    fn = ast.Expression(ast.Lambda(args, ast.Tuple(bodies, ast.Load())))
-    return eval(compile(ast.fix_missing_locations(fn), "<slow_f>", "eval"), scope)
+    unpack = ", ".join(names) + "," if names else "_"
+    fn = ast.parse(f"def slow_f(x, z, epsilon):\n    {unpack} = x\n    return []\n")
+    fn.body[0].body[-1].value.elts = bodies
+    exec(compile(ast.fix_missing_locations(fn), "<slow_f>", "exec"), scope)
+    return scope["slow_f"]
 
 
 @dataclass(frozen=True)
@@ -260,7 +277,8 @@ class ExprSlowField:
     tanh (the numpy versions, so sqrt and log of a negative number give
     NaN). Anything else raises ValueError on construction. Instances hold
     only the source strings, so they pickle cleanly into sweep workers;
-    the compiled function is cached per expression tuple.
+    the compiled function is cached per expression tuple, and a float field
+    that calls it many times takes it once from :attr:`compiled`.
     """
 
     exprs: tuple[str, ...]
@@ -268,8 +286,13 @@ class ExprSlowField:
     def __post_init__(self):
         _compile_exprs(self.exprs)
 
+    @property
+    def compiled(self):
+        """The compiled field (x, z, eps) -> list of Python floats."""
+        return _compile_exprs(self.exprs)
+
     def __call__(self, x, z: float, eps: float) -> list:
-        return list(_compile_exprs(self.exprs)(*x, z, eps))
+        return self.compiled(x, z, eps)
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,11 @@ class NormalFormSystem:
         """Slow-time field (x, z, v) -> list with control v added to the drift.
 
         x and v are lists of floats; a ``slow_f`` result that is not a list
-        is converted once. The fast equation is -g/eps in Horner form.
+        is converted once. A ``slow_f`` with a ``compiled`` function (an
+        expression field) is called through it. The fast equation is
+        -g/eps in Horner form.
         """
-        f, eps = self.slow_f, float(self.epsilon)
+        f, eps = getattr(self.slow_f, "compiled", self.slow_f), float(self.epsilon)
 
         def rhs(x: list, z: float, v: list) -> list[float]:
             fx = f(x, z, eps)

@@ -9,17 +9,23 @@ to a norm threshold, since no norm test alone is robust for it.
 
 The closed loops integrated here have 2 to a handful of states, where
 per-call array overhead costs far more than the arithmetic. The stepper
-therefore keeps the state and the seven stages as lists of Python floats
-and forms each stage combination with one zip over the components; the
-right-hand side still receives a fresh float array and may return a list,
-which the closures of :mod:`slowfast.closedloop` do. Everything is plain
-IEEE double arithmetic in a fixed order, so the results do not depend on
-the BLAS build.
+therefore keeps the state and the seven stages as lists of Python floats.
+One step attempt is a straight-line function generated once per state
+dimension n, on first use, from n and the tableau below: the components
+are scalar locals, each stage input is a list display and the error norm
+is unrolled, in the same order of operations as a loop over the
+components. A right-hand side that carries a float function (its
+``float_fn`` attribute, ``(t, list) -> list``, as the closures of
+:mod:`slowfast.closedloop` do) is stepped through it directly; any other
+receives a fresh float array and may return any sequence. Everything is
+plain IEEE double arithmetic in a fixed order, so the results do not
+depend on the BLAS build.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +62,14 @@ _B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 71.0 / 1920.0, -17253.0 / 339200.0,
                                 22.0 / 525.0, -1.0 / 40.0)
+
+# (c_s, a_s1..a_s,s-1) of stages 2..6 and the (stage, weight) pairs of the
+# solution and the error estimate, in the order the attempt sums them
+_STAGES = ((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
+           (_C5, (_A51, _A52, _A53, _A54)),
+           (1.0, (_A61, _A62, _A63, _A64, _A65)))
+_SOLUTION = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
+_ERROR = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
 
 _ORDER_EXP = -0.2  # 1/(order+1) exponent of the step controller
 _SAFETY = 0.9
@@ -161,6 +175,80 @@ def _rms(values: list, scales: list) -> float:
     return math.sqrt(acc / len(scales))
 
 
+def _attempt_source(n: int) -> str:
+    """Source of the straight-line attempt for state dimension ``n``.
+
+    Built only from ``n`` and the tableau; every weight is written as its
+    exact ``repr``. The combinations group as ``v + h * (a1 * k1 + a2 * k2
+    + ...)``, summed left to right, and the error norm accumulates from 0.0
+    component by component, so the arithmetic is that of a loop over the
+    components.
+    """
+    idx = range(n)
+
+    def names(stem: str) -> str:
+        return "".join(f"{stem}_{i}, " for i in idx)
+
+    def combo(terms, i: int) -> str:
+        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in terms)
+
+    lines = ["def attempt(f, t, h, y, k1, rtol, atol):",
+             f"    {names('y')}= y",
+             f"    {names('k1')}= k1"]
+    for s, (c, weights) in enumerate(_STAGES, start=2):
+        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        terms = list(enumerate(weights, start=1))
+        stage_in = ", ".join(f"y_{i} + h * ({combo(terms, i)})" for i in idx)
+        lines.append(f"    {names(f'k{s}')}= f({at}, [{stage_in}])")
+    for i in idx:
+        lines.append(f"    w_{i} = y_{i} + h * ({combo(_SOLUTION, i)})")
+    w = ", ".join(f"w_{i}" for i in idx)
+    lines += [f"    y_new = [{w}]",
+              f"    norm = hypot({w})",
+              "    if not isfinite(norm):",
+              "        return nan, y_new, None, norm",
+              "    k7 = f(t + h, y_new)",
+              f"    {names('k7')}= k7",
+              "    acc = 0.0"]
+    for i in idx:
+        lines += [f"    v, w = abs(y_{i}), abs(w_{i})",
+                  f"    q = h * ({combo(_ERROR, i)}) / (atol + rtol * (v if v > w else w))",
+                  "    acc += q * q"]
+    lines.append(f"    return sqrt(acc / {n}), y_new, k7, norm")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _attempt(n: int):
+    """One Dormand-Prince attempt for state dimension ``n``, generated once.
+
+    ``attempt(f, t, h, y, k1, rtol, atol)`` takes ``f: (t, list) -> list``,
+    the state ``y`` and its first stage ``k1`` as float lists, and returns
+    ``(err, y_new, k7, norm)``: the scaled RMS error estimate, the 5th-order
+    solution, its stage (None when ``norm`` is not finite; err is then NaN)
+    and the Euclidean norm of ``y_new``.
+    """
+    scope = {"abs": abs, "hypot": math.hypot, "isfinite": math.isfinite,
+             "sqrt": math.sqrt, "nan": math.nan}
+    exec(compile(_attempt_source(n), f"<dopri attempt n={n}>", "exec"), scope)
+    return scope["attempt"]
+
+
+def _as_float_fn(fn):
+    """``fn`` as ``(t, list) -> list``: its ``float_fn`` if it carries one,
+    else an adapter that passes a fresh float array and converts a result
+    that is not a list once."""
+    direct = getattr(fn, "float_fn", None)
+    if direct is not None:
+        return direct
+
+    def adapted(t: float, yl: list) -> list:
+        f = fn(t, np.array(yl))
+        return f if type(f) is list else np.asarray(f, dtype=float).tolist()
+
+    return adapted
+
+
 def integrate(
     rhs: RHS,
     ic: Sequence[float] | np.ndarray,
@@ -181,9 +269,13 @@ def integrate(
     margin so that :func:`classify` sees a full dwell window).
 
     ``rhs`` and ``control`` receive the state as a fresh 1-d float array
-    and may return any sequence of floats. A stage at which ``rhs`` raises
-    an :class:`ArithmeticError` counts as non-finite, like a stage that
-    returns inf or NaN: the step is halved and retried.
+    and may return any sequence of floats. One that carries a ``float_fn``
+    attribute, a function ``(t, list) -> list`` of the same field, is
+    called through it instead, with and returning plain float lists; the
+    closed loops of :mod:`slowfast.closedloop` do, and the result is the
+    same bit for bit either way. A stage at which ``rhs`` raises an
+    :class:`ArithmeticError` counts as non-finite, like a stage that returns
+    inf or NaN: the step is halved and retried.
     """
     y0 = np.array(ic, dtype=float)
     if y0.ndim != 1:
@@ -191,11 +283,7 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise NonFiniteError("initial condition contains non-finite entries")
     n = y0.size
-
-    def ev(t: float, yl: list) -> list:
-        f = rhs(t, np.array(yl))
-        return f if type(f) is list else np.asarray(f, dtype=float).tolist()
-
+    ev = _as_float_fn(rhs)
     y = y0.tolist()
     k1 = ev(t0, y)
     if not (isinstance(k1, list) and len(k1) == n):
@@ -209,18 +297,19 @@ def integrate(
     pending = _record_times(t0, cfg.t_final, stride)
     times = [t0]
     states = [y]
-    controls = [control(t0, y0)] if control else None
+    uev = _as_float_fn(control) if control else None
+    controls = [uev(t0, y)] if uev else None
 
     def emit(t: float, yl: list) -> None:
         times.append(t)
         states.append(yl)
-        if controls is not None:
-            controls.append(control(t, np.array(yl)))
+        if uev is not None:
+            controls.append(uev(t, yl))
 
     rtol, atol = cfg.rtol, cfg.atol
     max_step, min_step = cfg.max_step, cfg.min_step
     div_norm = cfg.divergence_norm
-    hypot, isfinite, sqrt = math.hypot, math.isfinite, math.sqrt
+    attempt, isfinite = _attempt(n), math.isfinite
     outcome = Outcome.undecided()
 
     # first step guess, bounded by the output cadence
@@ -252,33 +341,7 @@ def integrate(
 
         err = math.nan  # stays NaN when a stage is not finite
         try:
-            k2 = ev(t + _C2 * h_try,
-                    [v + h_try * (_A21 * a) for v, a in zip(y, k1)])
-            k3 = ev(t + _C3 * h_try,
-                    [v + h_try * (_A31 * a + _A32 * b)
-                     for v, a, b in zip(y, k1, k2)])
-            k4 = ev(t + _C4 * h_try,
-                    [v + h_try * (_A41 * a + _A42 * b + _A43 * c)
-                     for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = ev(t + _C5 * h_try,
-                    [v + h_try * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                     for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = ev(t + h_try,
-                    [v + h_try * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                  + _A65 * e)
-                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h_try * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-                     for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-            norm = hypot(*y_new)
-            if isfinite(norm):
-                k7 = ev(t + h_try, y_new)
-                acc = 0.0
-                for v, w, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                    v, w = abs(v), abs(w)
-                    q = h_try * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f
-                                 + _E7 * g) / (atol + rtol * (v if v > w else w))
-                    acc += q * q
-                err = sqrt(acc / n)
+            err, y_new, k7, norm = attempt(ev, t, h_try, y, k1, rtol, atol)
         except ArithmeticError:
             pass
 

@@ -15,8 +15,9 @@ from slowfast.closedloop import (
 )
 from slowfast.control import Theorem2Params, Theorem3Params
 from slowfast.normal_form import NormalFormSystem
-from slowfast.sim import config_for
-from slowfast.systems import build_planar_example, build_tunnel_diode
+from slowfast.scenarios import EX1_ICS
+from slowfast.sim import config_for, integrate
+from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
 
 P2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
 P3 = Theorem3Params(K=[50.0], chi_star=[-2.0])
@@ -111,10 +112,51 @@ class TestExprSlowField:
             out = f(np.array([-4.0, -1.0]), 0.0, 0.01)
         assert np.all(np.isnan(out))
 
+    def test_closed_loop_rhs_returns_python_floats(self):
+        sys = NormalFormSystem(
+            k=2, epsilon=0.05, slow_f=ExprSlowField(exprs=("sin(z) + 1 + x1",)))
+        rhs, _, _ = build_closed_loop(sys, Thm2(P2))
+        out = rhs(0.0, np.array([0.3, -0.2]))
+        assert [type(v) for v in out] == [float, float]
+
     def test_constants_pi_and_unary_minus(self):
         f = ExprSlowField(exprs=("-x1 + 2 ** 3 * pi - epsilon / z",))
         assert f(np.array([1.0]), 2.0, 0.5) == pytest.approx(
             [-1.0 + 8.0 * np.pi - 0.25], rel=1e-15)
+
+
+class TestFloatPath:
+    """``integrate`` steps a closed loop through its float function; the same
+    rhs behind a plain callable (as a benchmark span wrapper presents it)
+    takes the array adapter, and both must give the same run bit for bit."""
+
+    @staticmethod
+    def _assert_same_run(rhs, ueval, ic, cfg, **kwargs):
+        assert callable(rhs.float_fn) and callable(ueval.float_fn)
+        direct = integrate(rhs, ic, cfg, control=ueval, **kwargs)
+        adapted = integrate(lambda t, y: rhs(t, y), ic, cfg,
+                            control=lambda t, y: ueval(t, y), **kwargs)
+        assert np.array_equal(direct.times, adapted.times)
+        assert np.array_equal(direct.states, adapted.states)
+        assert np.array_equal(direct.controls, adapted.controls)
+        assert direct.outcome == adapted.outcome
+        return direct
+
+    def test_circuit_highgain_segment(self):
+        sys = build_tunnel_diode(TunnelDiodeParams(epsilon=0.01))
+        rhs, ueval, _ = build_closed_loop(
+            sys, HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True))
+        traj = self._assert_same_run(rhs, ueval, EX1_ICS[0], config_for(0.01, 2.0))
+        assert len(traj) == 201
+
+    def test_k4_normal_form_with_compensation(self):
+        f = ExprSlowField(exprs=("1 + x1 + z", "0.5 * x2 - z * z", "sin(x3) + x1"))
+        sys = NormalFormSystem(k=4, epsilon=0.05, slow_f=f)
+        variant = Thm2Plus3(Theorem2Params(c=[1.0, 0.0, 0.0], a=[1.0, 1.0, 1.0], b=3.0),
+                            Theorem3Params(K=[5.0, 0.0, 0.0], chi_star=[-2.0, 0.0, 0.0]))
+        rhs, ueval, _ = build_closed_loop(sys, variant)
+        self._assert_same_run(rhs, ueval, [0.1, -0.1, 0.05, 0.2], config_for(0.05, 3.0),
+                              stop_ball=1e-3)
 
 
 def _mistyped_field(x, z, eps):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import slowfast
+from slowfast import sim
 from slowfast.closedloop import OpenLoop, build_closed_loop
 from slowfast.sim import (
     IntegratorConfig,
@@ -144,6 +150,75 @@ class TestIntegrate:
         a = integrate(slow, ic, cfg_s)
         b = integrate(fast, ic, cfg_f)
         assert a.states[-1] == pytest.approx(b.states[-1], rel=1e-6)
+
+
+def _zip_attempt(f, t, h, y, k1, rtol, atol):
+    """Reference attempt: each combination as one zip over the components."""
+    k2 = f(t + sim._C2 * h, [v + h * (sim._A21 * a) for v, a in zip(y, k1)])
+    k3 = f(t + sim._C3 * h, [v + h * (sim._A31 * a + sim._A32 * b)
+                             for v, a, b in zip(y, k1, k2)])
+    k4 = f(t + sim._C4 * h, [v + h * (sim._A41 * a + sim._A42 * b + sim._A43 * c)
+                             for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = f(t + sim._C5 * h, [v + h * (sim._A51 * a + sim._A52 * b + sim._A53 * c
+                                      + sim._A54 * d)
+                             for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = f(t + h, [v + h * (sim._A61 * a + sim._A62 * b + sim._A63 * c
+                            + sim._A64 * d + sim._A65 * e)
+                   for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (sim._B1 * a + sim._B3 * c + sim._B4 * d + sim._B5 * e
+                      + sim._B6 * f_)
+             for v, a, c, d, e, f_ in zip(y, k1, k3, k4, k5, k6)]
+    norm = math.hypot(*y_new)
+    if not math.isfinite(norm):
+        return math.nan, y_new, None, norm
+    k7 = f(t + h, y_new)
+    acc = 0.0
+    for v, w, a, c, d, e, f_, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        v, w = abs(v), abs(w)
+        q = h * (sim._E1 * a + sim._E3 * c + sim._E4 * d + sim._E5 * e
+                 + sim._E6 * f_ + sim._E7 * g) / (atol + rtol * (v if v > w else w))
+        acc += q * q
+    return math.sqrt(acc / len(y)), y_new, k7, norm
+
+
+def _coupled(t, y):
+    n = len(y)
+    return [math.sin(y[i - 1]) * y[i] - 0.3 * y[i] * abs(y[i]) + math.cos(t) * (i + 1)
+            + y[(i + 1) % n] / (1.0 + y[i] * y[i]) for i in range(n)]
+
+
+class TestGeneratedAttempt:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bitwise_equal_to_zip_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        attempt = sim._attempt(n)
+        for _ in range(200):
+            y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1)).tolist()
+            t = float(rng.uniform(-5.0, 5.0))
+            h = float(10.0 ** rng.uniform(-6, -1))
+            rtol, atol = float(10.0 ** rng.uniform(-10, -4)), float(10.0 ** rng.uniform(-12, -6))
+            k1 = _coupled(t, y)
+            got = attempt(_coupled, t, h, y, k1, rtol, atol)
+            ref = _zip_attempt(_coupled, t, h, y, k1, rtol, atol)
+            assert math.isfinite(ref[0])
+            assert got == ref  # err, y_new, k7 and norm, bit for bit
+
+    def test_generated_lazily_and_cached(self):
+        code = textwrap.dedent("""
+            import slowfast
+            from slowfast import sim
+            assert sim._attempt.cache_info().currsize == 0
+            cfg = sim.IntegratorConfig(t_final=0.1)
+            for _ in range(2):
+                sim.integrate(lambda t, y: -y, [1.0, 2.0, 3.0], cfg)
+            info = sim._attempt.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
+        """)
+        src = os.path.dirname(os.path.dirname(slowfast.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestClassify:
