@@ -10,17 +10,29 @@ included for comparison.
 """
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blowup import FamilyChartState, from_family_chart
-from .normal_form import ControlInput, NormalFormSystem, State, _vec, eval_g
+from .normal_form import (
+    ControlInput,
+    NormalFormSystem,
+    State,
+    _vec,
+    eval_g,
+    parse_expression,
+)
 
 __all__ = [
     "Theorem2Params",
     "Theorem3Params",
     "HighGainParams",
+    "thm2_law",
+    "thm3_law",
+    "highgain_law",
     "thm2_control",
     "thm3_compensation",
     "full_control",
@@ -114,45 +126,64 @@ def _gain_powers(epsilon: float, k: int) -> tuple[float, float]:
     return inv ** (1.0 / (2 * k - 1)), inv ** (k / (2 * k - 1))
 
 
-def _thm2_law(epsilon: float, k: int, p: Theorem2Params):
-    """Baseline law as a closure (x, z) -> u over plain floats.
+def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
+    """Baseline law as checked expression trees u_1..u_m in x1..xm and z.
 
-    The gain powers and constants are taken once, so each evaluation only
-    does the arithmetic; every caller of the baseline law goes through it.
+    u_i = -c_i - (px a_i) x_i, plus (b pz) z on u_1, with the gain powers
+    (pz, px) of :func:`_gain_powers` taken once as constants. Closed loops
+    compile these trees and the array wrappers below evaluate them, so this
+    is the one definition of the law.
     """
     pz, px = _gain_powers(epsilon, k)
-    c, a, bz = p.c.tolist(), p.a.tolist(), p.b * pz
-
-    def law(x, z: float) -> list[float]:
-        u = [-ci - px * ai * xi for ci, ai, xi in zip(c, a, x)]
-        u[0] += bz * z
-        return u
-
-    return law
+    bz = p.b * pz
+    return [parse_expression("-c - px * a * x" + (" + bz * z" if i == 1 else ""),
+                             {"c": c, "px": px, "a": a, "bz": bz, "x": f"x{i}", "z": "z"})
+            for i, (c, a) in enumerate(zip(p.c.tolist(), p.a.tolist()), 1)]
 
 
-def _thm3_law(k: int, p: Theorem3Params):
-    """Compensation law as a closure (x, z) -> w over plain floats."""
-    terms = tuple(zip(p.K.tolist(), range(k + 1, 2, -1), p.chi_star.tolist()))
-
-    def law(x, z: float) -> list[float]:
-        return [Ki * (xi * z + (-z) ** n * chi)
-                for (Ki, n, chi), xi in zip(terms, x)]
-
-    return law
+def thm3_law(k: int, p: Theorem3Params) -> list:
+    """Compensation law as checked trees w_i = K_i (x_i z + (-z)^(k-i+2) chi*_i)."""
+    terms = zip(p.K.tolist(), range(k + 1, 2, -1), p.chi_star.tolist())
+    return [parse_expression("K * (x * z + (-z) ** n * chi)",
+                             {"K": K, "n": n, "chi": chi, "x": f"x{i}", "z": "z"})
+            for i, (K, n, chi) in enumerate(terms, 1)]
 
 
-def _highgain_law(p: HighGainParams):
-    """1/eps benchmark law as a closure (x, z) -> v over plain floats."""
-    a, b, eps = p.a.tolist(), p.b, p.epsilon
-    const = p.constants.tolist() if p.constants is not None else [0.0] * len(a)
+def highgain_law(p: HighGainParams) -> list:
+    """1/eps benchmark law as checked trees v_i = -a_i x_i / eps (+ b z / eps) - c_i."""
+    const = p.constants.tolist() if p.constants is not None else [0.0] * p.a.size
+    return [parse_expression("-a * x / eps" + (" + b * z / eps" if i == 1 else "") + " - c",
+                             {"a": a, "b": p.b, "c": c, "eps": p.epsilon,
+                              "x": f"x{i}", "z": "z"})
+            for i, (a, c) in enumerate(zip(p.a.tolist(), const), 1)]
 
-    def law(x, z: float) -> list[float]:
-        v = [-ai * xi / eps for ai, xi in zip(a, x)]
-        v[0] += b * z / eps
-        return [vi - ci for vi, ci in zip(v, const)]
 
-    return law
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
+        ast.UAdd: operator.pos}
+
+
+def _value(tree, env: dict) -> float:
+    """Value of a law tree (constants, names, unary and binary arithmetic),
+    operation for operation as the compiled tree computes it."""
+    if isinstance(tree, ast.Constant):
+        return tree.value
+    if isinstance(tree, ast.Name):
+        return env[tree.id]
+    if isinstance(tree, ast.UnaryOp):
+        return _OPS[type(tree.op)](_value(tree.operand, env))
+    return _OPS[type(tree.op)](_value(tree.left, env), _value(tree.right, env))
+
+
+def _evaluate(law: list, x: np.ndarray, z: float) -> list[float]:
+    """The law trees at one state, without compiling them.
+
+    Compiling costs about half a millisecond a call, which the verification
+    suites, with their thousands of single evaluations, should not pay.
+    """
+    env = {f"x{i}": xi for i, xi in enumerate(x.tolist(), 1)}
+    env["z"] = float(z)
+    return [_value(tree, env) for tree in law]
 
 
 def thm2_control(s: State, epsilon: float, k: int, p: Theorem2Params) -> ControlInput:
@@ -164,7 +195,7 @@ def thm2_control(s: State, epsilon: float, k: int, p: Theorem2Params) -> Control
     x = _vec(s.x, k - 1, "x")
     if p.a.size != k - 1:
         raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
-    return ControlInput(_thm2_law(epsilon, k, p)(x.tolist(), float(s.z)))
+    return ControlInput(_evaluate(thm2_law(epsilon, k, p), x, s.z))
 
 
 def thm3_compensation(s: State, k: int, p: Theorem3Params) -> ControlInput:
@@ -172,16 +203,16 @@ def thm3_compensation(s: State, k: int, p: Theorem3Params) -> ControlInput:
     x = _vec(s.x, k - 1, "x")
     if p.K.size != k - 1:
         raise ValueError(f"params sized for k = {p.K.size + 1}, got k = {k}")
-    return ControlInput(_thm3_law(k, p)(x.tolist(), float(s.z)))
+    return ControlInput(_evaluate(thm3_law(k, p), x, s.z))
 
 
 def full_control(s: State, epsilon: float, k: int, p2: Theorem2Params,
                  p3: Theorem3Params) -> ControlInput:
     """Baseline controller plus compensation; K = 0 reduces to the baseline."""
-    x = _vec(s.x, k - 1, "x").tolist()
-    z = float(s.z)
-    u, w = _thm2_law(epsilon, k, p2)(x, z), _thm3_law(k, p3)(x, z)
-    return ControlInput([ui + wi for ui, wi in zip(u, w)])
+    x = _vec(s.x, k - 1, "x")
+    law = [ast.BinOp(u, ast.Add(), w)
+           for u, w in zip(thm2_law(epsilon, k, p2), thm3_law(k, p3))]
+    return ControlInput(_evaluate(law, x, s.z))
 
 
 def chart_controller_family(c: FamilyChartState, k: int,
@@ -216,7 +247,7 @@ def highgain_control(s: State, p: HighGainParams) -> ControlInput:
     x = _vec(s.x, name="x")
     if p.a.size != x.size:
         raise ValueError(f"params sized for {p.a.size} slow states, got {x.size}")
-    return ControlInput(_highgain_law(p)(x.tolist(), float(s.z)))
+    return ControlInput(_evaluate(highgain_law(p), x, s.z))
 
 
 def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:

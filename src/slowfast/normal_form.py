@@ -6,17 +6,25 @@ The model class has k-1 slow states x, one fast state z and a fast field
 
 so the origin is the most degenerate point of the critical manifold
 S = {g = 0}. Control enters additively in the slow equations.
+
+Slow fields given as text, and the closed loops generated from them, go
+through one checked expression grammar (:func:`parse_expression`) and are
+compiled by :func:`compile_functions`.
 """
 from __future__ import annotations
 
+import ast
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "SlowField",
+    "ExprSlowField",
     "NormalFormSystem",
     "State",
     "ControlInput",
@@ -27,6 +35,8 @@ __all__ = [
     "degeneracy_order",
     "validate",
     "on_manifold_tolerance",
+    "parse_expression",
+    "compile_functions",
 ]
 
 # (x, z, epsilon) -> dx/dt contribution of the uncontrolled slow dynamics:
@@ -88,28 +98,24 @@ class NormalFormSystem:
     def n_slow(self) -> int:
         return self.k - 1
 
-    def float_field(self):
-        """Slow-time field (x, z, v) -> list with control v added to the drift.
+    # the slow-time field as data, from which closed loops are generated
 
-        x and v are lists of floats; a ``slow_f`` result that is not a list
-        is converted once. A ``slow_f`` with a ``compiled`` function (an
-        expression field) is called through it. The fast equation is
-        -g/eps in Horner form.
-        """
-        f, eps = getattr(self.slow_f, "compiled", self.slow_f), float(self.epsilon)
+    @property
+    def drift(self):
+        """The expression strings of an :class:`ExprSlowField`, else ``slow_f``."""
+        return self.slow_f.exprs if isinstance(self.slow_f, ExprSlowField) else self.slow_f
 
-        def rhs(x: list, z: float, v: list) -> list[float]:
-            fx = f(x, z, eps)
-            if type(fx) is not list:
-                fx = np.asarray(fx, dtype=float).tolist()
-            out = [fi + vi for fi, vi in zip(fx, v)]
-            s = z  # z^k + sum_i x_i z^(i-1)
-            for xi in reversed(x):
-                s = s * z + xi
-            out.append(-s / eps)
-            return out
+    @property
+    def fast(self) -> str:
+        """dz/dt = g / epsilon in Horner form, -((z z + x_{k-1}) z + ... + x_1) / epsilon."""
+        s = "z"
+        for i in range(self.k - 1, 0, -1):
+            s = f"({s}) * z + x{i}"
+        return f"-({s}) / epsilon"
 
-        return rhs
+    @property
+    def constants(self) -> dict[str, float]:
+        return {"epsilon": float(self.epsilon)}
 
 
 def eval_g(x, z: float, k: int) -> float:
@@ -233,3 +239,161 @@ def validate(sys: NormalFormSystem) -> list[str]:
         except Exception:
             pass  # already reported above for the origin probes
     return errors
+
+
+_EXPR_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh")
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _pow(base, exponent):
+    """``base ** exponent`` with NaN, as numpy gives, where Python gives a complex."""
+    r = base ** exponent
+    return math.nan if isinstance(r, complex) else r
+
+
+# globals of every generated function: no builtins, the listed numpy functions
+_SCOPE = {name: getattr(np, name) for name in _EXPR_FUNCS}
+_SCOPE.update(_pow=_pow, float=float, __builtins__={})
+
+
+class _ExprChecker(ast.NodeTransformer):
+    """Admits only the expression grammar, in one pass.
+
+    Each name is looked up in ``env``: a string renames it to that local, a
+    number makes it a constant. Numbers become floats, ``a ** b`` becomes
+    ``_pow(a, b)`` unless b is an integral constant (a float to such a power
+    is never complex) and a call ``fn(a)`` becomes ``float(fn(a))``, so every
+    value is a Python float; any other node type is an error, so no
+    attribute, subscript, comprehension or call outside the listed numpy
+    functions can reach the compiler. The checked tree is built new, so the
+    parsed tree can be shared.
+    """
+
+    def __init__(self, env: dict):
+        self.env = env
+
+    def generic_visit(self, node):
+        raise ValueError(f"`{type(node).__name__}` is not allowed")
+
+    def visit_Expression(self, node):
+        return self.visit(node.body)
+
+    def visit_Constant(self, node):
+        if type(node.value) not in (int, float):
+            raise ValueError(f"constant {node.value!r} is not a real number")
+        return ast.Constant(float(node.value))
+
+    def visit_Name(self, node):
+        if node.id not in self.env:
+            raise ValueError(f"unknown name `{node.id}`")
+        value = self.env[node.id]
+        if isinstance(value, str):
+            return ast.Name(value, ast.Load())
+        return ast.Constant(float(value))
+
+    def visit_UnaryOp(self, node):
+        if not isinstance(node.op, (ast.USub, ast.UAdd)):
+            raise ValueError(f"`{type(node.op).__name__}` is not allowed")
+        return ast.UnaryOp(node.op, self.visit(node.operand))
+
+    def visit_BinOp(self, node):
+        if not isinstance(node.op, _EXPR_BINOPS):
+            raise ValueError(f"operator `{type(node.op).__name__}` is not allowed")
+        left, right = self.visit(node.left), self.visit(node.right)
+        if isinstance(node.op, ast.Pow) and not (
+                isinstance(right, ast.Constant) and right.value.is_integer()):
+            return ast.Call(ast.Name("_pow", ast.Load()), [left, right], [])
+        return ast.BinOp(left, node.op, right)
+
+    def visit_Call(self, node):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS
+                and len(node.args) == 1 and not node.keywords
+                and not isinstance(node.args[0], ast.Starred)):
+            raise ValueError(
+                f"only one-argument calls of {', '.join(_EXPR_FUNCS)} are allowed")
+        call = ast.Call(ast.Name(node.func.id, ast.Load()), [self.visit(node.args[0])], [])
+        return ast.Call(ast.Name("float", ast.Load()), [call], [])
+
+
+@lru_cache(maxsize=256)
+def _parsed(src: str) -> ast.Expression:
+    return ast.parse(src, mode="eval")
+
+
+def parse_expression(src: str, env: dict) -> ast.expr:
+    """Checked tree of the expression ``src``.
+
+    The grammar is numbers, the names in ``env`` (a string value renames the
+    name to that local, a number binds it as a constant), ``+ - * / **``,
+    unary minus and one-argument calls of sin, cos, tan, exp, log, sqrt, abs
+    and tanh (the numpy versions, so sqrt and log of a negative number give
+    NaN). Anything else raises ValueError.
+    """
+    try:
+        return _ExprChecker(env).visit(_parsed(src))
+    except (SyntaxError, OverflowError, RecursionError) as exc:
+        raise ValueError(str(exc)) from None
+
+
+class _Fill(ast.NodeTransformer):
+    def __init__(self, trees: dict):
+        self.trees = trees
+
+    def visit_Name(self, node):
+        tree = self.trees.get(node.id)
+        return node if tree is None else copy.deepcopy(tree)
+
+
+def compile_functions(src: str, trees: dict, scope: dict | None = None) -> dict:
+    """Namespace of the definitions in ``src``, each name in ``trees``
+    replaced by that checked tree.
+
+    ``src`` is generated from names only, so numbers reach the compiler as
+    the constants of trees from :func:`parse_expression`, never as text. The
+    globals are the listed numpy functions, ``_pow``, ``float`` and
+    ``scope``; there are no builtins.
+    """
+    module = _Fill(trees).visit(ast.parse(src))
+    ns = {**_SCOPE, **(scope or {})}
+    exec(compile(ast.fix_missing_locations(module), "<generated>", "exec"), ns)
+    return ns
+
+
+@lru_cache(maxsize=64)
+def _compile_exprs(exprs: tuple[str, ...]):
+    """One function (x, z, epsilon) -> list of the m expressions.
+
+    Each string is checked against the expression grammar before anything
+    is compiled, with the names x1..xm, z, epsilon and the constant pi.
+    """
+    names = [f"x{i + 1}" for i in range(len(exprs))]
+    env = {**{n: n for n in names}, "z": "z", "epsilon": "epsilon", "pi": math.pi}
+    trees = {}
+    for i, src in enumerate(exprs):
+        try:
+            trees[f"_e{i}"] = parse_expression(src, env)
+        except ValueError as exc:
+            raise ValueError(f"slow field expression {i + 1} ({src!r}): {exc}") from None
+    unpack = ", ".join(names) + "," if names else "_"
+    return compile_functions(f"def slow_f(x, z, epsilon):\n    {unpack} = x\n"
+                             f"    return [{', '.join(trees)}]\n", trees)["slow_f"]
+
+
+@dataclass(frozen=True)
+class ExprSlowField:
+    """Slow drift defined by expression strings in x1..xm, z and epsilon.
+
+    The grammar is that of :func:`parse_expression`, with ``pi``; anything
+    else raises ValueError on construction. Instances hold only the source
+    strings, so they pickle cleanly into sweep workers; the compiled
+    function is cached per expression tuple, and a closed loop splices the
+    checked expressions into its own generated function.
+    """
+
+    exprs: tuple[str, ...]
+
+    def __post_init__(self):
+        _compile_exprs(self.exprs)
+
+    def __call__(self, x, z: float, eps: float) -> list:
+        return _compile_exprs(self.exprs)(x, z, eps)

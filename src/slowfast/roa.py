@@ -20,6 +20,11 @@ __all__ = [
 ]
 
 
+# cells per task handed to a worker: cost varies by orders of magnitude from
+# cell to cell (the stiff corners), so small chunks keep the workers level
+_CHUNK = 4
+
+
 def _check_range(rng, name: str) -> tuple[float, float, int]:
     lo, hi, n = float(rng[0]), float(rng[1]), int(rng[2])
     if n < 1:
@@ -106,9 +111,8 @@ def sweep(
     if jobs == 1 or pts.shape[0] <= 1:
         outcomes = [runner(p) for p in pts]
     else:
-        chunk = max(1, pts.shape[0] // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(runner, pts, chunksize=chunk))
+            outcomes = list(pool.map(runner, pts, chunksize=_CHUNK))
     converged = sum(1 for o in outcomes if o.is_converged)
     return RoAReport(grid=grid, variant=describe(variant),
                      outcomes=outcomes, converged_count=converged)

@@ -9,6 +9,7 @@ switch time is hit exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -78,8 +79,9 @@ def _require_keys(section: dict, allowed: dict, where: str) -> None:
 
 
 def _number(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {v!r}")
+    # json accepts NaN and +-Infinity; no setting may be one
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return float(v)
 
 

@@ -15,11 +15,13 @@ dimension n, on first use, from n and the tableau below: the components
 are scalar locals, each stage input is a list display and the error norm
 is unrolled, in the same order of operations as a loop over the
 components. A right-hand side that carries a float function (its
-``float_fn`` attribute, ``(t, list) -> list``, as the closures of
-:mod:`slowfast.closedloop` do) is stepped through it directly; any other
-receives a fresh float array and may return any sequence. Everything is
-plain IEEE double arithmetic in a fixed order, so the results do not
-depend on the BLAS build.
+``float_fn`` attribute, ``(t, list) -> list``, as the generated closed
+loops of :mod:`slowfast.closedloop` do) is stepped through it directly;
+any other receives a fresh float array and may return any sequence. This
+is the only stepper: trajectories and every region-of-attraction sweep
+cell run through :func:`integrate`. Everything is plain IEEE double
+arithmetic in a fixed order, so the results do not depend on the BLAS
+build.
 """
 from __future__ import annotations
 
@@ -272,8 +274,8 @@ def integrate(
     and may return any sequence of floats. One that carries a ``float_fn``
     attribute, a function ``(t, list) -> list`` of the same field, is
     called through it instead, with and returning plain float lists; the
-    closed loops of :mod:`slowfast.closedloop` do, and the result is the
-    same bit for bit either way. A stage at which ``rhs`` raises an
+    generated closed loops of :mod:`slowfast.closedloop` do, and the result
+    is the same bit for bit either way. A stage at which ``rhs`` raises an
     :class:`ArithmeticError` counts as non-finite, like a stage that returns
     inf or NaN: the step is halved and retried.
     """
@@ -328,7 +330,9 @@ def integrate(
     while rec_i < len(pending):
         t_target = pending[rec_i]
         gap = t_target - t
-        h_try = min(h, max_step, gap)
+        h_try = h if h < max_step else max_step  # min(h, max_step, gap)
+        if h_try > gap:
+            h_try = gap
         # stretch onto the boundary rather than leave an unsteppable sliver
         clamped = h_try >= gap - min_step
         if clamped:

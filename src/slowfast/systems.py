@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_form import NormalFormSystem, _vec
+from .normal_form import ExprSlowField, NormalFormSystem, _vec
 
 __all__ = [
     "TunnelDiodeParams",
@@ -104,20 +104,23 @@ class TunnelDiodeSystem:
         x = _vec(x, 2, "x")
         return -(3.0 * z * z + x[0] + z**3)
 
-    def float_field(self):
-        """Slow-time field (x, z, v) -> list with control v added to the drift."""
-        return _additive_field(self.params)
+    # the slow-time loop as data, from which closed loops are generated:
+    # expressions in x1, x2, z (v1, v2 for the slots) and the constants
+    drift = ("(x2 + z + 4) / L", "(16 - x1) / Cap")
+    fast = "-(3 * z * z + x1 + z ** 3) / epsilon"
+    slots = ("L * v1", "-Cap * v2")  # additive control v as slot controls
 
-    def to_slots(self, v) -> list[float]:
-        """Additive control v as the translated slot controls (L v1, -Cap v2)."""
-        return [self.params.L * v[0], -self.params.Cap * v[1]]
+    @property
+    def constants(self) -> dict[str, float]:
+        p = self.params
+        return {"L": p.L, "Cap": p.Cap, "epsilon": p.epsilon}
 
     def rhs_translated(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Slow-time field with the translated control slots (+u1/L, -u2/Cap)."""
         *x, z = np.asarray(y, dtype=float).tolist()
         u1, u2 = np.asarray(u, dtype=float).tolist()
-        v = [u1 / self.params.L, -u2 / self.params.Cap]
-        return np.array(self.float_field()(x, z, v))
+        f, v = self.slow_f(x, z, self.epsilon), [u1 / self.params.L, -u2 / self.params.Cap]
+        return np.array([f[0] + v[0], f[1] + v[1], self.fast_g(x, z) / self.epsilon])
 
     def rhs_circuit(self, y: np.ndarray, u_circuit: np.ndarray) -> np.ndarray:
         """Physical-coordinate field, used to validate the coordinate change."""
@@ -151,24 +154,8 @@ def build_tunnel_diode(p: TunnelDiodeParams | None = None) -> TunnelDiodeSystem:
     return TunnelDiodeSystem(params=p or TunnelDiodeParams())
 
 
-def _additive_field(p: TunnelDiodeParams):
-    """Float closure (x, z, v) -> list of the circuit field, dx = f + v."""
-    L, Cap, eps = p.L, p.Cap, p.epsilon
-
-    def rhs(x: list, z: float, v: list) -> list[float]:
-        x1, x2 = x
-        return [
-            (x2 + z + 4.0) / L + v[0],
-            (16.0 - x1) / Cap + v[1],
-            -(3.0 * z * z + x1 + z**3) / eps,
-        ]
-
-    return rhs
-
-
-def planar_slow_f(x, z: float, eps: float) -> list[float]:
-    """Slow drift 1 + x + z of the planar fold example."""
-    return [1.0 + x[0] + z]
+#: slow drift 1 + x + z of the planar fold example
+planar_slow_f = ExprSlowField(exprs=("1 + x1 + z",))
 
 
 def build_planar_example(epsilon: float) -> NormalFormSystem:

@@ -70,6 +70,20 @@ def test_expression_outside_the_grammar_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_final", float("inf")),
+    ("controller", {"type": "thm2", "a": [1.0], "b": 3.0, "c": [float("nan")]}),
+])
+def test_non_finite_number_exits_one(tmp_path, capsys, key, value):
+    # json reads Infinity and NaN; a config may hold neither
+    raw = dict(PLANAR, **{key: value})
+    code = main(["simulate", "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRoaCommand:
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)

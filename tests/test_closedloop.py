@@ -1,8 +1,14 @@
+import os
 import pickle
+import subprocess
+import textwrap
+from sys import executable
 
 import numpy as np
 import pytest
 
+import slowfast
+from slowfast import closedloop
 from slowfast.closedloop import (
     CellRunner,
     ExprSlowField,
@@ -13,9 +19,16 @@ from slowfast.closedloop import (
     build_closed_loop,
     describe,
 )
-from slowfast.control import Theorem2Params, Theorem3Params
-from slowfast.normal_form import NormalFormSystem
-from slowfast.scenarios import EX1_ICS
+from slowfast.control import (
+    HighGainParams,
+    Theorem2Params,
+    Theorem3Params,
+    full_control,
+    highgain_control,
+    thm2_control,
+)
+from slowfast.normal_form import NormalFormSystem, State
+from slowfast.scenarios import EX1_ICS, ConfigError, parse_config
 from slowfast.sim import config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
 
@@ -164,19 +177,23 @@ def _mistyped_field(x, z, eps):
 
 
 class TestCellRunner:
-    def test_fast_path_agrees_with_generic(self):
+    # outcome of each (variant, ic), recorded when planar cells also went
+    # through a separate hand-unrolled stepper and both paths agreed on all 27
+    ICS = [(-2.0, 2.0), (0.1, 1.0), (0.0, 0.0), (1.5, -1.5), (-3.0, 3.0),
+           (0.5, 0.5), (-1.0, -2.0), (2.5, 0.0), (0.0, -2.5)]
+    OUTCOMES = [
+        (OpenLoop(), "ddddudddd"),
+        (Thm2(P2), "cdcdcdddd"),
+        (Thm2Plus3(P2, P3), "ccccccccc"),
+    ]
+
+    def test_outcomes_match_recorded_table(self):
         sys = build_planar_example(0.01)
         cfg = config_for(0.01, 10.0)
-        pts = [
-            (-2.0, 2.0), (0.1, 1.0), (0.0, 0.0), (1.5, -1.5), (-3.0, 3.0),
-            (0.5, 0.5), (-1.0, -2.0), (2.5, 0.0), (0.0, -2.5),
-        ]
-        for variant in (OpenLoop(), Thm2(P2), Thm2Plus3(P2, P3)):
-            fast = CellRunner(system=sys, variant=variant, cfg=cfg)
-            slow = CellRunner(system=sys, variant=variant, cfg=cfg,
-                              use_fast_path=False)
-            for ic in pts:
-                assert fast(ic).kind == slow(ic).kind, (variant, ic)
+        for variant, codes in self.OUTCOMES:
+            runner = CellRunner(system=sys, variant=variant, cfg=cfg)
+            got = "".join(runner(ic).kind[0] for ic in self.ICS)
+            assert got == codes, describe(variant)
 
     def test_runner_is_picklable(self):
         runner = CellRunner(
@@ -214,3 +231,213 @@ class TestCellRunner:
         runner = CellRunner(system=blowup, variant=OpenLoop(),
                             cfg=config_for(0.01, 1.0))
         assert runner((10.0, 0.0)).is_diverged
+
+
+# -- the composition the generated functions replaced, kept as a reference:
+# each law a closure over floats, the system a float field (x, z, v) -> list
+
+
+def _ref_thm2(eps, k, p):
+    inv = 1.0 / eps
+    pz, px = inv ** (1.0 / (2 * k - 1)), inv ** (k / (2 * k - 1))
+    c, a, bz = p.c.tolist(), p.a.tolist(), p.b * pz
+
+    def law(x, z):
+        u = [-ci - px * ai * xi for ci, ai, xi in zip(c, a, x)]
+        u[0] += bz * z
+        return u
+
+    return law
+
+
+def _ref_thm3(k, p):
+    terms = tuple(zip(p.K.tolist(), range(k + 1, 2, -1), p.chi_star.tolist()))
+    return lambda x, z: [Ki * (xi * z + (-z) ** n * chi)
+                         for (Ki, n, chi), xi in zip(terms, x)]
+
+
+def _ref_highgain(a, b, eps, const):
+    def law(x, z):
+        v = [-ai * xi / eps for ai, xi in zip(a, x)]
+        v[0] += b * z / eps
+        return [vi - ci for vi, ci in zip(v, const)]
+
+    return law
+
+
+def _ref_normal_form_field(slow_f, eps):
+    def field(x, z, v):
+        fx = slow_f(x, z, eps)
+        if type(fx) is not list:
+            fx = np.asarray(fx, dtype=float).tolist()
+        out = [fi + vi for fi, vi in zip(fx, v)]
+        s = z
+        for xi in reversed(x):
+            s = s * z + xi
+        out.append(-s / eps)
+        return out
+
+    return field
+
+
+def _ref_circuit_field(L, Cap, eps):
+    def field(x, z, v):
+        x1, x2 = x
+        return [(x2 + z + 4.0) / L + v[0], (16.0 - x1) / Cap + v[1],
+                -(3.0 * z * z + x1 + z**3) / eps]
+
+    return field
+
+
+def _ref_loop(system, variant, slow_f=None):
+    """(rhs, ueval) over float lists, composed as before generation."""
+    k, m, eps = system.k, system.n_slow, float(system.epsilon)
+    if slow_f is None:
+        p = system.params
+        field, drift = _ref_circuit_field(p.L, p.Cap, eps), system.slow_f
+    else:
+        field, drift = _ref_normal_form_field(slow_f, eps), slow_f
+    if isinstance(variant, OpenLoop):
+        law = lambda x, z: [0.0] * m  # noqa: E731
+    elif isinstance(variant, HighGain):
+        const = (np.asarray(drift([0.0] * m, 0.0, 0.0), dtype=float).tolist()
+                 if variant.cancel_constants else [0.0] * m)
+        law = _ref_highgain(list(variant.a), variant.b, eps, const)
+    elif isinstance(variant, Thm2):
+        law = _ref_thm2(eps, k, variant.p)
+    else:
+        u, w = _ref_thm2(eps, k, variant.p2), _ref_thm3(k, variant.p3)
+        law = lambda x, z: [a + b for a, b in zip(u(x, z), w(x, z))]  # noqa: E731
+    record = law
+    if slow_f is None and isinstance(variant, Thm2):
+        L, Cap = system.params.L, system.params.Cap
+
+        def record(x, z):
+            v = law(x, z)
+            return [L * v[0], -Cap * v[1]]
+
+    def rhs(y):
+        *x, z = y
+        return field(x, z, law(x, z))
+
+    def ueval(y):
+        *x, z = y
+        return record(x, z)
+
+    return rhs, ueval
+
+
+def _old_planar_slow_f(x, z, eps):
+    return [1.0 + x[0] + z]
+
+
+def _cubic_drift(x, z, eps):  # a plain callable returning an array
+    return np.array([1.0 + x[0] * z - eps, x[1] - z * z])
+
+
+def _variants(m, normal_form=True):
+    rng = np.random.default_rng(m)
+    p2 = Theorem2Params(c=rng.uniform(-2.0, 2.0, m), a=rng.uniform(0.5, 3.0, m),
+                        b=float(rng.uniform(1.0, 5.0)))
+    chi = np.zeros(m)
+    chi[0] = -2.5
+    out = [OpenLoop(), Thm2(p2),
+           HighGain(a=tuple(rng.uniform(0.5, 3.0, m).tolist()), b=10.0),
+           HighGain(a=(1.0,) * m, b=7.0, cancel_constants=True)]
+    if normal_form:
+        out.append(Thm2Plus3(p2, Theorem3Params(K=rng.uniform(0.0, 50.0, m), chi_star=chi)))
+    return out
+
+
+def _loops():
+    """(system, reference slow_f or None for the circuit, variants)."""
+    k3 = ExprSlowField(exprs=("1 + x1 + z * x2", "sin(z) - x2 ** 3 + epsilon"))
+    k4 = ExprSlowField(exprs=("1 + x1 + z", "0.5 * x2 - z * z", "tanh(x3) + x1 ** 0.5"))
+    yield build_planar_example(0.01), _old_planar_slow_f, _variants(1)
+    for L, Cap in ((1.0, 1.0), (2.0, 0.5)):
+        sys = build_tunnel_diode(TunnelDiodeParams(L=L, Cap=Cap, epsilon=0.01))
+        yield sys, None, _variants(2, normal_form=False)
+    yield NormalFormSystem(k=3, epsilon=0.05, slow_f=k3), k3, _variants(2)
+    yield NormalFormSystem(k=4, epsilon=0.02, slow_f=k4), k4, _variants(3)
+    yield NormalFormSystem(k=3, epsilon=0.05, slow_f=_cubic_drift), _cubic_drift, _variants(2)
+
+
+class TestGenerated:
+    def test_equal_to_composed_loop(self):
+        rng = np.random.default_rng(2024)
+        n = 0
+        for system, slow_f, variants in _loops():
+            for variant in variants:
+                rhs, ueval, _ = build_closed_loop(system, variant)
+                ref_rhs, ref_ueval = _ref_loop(system, variant, slow_f)
+                for _ in range(300):
+                    y = rng.uniform(-3.0, 3.0, system.n_slow + 1)
+                    if system.n_slow == 3:
+                        y[0] = abs(y[0])  # x1 ** 0.5 stays real
+                    yl = y.tolist()
+                    want = ref_rhs(yl)
+                    assert rhs.float_fn(0.0, yl) == want, (describe(variant), yl)
+                    assert rhs(0.0, y) == want
+                    assert ueval.float_fn(0.0, yl) == ref_ueval(yl) == ueval(0.0, y)
+                    n += 1
+        assert n == 300 * 28
+
+    def test_array_wrappers_evaluate_the_same_law(self):
+        rng = np.random.default_rng(5)
+        for k in (2, 3, 4):
+            eps = 0.02
+            sys = NormalFormSystem(k=k, epsilon=eps,
+                                   slow_f=ExprSlowField(exprs=("1 + z",) * (k - 1)))
+            for variant in _variants(k - 1)[1:]:
+                _, ueval, _ = build_closed_loop(sys, variant)
+                for _ in range(50):
+                    y = rng.uniform(-3.0, 3.0, k)
+                    s = State(x=y[:-1], z=y[-1])
+                    if isinstance(variant, Thm2):
+                        u = thm2_control(s, eps, k, variant.p)
+                    elif isinstance(variant, Thm2Plus3):
+                        u = full_control(s, eps, k, variant.p2, variant.p3)
+                    else:
+                        const = [1.0] * (k - 1) if variant.cancel_constants else None
+                        u = highgain_control(s, HighGainParams(
+                            a=variant.a, b=variant.b, epsilon=eps, constants=const))
+                    assert u.u.tolist() == ueval.float_fn(0.0, y.tolist())
+
+    def test_generated_once_per_loop(self):
+        code = textwrap.dedent("""
+            import slowfast, slowfast.scenarios, slowfast.cli
+            from slowfast import closedloop
+            assert closedloop._generated.cache_info().currsize == 0
+            from slowfast.control import Theorem2Params
+            from slowfast.sim import config_for
+            from slowfast.systems import build_planar_example
+            runner = closedloop.CellRunner(
+                system=build_planar_example(0.01),
+                variant=closedloop.Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.0)),
+                cfg=config_for(0.01, 1.0))
+            runner((0.5, 0.5))
+            runner((-0.5, 0.5))
+            info = closedloop._generated.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
+        """)
+        src = os.path.dirname(os.path.dirname(slowfast.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_hostile_expression_never_reaches_the_generator(self, monkeypatch):
+        hostile = "().__class__.__base__.__subclasses__().__len__()"
+        with pytest.raises(ConfigError, match="system.f"):
+            parse_config({"system": {"builtin": "custom", "k": 2, "f": [hostile]},
+                          "epsilon": 0.01, "controller": {"type": "none"},
+                          "ics": [[0.0, 0.0]]})
+        # a field that skipped its own check is stopped before compilation
+        field = object.__new__(ExprSlowField)
+        object.__setattr__(field, "exprs", (hostile,))
+        compiled = []
+        monkeypatch.setattr(closedloop, "compile_functions",
+                            lambda *args: compiled.append(args))
+        with pytest.raises(ValueError, match="allowed"):
+            build_closed_loop(NormalFormSystem(k=2, epsilon=0.01, slow_f=field), OpenLoop())
+        assert compiled == []
