@@ -106,16 +106,16 @@ def _cmd_ex1(args) -> int:
 
 
 def _cmd_ex2(args) -> int:
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     report = run_ex2_matrix(out_dir=args.out)
     for note in report.contract_notes:
         print(note)
     print(f"selected compensation gain K*={report.K_star:g}")
     if report.diverging_ic_k0 is not None:
-        print(f"baseline diverges from {list(report.diverging_ic_k0)} at eps=0.01")
+        print(f"baseline diverges from {list(report.diverging_ic_k0)}"
+              f" at eps={min(report.epsilons)}")
     if not args.skip_roa:
         grid = default_ex2_grid(args.roa_grid)
-        _, _, cmp = run_ex2_roa(report.K_star, grid=grid, jobs=jobs,
+        _, _, cmp = run_ex2_roa(report.K_star, grid=grid, jobs=args.jobs,
                                 out_dir=args.out)
         print(f"ROA converged cells: compensated={cmp.converged_a}"
               f" baseline={cmp.converged_b} enlarged={cmp.a_larger}")
@@ -142,9 +142,8 @@ def _cmd_roa(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     icfg = config_for(cfg.epsilon, cfg.t_final, **cfg.integrator)
-    report = sweep(system, variant, grid, icfg, jobs=jobs)
+    report = sweep(system, variant, grid, icfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "roa.csv")
     write_report_csv(report, path)

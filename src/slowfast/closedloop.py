@@ -25,6 +25,7 @@ from .control import (
 )
 from .normal_form import ExprSlowField, NormalFormSystem, compile_functions, parse_expression
 from .sim import (
+    BALL,
     IntegratorConfig,
     NonFiniteError,
     Outcome,
@@ -215,28 +216,24 @@ class CellRunner:
 
     Every cell is integrated by :func:`slowfast.sim.integrate` on the
     loop's generated float function (compiled once per process, see
-    :func:`build_closed_loop`) and classified from its trajectory.
-    Numerical failures (a non-finite initial condition or field there, an
-    ArithmeticError) are recorded as diverged so that a sweep goes on; any
-    other exception is a bug and propagates.
+    :func:`build_closed_loop`), stopped once the state has dwelt in the
+    ball ``sim.BALL`` and classified from its trajectory by
+    :func:`slowfast.sim.classify`. Numerical failures (a non-finite initial
+    condition or field there, an ArithmeticError) are recorded as diverged
+    so that a sweep goes on; any other exception is a bug and propagates.
     """
 
     system: object
     variant: Variant
     cfg: IntegratorConfig
-    ball: float = 1e-3
-    dwell: float = 1.0
-    early_stop: bool = True
 
     def simulate(self, ic) -> Trajectory:
         rhs, _, _ = build_closed_loop(self.system, self.variant)
-        stop = self.ball if self.early_stop else None
-        return integrate(rhs, np.asarray(ic, dtype=float), self.cfg,
-                         stop_ball=stop, stop_dwell=self.dwell)
+        return integrate(rhs, np.asarray(ic, dtype=float), self.cfg, stop_ball=BALL)
 
     def __call__(self, ic) -> Outcome:
         try:
             traj = self.simulate(ic)
         except (NonFiniteError, ArithmeticError):
             return Outcome.diverged(0.0)
-        return classify(traj, ball=self.ball, dwell=self.dwell)
+        return classify(traj)

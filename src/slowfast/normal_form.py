@@ -360,14 +360,16 @@ def compile_functions(src: str, trees: dict, scope: dict | None = None) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _compile_exprs(exprs: tuple[str, ...]):
+def _compile_exprs(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = ()):
     """One function (x, z, epsilon) -> list of the m expressions.
 
     Each string is checked against the expression grammar before anything
-    is compiled, with the names x1..xm, z, epsilon and the constant pi.
+    is compiled, with the names x1..xm, z, epsilon, the constant pi and the
+    (name, value) constants ``bound``.
     """
     names = [f"x{i + 1}" for i in range(len(exprs))]
-    env = {**{n: n for n in names}, "z": "z", "epsilon": "epsilon", "pi": math.pi}
+    env = {**{n: n for n in names}, "z": "z", "epsilon": "epsilon", "pi": math.pi,
+           **dict(bound)}
     trees = {}
     for i, src in enumerate(exprs):
         try:

@@ -92,19 +92,16 @@ def sweep(
     variant: Variant,
     grid: GridSpec,
     cfg: IntegratorConfig,
-    ball: float = 1e-3,
-    dwell: float = 1.0,
     jobs: int = 1,
-    early_stop: bool = True,
 ) -> RoAReport:
-    """Classify the closed loop from every grid node.
+    """Classify the closed loop from every grid node with :class:`CellRunner`.
 
-    Cells are independent; with ``jobs`` > 1 they fan out over processes.
-    The report order follows :meth:`GridSpec.points` regardless of worker
-    scheduling, and per-cell numerical failures are recorded as diverged.
+    Cells are independent; with ``jobs`` > 1 they fan out over processes,
+    and ``jobs`` < 1 means one per core. The report order follows
+    :meth:`GridSpec.points` regardless of worker scheduling, and per-cell
+    numerical failures are recorded as diverged.
     """
-    runner = CellRunner(system=system, variant=variant, cfg=cfg,
-                        ball=ball, dwell=dwell, early_stop=early_stop)
+    runner = CellRunner(system=system, variant=variant, cfg=cfg)
     pts = grid.points()
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedloop import (
+    CellRunner,
     ExprSlowField,
     HighGain,
     OpenLoop,
@@ -27,7 +28,7 @@ from .closedloop import (
     describe,
     drift_at_origin,
 )
-from .control import Theorem2Params, Theorem3Params
+from .control import HighGainParams, Theorem2Params, Theorem3Params
 from .normal_form import NormalFormSystem
 from .roa import GridSpec, RoAComparison, RoAReport, compare, sweep, write_report_csv
 from .sim import (
@@ -60,8 +61,24 @@ __all__ = [
     "EX2_ICS",
 ]
 
+# circuit reproduction: initial conditions, the fold stabilizer's gains
+# (a1, a2) and b, the 1/eps benchmark's (A1, A2) and B, the convergence
+# balls of the two loops and the bound on sup|u| / sup|v|
 EX1_ICS = ((-10.0, 10.0, 10.0), (50.0, -30.0, -6.0))
+EX1_A, EX1_B = (1.0, 1.0), 10.0
+EX1_HIGHGAIN_A, EX1_HIGHGAIN_B = (1.0, 1.0), 10.0
+EX1_BALL_U, EX1_BALL_V = 1e-2, 5e-2
+EX1_RATIO_BOUND = 0.15
+
+# planar reproduction: initial conditions, the matrix's two epsilons (gain
+# selection and the ROA sweep run at the smaller), the run length, the
+# baseline gains a = 1, b = 3 with c = f(0) = 1, the compensation target
+# chi* = -2 and the candidate compensation gains
 EX2_ICS = ((-2.0, 2.0), (0.1, 1.0))
+EX2_EPSILONS = (0.05, 0.01)
+EX2_T_FINAL = 10.0
+EX2_BASELINE = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
+EX2_CHI_STAR = -2.0
 K_CANDIDATES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 
 
@@ -228,6 +245,24 @@ def _parse_controller(section, n_slow: int, where="controller") -> ControllerCon
     )
 
 
+def _check_controller(cc: ControllerConfig, builtin: str, epsilon: float) -> None:
+    """Reject a controller that cannot run on the system, with the checks of
+    the controller parameter classes themselves."""
+    if cc.type == "thm2plus3" and builtin == "tunnel_diode":
+        raise ConfigError("controller.type thm2plus3 is not defined for tunnel_diode;"
+                          " the compensation is designed for the normal form")
+    try:
+        if cc.type in ("thm2", "thm2plus3"):
+            # c defaults to the drift at the origin; only its size is checked here
+            Theorem2Params(c=cc.a if cc.c is None else cc.c, a=cc.a, b=cc.b)
+        if cc.type == "thm2plus3":
+            Theorem3Params(K=cc.K, chi_star=cc.chi_star)
+        if cc.type == "highgain":
+            HighGainParams(a=cc.A, b=cc.B, epsilon=epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"controller: {exc}") from None
+
+
 _INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "divergence_norm", "min_step",
                     "record_stride")
 
@@ -249,6 +284,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     n_slow = 2 if system.builtin == "tunnel_diode" else (system.k or 2) - 1
     controller = _parse_controller(raw["controller"], n_slow)
+    _check_controller(controller, system.builtin, epsilon)
     ics_raw = raw["ics"]
     if not isinstance(ics_raw, list) or not ics_raw:
         raise ConfigError("ics must be a non-empty list of state vectors")
@@ -327,20 +363,19 @@ def simulate_switched(
     ic: Sequence[float],
     cfg: IntegratorConfig,
     switch_on_time: float = 0.0,
-    t0: float = 0.0,
 ) -> Trajectory:
-    """Closed-loop run, preceded by an open-loop segment if requested.
+    """Closed-loop run from t = 0, preceded by an open-loop segment if requested.
 
     The two segments are integrated separately so the discontinuity at the
     switch time is never stepped across; the sample at the switch carries
     the switched-on control value.
     """
     rhs_on, ueval_on, _ = build_closed_loop(system, variant)
-    if switch_on_time <= t0 or isinstance(variant, OpenLoop):
-        return integrate(rhs_on, ic, cfg, t0=t0, control=ueval_on)
+    if switch_on_time <= 0.0 or isinstance(variant, OpenLoop):
+        return integrate(rhs_on, ic, cfg, control=ueval_on)
     rhs_off, ueval_off, _ = build_closed_loop(system, OpenLoop())
     cfg_off = replace(cfg, t_final=switch_on_time)
-    seg1 = integrate(rhs_off, ic, cfg_off, t0=t0, control=ueval_off)
+    seg1 = integrate(rhs_off, ic, cfg_off, control=ueval_off)
     if seg1.outcome.is_diverged:
         return seg1
     seg2 = integrate(rhs_on, seg1.states[-1], cfg, t0=switch_on_time,
@@ -434,17 +469,8 @@ class Ex1Report:
 def run_ex1(
     out_dir=None,
     epsilon: float = 0.01,
-    a1: float = 1.0,
-    a2: float = 1.0,
-    b: float = 10.0,
-    A1: float = 1.0,
-    A2: float = 1.0,
-    B: float = 10.0,
     switch_on_time: float = 10.0,
     t_final: float = 30.0,
-    ball_u: float = 1e-2,
-    ball_v: float = 5e-2,
-    ratio_bound: float = 0.15,
 ) -> Ex1Report:
     """Open-loop start, controllers on at the switch time, gain comparison.
 
@@ -455,9 +481,9 @@ def run_ex1(
     """
     system = build_tunnel_diode(TunnelDiodeParams(epsilon=epsilon))
     icfg = config_for(epsilon, t_final)
-    u_var = Thm2(Theorem2Params(c=[4.0, 16.0], a=[a1, a2], b=b))
-    v_var = HighGain(a=(A1, A2), b=B, cancel_constants=True)
-    v_lit = HighGain(a=(A1, A2), b=B, cancel_constants=False)
+    u_var = Thm2(Theorem2Params(c=drift_at_origin(system), a=EX1_A, b=EX1_B))
+    v_var = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=True)
+    v_lit = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=False)
 
     runs_u = [
         simulate_switched(system, u_var, ic, icfg, switch_on_time=switch_on_time)
@@ -475,8 +501,8 @@ def run_ex1(
     sup_v = max(control_sup_norm(t, window) for t in runs_v)
     ratio = sup_u / sup_v
 
-    outcomes_u = [classify(t, ball=ball_u) for t in runs_u]
-    outcomes_v = [classify(t, ball=ball_v) for t in runs_v]
+    outcomes_u = [classify(t, ball=EX1_BALL_U) for t in runs_u]
+    outcomes_v = [classify(t, ball=EX1_BALL_V) for t in runs_v]
     final_u = [float(np.linalg.norm(t.states[-1])) for t in runs_u]
     final_v = [float(np.linalg.norm(t.states[-1])) for t in runs_v]
 
@@ -490,9 +516,9 @@ def run_ex1(
     passed = (
         all(o.is_converged for o in outcomes_u)
         and all(o.is_converged for o in outcomes_v)
-        and all(n < ball_u for n in final_u)
-        and all(n < ball_v for n in final_v)
-        and ratio < ratio_bound
+        and all(n < EX1_BALL_U for n in final_u)
+        and all(n < EX1_BALL_V for n in final_v)
+        and ratio < EX1_RATIO_BOUND
     )
     report = Ex1Report(
         outcomes_u=outcomes_u, outcomes_v=outcomes_v,
@@ -524,11 +550,12 @@ def run_ex1(
                     for i in range(len(EX1_ICS))
                 ),
                 f"sup|u|={sup_u:.6g} sup|v|={sup_v:.6g} ratio={ratio:.4f}"
-                f" (bound {ratio_bound})",
+                f" (bound {EX1_RATIO_BOUND})",
                 "benchmark uses drift-constant cancellation; the literal"
                 " 1/eps form settles at "
                 f"{np.array2string(report.v_literal_final_state, precision=4)}"
-                f" (predicted x2 offset 16*eps/A2 = {16 * epsilon / A2:.3g})",
+                f" (predicted x2 offset 16*eps/A2"
+                f" = {16 * epsilon / EX1_HIGHGAIN_A[1]:.3g})",
                 f"informational probe near the other fold {probe_ic}:"
                 f" {probe_outcome.kind}",
                 f"PASS={passed}",
@@ -541,46 +568,35 @@ def run_ex1(
 # planar reproduction
 
 
-def _planar_variants(K_star: float | None):
-    p2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
-    variants = {"open-loop": OpenLoop(), "K=0": Thm2(p2)}
-    if K_star is not None:
-        variants[f"K={K_star:g}"] = Thm2Plus3(
-            p2, Theorem3Params(K=[K_star], chi_star=[-2.0])
-        )
-    return variants
+def _compensated(K: float) -> Thm2Plus3:
+    return Thm2Plus3(EX2_BASELINE, Theorem3Params(K=[K], chi_star=[EX2_CHI_STAR]))
 
 
-def select_compensation_gain(
-    epsilon: float = 0.01,
-    candidates: Sequence[float] = K_CANDIDATES,
-    t_final: float = 10.0,
-    ics=EX2_ICS,
-) -> tuple[float, dict[float, list[str]]]:
-    """Smallest candidate gain that makes every probe IC converge.
+def _planar_variants(K_star: float) -> dict[str, Variant]:
+    return {"open-loop": OpenLoop(), "K=0": Thm2(EX2_BASELINE),
+            f"K={K_star:g}": _compensated(K_star)}
 
-    The compensation theorem guarantees existence of a suitable gain but
-    not a value; the sweep documents the choice.
+
+def select_compensation_gain() -> tuple[float, dict[float, list[str]]]:
+    """Smallest of ``K_CANDIDATES`` that makes every probe IC converge.
+
+    The probes are ``EX2_ICS`` at the smaller epsilon, each classified as a
+    region-of-attraction cell. The compensation theorem guarantees existence
+    of a suitable gain but not a value; the sweep documents the choice.
     """
-    system = build_planar_example(epsilon)
-    p2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
-    icfg = config_for(epsilon, t_final)
+    system = build_planar_example(min(EX2_EPSILONS))
+    icfg = config_for(system.epsilon, EX2_T_FINAL)
     details: dict[float, list[str]] = {}
     chosen = None
-    for K in candidates:
-        variant = Thm2Plus3(p2, Theorem3Params(K=[K], chi_star=[-2.0]))
-        rhs, _, _ = build_closed_loop(system, variant)
-        kinds = []
-        for ic in ics:
-            traj = integrate(rhs, np.asarray(ic, dtype=float), icfg,
-                             stop_ball=1e-3, stop_dwell=1.0)
-            kinds.append(classify(traj).kind)
+    for K in K_CANDIDATES:
+        runner = CellRunner(system=system, variant=_compensated(K), cfg=icfg)
+        kinds = [runner(ic).kind for ic in EX2_ICS]
         details[K] = kinds
         if chosen is None and all(k == "converged" for k in kinds):
             chosen = K
     if chosen is None:
         raise RuntimeError(
-            f"no candidate gain in {list(candidates)} stabilizes all probe ICs"
+            f"no candidate gain in {list(K_CANDIDATES)} stabilizes all probe ICs"
         )
     return chosen, details
 
@@ -597,32 +613,23 @@ class Ex2Report:
     roa: RoAComparison | None = None
 
 
-def run_ex2_matrix(
-    out_dir=None,
-    epsilons: tuple[float, float] = (0.05, 0.01),
-    t_final: float = 10.0,
-    K_star: float | None = None,
-) -> Ex2Report:
+def run_ex2_matrix(out_dir=None) -> Ex2Report:
     """Open-loop / baseline / compensated matrix over both epsilon values."""
-    if K_star is None:
-        K_star, gain_details = select_compensation_gain(epsilon=min(epsilons),
-                                                        t_final=t_final)
-    else:
-        gain_details = {}
+    K_star, gain_details = select_compensation_gain()
     variants = _planar_variants(K_star)
     outcomes: dict[tuple[str, float, tuple[float, float]], Outcome] = {}
     trajs = {}
-    for eps in epsilons:
+    for eps in EX2_EPSILONS:
         system = build_planar_example(eps)
-        icfg = config_for(eps, t_final)
+        icfg = config_for(eps, EX2_T_FINAL)
         for name, variant in variants.items():
             for ic in EX2_ICS:
                 traj = simulate_switched(system, variant, ic, icfg)
                 outcomes[(name, eps, ic)] = classify(traj)
                 trajs[(name, eps, ic)] = traj
 
-    eps_lo = min(epsilons)
-    eps_hi = max(epsilons)
+    eps_lo = min(EX2_EPSILONS)
+    eps_hi = max(EX2_EPSILONS)
     k_name = f"K={K_star:g}"
     notes = []
 
@@ -631,7 +638,7 @@ def run_ex2_matrix(
         return cond
 
     ok = True
-    for eps in epsilons:
+    for eps in EX2_EPSILONS:
         ok &= check(
             all(outcomes[("open-loop", eps, ic)].is_diverged for ic in EX2_ICS),
             f"open loop diverges from both ICs at eps={eps}",
@@ -694,19 +701,18 @@ def default_ex2_grid(n: int = 41) -> GridSpec:
 
 def run_ex2_roa(
     K_star: float,
-    epsilon: float = 0.01,
     grid: GridSpec | None = None,
-    t_final: float = 10.0,
     jobs: int = 1,
     out_dir=None,
 ) -> tuple[RoAReport, RoAReport, RoAComparison]:
-    """Sweep the baseline against the compensated loop on the same grid."""
+    """Sweep the baseline against the compensated loop on the same grid,
+    at the smaller epsilon; ``jobs`` < 1 means one process per core."""
     grid = grid or default_ex2_grid()
+    epsilon = min(EX2_EPSILONS)
     system = build_planar_example(epsilon)
-    variants = _planar_variants(K_star)
-    cfg = config_for(epsilon, t_final)
-    rep_comp = sweep(system, variants[f"K={K_star:g}"], grid, cfg, jobs=jobs)
-    rep_base = sweep(system, variants["K=0"], grid, cfg, jobs=jobs)
+    cfg = config_for(epsilon, EX2_T_FINAL)
+    rep_comp = sweep(system, _compensated(K_star), grid, cfg, jobs=jobs)
+    rep_base = sweep(system, Thm2(EX2_BASELINE), grid, cfg, jobs=jobs)
     cmp = compare(rep_comp, rep_base)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -22,6 +22,11 @@ is the only stepper: trajectories and every region-of-attraction sweep
 cell run through :func:`integrate`. Everything is plain IEEE double
 arithmetic in a fixed order, so the results do not depend on the BLAS
 build.
+
+A trajectory converges when its state stays inside a ball for the final
+``DWELL`` time units; a region-of-attraction cell uses the ball ``BALL``
+and stops integrating once that has happened (see :func:`integrate` and
+:func:`classify`).
 """
 from __future__ import annotations
 
@@ -72,6 +77,11 @@ _STAGES = ((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
            (1.0, (_A61, _A62, _A63, _A64, _A65)))
 _SOLUTION = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
 _ERROR = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
+
+#: radius of the convergence ball of a region-of-attraction cell
+BALL = 1e-3
+#: time a converged trajectory stays inside its ball, at the end of the run
+DWELL = 1.0
 
 _ORDER_EXP = -0.2  # 1/(order+1) exponent of the step controller
 _SAFETY = 0.9
@@ -258,7 +268,6 @@ def integrate(
     t0: float = 0.0,
     control: ControlEval | None = None,
     stop_ball: float | None = None,
-    stop_dwell: float = 1.0,
 ) -> Trajectory:
     """Integrate ``rhs`` from ``ic`` over [t0, cfg.t_final].
 
@@ -267,8 +276,8 @@ def integrate(
     exceeds ``cfg.divergence_norm``, when the step controller collapses
     below ``cfg.min_step``, or when the solution stops being finite. If
     ``stop_ball`` is given, integration also halts once the state has
-    remained inside that ball for ``stop_dwell`` time units (plus a small
-    margin so that :func:`classify` sees a full dwell window).
+    remained inside that ball for ``DWELL`` time units (plus a small margin
+    so that :func:`classify` sees a full dwell window).
 
     ``rhs`` and ``control`` receive the state as a fresh 1-d float array
     and may return any sequence of floats. One that carries a ``float_fn``
@@ -325,7 +334,7 @@ def integrate(
     t = t0
     rec_i = 0
     ball_entry: float | None = None
-    margin = stop_dwell + 2.0 * stride
+    margin = DWELL + 2.0 * stride
 
     while rec_i < len(pending):
         t_target = pending[rec_i]
@@ -393,10 +402,10 @@ def integrate(
     )
 
 
-def classify(traj: Trajectory, ball: float = 1e-3, dwell: float = 1.0) -> Outcome:
+def classify(traj: Trajectory, ball: float = BALL) -> Outcome:
     """Convergence verdict for a completed trajectory.
 
-    Converged when the state stays inside ``ball`` for the final ``dwell``
+    Converged when the state stays inside ``ball`` for the final ``DWELL``
     time units (a transit through the origin does not count); diverged when
     the integrator flagged escape; undecided otherwise.
     """
@@ -410,7 +419,7 @@ def classify(traj: Trajectory, ball: float = 1e-3, dwell: float = 1.0) -> Outcom
     while j > 0 and inside[j - 1]:
         j -= 1
     t_enter = float(traj.times[j])
-    if traj.times[-1] - t_enter >= dwell * (1.0 - 1e-12):
+    if traj.times[-1] - t_enter >= DWELL * (1.0 - 1e-12):
         return Outcome.converged(t_enter)
     return Outcome.undecided()
 

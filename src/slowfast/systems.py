@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_form import ExprSlowField, NormalFormSystem, _vec
+from .normal_form import ExprSlowField, NormalFormSystem, _compile_exprs
 
 __all__ = [
     "TunnelDiodeParams",
@@ -28,9 +28,6 @@ __all__ = [
     "planar_slow_f",
     "build_planar_example",
 ]
-
-OPERATING_POINT = (0.0, 16.0, 4.0)  # (V_C, I_L, V_D) of the stabilized fold
-
 
 def diode_current(v: float) -> float:
     """Tunnel-diode characteristic I_D(V) = V^3 - 9 V^2 + 24 V."""
@@ -94,16 +91,6 @@ class TunnelDiodeSystem:
     def n_slow(self) -> int:
         return 2
 
-    def slow_f(self, x, z: float, eps: float) -> np.ndarray:
-        x = _vec(x, 2, "x")
-        return np.array(
-            [(x[1] + z + 4.0) / self.params.L, (16.0 - x[0]) / self.params.Cap]
-        )
-
-    def fast_g(self, x, z: float) -> float:
-        x = _vec(x, 2, "x")
-        return -(3.0 * z * z + x[0] + z**3)
-
     # the slow-time loop as data, from which closed loops are generated:
     # expressions in x1, x2, z (v1, v2 for the slots) and the constants
     drift = ("(x2 + z + 4) / L", "(16 - x1) / Cap")
@@ -115,12 +102,10 @@ class TunnelDiodeSystem:
         p = self.params
         return {"L": p.L, "Cap": p.Cap, "epsilon": p.epsilon}
 
-    def rhs_translated(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Slow-time field with the translated control slots (+u1/L, -u2/Cap)."""
-        *x, z = np.asarray(y, dtype=float).tolist()
-        u1, u2 = np.asarray(u, dtype=float).tolist()
-        f, v = self.slow_f(x, z, self.epsilon), [u1 / self.params.L, -u2 / self.params.Cap]
-        return np.array([f[0] + v[0], f[1] + v[1], self.fast_g(x, z) / self.epsilon])
+    def slow_f(self, x, z: float, eps: float) -> list:
+        """The drift f(x, z) as floats, compiled from ``drift`` with L and Cap bound."""
+        p = self.params
+        return _compile_exprs(self.drift, (("L", p.L), ("Cap", p.Cap)))(x, z, eps)
 
     def rhs_circuit(self, y: np.ndarray, u_circuit: np.ndarray) -> np.ndarray:
         """Physical-coordinate field, used to validate the coordinate change."""

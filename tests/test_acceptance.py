@@ -2,7 +2,7 @@
 
 The per-criterion lines print through the capture so any pytest run
 shows them; criterion 7 sweeps two 41 x 41 grids and dominates the
-runtime (a few minutes on two cores).
+runtime (about a minute on two cores).
 """
 import os
 import time

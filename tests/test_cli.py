@@ -84,6 +84,29 @@ def test_non_finite_number_exits_one(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+CIRCUIT = dict(PLANAR, system={"builtin": "tunnel_diode"}, ics=[[0.0, 0.0, 0.0]])
+THM2 = {"type": "thm2", "a": [1.0], "b": 3.0}
+BAD_CONTROLLERS = {
+    "circuit-thm2plus3": dict(CIRCUIT, controller={
+        **THM2, "type": "thm2plus3", "a": [1.0, 1.0], "K": [50.0, 0.0],
+        "chi_star": [-2.0, 0.0]}),
+    "negative-a": dict(PLANAR, controller={**THM2, "a": [-1.0]}),
+    "chi-star-above-minus-one": dict(PLANAR, controller={
+        **THM2, "type": "thm2plus3", "K": [50.0], "chi_star": [0.5]}),
+    "negative-A": dict(PLANAR, controller={"type": "highgain", "A": [-1.0], "B": 10.0}),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+@pytest.mark.parametrize("name", list(BAD_CONTROLLERS))
+def test_controller_that_cannot_run_exits_one(tmp_path, capsys, command, name):
+    code = main([command, "--config", write_config(tmp_path, BAD_CONTROLLERS[name]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: controller" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRoaCommand:
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowfast.closedloop import HighGain, Thm2, build_closed_loop, drift_at_origin
+from slowfast.closedloop import HighGain, OpenLoop, Thm2, build_closed_loop, drift_at_origin
 from slowfast.control import Theorem2Params
 from slowfast.normal_form import State
 from slowfast.systems import (
@@ -10,6 +10,7 @@ from slowfast.systems import (
     build_tunnel_diode,
     diode_fold_points,
 )
+from test_closedloop import _ref_circuit_field
 
 
 def example1_controllers(epsilon, a1, a2, b, A1=1.0, A2=1.0, B=10.0,
@@ -45,7 +46,9 @@ class TestFoldPoints:
     def test_folds_have_degeneracy_order_two(self):
         sympy = pytest.importorskip("sympy")
         zs = sympy.Symbol("z")
-        sys = build_tunnel_diode()
+        # at eps = 1 the fast component of the open loop is g itself
+        rhs, _, _ = build_closed_loop(
+            build_tunnel_diode(TunnelDiodeParams(epsilon=1.0)), OpenLoop())
         for v, i in diode_fold_points():
             # translated coordinates of the fold: x1 = 16 - I, z = V - 4
             x1, z0 = 16.0 - i, v - 4.0
@@ -55,7 +58,7 @@ class TestFoldPoints:
                 0.0, abs=1e-12
             )
             assert float(sympy.diff(g, zs, 2).subs(zs, z0)) != 0.0
-            assert sys.fast_g([x1, 0.0], z0) == pytest.approx(0.0, abs=1e-12)
+            assert rhs(0.0, np.array([x1, 0.0, z0]))[2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTunnelDiodeSystem:
@@ -82,12 +85,14 @@ class TestTunnelDiodeSystem:
 
     def test_fast_field_vanishes_at_translated_origin(self):
         sys = build_tunnel_diode()
-        assert sys.fast_g([0.0, 0.0], 0.0) == 0.0
+        rhs, _, _ = build_closed_loop(sys, OpenLoop())
+        assert rhs(0.0, np.zeros(3))[2] == 0.0
 
     def test_translated_field_matches_circuit_pushforward(self):
         # x1 = 16 - I_L, x2 = V_C, z = V_D - 4 with controls flipped in sign;
         # this is the resolution of the printed tuple-ordering conflict
         sys = build_tunnel_diode(TunnelDiodeParams(L=2.0, Cap=0.5, epsilon=0.02))
+        rhs, _, _ = build_closed_loop(sys, OpenLoop())
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(1000):
@@ -100,7 +105,9 @@ class TestTunnelDiodeSystem:
             )
             # pushforward of the affine map: dx1 = -dI_L, dx2 = dV_C, dz = dV_D
             pushed = np.array([-d_circ[1], d_circ[0], d_circ[2]])
-            direct = sys.rhs_translated(y, u)
+            # the open loop plus the slot controls (+u1/L, -u2/Cap)
+            f = rhs(0.0, y)
+            direct = np.array([f[0] + u[0] / 2.0, f[1] - u[1] / 0.5, f[2]])
             scale = max(1.0, float(np.max(np.abs(direct))))
             worst = max(worst, float(np.max(np.abs(pushed - direct))) / scale)
         assert worst <= 1e-12
@@ -116,7 +123,9 @@ class TestTunnelDiodeSystem:
         for _ in range(1000):
             y = rng.uniform(-5.0, 5.0, 3)
             got = np.asarray(rhs(0.0, y))
-            want = sys.rhs_translated(y, ueval(0.0, y))
+            u1, u2 = ueval(0.0, y)
+            *x, z = y.tolist()
+            want = _ref_circuit_field(L, Cap, 0.01)(x, z, [u1 / L, -u2 / Cap])
             if L == Cap == 1.0:
                 assert np.array_equal(got, want)
             else:
