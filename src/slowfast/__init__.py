@@ -18,14 +18,12 @@ from .blowup import (
     weights_for,
 )
 from .control import (
-    HighGainParams,
     Theorem2Params,
     Theorem3Params,
     chart_controller_family,
     closed_loop_jacobian_origin,
     closed_loop_rhs_family,
     eigenvalues_origin,
-    highgain_control,
 )
 from .normal_form import (
     NormalFormSystem,

@@ -32,7 +32,6 @@ __all__ = [
     "from_directional_zneg",
     "desing_rhs_family",
     "desing_rhs_directional",
-    "directional_radial_factor",
     "family_time_rescale",
 ]
 
@@ -175,11 +174,6 @@ def _radial_growth(chi: np.ndarray, k: int) -> float:
         s -= sign * chi[i]
         sign = -sign
     return s
-
-
-def directional_radial_factor(c: DirectionalChartState, k: int) -> float:
-    """Radial rate F(chi) at a directional-chart point."""
-    return _radial_growth(_vec(c.chi, k - 1, "chi"), k)
 
 
 def desing_rhs_directional(

@@ -132,18 +132,15 @@ def _cmd_roa(args) -> int:
     try:
         cfg = load_config(args.config)
         system = build_system(cfg)
-        variant = build_variant(cfg, system)
-        n_slow = system.n_slow
         grid = GridSpec(
-            x_ranges=tuple((args.x_range[0], args.x_range[1], args.grid)
-                           for _ in range(n_slow)),
+            x_ranges=((args.x_range[0], args.x_range[1], args.grid),) * system.n_slow,
             z_range=(args.z_range[0], args.z_range[1], args.grid),
         )
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a malformed grid
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     icfg = config_for(cfg.epsilon, cfg.t_final, **cfg.integrator)
-    report = sweep(system, variant, grid, icfg, jobs=args.jobs)
+    report = sweep(system, build_variant(cfg, system), grid, icfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "roa.csv")
     write_report_csv(report, path)

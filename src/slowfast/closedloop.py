@@ -15,14 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .control import (
-    HighGainParams,
-    Theorem2Params,
-    Theorem3Params,
-    highgain_law,
-    thm2_law,
-    thm3_law,
-)
+from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
 from .normal_form import ExprSlowField, NormalFormSystem, compile_functions, parse_expression
 from .sim import (
     BALL,
@@ -42,6 +35,7 @@ __all__ = [
     "Variant",
     "describe",
     "drift_at_origin",
+    "law",
     "build_closed_loop",
     "CellRunner",
     "ExprSlowField",
@@ -70,6 +64,10 @@ class HighGain:
     b: float
     cancel_constants: bool = False
 
+    def __post_init__(self):
+        if not (all(ai > 0 for ai in self.a) and self.b > 0):
+            raise ValueError("high-gain parameters must be positive")
+
 
 Variant = Union[OpenLoop, Thm2, Thm2Plus3, HighGain]
 
@@ -95,35 +93,40 @@ def describe(variant: Variant) -> str:
 
 
 def drift_at_origin(system) -> list[float]:
-    """f(0, 0, 0): the slow drift at the origin, as floats."""
-    f0 = system.slow_f([0.0] * system.n_slow, 0.0, 0.0)
-    return np.asarray(f0, dtype=float).tolist()
+    """f(0, 0, 0): the slow drift at the origin, as m finite floats."""
+    f0 = np.asarray(system.slow_f([0.0] * system.n_slow, 0.0, 0.0), dtype=float)
+    if f0.shape != (system.n_slow,) or not np.all(np.isfinite(f0)):
+        raise ValueError("the drift at the origin must be finite, one entry per "
+                         f"slow state; got {f0.tolist()}")
+    return f0.tolist()
 
 
-def _law(system, variant: Variant) -> list:
+def law(system, variant: Variant) -> list:
     """Checked trees of the additive control v_1..v_m of ``variant`` on
     ``system``, in x1..xm and z.
 
-    The baseline gains scale with the system's degeneracy order ``k``;
-    ``cancel_constants`` cancels the drift at the origin. Compensation is
-    designed in the z < 0 chart of the normal form, so it needs one.
+    This is the one place where a controller becomes a control: closed
+    loops compile these trees, the verification suites evaluate them and
+    config checks build them. The baseline gains scale with the system's
+    degeneracy order ``k``; a defaulted ``c`` and ``cancel_constants``
+    cancel the drift at the origin. Compensation is designed in the z < 0
+    chart of the normal form, so it needs one. A variant that cannot run
+    on the system raises ValueError.
     """
     k, m, eps = system.k, system.n_slow, float(system.epsilon)
     if isinstance(variant, OpenLoop):
         return [ast.Constant(0.0)] * m
     if isinstance(variant, HighGain):
-        a = np.asarray(variant.a, dtype=float)
-        _check_size(a, m)
+        _check_size(variant.a, m)
         const = drift_at_origin(system) if variant.cancel_constants else None
-        return highgain_law(HighGainParams(a=a, b=variant.b, epsilon=eps,
-                                           constants=const))
+        return highgain_law(variant.a, variant.b, eps, const)
     if isinstance(variant, Thm2):
         _check_size(variant.p.a, m)
         return thm2_law(eps, k, variant.p)
     if isinstance(variant, Thm2Plus3):
         if not isinstance(system, NormalFormSystem):
-            raise TypeError(f"controller variant {describe(variant)} is not defined "
-                            f"for {type(system).__name__}")
+            raise ValueError(f"controller variant {describe(variant)} is not defined "
+                             f"for {type(system).__name__}")
         p2, p3 = variant.p2, variant.p3
         _check_size(p2.a, m)
         _check_size(p3.K, m)
@@ -132,9 +135,9 @@ def _law(system, variant: Variant) -> list:
     raise TypeError(f"unknown controller variant {variant!r}")
 
 
-def _check_size(gains: np.ndarray, m: int) -> None:
-    if gains.size != m:
-        raise ValueError(f"controller sized for {gains.size} slow states, system has {m}")
+def _check_size(gains, m: int) -> None:
+    if len(gains) != m:
+        raise ValueError(f"controller sized for {len(gains)} slow states, system has {m}")
 
 
 def _tolist(f) -> list:
@@ -156,8 +159,8 @@ def _generated(system, variant_key: bytes):
     xs = [f"x{i}" for i in range(1, m + 1)]
     vs = [f"v{i}" for i in range(1, m + 1)]
     env = {**dict(zip(xs, xs)), "z": "z", "pi": math.pi, **system.constants}
-    trees = {f"_v{i}": tree for i, tree in enumerate(_law(system, variant), 1)}
-    law = "".join(f"    {v} = _{v}\n" for v in vs)
+    trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
+    assign = "".join(f"    {v} = _{v}\n" for v in vs)
 
     drift, call, scope = system.drift, "", {}
     if isinstance(drift, tuple):
@@ -181,8 +184,8 @@ def _generated(system, variant_key: bytes):
         trees.update(zip(recorded, (parse_expression(src, slot_env) for src in slots)))
 
     src = ""
-    for name, body in (("rhs", f"{law}{call}    return [{field}]\n"),
-                       ("ueval", f"{law}    return [{', '.join(recorded)}]\n")):
+    for name, body in (("rhs", f"{assign}{call}    return [{field}]\n"),
+                       ("ueval", f"{assign}    return [{', '.join(recorded)}]\n")):
         for suffix, y in (("", "y.tolist()"), ("_f", "y")):
             src += f"def {name}{suffix}(t, y):\n    {', '.join(xs)}, z = {y}\n{body}"
     ns = compile_functions(src, trees, scope)

@@ -17,27 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blowup import FamilyChartState, from_family_chart
-from .normal_form import (
-    ControlInput,
-    NormalFormSystem,
-    State,
-    _vec,
-    eval_g,
-    parse_expression,
-)
+from .normal_form import NormalFormSystem, _vec, eval_g, parse_expression
 
 __all__ = [
     "Theorem2Params",
     "Theorem3Params",
-    "HighGainParams",
     "thm2_law",
     "thm3_law",
     "highgain_law",
-    "thm2_control",
-    "thm3_compensation",
-    "full_control",
+    "evaluate",
     "chart_controller_family",
-    "highgain_control",
     "closed_loop_jacobian_origin",
     "eigenvalues_origin",
     "closed_loop_rhs_family",
@@ -95,29 +84,6 @@ class Theorem3Params:
                 raise ValueError("chi_star[j] must be 0 for j >= 2")
 
 
-@dataclass(frozen=True)
-class HighGainParams:
-    """1/eps benchmark gains; ``constants`` optionally cancels f(0,0,0)."""
-
-    a: np.ndarray
-    b: float
-    epsilon: float
-    constants: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _vec(self.a, name="a"))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if self.constants is not None:
-            object.__setattr__(self, "constants", _vec(self.constants, name="constants"))
-            if self.constants.size != self.a.size:
-                raise ValueError("constants and a must have the same length")
-        if not (np.all(self.a > 0) and self.b > 0):
-            raise ValueError("high-gain parameters must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-
-
 def _gain_powers(epsilon: float, k: int) -> tuple[float, float]:
     """(eps^(-1/(2k-1)), eps^(-k/(2k-1))) used by the baseline controller."""
     if not epsilon > 0:
@@ -131,8 +97,10 @@ def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
 
     u_i = -c_i - (px a_i) x_i, plus (b pz) z on u_1, with the gain powers
     (pz, px) of :func:`_gain_powers` taken once as constants. Closed loops
-    compile these trees and the array wrappers below evaluate them, so this
-    is the one definition of the law.
+    compile these trees and :func:`evaluate` walks them, so this is the one
+    definition of the law. The + sign on b is the one consistent with the
+    family-chart design and the Hurwitz closed-loop spectrum (characteristic
+    polynomial lambda^2 + a1 lambda + b).
     """
     pz, px = _gain_powers(epsilon, k)
     bz = p.b * pz
@@ -149,13 +117,20 @@ def thm3_law(k: int, p: Theorem3Params) -> list:
             for i, (K, n, chi) in enumerate(terms, 1)]
 
 
-def highgain_law(p: HighGainParams) -> list:
-    """1/eps benchmark law as checked trees v_i = -a_i x_i / eps (+ b z / eps) - c_i."""
-    const = p.constants.tolist() if p.constants is not None else [0.0] * p.a.size
+def highgain_law(a, b: float, epsilon: float, constants=None) -> list:
+    """1/eps benchmark law as checked trees v_i = -a_i x_i / eps (+ b z / eps) - c_i.
+
+    The constants c, zero by default, optionally cancel f(0, 0, 0). Without
+    them the closed loop settles at an O(eps)-shifted equilibrium whenever
+    f(0, 0, 0) != 0; the example scenarios report that offset.
+    """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    const = [0.0] * len(a) if constants is None else constants
     return [parse_expression("-a * x / eps" + (" + b * z / eps" if i == 1 else "") + " - c",
-                             {"a": a, "b": p.b, "c": c, "eps": p.epsilon,
+                             {"a": ai, "b": b, "c": c, "eps": epsilon,
                               "x": f"x{i}", "z": "z"})
-            for i, (a, c) in enumerate(zip(p.a.tolist(), const), 1)]
+            for i, (ai, c) in enumerate(zip(a, const), 1)]
 
 
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -175,44 +150,17 @@ def _value(tree, env: dict) -> float:
     return _OPS[type(tree.op)](_value(tree.left, env), _value(tree.right, env))
 
 
-def _evaluate(law: list, x: np.ndarray, z: float) -> list[float]:
-    """The law trees at one state, without compiling them.
+def evaluate(law: list, x, z: float) -> list[float]:
+    """The law trees at the state (x, z), without compiling them.
 
-    Compiling costs about half a millisecond a call, which the verification
-    suites, with their thousands of single evaluations, should not pay.
+    This is the one uncompiled evaluator of a law; ``x`` must have one entry
+    per control. Compiling costs about half a millisecond a call, which the
+    verification suites, with their thousands of single evaluations, should
+    not pay.
     """
-    env = {f"x{i}": xi for i, xi in enumerate(x.tolist(), 1)}
+    env = {f"x{i}": xi for i, xi in enumerate(_vec(x, len(law), "x").tolist(), 1)}
     env["z"] = float(z)
     return [_value(tree, env) for tree in law]
-
-
-def thm2_control(s: State, epsilon: float, k: int, p: Theorem2Params) -> ControlInput:
-    """Baseline stabilizer u = -c + b eps^(-1/(2k-1)) z e1 - eps^(-k/(2k-1)) a*x.
-
-    The + sign on b is the one consistent with the family-chart design and
-    the Hurwitz closed-loop spectrum (char. polynomial lambda^2 + a1 lambda + b).
-    """
-    x = _vec(s.x, k - 1, "x")
-    if p.a.size != k - 1:
-        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
-    return ControlInput(_evaluate(thm2_law(epsilon, k, p), x, s.z))
-
-
-def thm3_compensation(s: State, k: int, p: Theorem3Params) -> ControlInput:
-    """Polynomial compensation w_i = K_i (x_i z + (-z)^(k-i+2) chi*_i)."""
-    x = _vec(s.x, k - 1, "x")
-    if p.K.size != k - 1:
-        raise ValueError(f"params sized for k = {p.K.size + 1}, got k = {k}")
-    return ControlInput(_evaluate(thm3_law(k, p), x, s.z))
-
-
-def full_control(s: State, epsilon: float, k: int, p2: Theorem2Params,
-                 p3: Theorem3Params) -> ControlInput:
-    """Baseline controller plus compensation; K = 0 reduces to the baseline."""
-    x = _vec(s.x, k - 1, "x")
-    law = [ast.BinOp(u, ast.Add(), w)
-           for u, w in zip(thm2_law(epsilon, k, p2), thm3_law(k, p3))]
-    return ControlInput(_evaluate(law, x, s.z))
 
 
 def chart_controller_family(c: FamilyChartState, k: int,
@@ -235,19 +183,6 @@ def chart_controller_family(c: FamilyChartState, k: int,
     for i in range(1, k - 1):
         u[i] = -p.c[i] - c.r_bar ** (-i) * p.a[i] * x_bar[i]
     return u
-
-
-def highgain_control(s: State, p: HighGainParams) -> ControlInput:
-    """Benchmark v_i = (1/eps)(-a_i x_i + b z delta_1i), plus optional constants.
-
-    Without ``constants`` the closed loop settles at an O(eps)-shifted
-    equilibrium whenever f(0,0,0) != 0; the offset is reported by the
-    example scenarios rather than hidden.
-    """
-    x = _vec(s.x, name="x")
-    if p.a.size != x.size:
-        raise ValueError(f"params sized for {p.a.size} slow states, got {x.size}")
-    return ControlInput(_evaluate(highgain_law(p), x, s.z))
 
 
 def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:

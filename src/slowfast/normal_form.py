@@ -27,7 +27,6 @@ __all__ = [
     "ExprSlowField",
     "NormalFormSystem",
     "State",
-    "ControlInput",
     "eval_g",
     "g_partial_z",
     "eval_rhs_fast",
@@ -69,16 +68,6 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "x", _vec(self.x, name="x"))
         object.__setattr__(self, "z", float(self.z))
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Control vector acting on the slow states only."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _vec(self.u, name="u"))
 
 
 @dataclass(frozen=True)
@@ -150,12 +139,10 @@ def g_partial_z(x, z: float, k: int, m: int) -> float:
     return -s
 
 
-def eval_rhs_fast(
-    sys: NormalFormSystem, s: State, u: ControlInput
-) -> tuple[np.ndarray, float]:
-    """Fast-time vector field: x' = eps*(f + u), z' = g."""
+def eval_rhs_fast(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float]:
+    """Fast-time vector field: x' = eps*(f + u), z' = g, for the control vector u."""
     x, z = _vec(s.x, sys.k - 1, "x"), float(s.z)
-    uv = _vec(u.u, sys.k - 1, "u")
+    uv = _vec(u, sys.k - 1, "u")
     f = np.asarray(sys.slow_f(x, z, sys.epsilon), dtype=float)
     if f.shape != (sys.k - 1,):
         raise ValueError(
@@ -166,9 +153,7 @@ def eval_rhs_fast(
     return sys.epsilon * (f + uv), eval_g(x, z, sys.k)
 
 
-def eval_rhs_slow(
-    sys: NormalFormSystem, s: State, u: ControlInput
-) -> tuple[np.ndarray, float]:
+def eval_rhs_slow(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float]:
     """Slow-time vector field: dx/dt = f + u, dz/dt = g/eps.
 
     Same direction field as :func:`eval_rhs_fast`, scaled by 1/eps.

@@ -27,8 +27,9 @@ from .closedloop import (
     build_closed_loop,
     describe,
     drift_at_origin,
+    law,
 )
-from .control import HighGainParams, Theorem2Params, Theorem3Params
+from .control import Theorem2Params, Theorem3Params
 from .normal_form import NormalFormSystem
 from .roa import GridSpec, RoAComparison, RoAReport, compare, sweep, write_report_csv
 from .sim import (
@@ -245,24 +246,6 @@ def _parse_controller(section, n_slow: int, where="controller") -> ControllerCon
     )
 
 
-def _check_controller(cc: ControllerConfig, builtin: str, epsilon: float) -> None:
-    """Reject a controller that cannot run on the system, with the checks of
-    the controller parameter classes themselves."""
-    if cc.type == "thm2plus3" and builtin == "tunnel_diode":
-        raise ConfigError("controller.type thm2plus3 is not defined for tunnel_diode;"
-                          " the compensation is designed for the normal form")
-    try:
-        if cc.type in ("thm2", "thm2plus3"):
-            # c defaults to the drift at the origin; only its size is checked here
-            Theorem2Params(c=cc.a if cc.c is None else cc.c, a=cc.a, b=cc.b)
-        if cc.type == "thm2plus3":
-            Theorem3Params(K=cc.K, chi_star=cc.chi_star)
-        if cc.type == "highgain":
-            HighGainParams(a=cc.A, b=cc.B, epsilon=epsilon)
-    except ValueError as exc:
-        raise ConfigError(f"controller: {exc}") from None
-
-
 _INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "divergence_norm", "min_step",
                     "record_stride")
 
@@ -284,7 +267,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     n_slow = 2 if system.builtin == "tunnel_diode" else (system.k or 2) - 1
     controller = _parse_controller(raw["controller"], n_slow)
-    _check_controller(controller, system.builtin, epsilon)
     ics_raw = raw["ics"]
     if not isinstance(ics_raw, list) or not ics_raw:
         raise ConfigError("ics must be a non-empty list of state vectors")
@@ -309,11 +291,22 @@ def parse_config(raw: dict) -> ScenarioConfig:
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ConfigError("outputs must be a directory path string")
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         system=system, epsilon=epsilon, controller=controller,
         ics=tuple(ics), t_final=t_final, switch_on_time=switch,
         integrator=integrator, outputs=outputs,
     )
+    # a section that cannot be built, or a controller that cannot run on the
+    # system, is an error of the config: build both and the law, the way a
+    # run does, without compiling anything
+    where = "system"
+    try:
+        built = build_system(cfg)
+        where = "controller"
+        law(built, build_variant(cfg, built))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:

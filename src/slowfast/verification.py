@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import blowup, control, normal_form
-from .closedloop import Thm2, build_closed_loop
+from .closedloop import Thm2, Thm2Plus3, build_closed_loop, law
 from .sim import config_for, integrate
 from .systems import build_planar_example
 
@@ -126,7 +126,7 @@ def suite_slow_fast_scaling(rng: np.random.Generator) -> SuiteResult:
         sysm = normal_form.NormalFormSystem(k=k, epsilon=eps,
                                             slow_f=_random_field(rng, k - 1))
         s = normal_form.State(x=rng.uniform(-2, 2, k - 1), z=rng.uniform(-2, 2))
-        u = normal_form.ControlInput(rng.uniform(-2, 2, k - 1))
+        u = rng.uniform(-2, 2, k - 1)
         dxf, dzf = normal_form.eval_rhs_fast(sysm, s, u)
         dxs, dzs = normal_form.eval_rhs_slow(sysm, s, u)
         err = max(
@@ -211,7 +211,7 @@ def suite_blowdown_identity(rng: np.random.Generator) -> SuiteResult:
         z = rng.uniform(-2, 2)
         eps = float(rng.uniform(1e-6, 1.0))
         s = normal_form.State(x=x, z=z)
-        direct = control.thm2_control(s, eps, k, p).u
+        direct = control.evaluate(control.thm2_law(eps, k, p), x, z)
         chart = control.chart_controller_family(
             blowup.to_family_chart(s, eps, k), k, p
         )
@@ -286,7 +286,7 @@ def suite_compensation_chart_form(rng: np.random.Generator) -> SuiteResult:
         x = rng.uniform(-2, 2, k - 1)
         z = -float(rng.uniform(0.05, 2.0))
         s = normal_form.State(x=x, z=z)
-        w = control.thm3_compensation(s, k, p3).u
+        w = control.evaluate(control.thm3_law(k, p3), x, z)
         ch = blowup.to_directional_zneg(s, 0.0, k)
         for i in range(k - 1):
             expected = p3.K[i] * ch.rho ** (k - i + 1) * (chi_star[i] - ch.chi[i])
@@ -305,9 +305,8 @@ def suite_scale_behavior(rng: np.random.Generator) -> SuiteResult:
         )
         x = rng.uniform(0.1, 2.0, k - 1)
         eps = float(rng.uniform(1e-4, 1e-1))
-        s = normal_form.State(x=x, z=0.0)
-        hi = np.linalg.norm(control.thm2_control(s, eps / 8.0, k, p).u)
-        lo = np.linalg.norm(control.thm2_control(s, eps, k, p).u)
+        hi = np.linalg.norm(control.evaluate(control.thm2_law(eps / 8.0, k, p), x, 0.0))
+        lo = np.linalg.norm(control.evaluate(control.thm2_law(eps, k, p), x, 0.0))
         expected = 8.0 ** (k / (2 * k - 1))
         worst = max(worst, abs(hi / lo - expected) / expected)
     return SuiteResult("scale-behavior", worst <= tol, worst, tol, n)
@@ -326,7 +325,8 @@ def _directional_pushforward_error(
     p3 = control.Theorem3Params(K=rng.uniform(0.0, 5.0, k - 1), chi_star=chi_star)
 
     def ctrl(x, z, eps):
-        return control.full_control(normal_form.State(x=x, z=z), eps, k, p2, p3).u
+        sys_eps = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=sysm.slow_f)
+        return control.evaluate(law(sys_eps, Thm2Plus3(p2, p3)), x, z)
 
     # rho <= 1 keeps the rho^(2k-1) powers from amplifying the finite
     # difference truncation error past the certificate tolerance
@@ -353,9 +353,7 @@ def _directional_pushforward_error(
     pushed = J @ chart_rhs
     st, eps = blowup.from_directional_zneg(c, k)
     sys_eps = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=sysm.slow_f)
-    dx, dz = normal_form.eval_rhs_fast(
-        sys_eps, st, normal_form.ControlInput(ctrl(st.x, st.z, eps))
-    )
+    dx, dz = normal_form.eval_rhs_fast(sys_eps, st, ctrl(st.x, st.z, eps))
     fast = np.concatenate((dx, [dz, 0.0]))
     err = np.abs(rho ** (k - 1) * pushed - fast)
     scale = max(1.0, float(np.max(np.abs(fast))))

@@ -94,9 +94,18 @@ BAD_CONTROLLERS = {
     "chi-star-above-minus-one": dict(PLANAR, controller={
         **THM2, "type": "thm2plus3", "K": [50.0], "chi_star": [0.5]}),
     "negative-A": dict(PLANAR, controller={"type": "highgain", "A": [-1.0], "B": 10.0}),
+    # a defaulted c and cancel_constants need a finite drift at the origin
+    "thm2-drift-raises": dict(PLANAR, controller=THM2, system={
+        "builtin": "custom", "k": 2, "f": ["1 / x1"]}),
+    "highgain-drift-raises": dict(PLANAR, system={
+        "builtin": "custom", "k": 2, "f": ["1 / x1"]}, controller={
+        "type": "highgain", "A": [1.0], "B": 10.0, "cancel_constants": True}),
+    "thm2-drift-not-finite": dict(PLANAR, controller=THM2, system={
+        "builtin": "custom", "k": 2, "f": ["log(x1)"]}),
 }
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
 @pytest.mark.parametrize("command", ["simulate", "roa"])
 @pytest.mark.parametrize("name", list(BAD_CONTROLLERS))
 def test_controller_that_cannot_run_exits_one(tmp_path, capsys, command, name):
@@ -104,6 +113,17 @@ def test_controller_that_cannot_run_exits_one(tmp_path, capsys, command, name):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "config error: controller" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+def test_system_that_cannot_be_built_exits_one(tmp_path, capsys, command):
+    raw = dict(CIRCUIT, system={"builtin": "tunnel_diode", "L": -1.0},
+               controller={"type": "none"})
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: system" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

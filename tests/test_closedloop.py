@@ -18,16 +18,10 @@ from slowfast.closedloop import (
     Thm2Plus3,
     build_closed_loop,
     describe,
+    law,
 )
-from slowfast.control import (
-    HighGainParams,
-    Theorem2Params,
-    Theorem3Params,
-    full_control,
-    highgain_control,
-    thm2_control,
-)
-from slowfast.normal_form import NormalFormSystem, State
+from slowfast.control import Theorem2Params, Theorem3Params, evaluate
+from slowfast.normal_form import NormalFormSystem
 from slowfast.scenarios import EX1_ICS, ConfigError, parse_config
 from slowfast.sim import config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
@@ -80,7 +74,7 @@ class TestBuild:
 
     def test_tunnel_diode_compensation_unsupported(self):
         sys = build_tunnel_diode()
-        with pytest.raises(TypeError, match="not defined"):
+        with pytest.raises(ValueError, match="not defined"):
             build_closed_loop(sys, Thm2Plus3(P2, P3))
 
     def test_describe_is_readable(self):
@@ -383,6 +377,7 @@ class TestGenerated:
         assert n == 300 * 28
 
     def test_array_wrappers_evaluate_the_same_law(self):
+        # the tree walker and the compiled loop compute the same law
         rng = np.random.default_rng(5)
         for k in (2, 3, 4):
             eps = 0.02
@@ -392,16 +387,8 @@ class TestGenerated:
                 _, ueval, _ = build_closed_loop(sys, variant)
                 for _ in range(50):
                     y = rng.uniform(-3.0, 3.0, k)
-                    s = State(x=y[:-1], z=y[-1])
-                    if isinstance(variant, Thm2):
-                        u = thm2_control(s, eps, k, variant.p)
-                    elif isinstance(variant, Thm2Plus3):
-                        u = full_control(s, eps, k, variant.p2, variant.p3)
-                    else:
-                        const = [1.0] * (k - 1) if variant.cancel_constants else None
-                        u = highgain_control(s, HighGainParams(
-                            a=variant.a, b=variant.b, epsilon=eps, constants=const))
-                    assert u.u.tolist() == ueval.float_fn(0.0, y.tolist())
+                    u = evaluate(law(sys, variant), y[:-1], y[-1])
+                    assert u == ueval.float_fn(0.0, y.tolist())
 
     def test_generated_once_per_loop(self):
         code = textwrap.dedent("""

@@ -2,21 +2,29 @@ import numpy as np
 import pytest
 
 from slowfast.blowup import FamilyChartState, to_family_chart
+from slowfast.closedloop import HighGain, Thm2Plus3, law
 from slowfast.control import (
-    HighGainParams,
     Theorem2Params,
     Theorem3Params,
     chart_controller_family,
     closed_loop_jacobian_origin,
     closed_loop_rhs_family,
     eigenvalues_origin,
-    full_control,
-    highgain_control,
-    thm2_control,
-    thm3_compensation,
+    evaluate,
+    thm2_law,
+    thm3_law,
 )
 from slowfast.normal_form import NormalFormSystem, State
 from slowfast.verification import run_suites
+
+
+def _planar(eps):
+    return NormalFormSystem(k=2, epsilon=eps, slow_f=lambda x, z, e: [1.0 + x[0] + z])
+
+
+def _drift(*f0):
+    """k = 3 system at eps = 0.01 whose slow drift is the constant f0."""
+    return NormalFormSystem(k=3, epsilon=0.01, slow_f=lambda x, z, e: list(f0))
 
 
 class TestParams:
@@ -42,42 +50,41 @@ class TestParams:
 class TestThm2Control:
     def test_worked_example(self):
         p = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
-        u = thm2_control(State(x=[0.01], z=0.1), 0.001, 2, p)
-        assert u.u == pytest.approx([1.0], rel=1e-12)
+        u = evaluate(thm2_law(0.001, 2, p), [0.01], 0.1)
+        assert u == pytest.approx([1.0], rel=1e-12)
 
     def test_origin_cancels_drift_only(self):
         p = Theorem2Params(c=[4.0, 16.0], a=[1.0, 1.0], b=10.0)
-        u = thm2_control(State(x=[0.0, 0.0], z=0.0), 0.01, 3, p)
-        assert u.u == pytest.approx([-4.0, -16.0])
+        u = evaluate(thm2_law(0.01, 3, p), [0.0, 0.0], 0.0)
+        assert u == pytest.approx([-4.0, -16.0])
 
     def test_unit_epsilon_strips_powers(self):
         p = Theorem2Params(c=[0.0, 0.0], a=[2.0, 5.0], b=1.0)
-        u = thm2_control(State(x=[1.0, 1.0], z=1.0), 1.0, 3, p)
-        assert u.u == pytest.approx([-1.0, -5.0])
+        u = evaluate(thm2_law(1.0, 3, p), [1.0, 1.0], 1.0)
+        assert u == pytest.approx([-1.0, -5.0])
 
     def test_nonpositive_epsilon_rejected(self):
         p = Theorem2Params(c=[0.0], a=[1.0], b=1.0)
         with pytest.raises(ValueError, match="epsilon"):
-            thm2_control(State(x=[1.0], z=0.0), 0.0, 2, p)
+            evaluate(thm2_law(0.0, 2, p), [1.0], 0.0)
 
 
 class TestThm3Compensation:
     def test_worked_example(self):
         p = Theorem3Params(K=[10.0], chi_star=[-2.0])
-        w = thm3_compensation(State(x=[1.0], z=-1.0), 2, p)
-        assert w.u == pytest.approx([-30.0])
+        w = evaluate(thm3_law(2, p), [1.0], -1.0)
+        assert w == pytest.approx([-30.0])
 
     def test_vanishes_at_z_zero(self):
         p = Theorem3Params(K=[7.0, 3.0], chi_star=[-1.5, 0.0])
-        w = thm3_compensation(State(x=[2.0, -4.0], z=0.0), 3, p)
-        assert w.u == pytest.approx([0.0, 0.0])
+        w = evaluate(thm3_law(3, p), [2.0, -4.0], 0.0)
+        assert w == pytest.approx([0.0, 0.0])
 
     def test_zero_gain_reduces_to_baseline(self):
         p2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
         p3 = Theorem3Params(K=[0.0], chi_star=[0.0])
-        s = State(x=[0.4], z=-0.7)
-        assert full_control(s, 0.01, 2, p2, p3).u == pytest.approx(
-            thm2_control(s, 0.01, 2, p2).u
+        assert evaluate(law(_planar(0.01), Thm2Plus3(p2, p3)), [0.4], -0.7) == pytest.approx(
+            evaluate(thm2_law(0.01, 2, p2), [0.4], -0.7)
         )
 
 
@@ -85,14 +92,14 @@ class TestFullControl:
     def test_composition_example(self):
         p2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
         p3 = Theorem3Params(K=[10.0], chi_star=[-2.0])
-        u = full_control(State(x=[1.0], z=-1.0), 0.001, 2, p2, p3)
-        assert u.u == pytest.approx([-161.0], rel=1e-12)
+        u = evaluate(law(_planar(0.001), Thm2Plus3(p2, p3)), [1.0], -1.0)
+        assert u == pytest.approx([-161.0], rel=1e-12)
 
     def test_origin_gives_minus_drift(self):
         p2 = Theorem2Params(c=[2.5], a=[1.0], b=3.0)
         p3 = Theorem3Params(K=[10.0], chi_star=[-2.0])
-        u = full_control(State(x=[0.0], z=0.0), 0.01, 2, p2, p3)
-        assert u.u == pytest.approx([-2.5])
+        u = evaluate(law(_planar(0.01), Thm2Plus3(p2, p3)), [0.0], 0.0)
+        assert u == pytest.approx([-2.5])
 
 
 class TestChartController:
@@ -121,32 +128,28 @@ class TestChartController:
         p = Theorem2Params(c=[0.7], a=[2.0], b=5.0)
         s = State(x=[0.3], z=-0.8)
         eps = 0.02
-        direct = thm2_control(s, eps, 2, p).u
+        direct = evaluate(thm2_law(eps, 2, p), s.x, s.z)
         chart = chart_controller_family(to_family_chart(s, eps, 2), 2, p)
         assert chart == pytest.approx(direct, rel=1e-11)
 
 
 class TestHighGain:
     def test_worked_example(self):
-        p = HighGainParams(a=[1.0], b=10.0, epsilon=0.01)
-        v = highgain_control(State(x=[0.1], z=0.2), p)
-        assert v.u == pytest.approx([190.0])
+        v = evaluate(law(_planar(0.01), HighGain(a=(1.0,), b=10.0)), [0.1], 0.2)
+        assert v == pytest.approx([190.0])
 
     def test_no_constant_cancellation_by_default(self):
-        p = HighGainParams(a=[1.0, 1.0], b=10.0, epsilon=0.01)
-        v = highgain_control(State(x=[0.0, 0.0], z=0.0), p)
-        assert v.u == pytest.approx([0.0, 0.0])
+        v = evaluate(law(_drift(4.0, 16.0), HighGain(a=(1.0, 1.0), b=10.0)), [0.0, 0.0], 0.0)
+        assert v == pytest.approx([0.0, 0.0])
 
     def test_second_component_has_no_fast_injection(self):
-        p = HighGainParams(a=[1.0, 1.0], b=10.0, epsilon=0.01)
-        v = highgain_control(State(x=[0.0, 1.0], z=0.0), p)
-        assert v.u == pytest.approx([0.0, -100.0])
+        v = evaluate(law(_drift(4.0, 16.0), HighGain(a=(1.0, 1.0), b=10.0)), [0.0, 1.0], 0.0)
+        assert v == pytest.approx([0.0, -100.0])
 
     def test_optional_constants(self):
-        p = HighGainParams(a=[1.0, 1.0], b=10.0, epsilon=0.01,
-                           constants=[4.0, 16.0])
-        v = highgain_control(State(x=[0.0, 0.0], z=0.0), p)
-        assert v.u == pytest.approx([-4.0, -16.0])
+        hg = HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True)
+        v = evaluate(law(_drift(4.0, 16.0), hg), [0.0, 0.0], 0.0)
+        assert v == pytest.approx([-4.0, -16.0])
 
 
 class TestJacobianAndEigenvalues:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast.normal_form import (
-    ControlInput,
     NormalFormSystem,
     State,
     degeneracy_order,
@@ -89,34 +88,34 @@ def test_quasihomogeneous_scaling(args, lam):
 class TestRhs:
     def test_fast_open_loop(self):
         sys = NormalFormSystem(k=2, epsilon=0.1, slow_f=zero_f)
-        dx, dz = eval_rhs_fast(sys, State(x=[1.0], z=2.0), ControlInput([0.0]))
+        dx, dz = eval_rhs_fast(sys, State(x=[1.0], z=2.0), [0.0])
         assert dx == pytest.approx([0.0])
         assert dz == pytest.approx(-5.0)
 
     def test_fast_control_enters_additively(self):
         sys = NormalFormSystem(k=2, epsilon=0.1, slow_f=zero_f)
-        dx, dz = eval_rhs_fast(sys, State(x=[1.0], z=2.0), ControlInput([3.0]))
+        dx, dz = eval_rhs_fast(sys, State(x=[1.0], z=2.0), [3.0])
         assert dx == pytest.approx([0.3])
         assert dz == pytest.approx(-5.0)
 
     def test_origin_equilibrium_by_cancellation(self):
         sys = NormalFormSystem(k=3, epsilon=0.1, slow_f=lambda x, z, e: np.array([2.0, -1.0]))
         dx, dz = eval_rhs_fast(
-            sys, State(x=[0.0, 0.0], z=0.0), ControlInput([-2.0, 1.0])
+            sys, State(x=[0.0, 0.0], z=0.0), [-2.0, 1.0]
         )
         assert np.all(dx == 0.0)
         assert dz == 0.0
 
     def test_slow_time_values(self):
         sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=zero_f)
-        dx, dz = eval_rhs_slow(sys, State(x=[1.0], z=2.0), ControlInput([0.0]))
+        dx, dz = eval_rhs_slow(sys, State(x=[1.0], z=2.0), [0.0])
         assert dx == pytest.approx([0.0])
         assert dz == pytest.approx(-500.0)
 
     def test_slow_equals_fast_over_epsilon(self):
         sys = NormalFormSystem(k=4, epsilon=0.05, slow_f=lambda x, z, e: x + z)
         s = State(x=[0.3, -0.7, 1.1], z=0.4)
-        u = ControlInput([0.1, 0.2, -0.3])
+        u = [0.1, 0.2, -0.3]
         dxf, dzf = eval_rhs_fast(sys, s, u)
         dxs, dzs = eval_rhs_slow(sys, s, u)
         assert dxs == pytest.approx(dxf / 0.05, rel=1e-14)
@@ -124,21 +123,21 @@ class TestRhs:
 
     def test_planar_origin_with_cancelling_control(self):
         sys = NormalFormSystem(k=2, epsilon=0.05, slow_f=affine_f)
-        dx, dz = eval_rhs_slow(sys, State(x=[0.0], z=0.0), ControlInput([-1.0]))
+        dx, dz = eval_rhs_slow(sys, State(x=[0.0], z=0.0), [-1.0])
         assert dx == pytest.approx([0.0])
         assert dz == 0.0
 
     def test_epsilon_zero_rejected_in_slow_time(self):
         sys = NormalFormSystem(k=2, epsilon=0.0, slow_f=zero_f)
         with pytest.raises(ValueError, match="epsilon"):
-            eval_rhs_slow(sys, State(x=[1.0], z=0.0), ControlInput([0.0]))
+            eval_rhs_slow(sys, State(x=[1.0], z=0.0), [0.0])
 
     def test_non_finite_evaluator_signalled(self):
         sys = NormalFormSystem(
             k=2, epsilon=0.1, slow_f=lambda x, z, e: np.array([np.nan])
         )
         with pytest.raises(ValueError, match="non-finite"):
-            eval_rhs_fast(sys, State(x=[1.0], z=0.0), ControlInput([0.0]))
+            eval_rhs_fast(sys, State(x=[1.0], z=0.0), [0.0])
 
 
 class TestDegeneracyOrder:
