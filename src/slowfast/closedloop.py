@@ -18,11 +18,13 @@ import numpy as np
 from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
 from .normal_form import ExprSlowField, NormalFormSystem, compile_functions, parse_expression
 from .sim import (
+    _ATTEMPT_SCOPE,
     BALL,
     IntegratorConfig,
     NonFiniteError,
     Outcome,
     Trajectory,
+    _attempt_source,
     classify,
     integrate,
 )
@@ -153,6 +155,10 @@ def _generated(system, variant_key: bytes):
     recorded control. The drift is the system's expressions or one call of
     its ``slow_f``; the fast field and the slot form are expressions. Each
     function is emitted twice, taking an array and (``float_fn``) a list.
+    The field's statements are also written inline at every stage of one
+    Dormand-Prince attempt (``rhs.attempt``, from
+    :func:`slowfast.sim._attempt_source`), which never calls a function
+    for the field.
     """
     variant = pickle.loads(variant_key)
     m = system.n_slow
@@ -160,9 +166,9 @@ def _generated(system, variant_key: bytes):
     vs = [f"v{i}" for i in range(1, m + 1)]
     env = {**dict(zip(xs, xs)), "z": "z", "pi": math.pi, **system.constants}
     trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
-    assign = "".join(f"    {v} = _{v}\n" for v in vs)
+    assign = [f"{v} = _{v}" for v in vs]
 
-    drift, call, scope = system.drift, "", {}
+    drift, call, scope = system.drift, [], {}
     if isinstance(drift, tuple):
         fs = [f"_f{i}" for i in range(1, m + 1)]
         trees.update(zip(fs, (parse_expression(src, env) for src in drift)))
@@ -170,9 +176,9 @@ def _generated(system, variant_key: bytes):
         fs = [f"f{i}" for i in range(1, m + 1)]
         trees["_eps"] = ast.Constant(float(system.epsilon))
         scope = {"slow_f": drift, "type": type, "list": list, "tolist": _tolist}
-        call = (f"    f = slow_f([{', '.join(xs)}], z, _eps)\n"
-                "    if type(f) is not list:\n        f = tolist(f)\n"
-                f"    {', '.join(fs)}, = f\n")
+        call = [f"f = slow_f([{', '.join(xs)}], z, _eps)",
+                "if type(f) is not list:", "    f = tolist(f)",
+                f"{', '.join(fs)}, = f"]
     trees["_g"] = parse_expression(system.fast, env)
     field = ", ".join(f"{f} + {v}" for f, v in zip(fs, vs)) + ", _g"
 
@@ -183,14 +189,21 @@ def _generated(system, variant_key: bytes):
         slot_env = {**dict(zip(vs, vs)), **system.constants}
         trees.update(zip(recorded, (parse_expression(src, slot_env) for src in slots)))
 
-    src = ""
-    for name, body in (("rhs", f"{assign}{call}    return [{field}]\n"),
-                       ("ueval", f"{assign}    return [{', '.join(recorded)}]\n")):
+    state = f"{', '.join(xs)}, z"
+
+    def inline(t: str, args: list[str], y: str) -> tuple[list[str], str]:
+        return [f"{state} = {', '.join(args)}", *assign, *call], f"({field},)"
+
+    src = _attempt_source(m + 1, inline)
+    for name, body in (("rhs", [*assign, *call, f"return [{field}]"]),
+                       ("ueval", [*assign, f"return [{', '.join(recorded)}]"])):
         for suffix, y in (("", "y.tolist()"), ("_f", "y")):
-            src += f"def {name}{suffix}(t, y):\n    {', '.join(xs)}, z = {y}\n{body}"
-    ns = compile_functions(src, trees, scope)
+            src += f"def {name}{suffix}(t, y):\n"
+            src += "".join(f"    {line}\n" for line in [f"{state} = {y}", *body])
+    ns = compile_functions(src, trees, {**_ATTEMPT_SCOPE, **scope})
     rhs, ueval = ns["rhs"], ns["ueval"]
     rhs.float_fn, ueval.float_fn = ns["rhs_f"], ns["ueval_f"]
+    rhs.attempt = ns["attempt"]
     return rhs, ueval
 
 
@@ -204,10 +217,11 @@ def build_closed_loop(system, variant: Variant):
     control, except that the baseline law on a system with control slots
     (``slots``, the circuit) is recorded in slot form. Both take the state
     as an array and return lists of floats; each carries its float function
-    ``(t, list) -> list`` as ``float_fn``, which
-    :func:`slowfast.sim.integrate` calls directly. The functions are cached
-    per system (which must be hashable) and variant, so a sweep compiles
-    its loop once per process.
+    ``(t, list) -> list`` as ``float_fn``, and ``rhs`` carries as ``attempt``
+    the Dormand-Prince attempt with its field inline, by which
+    :func:`slowfast.sim.integrate` steps it. The functions are cached per
+    system (which must be hashable) and variant, so a sweep compiles its
+    loop once per process.
     """
     rhs, ueval = _generated(system, pickle.dumps(variant))
     return rhs, ueval, system.n_slow
@@ -217,8 +231,8 @@ def build_closed_loop(system, variant: Variant):
 class CellRunner:
     """Classifies one initial condition under a fixed closed loop.
 
-    Every cell is integrated by :func:`slowfast.sim.integrate` on the
-    loop's generated float function (compiled once per process, see
+    Every cell is integrated by :func:`slowfast.sim.integrate` with the
+    loop's fused attempt (compiled once per process, see
     :func:`build_closed_loop`), stopped once the state has dwelt in the
     ball ``sim.BALL`` and classified from its trajectory by
     :func:`slowfast.sim.classify`. Numerical failures (a non-finite initial

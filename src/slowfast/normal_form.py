@@ -333,8 +333,9 @@ def compile_functions(src: str, trees: dict, scope: dict | None = None) -> dict:
     """Namespace of the definitions in ``src``, each name in ``trees``
     replaced by that checked tree.
 
-    ``src`` is generated from names only, so numbers reach the compiler as
-    the constants of trees from :func:`parse_expression`, never as text. The
+    ``src`` is generated from names and the integrator's own tableau only,
+    so the numbers of a config or an expression reach the compiler as the
+    constants of trees from :func:`parse_expression`, never as text. The
     globals are the listed numpy functions, ``_pow``, ``float`` and
     ``scope``; there are no builtins.
     """

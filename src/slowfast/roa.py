@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import CellRunner, Variant, describe
+from .closedloop import CellRunner, Variant, build_closed_loop, describe
 from .sim import IntegratorConfig, Outcome
 
 __all__ = [
@@ -18,11 +18,6 @@ __all__ = [
     "compare",
     "write_report_csv",
 ]
-
-
-# cells per task handed to a worker: cost varies by orders of magnitude from
-# cell to cell (the stiff corners), so small chunks keep the workers level
-_CHUNK = 4
 
 
 def _check_range(rng, name: str) -> tuple[float, float, int]:
@@ -97,9 +92,12 @@ def sweep(
     """Classify the closed loop from every grid node with :class:`CellRunner`.
 
     Cells are independent; with ``jobs`` > 1 they fan out over processes,
-    and ``jobs`` < 1 means one per core. The report order follows
-    :meth:`GridSpec.points` regardless of worker scheduling, and per-cell
-    numerical failures are recorded as diverged.
+    one cell per task, and ``jobs`` < 1 means one per core. The loop is
+    compiled before the pool starts, so forked workers inherit it, and the
+    cells farthest from the origin, where the stiff and costly ones lie, are
+    handed out first. The report order follows :meth:`GridSpec.points`
+    regardless of worker scheduling, and per-cell numerical failures are
+    recorded as diverged.
     """
     runner = CellRunner(system=system, variant=variant, cfg=cfg)
     pts = grid.points()
@@ -108,8 +106,12 @@ def sweep(
     if jobs == 1 or pts.shape[0] <= 1:
         outcomes = [runner(p) for p in pts]
     else:
+        build_closed_loop(system, variant)
+        order = np.argsort(-np.linalg.norm(pts, axis=1), kind="stable")
+        outcomes = [None] * len(pts)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(runner, pts, chunksize=_CHUNK))
+            for i, outcome in zip(order.tolist(), pool.map(runner, pts[order])):
+                outcomes[i] = outcome
     converged = sum(1 for o in outcomes if o.is_converged)
     return RoAReport(grid=grid, variant=describe(variant),
                      outcomes=outcomes, converged_count=converged)

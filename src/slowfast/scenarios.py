@@ -363,21 +363,38 @@ def simulate_switched(
     switch time is never stepped across; the sample at the switch carries
     the switched-on control value.
     """
-    rhs_on, ueval_on, _ = build_closed_loop(system, variant)
-    if switch_on_time <= 0.0 or isinstance(variant, OpenLoop):
-        return integrate(rhs_on, ic, cfg, control=ueval_on)
-    rhs_off, ueval_off, _ = build_closed_loop(system, OpenLoop())
-    cfg_off = replace(cfg, t_final=switch_on_time)
-    seg1 = integrate(rhs_off, ic, cfg_off, control=ueval_off)
-    if seg1.outcome.is_diverged:
-        return seg1
-    seg2 = integrate(rhs_on, seg1.states[-1], cfg, t0=switch_on_time,
-                     control=ueval_on)
+    if isinstance(variant, OpenLoop):
+        switch_on_time = 0.0  # nothing switches on
+    return _switch_on(system, variant, ic, _open_segment(system, ic, cfg, switch_on_time),
+                      cfg)
+
+
+def _open_segment(system, ic, cfg: IntegratorConfig,
+                  switch_on_time: float) -> Trajectory | None:
+    """The open-loop run from ``ic`` up to the switch time; None when the
+    controller is on from t = 0."""
+    if switch_on_time <= 0.0:
+        return None
+    rhs, ueval, _ = build_closed_loop(system, OpenLoop())
+    return integrate(rhs, ic, replace(cfg, t_final=switch_on_time), control=ueval)
+
+
+def _switch_on(system, variant: Variant, ic, opened: Trajectory | None,
+               cfg: IntegratorConfig) -> Trajectory:
+    """The run from ``ic`` under ``variant``, switched on at the end of the
+    open-loop segment ``opened`` (at t = 0 when there is none)."""
+    rhs, ueval, _ = build_closed_loop(system, variant)
+    if opened is None:
+        return integrate(rhs, ic, cfg, control=ueval)
+    if opened.outcome.is_diverged:
+        return opened
+    seg = integrate(rhs, opened.states[-1], cfg, t0=float(opened.times[-1]),
+                    control=ueval)
     return Trajectory(
-        times=np.concatenate([seg1.times[:-1], seg2.times]),
-        states=np.concatenate([seg1.states[:-1], seg2.states]),
-        controls=np.concatenate([seg1.controls[:-1], seg2.controls]),
-        outcome=seg2.outcome,
+        times=np.concatenate([opened.times[:-1], seg.times]),
+        states=np.concatenate([opened.states[:-1], seg.states]),
+        controls=np.concatenate([opened.controls[:-1], seg.controls]),
+        outcome=seg.outcome,
     )
 
 
@@ -478,16 +495,15 @@ def run_ex1(
     v_var = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=True)
     v_lit = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=False)
 
-    runs_u = [
-        simulate_switched(system, u_var, ic, icfg, switch_on_time=switch_on_time)
-        for ic in EX1_ICS
-    ]
-    runs_v = [
-        simulate_switched(system, v_var, ic, icfg, switch_on_time=switch_on_time)
-        for ic in EX1_ICS
-    ]
-    lit = simulate_switched(system, v_lit, EX1_ICS[0], icfg,
-                            switch_on_time=switch_on_time)
+    # informational probe near the other fold of the characteristic,
+    # translated coordinates of (V_C, I_L, V_D) near (0, 20, 2)
+    probe_ic = (-4.0, 0.0, -1.9)
+    # every controller switches on from the one open-loop run of its IC
+    opened = {ic: _open_segment(system, ic, icfg, switch_on_time)
+              for ic in (*EX1_ICS, probe_ic)}
+    runs_u = [_switch_on(system, u_var, ic, opened[ic], icfg) for ic in EX1_ICS]
+    runs_v = [_switch_on(system, v_var, ic, opened[ic], icfg) for ic in EX1_ICS]
+    lit = _switch_on(system, v_lit, EX1_ICS[0], opened[EX1_ICS[0]], icfg)
 
     window = (switch_on_time, t_final)
     sup_u = max(control_sup_norm(t, window) for t in runs_u)
@@ -499,11 +515,7 @@ def run_ex1(
     final_u = [float(np.linalg.norm(t.states[-1])) for t in runs_u]
     final_v = [float(np.linalg.norm(t.states[-1])) for t in runs_v]
 
-    # informational probe near the other fold of the characteristic,
-    # translated coordinates of (V_C, I_L, V_D) near (0, 20, 2)
-    probe_ic = (-4.0, 0.0, -1.9)
-    probe = simulate_switched(system, u_var, probe_ic, icfg,
-                              switch_on_time=switch_on_time)
+    probe = _switch_on(system, u_var, probe_ic, opened[probe_ic], icfg)
     probe_outcome = classify(probe)
 
     passed = (

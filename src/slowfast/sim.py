@@ -14,14 +14,17 @@ One step attempt is a straight-line function generated once per state
 dimension n, on first use, from n and the tableau below: the components
 are scalar locals, each stage input is a list display and the error norm
 is unrolled, in the same order of operations as a loop over the
-components. A right-hand side that carries a float function (its
-``float_fn`` attribute, ``(t, list) -> list``, as the generated closed
-loops of :mod:`slowfast.closedloop` do) is stepped through it directly;
-any other receives a fresh float array and may return any sequence. This
-is the only stepper: trajectories and every region-of-attraction sweep
-cell run through :func:`integrate`. Everything is plain IEEE double
-arithmetic in a fixed order, so the results do not depend on the BLAS
-build.
+components. It calls the right-hand side once per stage: through its
+float function if it carries one (its ``float_fn`` attribute,
+``(t, list) -> list``), else with a fresh float array, and it may then
+return any sequence. A generated closed loop of :mod:`slowfast.closedloop`
+also carries a fused attempt (its ``attempt`` attribute): the same source,
+generated by the same :func:`_attempt_source`, with the loop's field
+written inline at every stage instead of called, in the same order of
+operations, so both give the same step bit for bit. This is the only
+stepper: trajectories and every region-of-attraction sweep cell run
+through :func:`integrate`. Everything is plain IEEE double arithmetic in a
+fixed order, so the results do not depend on the BLAS build.
 
 A trajectory converges when its state stays inside a ball for the final
 ``DWELL`` time units; a region-of-attraction cell uses the ball ``BALL``
@@ -187,7 +190,18 @@ def _rms(values: list, scales: list) -> float:
     return math.sqrt(acc / len(scales))
 
 
-def _attempt_source(n: int) -> str:
+# globals of the attempt, named apart from the expression grammar's numpy
+# ``sqrt`` and ``abs``, which share a scope with a fused attempt's field
+_ATTEMPT_SCOPE = {"_abs": abs, "_hypot": math.hypot, "_isfinite": math.isfinite,
+                 "_sqrt": math.sqrt, "_nan": math.nan}
+
+
+def _call(t: str, args: list[str], y: str) -> tuple[list[str], str]:
+    """A stage as one call of the attempt's argument ``f`` on the list ``y``."""
+    return [], f"f({t}, {y})"
+
+
+def _attempt_source(n: int, stage=_call) -> str:
     """Source of the straight-line attempt for state dimension ``n``.
 
     Built only from ``n`` and the tableau; every weight is written as its
@@ -195,6 +209,12 @@ def _attempt_source(n: int) -> str:
     + ...)``, summed left to right, and the error norm accumulates from 0.0
     component by component, so the arithmetic is that of a loop over the
     components.
+
+    ``stage(t, args, y)`` emits the field at each of stages 2..7: ``t`` is
+    the stage time, ``args`` the n component expressions of the stage
+    input and ``y`` the same input as one list. It returns statements and
+    an expression of the n field components. The default calls ``f(t, y)``;
+    :mod:`slowfast.closedloop` writes a loop's field inline.
     """
     idx = range(n)
 
@@ -204,29 +224,36 @@ def _attempt_source(n: int) -> str:
     def combo(terms, i: int) -> str:
         return " + ".join(f"{w!r} * k{s}_{i}" for s, w in terms)
 
+    def field(t: str, args: list[str], y: str) -> tuple[list[str], str]:
+        lines, value = stage(t, args, y)
+        return [f"    {line}" for line in lines], value
+
     lines = ["def attempt(f, t, h, y, k1, rtol, atol):",
              f"    {names('y')}= y",
              f"    {names('k1')}= k1"]
     for s, (c, weights) in enumerate(_STAGES, start=2):
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
         terms = list(enumerate(weights, start=1))
-        stage_in = ", ".join(f"y_{i} + h * ({combo(terms, i)})" for i in idx)
-        lines.append(f"    {names(f'k{s}')}= f({at}, [{stage_in}])")
+        args = [f"y_{i} + h * ({combo(terms, i)})" for i in idx]
+        body, value = field(at, args, f"[{', '.join(args)}]")
+        lines += [*body, f"    {names(f'k{s}')}= {value}"]
     for i in idx:
         lines.append(f"    w_{i} = y_{i} + h * ({combo(_SOLUTION, i)})")
-    w = ", ".join(f"w_{i}" for i in idx)
-    lines += [f"    y_new = [{w}]",
-              f"    norm = hypot({w})",
-              "    if not isfinite(norm):",
-              "        return nan, y_new, None, norm",
-              "    k7 = f(t + h, y_new)",
+    ws = [f"w_{i}" for i in idx]
+    body, value = field("t + h", ws, "y_new")
+    lines += [f"    y_new = [{', '.join(ws)}]",
+              f"    norm = _hypot({', '.join(ws)})",
+              "    if not _isfinite(norm):",
+              "        return _nan, y_new, None, norm",
+              *body,
+              f"    k7 = {value}",
               f"    {names('k7')}= k7",
               "    acc = 0.0"]
     for i in idx:
-        lines += [f"    v, w = abs(y_{i}), abs(w_{i})",
+        lines += [f"    v, w = _abs(y_{i}), _abs(w_{i})",
                   f"    q = h * ({combo(_ERROR, i)}) / (atol + rtol * (v if v > w else w))",
                   "    acc += q * q"]
-    lines.append(f"    return sqrt(acc / {n}), y_new, k7, norm")
+    lines.append(f"    return _sqrt(acc / {n}), y_new, k7, norm")
     return "\n".join(lines) + "\n"
 
 
@@ -240,8 +267,7 @@ def _attempt(n: int):
     solution, its stage (None when ``norm`` is not finite; err is then NaN)
     and the Euclidean norm of ``y_new``.
     """
-    scope = {"abs": abs, "hypot": math.hypot, "isfinite": math.isfinite,
-             "sqrt": math.sqrt, "nan": math.nan}
+    scope = dict(_ATTEMPT_SCOPE)
     exec(compile(_attempt_source(n), f"<dopri attempt n={n}>", "exec"), scope)
     return scope["attempt"]
 
@@ -282,11 +308,14 @@ def integrate(
     ``rhs`` and ``control`` receive the state as a fresh 1-d float array
     and may return any sequence of floats. One that carries a ``float_fn``
     attribute, a function ``(t, list) -> list`` of the same field, is
-    called through it instead, with and returning plain float lists; the
-    generated closed loops of :mod:`slowfast.closedloop` do, and the result
-    is the same bit for bit either way. A stage at which ``rhs`` raises an
-    :class:`ArithmeticError` counts as non-finite, like a stage that returns
-    inf or NaN: the step is halved and retried.
+    called through it instead, with and returning plain float lists. An
+    ``rhs`` that also carries an ``attempt`` attribute, a Dormand-Prince
+    attempt with its field inline (see :func:`_attempt_source`), is stepped
+    by it, else by the generic attempt of the state dimension. The
+    generated closed loops of :mod:`slowfast.closedloop` carry both, and
+    the result is the same bit for bit on every path. A stage at which
+    ``rhs`` raises an :class:`ArithmeticError` counts as non-finite, like a
+    stage that returns inf or NaN: the step is halved and retried.
     """
     y0 = np.array(ic, dtype=float)
     if y0.ndim != 1:
@@ -320,7 +349,8 @@ def integrate(
     rtol, atol = cfg.rtol, cfg.atol
     max_step, min_step = cfg.max_step, cfg.min_step
     div_norm = cfg.divergence_norm
-    attempt, isfinite = _attempt(n), math.isfinite
+    attempt = getattr(rhs, "attempt", None) or _attempt(n)
+    isfinite = math.isfinite
     outcome = Outcome.undecided()
 
     # first step guess, bounded by the output cadence
@@ -438,18 +468,19 @@ def control_sup_norm(traj: Trajectory, window: tuple[float, float]) -> float:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header t,x1,...,z,u1,... and >= 15 significant digits."""
     d = traj.states.shape[1]
+    times = traj.times.tolist()
     if traj.controls is not None:
         m = traj.controls.shape[1]
-        u_cols = traj.controls
+        controls = traj.controls.tolist()
     else:
         m = d - 1
-        u_cols = np.zeros((traj.times.size, m))
+        controls = [[0.0] * m] * len(times)
     header = (
         ["t"] + [f"x{i}" for i in range(1, d)] + ["z"]
         + [f"u{i}" for i in range(1, m + 1)]
     )
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            row = [traj.times[i], *traj.states[i], *u_cols[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(row.format(t, *x, *u)
+                      for t, x, u in zip(times, traj.states.tolist(), controls))

@@ -23,7 +23,7 @@ from slowfast.closedloop import (
 from slowfast.control import Theorem2Params, Theorem3Params, evaluate
 from slowfast.normal_form import NormalFormSystem
 from slowfast.scenarios import EX1_ICS, ConfigError, parse_config
-from slowfast.sim import config_for, integrate
+from slowfast.sim import NonFiniteError, config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
 
 P2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
@@ -133,12 +133,14 @@ class TestExprSlowField:
 
 
 class TestFloatPath:
-    """``integrate`` steps a closed loop through its float function; the same
-    rhs behind a plain callable (as a benchmark span wrapper presents it)
-    takes the array adapter, and both must give the same run bit for bit."""
+    """``integrate`` steps a closed loop through its fused attempt, the field
+    written inline at every stage; the same rhs behind a plain callable (as
+    a benchmark span wrapper presents it) takes the generic attempt and the
+    array adapter, and both must give the same run bit for bit."""
 
     @staticmethod
     def _assert_same_run(rhs, ueval, ic, cfg, **kwargs):
+        assert callable(rhs.attempt)
         assert callable(rhs.float_fn) and callable(ueval.float_fn)
         direct = integrate(rhs, ic, cfg, control=ueval, **kwargs)
         adapted = integrate(lambda t, y: rhs(t, y), ic, cfg,
@@ -164,6 +166,45 @@ class TestFloatPath:
         rhs, ueval, _ = build_closed_loop(sys, variant)
         self._assert_same_run(rhs, ueval, [0.1, -0.1, 0.05, 0.2], config_for(0.05, 3.0),
                               stop_ball=1e-3)
+
+    def test_every_generated_loop(self):
+        # the 28 (system, variant) pairs of TestGenerated, run freely from a
+        # seeded state and stopped early from near the origin
+        rng = np.random.default_rng(11)
+        n = 0
+        for system, _, variants in _loops():
+            for variant in variants:
+                rhs, ueval, _ = build_closed_loop(system, variant)
+                y = rng.uniform(-1.0, 1.0, system.n_slow + 1)
+                y[0] = abs(y[0])  # x1 ** 0.5 starts real
+                self._assert_same_run(rhs, ueval, y, config_for(system.epsilon, 0.5))
+                self._assert_same_run(rhs, ueval, 1e-4 * y, config_for(system.epsilon, 1.2),
+                                      stop_ball=1e-3)
+                n += 1
+        assert n == 28
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_failing_fields(self):
+        cfg = config_for(0.01, 1.0)
+
+        def loop(expr):
+            system = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(exprs=(expr,)))
+            return build_closed_loop(system, OpenLoop())[:2]
+
+        def raises_on_both_paths(exc, rhs, ueval, ic):
+            for r, u in ((rhs, ueval), (lambda t, y: rhs(t, y), lambda t, y: ueval(t, y))):
+                with pytest.raises(exc):
+                    integrate(r, ic, cfg, control=u, stop_ball=1e-3)
+
+        # the field overflows inside a stage, or already at the state
+        rhs, ueval = loop("x1 ** 400")
+        assert self._assert_same_run(rhs, ueval, [5.0, 0.0], cfg).outcome.is_diverged
+        raises_on_both_paths(OverflowError, rhs, ueval, [10.0, 0.0])
+        # numpy's sqrt gives NaN: in the stages that overshoot x1 = -1, where
+        # the step is halved and retried, or already at the state
+        rhs, ueval = loop("-sqrt(1.0 - x1*x1)")
+        assert self._assert_same_run(rhs, ueval, [-0.99, 0.995], cfg).states[-1, 0] == -1.0
+        raises_on_both_paths(NonFiniteError, *loop("sqrt(-1.0 - x1*x1)"), [0.5, 0.5])
 
 
 def _mistyped_field(x, z, eps):

@@ -1,8 +1,13 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from slowfast import closedloop
 from slowfast.closedloop import Thm2
 from slowfast.control import Theorem2Params
+from slowfast.normal_form import compile_functions
 from slowfast.roa import GridSpec, compare, sweep, write_report_csv
 from slowfast.scenarios import _planar_variants
 from slowfast.sim import config_for
@@ -59,9 +64,25 @@ class TestSweep:
         cfg = config_for(0.01, 10.0)
         serial = sweep(sys, Thm2(P2), grid, cfg, jobs=1)
         parallel = sweep(sys, Thm2(P2), grid, cfg, jobs=2)
-        assert [o.kind for o in serial.outcomes] == [
-            o.kind for o in parallel.outcomes
-        ]
+        assert len({o.kind for o in serial.outcomes}) > 1
+        assert serial.outcomes == parallel.outcomes  # kinds and times, in grid order
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the parent's loop only when forked")
+    def test_workers_inherit_the_compiled_loop(self, monkeypatch):
+        parent = os.getpid()
+
+        def compile_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a sweep worker compiled the loop")
+            return compile_functions(*args)
+
+        closedloop._generated.cache_clear()
+        monkeypatch.setattr(closedloop, "compile_functions", compile_in_parent_only)
+        sys = build_planar_example(0.01)
+        grid = GridSpec(x_ranges=((-1.0, 1.0, 2),), z_range=(-1.0, 1.0, 2))
+        rep = sweep(sys, Thm2(P2), grid, config_for(0.01, 1.0), jobs=2)
+        assert len(rep.outcomes) == 4
 
     def test_refinement_preserves_coinciding_nodes(self):
         sys = build_planar_example(0.01)

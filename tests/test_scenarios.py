@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from slowfast.scenarios import (
+    EX1_HIGHGAIN_A,
+    EX1_HIGHGAIN_B,
+    EX1_ICS,
     ConfigError,
     EX2_ICS,
     build_system,
     build_variant,
     parse_config,
+    run_ex1,
     run_scenario,
     select_compensation_gain,
     simulate_switched,
 )
 from slowfast import scenarios
-from slowfast.closedloop import Thm2, build_closed_loop
+from slowfast.closedloop import HighGain, Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
-from slowfast.sim import config_for
-from slowfast.systems import build_planar_example
+from slowfast.sim import config_for, integrate
+from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
 
 
 def planar_config(**over):
@@ -170,6 +174,30 @@ class TestSwitching:
         i = int(np.where(traj.times == 1.0)[0][0])
         assert np.all(traj.controls[:i] == 0.0)
         assert traj.controls[i] != 0.0
+
+
+class TestEx1:
+    def test_open_loop_segments_integrated_once(self, monkeypatch):
+        calls = []
+
+        def counted(rhs, ic, cfg, t0=0.0, **kwargs):
+            calls.append((t0, tuple(np.asarray(ic).tolist())))
+            return integrate(rhs, ic, cfg, t0=t0, **kwargs)
+
+        monkeypatch.setattr(scenarios, "integrate", counted)
+        rep = run_ex1(switch_on_time=0.5, t_final=1.0)
+        # u, v, the literal benchmark and the probe switch on from one
+        # open-loop segment per initial condition: 3 segments, 6 switch-ons
+        assert len(calls) == 9
+        opened = [ic for t0, ic in calls if t0 == 0.0]
+        assert len(opened) == len(set(opened)) == 3
+        assert set(EX1_ICS) < set(opened)
+        assert [t0 for t0, _ in calls].count(0.5) == 6
+        system = build_tunnel_diode(TunnelDiodeParams(epsilon=0.01))
+        literal = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B)
+        alone = simulate_switched(system, literal, EX1_ICS[0], config_for(0.01, 1.0),
+                                  switch_on_time=0.5)
+        assert np.array_equal(rep.v_literal_final_state, alone.states[-1])
 
 
 class TestGainSelection:

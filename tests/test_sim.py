@@ -293,7 +293,42 @@ class TestControlSupNorm:
             control_sup_norm(traj, (5.0, 6.0))
 
 
+def _rowwise_csv(traj, path):
+    """Reference writer: formats the numpy rows one by one."""
+    d = traj.states.shape[1]
+    if traj.controls is not None:
+        m, u_cols = traj.controls.shape[1], traj.controls
+    else:
+        m, u_cols = d - 1, np.zeros((traj.times.size, d - 1))
+    header = ["t"] + [f"x{i}" for i in range(1, d)] + ["z"] + [f"u{i}" for i in range(1, m + 1)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(traj.times.size):
+            row = [traj.times[i], *traj.states[i], *u_cols[i]]
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 class TestTrajectoryCsv:
+    def test_bytes_equal_to_row_by_row_formatting(self, tmp_path):
+        awkward = [-0.0, 1.0 / 3.0, 5e-324, 1e308, math.inf, -math.inf, 7.0]
+        rng = np.random.default_rng(3)
+        n = 40
+        traj = Trajectory(times=np.linspace(0.0, 0.39, n),
+                          states=rng.choice(awkward, size=(n, 3)),
+                          controls=rng.choice(awkward, size=(n, 2)),
+                          outcome=Outcome.undecided())
+        bare = integrate(decay, np.array([1.0 / 3.0, -0.0]),
+                         IntegratorConfig(t_final=0.2, record_stride=0.1, max_step=1e-2))
+        for name, t in (("awkward", traj), ("bare", bare)):
+            write_trajectory_csv(t, tmp_path / f"{name}.csv")
+            _rowwise_csv(t, tmp_path / f"{name}_ref.csv")
+            data = (tmp_path / f"{name}.csv").read_bytes()
+            assert data == (tmp_path / f"{name}_ref.csv").read_bytes()
+            assert data.count(b"\n") == len(t) + 1
+        fields = set((tmp_path / "awkward.csv").read_text().replace("\n", ",").split(","))
+        assert {"-0", "0.33333333333333331", "4.9406564584124654e-324", "1e+308", "inf",
+                "-inf"} <= fields
+
     def test_header_and_digits(self, tmp_path):
         traj = Trajectory(
             times=np.array([0.0, 0.1]),
