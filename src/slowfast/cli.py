@@ -12,6 +12,7 @@ import sys
 from .roa import GridSpec, sweep, write_report_csv
 from .scenarios import (
     ConfigError,
+    _integrator_config,
     build_system,
     build_variant,
     default_ex2_grid,
@@ -21,7 +22,6 @@ from .scenarios import (
     run_ex2_roa,
     run_scenario,
 )
-from .sim import config_for
 from .verification import SUITES, run_suites
 
 EXIT_OK = 0
@@ -139,8 +139,8 @@ def _cmd_roa(args) -> int:
     except ValueError as exc:  # a ConfigError, or a malformed grid
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    icfg = config_for(cfg.epsilon, cfg.t_final, **cfg.integrator)
-    report = sweep(system, build_variant(cfg, system), grid, icfg, jobs=args.jobs)
+    report = sweep(system, build_variant(cfg, system), grid, _integrator_config(cfg),
+                   jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "roa.csv")
     write_report_csv(report, path)

@@ -14,7 +14,6 @@ compiled by :func:`compile_functions`.
 from __future__ import annotations
 
 import ast
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -321,12 +320,14 @@ def parse_expression(src: str, env: dict) -> ast.expr:
 
 
 class _Fill(ast.NodeTransformer):
+    # each tree gets its locations once and is spliced in, uncopied, at
+    # every use of its name: compile only reads the module
+
     def __init__(self, trees: dict):
-        self.trees = trees
+        self.trees = {name: ast.fix_missing_locations(tree) for name, tree in trees.items()}
 
     def visit_Name(self, node):
-        tree = self.trees.get(node.id)
-        return node if tree is None else copy.deepcopy(tree)
+        return self.trees.get(node.id, node)
 
 
 def compile_functions(src: str, trees: dict, scope: dict | None = None) -> dict:
@@ -341,7 +342,7 @@ def compile_functions(src: str, trees: dict, scope: dict | None = None) -> dict:
     """
     module = _Fill(trees).visit(ast.parse(src))
     ns = {**_SCOPE, **(scope or {})}
-    exec(compile(ast.fix_missing_locations(module), "<generated>", "exec"), ns)
+    exec(compile(module, "<generated>", "exec"), ns)
     return ns
 
 

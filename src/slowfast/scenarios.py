@@ -1,17 +1,18 @@
 """Experiment configuration and the two reproduction scenarios.
 
-Configs are JSON with an explicit schema: unknown keys are errors, parsed
-configs serialize back to an identical structure, and runs with the same
-config are bit-identical. The circuit scenario switches the controllers on
-mid-run by stitching an open-loop segment to a closed-loop one, so the
-switch time is hit exactly.
+Configs are JSON with an explicit schema: unknown keys are errors, and a
+parsed config keeps each section as its checked JSON, so it serializes back
+to an identical structure. A config is checked by building what a run
+builds from it, and runs with the same config are bit-identical. The
+circuit scenario switches the controllers on mid-run by stitching an
+open-loop segment to a closed-loop one, so the switch time is hit exactly.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -103,39 +104,94 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
-def _vector(v, where: str) -> list[float]:
+def _vector(v, where: str, size: int | None = None) -> list[float]:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where} must be a non-empty list of numbers")
+    if size is not None and len(v) != size:
+        raise ConfigError(f"{where} must have {size} entries for this system")
     return [_number(e, f"{where}[{i}]") for i, e in enumerate(v)]
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    builtin: str
-    k: int | None = None
-    f: tuple[str, ...] | None = None
-    L: float = 1.0
-    Cap: float = 1.0
+def _order(v, where: str) -> int:
+    if not isinstance(v, int) or v < 2:
+        raise ConfigError(f"{where} must be an integer >= 2")
+    return v
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
-    type: str
-    a: tuple[float, ...] | None = None
-    b: float | None = None
-    c: tuple[float, ...] | None = None
-    K: tuple[float, ...] | None = None
-    chi_star: tuple[float, ...] | None = None
-    A: tuple[float, ...] | None = None
-    B: float | None = None
-    cancel_constants: bool = False
+def _exprs(v, where: str) -> list[str]:
+    if not isinstance(v, list) or not all(isinstance(e, str) for e in v):
+        raise ConfigError(f"{where} must be a list of expression strings")
+    try:
+        ExprSlowField(exprs=tuple(v))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return list(v)
+
+
+def _flag(v, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where} must be a boolean")
+    return v
+
+
+# the section schemas: each kind of system or controller maps its keys to
+# (check, default); a key whose default is _REQUIRED must be given, and one
+# whose default is None is left out when it is not
+_REQUIRED = object()
+_SYSTEMS = {
+    "planar": {},
+    "tunnel_diode": {"L": (_number, 1.0), "Cap": (_number, 1.0)},
+    "custom": {"k": (_order, _REQUIRED), "f": (_exprs, _REQUIRED)},
+}
+_THM2 = {"a": (_vector, _REQUIRED), "b": (_number, _REQUIRED), "c": (_vector, None)}
+_CONTROLLERS = {
+    "none": {},
+    "thm2": _THM2,
+    "thm2plus3": {**_THM2, "K": (_vector, _REQUIRED), "chi_star": (_vector, _REQUIRED)},
+    "highgain": {"A": (_vector, _REQUIRED), "B": (_number, _REQUIRED),
+                 "cancel_constants": (_flag, False)},
+}
+# the gain vectors with one entry per slow state (``c`` is checked by the law)
+_SIZED = ("a", "K", "chi_star", "A")
+_INTEGRATOR_KEYS = [f.name for f in fields(IntegratorConfig) if f.name != "t_final"]
+
+
+def _section(raw, where: str, tag: str, schemas: dict) -> dict:
+    """``raw`` checked against the schema of the kind its ``tag`` names."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = raw.get(tag)
+    if not isinstance(kind, str) or kind not in schemas:
+        raise ConfigError(f"{where}.{tag} must be one of {', '.join(schemas)}; got {kind!r}")
+    schema = schemas[kind]
+    _require_keys(raw, {tag: True, **{key: default is _REQUIRED
+                                      for key, (_, default) in schema.items()}}, where)
+    section = {tag: kind}
+    for key, (check, default) in schema.items():
+        if key in raw:
+            section[key] = check(raw[key], f"{where}.{key}")
+        elif default is not None:
+            section[key] = default
+    return section
+
+
+def _checked(where: str, build, *args):
+    """``build(*args)``; a ValueError or ArithmeticError it raises is an
+    error of the config section ``where``."""
+    try:
+        return build(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    system: SystemConfig
+    """A checked config. The sections are JSON: numbers as floats, defaults
+    filled in, and ``c`` left out when it defaults to the drift at the origin."""
+
+    system: dict
     epsilon: float
-    controller: ControllerConfig
+    controller: dict
     ics: tuple[tuple[float, ...], ...]
     t_final: float = 10.0
     switch_on_time: float = 0.0
@@ -144,114 +200,16 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["system"] = {k: v for k, v in d["system"].items() if v is not None}
-        if d["system"]["builtin"] != "tunnel_diode":
-            d["system"].pop("L", None)
-            d["system"].pop("Cap", None)
-        if d["system"].get("f") is not None:
-            d["system"]["f"] = list(d["system"]["f"])
-        ctrl = {k: v for k, v in d["controller"].items() if v is not None}
-        if ctrl["type"] != "highgain":
-            ctrl.pop("cancel_constants", None)
-        for key in ("a", "c", "K", "chi_star", "A"):
-            if key in ctrl:
-                ctrl[key] = list(ctrl[key])
-        d["controller"] = ctrl
-        d["ics"] = [list(ic) for ic in d["ics"]]
-        if d["outputs"] is None:
-            d.pop("outputs")
+        d["ics"] = [list(ic) for ic in self.ics]
+        if self.outputs is None:
+            del d["outputs"]
         return d
 
 
-def _parse_system(section, where="system") -> SystemConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    builtin = section.get("builtin")
-    if builtin == "planar":
-        _require_keys(section, {"builtin": True}, where)
-        return SystemConfig(builtin="planar")
-    if builtin == "tunnel_diode":
-        _require_keys(section, {"builtin": True, "L": False, "Cap": False}, where)
-        return SystemConfig(
-            builtin="tunnel_diode",
-            L=_number(section.get("L", 1.0), f"{where}.L"),
-            Cap=_number(section.get("Cap", 1.0), f"{where}.Cap"),
-        )
-    if builtin == "custom":
-        _require_keys(section, {"builtin": True, "k": True, "f": True}, where)
-        k = section["k"]
-        if not isinstance(k, int) or k < 2:
-            raise ConfigError(f"{where}.k must be an integer >= 2")
-        f = section["f"]
-        if not isinstance(f, list) or len(f) != k - 1 or not all(
-            isinstance(e, str) for e in f
-        ):
-            raise ConfigError(f"{where}.f must be a list of {k - 1} expression strings")
-        try:
-            ExprSlowField(exprs=tuple(f))
-        except ValueError as exc:
-            raise ConfigError(f"{where}.f: {exc}") from None
-        return SystemConfig(builtin="custom", k=k, f=tuple(f))
-    raise ConfigError(
-        f"{where}.builtin must be one of planar, tunnel_diode, custom; got {builtin!r}"
-    )
-
-
-def _parse_controller(section, n_slow: int, where="controller") -> ControllerConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    ctype = section.get("type")
-    if ctype == "none":
-        _require_keys(section, {"type": True}, where)
-        return ControllerConfig(type="none")
-    if ctype in ("thm2", "thm2plus3"):
-        allowed = {"type": True, "a": True, "b": True, "c": False}
-        if ctype == "thm2plus3":
-            allowed.update({"K": True, "chi_star": True})
-        _require_keys(section, allowed, where)
-        a = _vector(section["a"], f"{where}.a")
-        if len(a) != n_slow:
-            raise ConfigError(f"{where}.a must have {n_slow} entries for this system")
-        c = _vector(section["c"], f"{where}.c") if "c" in section else None
-        kw = {}
-        if ctype == "thm2plus3":
-            K = _vector(section["K"], f"{where}.K")
-            chi = _vector(section["chi_star"], f"{where}.chi_star")
-            if len(K) != n_slow or len(chi) != n_slow:
-                raise ConfigError(
-                    f"{where}.K and {where}.chi_star must have {n_slow} entries"
-                )
-            kw = {"K": tuple(K), "chi_star": tuple(chi)}
-        return ControllerConfig(
-            type=ctype, a=tuple(a), b=_number(section["b"], f"{where}.b"),
-            c=tuple(c) if c is not None else None, **kw,
-        )
-    if ctype == "highgain":
-        _require_keys(
-            section, {"type": True, "A": True, "B": True, "cancel_constants": False},
-            where,
-        )
-        A = _vector(section["A"], f"{where}.A")
-        if len(A) != n_slow:
-            raise ConfigError(f"{where}.A must have {n_slow} entries for this system")
-        flag = section.get("cancel_constants", False)
-        if not isinstance(flag, bool):
-            raise ConfigError(f"{where}.cancel_constants must be a boolean")
-        return ControllerConfig(
-            type="highgain", A=tuple(A), B=_number(section["B"], f"{where}.B"),
-            cancel_constants=flag,
-        )
-    raise ConfigError(
-        f"{where}.type must be one of none, thm2, thm2plus3, highgain; got {ctype!r}"
-    )
-
-
-_INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "divergence_norm", "min_step",
-                    "record_stride")
-
-
 def parse_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw mapping against the scenario schema."""
+    """Validate a raw mapping against the scenario schema, and build the
+    system, the controller's law on it and the integrator's settings the
+    way a run does, without compiling a closed loop."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _require_keys(
@@ -261,22 +219,23 @@ def parse_config(raw: dict) -> ScenarioConfig:
          "outputs": False},
         "config",
     )
-    system = _parse_system(raw["system"])
+    system = _section(raw["system"], "system", "builtin", _SYSTEMS)
+    if system["builtin"] == "custom" and len(system["f"]) != system["k"] - 1:
+        raise ConfigError(f"system.f must be a list of {system['k'] - 1} expression strings")
     epsilon = _number(raw["epsilon"], "epsilon")
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    n_slow = 2 if system.builtin == "tunnel_diode" else (system.k or 2) - 1
-    controller = _parse_controller(raw["controller"], n_slow)
-    ics_raw = raw["ics"]
-    if not isinstance(ics_raw, list) or not ics_raw:
+    built = _checked("system", _system, system, epsilon)
+    n_slow = built.n_slow
+    controller = _section(raw["controller"], "controller", "type", _CONTROLLERS)
+    for key in _SIZED:
+        if key in controller:
+            _vector(controller[key], f"controller.{key}", n_slow)
+    _checked("controller", lambda: law(built, _variant(controller, built)))
+    ics = raw["ics"]
+    if not isinstance(ics, list) or not ics:
         raise ConfigError("ics must be a non-empty list of state vectors")
-    dim = n_slow + 1
-    ics = []
-    for i, ic in enumerate(ics_raw):
-        vec = _vector(ic, f"ics[{i}]")
-        if len(vec) != dim:
-            raise ConfigError(f"ics[{i}] must have {dim} entries for this system")
-        ics.append(tuple(vec))
+    ics = [tuple(_vector(ic, f"ics[{i}]", n_slow + 1)) for i, ic in enumerate(ics)]
     t_final = _number(raw.get("t_final", 10.0), "t_final")
     switch = _number(raw.get("switch_on_time", 0.0), "switch_on_time")
     if not 0.0 <= switch < t_final:
@@ -284,9 +243,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     integrator = raw.get("integrator", {})
     if not isinstance(integrator, dict):
         raise ConfigError("integrator must be an object")
-    for key in integrator:
-        if key not in _INTEGRATOR_KEYS:
-            raise ConfigError(f"unknown key `{key}` in integrator")
+    _require_keys(integrator, dict.fromkeys(_INTEGRATOR_KEYS, False), "integrator")
     integrator = {k: _number(v, f"integrator.{k}") for k, v in integrator.items()}
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
@@ -296,16 +253,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         ics=tuple(ics), t_final=t_final, switch_on_time=switch,
         integrator=integrator, outputs=outputs,
     )
-    # a section that cannot be built, or a controller that cannot run on the
-    # system, is an error of the config: build both and the law, the way a
-    # run does, without compiling anything
-    where = "system"
-    try:
-        built = build_system(cfg)
-        where = "controller"
-        law(built, build_variant(cfg, built))
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    _checked("integrator", _integrator_config, cfg)
     return cfg
 
 
@@ -321,33 +269,40 @@ def load_config(path) -> ScenarioConfig:
 
 
 def build_system(cfg: ScenarioConfig):
-    sc = cfg.system
-    if sc.builtin == "planar":
-        return build_planar_example(cfg.epsilon)
-    if sc.builtin == "tunnel_diode":
-        return build_tunnel_diode(
-            TunnelDiodeParams(L=sc.L, Cap=sc.Cap, epsilon=cfg.epsilon)
-        )
-    return NormalFormSystem(k=sc.k, epsilon=cfg.epsilon,
-                            slow_f=ExprSlowField(exprs=sc.f))
+    return _system(cfg.system, cfg.epsilon)
 
 
 def build_variant(cfg: ScenarioConfig, system) -> Variant:
-    cc = cfg.controller
-    if cc.type == "none":
+    return _variant(cfg.controller, system)
+
+
+def _system(section: dict, epsilon: float):
+    if section["builtin"] == "planar":
+        return build_planar_example(epsilon)
+    if section["builtin"] == "tunnel_diode":
+        return build_tunnel_diode(
+            TunnelDiodeParams(L=section["L"], Cap=section["Cap"], epsilon=epsilon))
+    return NormalFormSystem(k=section["k"], epsilon=epsilon,
+                            slow_f=ExprSlowField(exprs=tuple(section["f"])))
+
+
+def _variant(section: dict, system) -> Variant:
+    ctype = section["type"]
+    if ctype == "none":
         return OpenLoop()
-    if cc.type in ("thm2", "thm2plus3"):
-        c = cc.c if cc.c is not None else drift_at_origin(system)
-        p2 = Theorem2Params(c=np.asarray(c), a=np.asarray(cc.a), b=cc.b)
-        if cc.type == "thm2":
-            return Thm2(p2)
-        p3 = Theorem3Params(K=np.asarray(cc.K), chi_star=np.asarray(cc.chi_star))
-        return Thm2Plus3(p2, p3)
-    return HighGain(a=cc.A, b=cc.B, cancel_constants=cc.cancel_constants)
+    if ctype == "highgain":
+        return HighGain(a=tuple(section["A"]), b=section["B"],
+                        cancel_constants=section["cancel_constants"])
+    c = section["c"] if "c" in section else drift_at_origin(system)
+    p2 = Theorem2Params(c=np.asarray(c), a=np.asarray(section["a"]), b=section["b"])
+    if ctype == "thm2":
+        return Thm2(p2)
+    return Thm2Plus3(p2, Theorem3Params(K=np.asarray(section["K"]),
+                                        chi_star=np.asarray(section["chi_star"])))
 
 
-def _integrator_config(cfg: ScenarioConfig, t_final: float) -> IntegratorConfig:
-    return config_for(cfg.epsilon, t_final, **cfg.integrator)
+def _integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
+    return config_for(cfg.epsilon, cfg.t_final, **cfg.integrator)
 
 
 def simulate_switched(
@@ -414,7 +369,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run every configured initial condition and optionally emit CSVs."""
     system = build_system(cfg)
     variant = build_variant(cfg, system)
-    icfg = _integrator_config(cfg, cfg.t_final)
+    icfg = _integrator_config(cfg)
     trajectories: list[Trajectory] = []
     outcomes: list[Outcome] = []
     failures: list[str | None] = []
@@ -615,7 +570,6 @@ class Ex2Report:
     diverging_ic_k0: tuple[float, float] | None
     contract_ok: bool
     contract_notes: list[str]
-    roa: RoAComparison | None = None
 
 
 def run_ex2_matrix(out_dir=None) -> Ex2Report:

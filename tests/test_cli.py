@@ -127,6 +127,19 @@ def test_system_that_cannot_be_built_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+@pytest.mark.parametrize("integrator", [
+    {"rtol": -1}, {"record_stride": 0}, {"min_step": 1e-3, "max_step": 1e-3},
+])
+def test_integrator_that_cannot_be_built_exits_one(tmp_path, capsys, command, integrator):
+    raw = dict(PLANAR, integrator=integrator)
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: integrator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRoaCommand:
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)

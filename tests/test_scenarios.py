@@ -112,6 +112,54 @@ class TestConfigSchema:
         rhs, _, _ = build_closed_loop(system, build_variant(cfg, system))
         assert rhs(0.0, np.zeros(3)) == [0.0, 0.0, 0.0]
 
+    def test_sections_are_checked_json_with_defaults_filled_in(self):
+        raw = planar_config(epsilon=0.01, ics=[[0, 0, 0]],
+                            controller={"type": "highgain", "A": [1, 1], "B": 10})
+        raw["system"] = {"builtin": "tunnel_diode"}
+        cfg = parse_config(raw)
+        assert cfg.system == {"builtin": "tunnel_diode", "L": 1.0, "Cap": 1.0}
+        assert cfg.controller == {"type": "highgain", "A": [1.0, 1.0], "B": 10.0,
+                                  "cancel_constants": False}
+        assert all(type(v) is float for v in [*cfg.controller["A"], cfg.controller["B"]])
+        raw = planar_config(controller={"type": "thm2", "a": [1], "b": 3})
+        assert parse_config(raw).controller == {"type": "thm2", "a": [1.0], "b": 3.0}
+
+
+# (system section, its number of slow states)
+ROUNDTRIP_SYSTEMS = {
+    "planar": ({"builtin": "planar"}, 1),
+    "tunnel_diode": ({"builtin": "tunnel_diode"}, 2),
+    "tunnel_diode-L-Cap": ({"builtin": "tunnel_diode", "L": 2, "Cap": 0.5}, 2),
+    "custom-k3": ({"builtin": "custom", "k": 3, "f": ["1 + x1 + z", "x2 * z"]}, 2),
+}
+ROUNDTRIP_CONTROLLERS = {
+    "none": lambda m: {"type": "none"},
+    "thm2": lambda m: {"type": "thm2", "a": [1] * m, "b": 3},
+    "thm2-c": lambda m: {"type": "thm2", "a": [1] * m, "b": 3, "c": [0.5] * m},
+    "thm2plus3": lambda m: {"type": "thm2plus3", "a": [1] * m, "b": 3,
+                            "K": [5] + [0] * (m - 1), "chi_star": [-2] + [0] * (m - 1)},
+    "highgain": lambda m: {"type": "highgain", "A": [1] * m, "B": 10},
+    "highgain-cancel": lambda m: {"type": "highgain", "A": [1] * m, "B": 10,
+                                  "cancel_constants": True},
+}
+
+# thm2plus3 is not defined on tunnel_diode
+ROUNDTRIP_CASES = [(name, ctrl) for name in ROUNDTRIP_SYSTEMS for ctrl in ROUNDTRIP_CONTROLLERS
+                   if not (ctrl == "thm2plus3" and name.startswith("tunnel_diode"))]
+
+
+@pytest.mark.parametrize("name, ctrl", ROUNDTRIP_CASES)
+def test_config_roundtrip(name, ctrl):
+    section, m = ROUNDTRIP_SYSTEMS[name]
+    base = {"system": section, "epsilon": 0.05,
+            "controller": ROUNDTRIP_CONTROLLERS[ctrl](m), "ics": [[0.1] * (m + 1)]}
+    for extra in ({}, {"integrator": {"rtol": 1e-7, "record_stride": 1}},
+                  {"outputs": "out/roundtrip"},
+                  {"integrator": {"max_step": 1e-4}, "outputs": "out/roundtrip"}):
+        cfg = parse_config({**base, **extra})
+        again = parse_config(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+
 
 class TestRunScenario:
     def test_planar_thm2_converges(self, tmp_path):
