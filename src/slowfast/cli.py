@@ -131,6 +131,9 @@ def _cmd_ex2(args) -> int:
 def _cmd_roa(args) -> int:
     try:
         cfg = load_config(args.config)
+        if cfg.switch_on_time > 0:
+            raise ConfigError("switch_on_time must be 0: a sweep runs closed loop"
+                              f" from t = 0, got {cfg.switch_on_time}")
         system = build_system(cfg)
         grid = GridSpec(
             x_ranges=((args.x_range[0], args.x_range[1], args.grid),) * system.n_slow,

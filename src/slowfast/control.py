@@ -52,6 +52,8 @@ class Theorem2Params:
         object.__setattr__(self, "b", float(self.b))
         if self.c.size != self.a.size:
             raise ValueError("c and a must have the same length")
+        if not np.all(np.isfinite([*self.c, *self.a, self.b])):
+            raise ValueError("c, a and b must be finite")
         if not np.all(self.a > 0):
             raise ValueError("all entries of a must be > 0")
         if not self.b > 0:
@@ -75,6 +77,8 @@ class Theorem3Params:
         object.__setattr__(self, "chi_star", _vec(self.chi_star, name="chi_star"))
         if self.K.size != self.chi_star.size:
             raise ValueError("K and chi_star must have the same length")
+        if not np.all(np.isfinite([*self.K, *self.chi_star])):
+            raise ValueError("K and chi_star must be finite")
         if np.any(self.K < 0):
             raise ValueError("all entries of K must be >= 0")
         if np.any(self.K > 0):

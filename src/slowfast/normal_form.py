@@ -174,13 +174,15 @@ def degeneracy_order(x, z: float, k: int) -> int:
     """Smallest m >= 1 with nonzero m-th z-derivative of g at a point of S.
 
     m = 1 means the point is normally hyperbolic; m = k occurs only at the
-    origin. The point must lie on the critical manifold within the
-    scale-aware tolerance.
+    origin. The point must be finite and lie on the critical manifold
+    within the scale-aware tolerance.
     """
     xv = _vec(x, k - 1, "x")
+    if not (np.all(np.isfinite(xv)) and np.isfinite(z)):
+        raise ValueError(f"point must be finite, got x={xv.tolist()}, z={z}")
     tol = on_manifold_tolerance(xv, z, k)
     residual = abs(eval_g(xv, z, k))
-    if residual > tol:
+    if not residual <= tol:
         raise ValueError(
             f"point is off the critical manifold: |g| = {residual:.3e} > {tol:.3e}"
         )

@@ -71,7 +71,10 @@ class RoAReport:
     grid: GridSpec
     variant: str
     outcomes: list[Outcome]
-    converged_count: int
+
+    @property
+    def converged_count(self) -> int:
+        return sum(1 for o in self.outcomes if o.is_converged)
 
     @property
     def diverged_count(self) -> int:
@@ -112,9 +115,7 @@ def sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, outcome in zip(order.tolist(), pool.map(runner, pts[order])):
                 outcomes[i] = outcome
-    converged = sum(1 for o in outcomes if o.is_converged)
-    return RoAReport(grid=grid, variant=describe(variant),
-                     outcomes=outcomes, converged_count=converged)
+    return RoAReport(grid=grid, variant=describe(variant), outcomes=outcomes)
 
 
 @dataclass

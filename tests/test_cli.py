@@ -162,6 +162,21 @@ class TestRoaCommand:
         assert "converged=4" in out
         assert (tmp_path / "roa" / "roa.csv").exists()
 
+    @pytest.mark.parametrize("switch_on_time", [1.0, 0.0])
+    def test_sweep_runs_closed_loop_from_zero(self, tmp_path, capsys, switch_on_time):
+        cfg = write_config(tmp_path, dict(PLANAR, switch_on_time=switch_on_time))
+        code = main([
+            "roa", "--config", cfg, "--out", str(tmp_path / "roa"),
+            "--grid", "2", "--x-range", "-0.01", "0.01",
+            "--z-range", "-0.01", "0.01", "--jobs", "1",
+        ])
+        written = (tmp_path / "roa" / "roa.csv").exists()
+        if switch_on_time > 0:
+            assert code == 1 and not written
+            assert "config error: switch_on_time" in capsys.readouterr().err
+        else:
+            assert code == 0 and written
+
 
 class TestVerifyCommand:
     def test_fast_suites_pass(self, capsys):
@@ -193,3 +208,11 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "eigenvalues"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_error_exits_three(self, capsys, monkeypatch):
+        import slowfast.normal_form as normal_form
+
+        monkeypatch.setattr(normal_form, "eval_g", lambda x, z, k: float("nan"))
+        code = main(["verify", "--suite", "quasihomogeneity"])
+        assert code == 3
+        assert "FAIL\tquasihomogeneity\tmax_err=nan" in capsys.readouterr().out

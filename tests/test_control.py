@@ -46,6 +46,24 @@ class TestParams:
         with pytest.raises(ValueError, match="K must be >= 0"):
             Theorem3Params(K=[-1.0], chi_star=[-2.0])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(c=[np.nan], a=[1.0], b=1.0),
+        dict(c=[0.0], a=[np.inf], b=1.0),
+        dict(c=[0.0], a=[1.0], b=np.inf),
+    ])
+    def test_non_finite_baseline_constant_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Theorem2Params(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(K=[np.nan], chi_star=[0.5]),
+        dict(K=[np.inf], chi_star=[-2.0]),
+        dict(K=[0.0], chi_star=[np.nan]),
+    ])
+    def test_non_finite_compensation_constant_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Theorem3Params(**kwargs)
+
 
 class TestThm2Control:
     def test_worked_example(self):

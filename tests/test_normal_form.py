@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowfast import normal_form
 from slowfast.normal_form import (
     NormalFormSystem,
     State,
@@ -172,6 +173,16 @@ class TestDegeneracyOrder:
     def test_off_manifold_rejected(self):
         with pytest.raises(ValueError, match="off the critical manifold"):
             degeneracy_order([1.0], 1.0, 2)
+
+    @pytest.mark.parametrize("x, z", [([np.nan], 0.0), ([0.0], np.nan), ([np.inf], 0.0)])
+    def test_non_finite_point_rejected(self, x, z):
+        with pytest.raises(ValueError, match="finite"):
+            degeneracy_order(x, z, 2)
+
+    def test_nan_residual_is_off_the_manifold(self, monkeypatch):
+        monkeypatch.setattr(normal_form, "eval_g", lambda x, z, k: np.nan)
+        with pytest.raises(ValueError, match="off the critical manifold"):
+            degeneracy_order([0.0], 0.0, 2)
 
 
 class TestValidate:

@@ -8,9 +8,9 @@ from slowfast import closedloop
 from slowfast.closedloop import Thm2
 from slowfast.control import Theorem2Params
 from slowfast.normal_form import compile_functions
-from slowfast.roa import GridSpec, compare, sweep, write_report_csv
+from slowfast.roa import GridSpec, RoAReport, compare, sweep, write_report_csv
 from slowfast.scenarios import _planar_variants
-from slowfast.sim import config_for
+from slowfast.sim import Outcome, config_for
 from slowfast.systems import build_planar_example
 
 P2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
@@ -105,6 +105,14 @@ class TestSweep:
             1 for o in rep.outcomes if o.is_converged
         )
         assert len(rep.outcomes) == grid.n_cells
+
+    def test_counts_are_read_from_the_outcomes(self):
+        grid = GridSpec(x_ranges=((0.0, 1.0, 2),), z_range=(0.0, 1.0, 2))
+        rep = RoAReport(grid=grid, variant="v", outcomes=[
+            Outcome.converged(1.0), Outcome.diverged(2.0),
+            Outcome.undecided(), Outcome.converged(3.0)])
+        rep.outcomes[1] = Outcome.converged(4.0)
+        assert (rep.converged_count, rep.diverged_count, rep.undecided_count) == (3, 0, 1)
 
 
 class TestCompare:
