@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration error, 2 scenario contract violated
-(or every initial condition failed numerically), 3 verification failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 scenario contract
+violated (or every initial condition failed numerically), 3 verification
+failure.
 """
 from __future__ import annotations
 
@@ -30,8 +31,16 @@ EXIT_CONTRACT = 2
 EXIT_VERIFY = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slowfast",
         description="Stabilization of slow-fast systems near non-hyperbolic "
         "points: simulations, reproductions and verification.",
@@ -60,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     roa = sub.add_parser("roa", help="region-of-attraction grid sweep")
     roa.add_argument("--config", required=True,
                      help="JSON scenario config; ROA grid replaces its ics")
-    roa.add_argument("--out", default="out/roa")
+    roa.add_argument("--out", default=None,
+                     help="output directory (default: the config's outputs, else out/roa)")
     roa.add_argument("--grid", type=int, default=41, help="points per axis")
     roa.add_argument("--x-range", type=float, nargs=2, default=(-3.0, 3.0))
     roa.add_argument("--z-range", type=float, nargs=2, default=(-3.0, 3.0))
@@ -92,8 +102,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ex1(args) -> int:
-    report = run_ex1(out_dir=args.out, epsilon=args.epsilon,
-                     t_final=args.t_final, switch_on_time=args.switch_on)
+    try:
+        report = run_ex1(out_dir=args.out, epsilon=args.epsilon,
+                         t_final=args.t_final, switch_on_time=args.switch_on)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for i, (ou, ov) in enumerate(zip(report.outcomes_u, report.outcomes_v)):
         print(f"ic {i}: stabilizer={ou.kind} benchmark={ov.kind}")
     print(f"sup|u|={report.sup_u:.6g} sup|v|={report.sup_v:.6g}"
@@ -106,6 +120,11 @@ def _cmd_ex1(args) -> int:
 
 
 def _cmd_ex2(args) -> int:
+    try:
+        grid = None if args.skip_roa else default_ex2_grid(args.roa_grid)
+    except ValueError as exc:  # a malformed grid
+        print(f"config error: --roa-grid: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     report = run_ex2_matrix(out_dir=args.out)
     for note in report.contract_notes:
         print(note)
@@ -113,8 +132,7 @@ def _cmd_ex2(args) -> int:
     if report.diverging_ic_k0 is not None:
         print(f"baseline diverges from {list(report.diverging_ic_k0)}"
               f" at eps={min(report.epsilons)}")
-    if not args.skip_roa:
-        grid = default_ex2_grid(args.roa_grid)
+    if grid is not None:
         _, _, cmp = run_ex2_roa(report.K_star, grid=grid, jobs=args.jobs,
                                 out_dir=args.out)
         print(f"ROA converged cells: compensated={cmp.converged_a}"
@@ -144,8 +162,9 @@ def _cmd_roa(args) -> int:
         return EXIT_CONFIG
     report = sweep(system, build_variant(cfg, system), grid, _integrator_config(cfg),
                    jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "roa.csv")
+    out_dir = args.out or cfg.outputs or "out/roa"
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "roa.csv")
     write_report_csv(report, path)
     print(f"{report.variant}: converged={report.converged_count}"
           f" diverged={report.diverged_count}"

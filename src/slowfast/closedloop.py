@@ -67,8 +67,8 @@ class HighGain:
     cancel_constants: bool = False
 
     def __post_init__(self):
-        if not (all(ai > 0 for ai in self.a) and self.b > 0):
-            raise ValueError("high-gain parameters must be positive")
+        if not all(0 < v < math.inf for v in (*self.a, self.b)):
+            raise ValueError("high-gain parameters must be positive and finite")
 
 
 Variant = Union[OpenLoop, Thm2, Thm2Plus3, HighGain]
@@ -142,10 +142,6 @@ def _check_size(gains, m: int) -> None:
         raise ValueError(f"controller sized for {len(gains)} slow states, system has {m}")
 
 
-def _tolist(f) -> list:
-    return np.asarray(f, dtype=float).tolist()
-
-
 @lru_cache(maxsize=64)
 def _generated(system, variant_key: bytes):
     """(rhs, ueval) generated for ``system`` and the pickled variant.
@@ -153,10 +149,11 @@ def _generated(system, variant_key: bytes):
     One straight-line body: unpack x1..xm and z, assign the law to v1..vm,
     then return the drift plus v and the fast field, or (ueval) the
     recorded control. The drift is the system's expressions or one call of
-    its ``slow_f``; the fast field and the slot form are expressions. Each
-    function is emitted twice, taking an array and (``float_fn``) a list.
-    The field's statements are also written inline at every stage of one
-    Dormand-Prince attempt (``rhs.attempt``, from
+    its ``slow_f``, whose values are taken as Python floats; the fast field
+    and the slot form are expressions. ``rhs`` takes the state as an
+    array, ``ueval`` as the float list that :func:`slowfast.sim.integrate`
+    records. The field's statements are also written inline at every stage
+    of one Dormand-Prince attempt (``rhs.attempt``, from
     :func:`slowfast.sim._attempt_source`), which never calls a function
     for the field.
     """
@@ -175,10 +172,8 @@ def _generated(system, variant_key: bytes):
     else:  # a plain callable, called once on the unpacked state
         fs = [f"f{i}" for i in range(1, m + 1)]
         trees["_eps"] = ast.Constant(float(system.epsilon))
-        scope = {"slow_f": drift, "type": type, "list": list, "tolist": _tolist}
-        call = [f"f = slow_f([{', '.join(xs)}], z, _eps)",
-                "if type(f) is not list:", "    f = tolist(f)",
-                f"{', '.join(fs)}, = f"]
+        scope = {"slow_f": drift, "map": map}
+        call = [f"{', '.join(fs)}, = map(float, slow_f([{', '.join(xs)}], z, _eps))"]
     trees["_g"] = parse_expression(system.fast, env)
     field = ", ".join(f"{f} + {v}" for f, v in zip(fs, vs)) + ", _g"
 
@@ -195,16 +190,14 @@ def _generated(system, variant_key: bytes):
         return [f"{state} = {', '.join(args)}", *assign, *call], f"({field},)"
 
     src = _attempt_source(m + 1, inline)
-    for name, body in (("rhs", [*assign, *call, f"return [{field}]"]),
-                       ("ueval", [*assign, f"return [{', '.join(recorded)}]"])):
-        for suffix, y in (("", "y.tolist()"), ("_f", "y")):
-            src += f"def {name}{suffix}(t, y):\n"
-            src += "".join(f"    {line}\n" for line in [f"{state} = {y}", *body])
+    for name, y, body in (("rhs", "y.tolist()", [*assign, *call, f"return [{field}]"]),
+                          ("ueval", "y", [*assign, f"return [{', '.join(recorded)}]"])):
+        src += f"def {name}(t, y):\n"
+        src += "".join(f"    {line}\n" for line in [f"{state} = {y}", *body])
     ns = compile_functions(src, trees, {**_ATTEMPT_SCOPE, **scope})
-    rhs, ueval = ns["rhs"], ns["ueval"]
-    rhs.float_fn, ueval.float_fn = ns["rhs_f"], ns["ueval_f"]
+    rhs = ns["rhs"]
     rhs.attempt = ns["attempt"]
-    return rhs, ueval
+    return rhs, ns["ueval"]
 
 
 def build_closed_loop(system, variant: Variant):
@@ -215,10 +208,11 @@ def build_closed_loop(system, variant: Variant):
     frame, with every gain and constant compiled in. ``control_eval``
     reports the signal that is recorded in trajectories: the additive
     control, except that the baseline law on a system with control slots
-    (``slots``, the circuit) is recorded in slot form. Both take the state
-    as an array and return lists of floats; each carries its float function
-    ``(t, list) -> list`` as ``float_fn``, and ``rhs`` carries as ``attempt``
-    the Dormand-Prince attempt with its field inline, by which
+    (``slots``, the circuit) is recorded in slot form. ``rhs(t, y)`` takes
+    the state as an array, the ODE convention; ``control_eval(t, y)`` takes
+    it as the list of floats that :func:`slowfast.sim.integrate` records.
+    Both return lists of Python floats. ``rhs`` carries as ``attempt`` the
+    Dormand-Prince attempt with its field inline, by which
     :func:`slowfast.sim.integrate` steps it. The functions are cached per
     system (which must be hashable) and variant, so a sweep compiles its
     loop once per process.

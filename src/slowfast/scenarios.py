@@ -134,6 +134,22 @@ def _flag(v, where: str) -> bool:
     return v
 
 
+def _epsilon(v) -> float:
+    epsilon = _number(v, "epsilon")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    return epsilon
+
+
+def _horizon(t_final, switch_on_time) -> tuple[float, float]:
+    """(t_final, switch_on_time), finite with 0 <= switch_on_time < t_final."""
+    t_final = _number(t_final, "t_final")
+    switch = _number(switch_on_time, "switch_on_time")
+    if not 0.0 <= switch < t_final:
+        raise ConfigError("switch_on_time must lie in [0, t_final)")
+    return t_final, switch
+
+
 # the section schemas: each kind of system or controller maps its keys to
 # (check, default); a key whose default is _REQUIRED must be given, and one
 # whose default is None is left out when it is not
@@ -222,9 +238,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     system = _section(raw["system"], "system", "builtin", _SYSTEMS)
     if system["builtin"] == "custom" and len(system["f"]) != system["k"] - 1:
         raise ConfigError(f"system.f must be a list of {system['k'] - 1} expression strings")
-    epsilon = _number(raw["epsilon"], "epsilon")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    epsilon = _epsilon(raw["epsilon"])
     built = _checked("system", _system, system, epsilon)
     n_slow = built.n_slow
     controller = _section(raw["controller"], "controller", "type", _CONTROLLERS)
@@ -236,10 +250,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(ics, list) or not ics:
         raise ConfigError("ics must be a non-empty list of state vectors")
     ics = [tuple(_vector(ic, f"ics[{i}]", n_slow + 1)) for i, ic in enumerate(ics)]
-    t_final = _number(raw.get("t_final", 10.0), "t_final")
-    switch = _number(raw.get("switch_on_time", 0.0), "switch_on_time")
-    if not 0.0 <= switch < t_final:
-        raise ConfigError("switch_on_time must lie in [0, t_final)")
+    t_final, switch = _horizon(raw.get("t_final", 10.0), raw.get("switch_on_time", 0.0))
     integrator = raw.get("integrator", {})
     if not isinstance(integrator, dict):
         raise ConfigError("integrator must be an object")
@@ -443,7 +454,11 @@ def run_ex1(
     benchmark run cancels the drift constants (without them the loop
     parks at x2 = 16 eps / A2, outside any small ball around the origin;
     that literal-form offset is simulated and reported separately).
+    ``epsilon``, ``t_final`` and ``switch_on_time`` are checked as a
+    config's are, and a ConfigError is raised before anything runs.
     """
+    _epsilon(epsilon)
+    _horizon(t_final, switch_on_time)
     system = build_tunnel_diode(TunnelDiodeParams(epsilon=epsilon))
     icfg = config_for(epsilon, t_final)
     u_var = Thm2(Theorem2Params(c=drift_at_origin(system), a=EX1_A, b=EX1_B))

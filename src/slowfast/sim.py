@@ -14,17 +14,16 @@ One step attempt is a straight-line function generated once per state
 dimension n, on first use, from n and the tableau below: the components
 are scalar locals, each stage input is a list display and the error norm
 is unrolled, in the same order of operations as a loop over the
-components. It calls the right-hand side once per stage: through its
-float function if it carries one (its ``float_fn`` attribute,
-``(t, list) -> list``), else with a fresh float array, and it may then
-return any sequence. A generated closed loop of :mod:`slowfast.closedloop`
-also carries a fused attempt (its ``attempt`` attribute): the same source,
-generated by the same :func:`_attempt_source`, with the loop's field
-written inline at every stage instead of called, in the same order of
-operations, so both give the same step bit for bit. This is the only
-stepper: trajectories and every region-of-attraction sweep cell run
-through :func:`integrate`. Everything is plain IEEE double arithmetic in a
-fixed order, so the results do not depend on the BLAS build.
+components. It calls the right-hand side once per stage with a fresh
+float array, and the right-hand side may return any sequence. A generated
+closed loop of :mod:`slowfast.closedloop` carries a fused attempt (its
+``attempt`` attribute): the same source, generated by the same
+:func:`_attempt_source`, with the loop's field written inline at every
+stage instead of called, in the same order of operations, so both give
+the same step bit for bit. This is the only stepper: trajectories and
+every region-of-attraction sweep cell run through :func:`integrate`.
+Everything is plain IEEE double arithmetic in a fixed order, so the
+results do not depend on the BLAS build.
 
 A trajectory converges when its state stays inside a ball for the final
 ``DWELL`` time units; a region-of-attraction cell uses the ball ``BALL``
@@ -34,7 +33,7 @@ and stops integrating once that has happened (see :func:`integrate` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from typing import Callable, Sequence
 
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 RHS = Callable[[float, np.ndarray], Sequence[float]]
-ControlEval = Callable[[float, np.ndarray], Sequence[float]]
+ControlEval = Callable[[float, list], Sequence[float]]
 
 # Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
 # last stage is reused as the first of the next step (FSAL). The b2 and e2
@@ -109,6 +108,9 @@ class IntegratorConfig:
     record_stride: float = 1e-2
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (0 < self.min_step < self.max_step):
             raise ValueError("need 0 < min_step < max_step")
         if not (self.rtol > 0 and self.atol > 0):
@@ -272,13 +274,9 @@ def _attempt(n: int):
     return scope["attempt"]
 
 
-def _as_float_fn(fn):
-    """``fn`` as ``(t, list) -> list``: its ``float_fn`` if it carries one,
-    else an adapter that passes a fresh float array and converts a result
-    that is not a list once."""
-    direct = getattr(fn, "float_fn", None)
-    if direct is not None:
-        return direct
+def _on_lists(fn):
+    """``fn`` as ``(t, list) -> list``: it is passed a fresh float array,
+    and a result that is not a list is converted once."""
 
     def adapted(t: float, yl: list) -> list:
         f = fn(t, np.array(yl))
@@ -305,17 +303,17 @@ def integrate(
     remained inside that ball for ``DWELL`` time units (plus a small margin
     so that :func:`classify` sees a full dwell window).
 
-    ``rhs`` and ``control`` receive the state as a fresh 1-d float array
-    and may return any sequence of floats. One that carries a ``float_fn``
-    attribute, a function ``(t, list) -> list`` of the same field, is
-    called through it instead, with and returning plain float lists. An
-    ``rhs`` that also carries an ``attempt`` attribute, a Dormand-Prince
-    attempt with its field inline (see :func:`_attempt_source`), is stepped
-    by it, else by the generic attempt of the state dimension. The
-    generated closed loops of :mod:`slowfast.closedloop` carry both, and
-    the result is the same bit for bit on every path. A stage at which
-    ``rhs`` raises an :class:`ArithmeticError` counts as non-finite, like a
-    stage that returns inf or NaN: the step is halved and retried.
+    ``rhs`` receives the state as a fresh 1-d float array and may return
+    any sequence of floats. An ``rhs`` that carries an ``attempt``
+    attribute, a Dormand-Prince attempt with its field inline (see
+    :func:`_attempt_source`), is stepped by it, else by the generic attempt
+    of the state dimension; the generated closed loops of
+    :mod:`slowfast.closedloop` carry one, and the result is the same bit
+    for bit on both paths. ``control`` receives each recorded state as the
+    list of floats it is recorded as and may return any sequence of
+    floats. A stage at which ``rhs`` raises an :class:`ArithmeticError`
+    counts as non-finite, like a stage that returns inf or NaN: the step is
+    halved and retried.
     """
     y0 = np.array(ic, dtype=float)
     if y0.ndim != 1:
@@ -323,7 +321,7 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise NonFiniteError("initial condition contains non-finite entries")
     n = y0.size
-    ev = _as_float_fn(rhs)
+    ev = _on_lists(rhs)
     y = y0.tolist()
     k1 = ev(t0, y)
     if not (isinstance(k1, list) and len(k1) == n):
@@ -337,14 +335,13 @@ def integrate(
     pending = _record_times(t0, cfg.t_final, stride)
     times = [t0]
     states = [y]
-    uev = _as_float_fn(control) if control else None
-    controls = [uev(t0, y)] if uev else None
+    controls = [control(t0, y)] if control else None
 
     def emit(t: float, yl: list) -> None:
         times.append(t)
         states.append(yl)
-        if uev is not None:
-            controls.append(uev(t, yl))
+        if control is not None:
+            controls.append(control(t, yl))
 
     rtol, atol = cfg.rtol, cfg.atol
     max_step, min_step = cfg.max_step, cfg.min_step

@@ -178,6 +178,59 @@ class TestRoaCommand:
             assert code == 0 and written
 
 
+    def test_output_directory_defaults_to_the_configs_outputs(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, dict(PLANAR, outputs=str(out)))
+        code = main(["roa", "--config", cfg, "--grid", "2", "--x-range", "-0.01", "0.01",
+                     "--z-range", "-0.01", "0.01", "--jobs", "1"])
+        assert code == 0
+        assert (out / "roa.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["ex1", "--epsilon", "abc"], [], ["nope"],
+                                  ["verify", "--seed", "x"]])
+def test_usage_error_exits_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "config error: " in capsys.readouterr().err
+
+
+class TestReproductionCommands:
+    def test_ex1_writes_its_outputs(self, tmp_path, capsys):
+        code = main(["ex1", "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ex1_summary.txt", "ex1_u_fold_probe.csv", "ex1_u_ic0.csv", "ex1_u_ic1.csv",
+            "ex1_v_ic0.csv", "ex1_v_ic1.csv", "ex1_v_literal_ic0.csv"]
+        assert "PASS=True" in (tmp_path / "ex1_summary.txt").read_text()
+
+    def test_ex2_matrix_exits_zero(self, tmp_path, capsys):
+        code = main(["ex2", "--skip-roa", "--out", str(tmp_path / "ex2")])
+        assert code == 0
+        assert (tmp_path / "ex2" / "ex2_summary.txt").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-final", "5"], ["--epsilon", "0"], ["--epsilon", "nan"], ["--t-final", "inf"],
+        ["--switch-on", "-1"], ["--switch-on", "30"],
+    ])
+    def test_ex1_checks_its_flags_before_running(self, tmp_path, capsys, flags):
+        code = main(["ex1", "--out", str(tmp_path / "ex1"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "ex1").exists()
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_ex2_checks_its_grid_before_running(self, tmp_path, capsys, n):
+        code = main(["ex2", "--out", str(tmp_path / "ex2"), "--roa-grid", n])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: --roa-grid")
+        assert not (tmp_path / "ex2").exists()
+
+
 class TestVerifyCommand:
     def test_fast_suites_pass(self, capsys):
         code = main([

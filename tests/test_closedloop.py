@@ -36,7 +36,7 @@ class TestBuild:
         rhs, ueval, m = build_closed_loop(sys, OpenLoop())
         assert m == 1
         y = np.array([0.1, 1.0])
-        assert ueval(0.0, y) == pytest.approx([0.0])
+        assert ueval(0.0, y.tolist()) == pytest.approx([0.0])
         assert rhs(0.0, y) == pytest.approx([1.0 + 0.1 + 1.0, -(1.0 + 0.1) / 0.05])
 
     def test_thm2_planar_matches_formula(self):
@@ -45,7 +45,7 @@ class TestBuild:
         y = np.array([0.2, -0.3])
         pz, px = (1 / 0.01) ** (1 / 3), (1 / 0.01) ** (2 / 3)
         u = -1.0 + 3.0 * pz * (-0.3) - px * 0.2
-        assert ueval(0.0, y) == pytest.approx([u], rel=1e-12)
+        assert ueval(0.0, y.tolist()) == pytest.approx([u], rel=1e-12)
         assert rhs(0.0, y)[0] == pytest.approx(1.0 + 0.2 - 0.3 + u, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -60,7 +60,7 @@ class TestBuild:
         p = Theorem2Params(c=[4.0, 16.0], a=[1.0, 1.0], b=10.0)
         rhs, ueval, m = build_closed_loop(sys, Thm2(p))
         assert m == 2
-        u0 = ueval(0.0, np.zeros(3))
+        u0 = ueval(0.0, [0.0] * 3)
         assert u0 == pytest.approx([-4.0, 16.0])
         assert rhs(0.0, np.zeros(3)) == pytest.approx([0.0, 0.0, 0.0])
 
@@ -69,7 +69,7 @@ class TestBuild:
         rhs, ueval, _ = build_closed_loop(
             sys, HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True)
         )
-        assert ueval(0.0, np.zeros(3)) == pytest.approx([-4.0, -16.0])
+        assert ueval(0.0, [0.0] * 3) == pytest.approx([-4.0, -16.0])
         assert rhs(0.0, np.zeros(3)) == pytest.approx([0.0, 0.0, 0.0])
 
     def test_tunnel_diode_compensation_unsupported(self):
@@ -126,6 +126,25 @@ class TestExprSlowField:
         out = rhs(0.0, np.array([0.3, -0.2]))
         assert [type(v) for v in out] == [float, float]
 
+    def test_callable_drift_of_numpy_scalars_gives_python_floats(self):
+        sys = NormalFormSystem(
+            k=2, epsilon=0.05, slow_f=lambda x, z, e: [np.float64(1.0) + x[0] + z])
+        rhs, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        y = [0.3, -0.2]
+        k1 = rhs(0.0, np.array(y))
+        assert [type(v) for v in k1] == [float, float]
+        _, y_new, k7, _ = rhs.attempt(None, 0.0, 1e-3, y, k1, 1e-8, 1e-10)
+        assert [type(v) for v in (*y_new, *k7)] == [float] * 4
+        recorded = []
+
+        def control(t, yl):
+            recorded.append(yl)
+            return ueval(t, yl)
+
+        traj = integrate(rhs, y, config_for(0.05, 0.1), control=control)
+        assert len(recorded) == len(traj) == 11
+        assert {type(v) for yl in recorded for v in yl} == {float}
+
     def test_constants_pi_and_unary_minus(self):
         f = ExprSlowField(exprs=("-x1 + 2 ** 3 * pi - epsilon / z",))
         assert f(np.array([1.0]), 2.0, 0.5) == pytest.approx(
@@ -141,7 +160,6 @@ class TestFloatPath:
     @staticmethod
     def _assert_same_run(rhs, ueval, ic, cfg, **kwargs):
         assert callable(rhs.attempt)
-        assert callable(rhs.float_fn) and callable(ueval.float_fn)
         direct = integrate(rhs, ic, cfg, control=ueval, **kwargs)
         adapted = integrate(lambda t, y: rhs(t, y), ic, cfg,
                             control=lambda t, y: ueval(t, y), **kwargs)
@@ -411,9 +429,8 @@ class TestGenerated:
                         y[0] = abs(y[0])  # x1 ** 0.5 stays real
                     yl = y.tolist()
                     want = ref_rhs(yl)
-                    assert rhs.float_fn(0.0, yl) == want, (describe(variant), yl)
-                    assert rhs(0.0, y) == want
-                    assert ueval.float_fn(0.0, yl) == ref_ueval(yl) == ueval(0.0, y)
+                    assert rhs(0.0, y) == want, (describe(variant), yl)
+                    assert ueval(0.0, yl) == ref_ueval(yl)
                     n += 1
         assert n == 300 * 28
 
@@ -429,7 +446,7 @@ class TestGenerated:
                 for _ in range(50):
                     y = rng.uniform(-3.0, 3.0, k)
                     u = evaluate(law(sys, variant), y[:-1], y[-1])
-                    assert u == ueval.float_fn(0.0, y.tolist())
+                    assert u == ueval(0.0, y.tolist())
 
     def test_generated_once_per_loop(self):
         code = textwrap.dedent("""

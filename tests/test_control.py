@@ -169,6 +169,12 @@ class TestHighGain:
         v = evaluate(law(_drift(4.0, 16.0), hg), [0.0, 0.0], 0.0)
         assert v == pytest.approx([-4.0, -16.0])
 
+    @pytest.mark.parametrize("a, b", [((1.0,), float("inf")), ((float("inf"),), 10.0),
+                                      ((1.0,), float("nan")), ((1.0, -1.0), 10.0)])
+    def test_gains_must_be_positive_and_finite(self, a, b):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HighGain(a=a, b=b)
+
 
 class TestJacobianAndEigenvalues:
     def test_k2_matrix(self):

@@ -367,3 +367,10 @@ class TestConfig:
             IntegratorConfig(min_step=1.0, max_step=0.5)
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=0.0)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol", "max_step", "divergence_norm",
+                                      "t_final", "record_stride"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            IntegratorConfig(**{name: value})

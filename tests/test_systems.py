@@ -21,8 +21,8 @@ def example1_controllers(epsilon, a1, a2, b, A1=1.0, A2=1.0, B=10.0,
     hg = HighGain(a=(A1, A2), b=B, cancel_constants=cancel_constants)
     _, u_eval, _ = build_closed_loop(sys, Thm2(p))
     _, v_eval, _ = build_closed_loop(sys, hg)
-    return (lambda x1, x2, z: u_eval(0.0, np.array([x1, x2, z])),
-            lambda x1, x2, z: v_eval(0.0, np.array([x1, x2, z])))
+    return (lambda x1, x2, z: u_eval(0.0, [x1, x2, z]),
+            lambda x1, x2, z: v_eval(0.0, [x1, x2, z]))
 
 
 class TestFoldPoints:
@@ -123,7 +123,7 @@ class TestTunnelDiodeSystem:
         for _ in range(1000):
             y = rng.uniform(-5.0, 5.0, 3)
             got = np.asarray(rhs(0.0, y))
-            u1, u2 = ueval(0.0, y)
+            u1, u2 = ueval(0.0, y.tolist())
             *x, z = y.tolist()
             want = _ref_circuit_field(L, Cap, 0.01)(x, z, [u1 / L, -u2 / Cap])
             if L == Cap == 1.0:

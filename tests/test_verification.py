@@ -50,3 +50,13 @@ def test_nan_chart_controller_component_fails(monkeypatch):
     monkeypatch.setattr(control, "chart_controller_family", last_component_nan)
     res = run_suites(seed=0, names=["blowdown-identity"])[0]
     assert not res.passed and res.line().startswith("FAIL"), res.line()
+
+
+def test_slow_fast_scaling_sees_a_relative_error_of_1e_12(monkeypatch):
+    # the generated loop's own Horner fast field is the reference, so a
+    # fault in eval_g shows even though the slow field is built from it
+    eval_g = normal_form.eval_g
+    monkeypatch.setattr(normal_form, "eval_g",
+                        lambda x, z, k: eval_g(x, z, k) * (1.0 + 1e-12))
+    res = run_suites(seed=0, names=["slow-fast-scaling"])[0]
+    assert not res.passed and res.max_err > 1e-14, res.line()
