@@ -18,13 +18,13 @@ import numpy as np
 from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
 from .normal_form import ExprSlowField, NormalFormSystem, compile_functions, parse_expression
 from .sim import (
-    _ATTEMPT_SCOPE,
+    _LOOP_SCOPE,
     BALL,
     IntegratorConfig,
     NonFiniteError,
     Outcome,
     Trajectory,
-    _attempt_source,
+    _loop_source,
     classify,
     integrate,
 )
@@ -146,16 +146,17 @@ def _check_size(gains, m: int) -> None:
 def _generated(system, variant_key: bytes):
     """(rhs, ueval) generated for ``system`` and the pickled variant.
 
-    One straight-line body: unpack x1..xm and z, assign the law to v1..vm,
-    then return the drift plus v and the fast field, or (ueval) the
-    recorded control. The drift is the system's expressions or one call of
-    its ``slow_f``, whose values are taken as Python floats; the fast field
-    and the slot form are expressions. ``rhs`` takes the state as an
-    array, ``ueval`` as the float list that :func:`slowfast.sim.integrate`
-    records. The field's statements are also written inline at every stage
-    of one Dormand-Prince attempt (``rhs.attempt``, from
-    :func:`slowfast.sim._attempt_source`), which never calls a function
-    for the field.
+    The field is one block of straight-line statements: assign the law to
+    v1..vm, then (if the drift is a plain callable) call its ``slow_f`` once,
+    whose values are taken as Python floats; its value is the drift plus v
+    and the fast field, in x1..xm and z. The drift given as expressions, the
+    fast field, the law and the slot form are checked trees. ``rhs(t, y)``
+    unpacks the state array and returns the field, ``ueval(t, y)`` the
+    recorded control of the float list that :func:`slowfast.sim.integrate`
+    records. The same block is written inline at every stage of the whole
+    adaptive Dormand-Prince loop (``rhs.run``, from
+    :func:`slowfast.sim._loop_source`), which never calls a function for
+    the field, so a step of the loop makes no Python call.
     """
     variant = pickle.loads(variant_key)
     m = system.n_slow
@@ -187,16 +188,17 @@ def _generated(system, variant_key: bytes):
     state = f"{', '.join(xs)}, z"
 
     def inline(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-        return [f"{state} = {', '.join(args)}", *assign, *call], f"({field},)"
+        return [f"{state} = {', '.join(args)}"], "_stage"
 
-    src = _attempt_source(m + 1, inline)
-    for name, y, body in (("rhs", "y.tolist()", [*assign, *call, f"return [{field}]"]),
-                          ("ueval", "y", [*assign, f"return [{', '.join(recorded)}]"])):
-        src += f"def {name}(t, y):\n"
-        src += "".join(f"    {line}\n" for line in [f"{state} = {y}", *body])
-    ns = compile_functions(src, trees, {**_ATTEMPT_SCOPE, **scope})
+    src = _loop_source(m + 1, inline)
+    src += f"def rhs(t, y):\n    {state} = y.tolist()\n    return _rhs\n"
+    src += f"def ueval(t, y):\n    {state} = y\n    return _control\n"
+    blocks = {"_stage": [*assign, *call, f"({field},)"],
+              "_rhs": [*assign, *call, f"[{field}]"],
+              "_control": [*assign, f"[{', '.join(recorded)}]"]}
+    ns = compile_functions(src, blocks, trees, {**_LOOP_SCOPE, **scope})
     rhs = ns["rhs"]
-    rhs.attempt = ns["attempt"]
+    rhs.run = ns["run"]
     return rhs, ns["ueval"]
 
 
@@ -211,11 +213,11 @@ def build_closed_loop(system, variant: Variant):
     (``slots``, the circuit) is recorded in slot form. ``rhs(t, y)`` takes
     the state as an array, the ODE convention; ``control_eval(t, y)`` takes
     it as the list of floats that :func:`slowfast.sim.integrate` records.
-    Both return lists of Python floats. ``rhs`` carries as ``attempt`` the
-    Dormand-Prince attempt with its field inline, by which
-    :func:`slowfast.sim.integrate` steps it. The functions are cached per
-    system (which must be hashable) and variant, so a sweep compiles its
-    loop once per process.
+    Both return lists of Python floats. ``rhs`` carries as ``run`` the
+    whole adaptive Dormand-Prince loop with its field inline at every
+    stage, by which :func:`slowfast.sim.integrate` integrates it in one
+    call. The functions are cached per system (which must be hashable) and
+    variant, so a sweep compiles its loop once per process.
     """
     rhs, ueval = _generated(system, pickle.dumps(variant))
     return rhs, ueval, system.n_slow
@@ -226,7 +228,7 @@ class CellRunner:
     """Classifies one initial condition under a fixed closed loop.
 
     Every cell is integrated by :func:`slowfast.sim.integrate` with the
-    loop's fused attempt (compiled once per process, see
+    loop's generated ``run`` (compiled once per process, see
     :func:`build_closed_loop`), stopped once the state has dwelt in the
     ball ``sim.BALL`` and classified from its trajectory by
     :func:`slowfast.sim.classify`. Numerical failures (a non-finite initial

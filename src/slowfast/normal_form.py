@@ -14,6 +14,7 @@ compiled by :func:`compile_functions`.
 from __future__ import annotations
 
 import ast
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -332,17 +333,60 @@ class _Fill(ast.NodeTransformer):
         return self.trees.get(node.id, node)
 
 
-def compile_functions(src: str, trees: dict, scope: dict | None = None) -> dict:
-    """Namespace of the definitions in ``src``, each name in ``trees``
-    replaced by that checked tree.
+@lru_cache(maxsize=16)
+def _parsed_module(src: str) -> ast.Module:
+    return ast.parse(src)
 
-    ``src`` is generated from names and the integrator's own tableau only,
-    so the numbers of a config or an expression reach the compiler as the
-    constants of trees from :func:`parse_expression`, never as text. The
-    globals are the listed numpy functions, ``_pow``, ``float`` and
-    ``scope``; there are no builtins.
+
+def _splice(stmts: list, blocks: dict) -> list:
+    """``stmts`` with each marker statement preceded by its block's
+    statements and given its expression, nested statements included. The
+    statements that hold a marker or nest statements are copied, so the
+    parsed source is left as it was."""
+    out = []
+    for stmt in stmts:
+        value = getattr(stmt, "value", None)
+        if (isinstance(stmt, (ast.Assign, ast.Return)) and isinstance(value, ast.Name)
+                and value.id in blocks):
+            body, expr = blocks[value.id]
+            out += body
+            stmt = copy.copy(stmt)
+            stmt.value = expr
+        else:
+            nested = [attr for attr in ("body", "orelse", "handlers", "finalbody")
+                      if isinstance(getattr(stmt, attr, None), list)]
+            if nested:
+                stmt = copy.copy(stmt)
+                for attr in nested:
+                    setattr(stmt, attr, _splice(getattr(stmt, attr), blocks))
+        out.append(stmt)
+    return out
+
+
+def compile_functions(src: str, blocks: dict, trees: dict, scope: dict | None = None) -> dict:
+    """Namespace of the definitions in ``src``, with ``blocks`` spliced in.
+
+    ``src`` is generated from names and the integrator's own tableau only
+    and is compiled as parsed, except at its markers: a statement
+    ``target = name`` or ``return name`` whose ``name`` is a key of
+    ``blocks``. A block is a list of source lines, statements and then one
+    expression, in which each name in ``trees`` stands for that checked
+    tree. Each block is parsed and filled once, and each of its markers
+    becomes its statements followed by the target assigned, or returned,
+    its expression; all markers share those nodes, since compile only
+    reads them. So the numbers of a config or an expression reach the
+    compiler as the constants of trees from :func:`parse_expression`, never
+    as text; only the blocks are walked to fill them, and ``src``, which
+    depends on the state dimension alone for a closed loop, is parsed once
+    per process. The globals are the listed numpy functions, ``_pow``,
+    ``float`` and ``scope``; there are no builtins.
     """
-    module = _Fill(trees).visit(ast.parse(src))
+    fill = _Fill(trees)
+    filled = {}
+    for name, lines in blocks.items():
+        *body, last = fill.visit(ast.parse("\n".join(lines))).body
+        filled[name] = body, last.value
+    module = ast.Module(_splice(_parsed_module(src).body, filled), type_ignores=[])
     ns = {**_SCOPE, **(scope or {})}
     exec(compile(module, "<generated>", "exec"), ns)
     return ns
@@ -366,8 +410,8 @@ def _compile_exprs(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] 
         except ValueError as exc:
             raise ValueError(f"slow field expression {i + 1} ({src!r}): {exc}") from None
     unpack = ", ".join(names) + "," if names else "_"
-    return compile_functions(f"def slow_f(x, z, epsilon):\n    {unpack} = x\n"
-                             f"    return [{', '.join(trees)}]\n", trees)["slow_f"]
+    return compile_functions(f"def slow_f(x, z, epsilon):\n    {unpack} = x\n    return _f\n",
+                             {"_f": [f"[{', '.join(trees)}]"]}, trees)["slow_f"]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Region-of-attraction estimation by classified grid sweeps."""
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,17 @@ __all__ = [
 
 
 def _check_range(rng, name: str) -> tuple[float, float, int]:
-    lo, hi, n = float(rng[0]), float(rng[1]), int(rng[2])
+    lo, hi = float(rng[0]), float(rng[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name}: bounds must be finite, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name}: the span of [{lo}, {hi}] overflows")
+    try:
+        n = int(rng[2])
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or n != rng[2]:
+        raise ValueError(f"{name}: n_points must be an integer, got {rng[2]!r}")
     if n < 1:
         raise ValueError(f"{name}: n_points must be >= 1, got {n}")
     if n == 1:
@@ -36,8 +47,10 @@ def _check_range(rng, name: str) -> tuple[float, float, int]:
 class GridSpec:
     """Cartesian grid of initial conditions over (x_1..x_m, z).
 
-    Each range is (lo, hi, n_points). A degenerate single-point range
-    (n_points = 1, lo = hi) is allowed so single cells can be probed.
+    Each range is (lo, hi, n_points): finite bounds whose span hi - lo is
+    finite too, and an integral number of points. A degenerate
+    single-point range (n_points = 1, lo = hi) is allowed so single cells
+    can be probed.
     """
 
     x_ranges: tuple[tuple[float, float, int], ...]

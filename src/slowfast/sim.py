@@ -8,22 +8,26 @@ fast state (z' ~ -z^k/eps) is detected by step-size collapse in addition
 to a norm threshold, since no norm test alone is robust for it.
 
 The closed loops integrated here have 2 to a handful of states, where
-per-call array overhead costs far more than the arithmetic. The stepper
-therefore keeps the state and the seven stages as lists of Python floats.
-One step attempt is a straight-line function generated once per state
-dimension n, on first use, from n and the tableau below: the components
-are scalar locals, each stage input is a list display and the error norm
-is unrolled, in the same order of operations as a loop over the
-components. It calls the right-hand side once per stage with a fresh
-float array, and the right-hand side may return any sequence. A generated
-closed loop of :mod:`slowfast.closedloop` carries a fused attempt (its
-``attempt`` attribute): the same source, generated by the same
-:func:`_attempt_source`, with the loop's field written inline at every
-stage instead of called, in the same order of operations, so both give
-the same step bit for bit. This is the only stepper: trajectories and
-every region-of-attraction sweep cell run through :func:`integrate`.
-Everything is plain IEEE double arithmetic in a fixed order, so the
-results do not depend on the BLAS build.
+per-call overhead costs far more than the arithmetic. So the whole
+adaptive loop is one straight-line function, generated once per state
+dimension n on first use from n, the tableau and the step control
+constants (:func:`_loop_source`): the state and the stages are scalar
+Python float locals across steps, each stage input is a list display,
+the error norm is unrolled in the order of a loop over the components,
+and the step control (clamp to the record time, reject or accept, step
+factor, step collapse, norm escape, ball dwell) is written in the loop
+with comparisons instead of calls. The generic loop calls the
+right-hand side once per stage with a fresh float array, and the
+right-hand side may return any sequence. A generated closed loop of
+:mod:`slowfast.closedloop` carries its own loop (its ``run`` attribute):
+the same source from the same generator, with the loop's field written
+inline at every stage instead of called, in the same order of
+operations, so both give the same run bit for bit and a step of a closed
+loop makes no Python call. This is the only stepper: trajectories and
+every region-of-attraction sweep cell run through :func:`integrate`,
+whose trajectory reports the loop's counters and stop reason as
+:class:`IntegratorStats`. Everything is plain IEEE double arithmetic in a
+fixed order, so the results do not depend on the BLAS build.
 
 A trajectory converges when its state stays inside a ball for the final
 ``DWELL`` time units; a region-of-attraction cell uses the ball ``BALL``
@@ -41,6 +45,7 @@ import numpy as np
 
 __all__ = [
     "IntegratorConfig",
+    "IntegratorStats",
     "NonFiniteError",
     "config_for",
     "Outcome",
@@ -158,29 +163,43 @@ class Outcome:
         return self.kind == "diverged"
 
 
+@dataclass(frozen=True)
+class IntegratorStats:
+    """What one :func:`integrate` run did and why it stopped.
+
+    ``accepted`` and ``rejected`` count the attempts whose error estimate
+    passed and failed, and ``retried`` the attempts halved because a stage
+    was not finite or raised an :class:`ArithmeticError`. ``h_min`` is the
+    smallest accepted step (None when no step was accepted). ``reason`` is
+    ``"t_final"``, ``"dwell"`` (the state stayed in the stop ball),
+    ``"norm"`` (the state norm passed ``divergence_norm``) or
+    ``"collapse"`` (the step fell below ``min_step``).
+    """
+
+    reason: str
+    accepted: int
+    rejected: int
+    retried: int
+    h_min: float | None
+
+
 @dataclass
 class Trajectory:
     """Recorded samples of one integration run.
 
     ``states`` has one row per sample with the fast state in the last
     column; ``controls`` (optional) holds the control signal evaluated at
-    the recorded times only.
+    the recorded times only. ``stats`` is set by :func:`integrate`.
     """
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray | None
     outcome: Outcome
+    stats: IntegratorStats | None = None
 
     def __len__(self) -> int:
         return self.times.size
-
-
-def _record_times(t0: float, t_final: float, stride: float) -> list[float]:
-    n = max(1, int(math.ceil((t_final - t0) / stride - 1e-12)))
-    pts = [t0 + i * stride for i in range(1, n)]
-    pts.append(t_final)
-    return pts
 
 
 def _rms(values: list, scales: list) -> float:
@@ -192,86 +211,191 @@ def _rms(values: list, scales: list) -> float:
     return math.sqrt(acc / len(scales))
 
 
-# globals of the attempt, named apart from the expression grammar's numpy
-# ``sqrt`` and ``abs``, which share a scope with a fused attempt's field
-_ATTEMPT_SCOPE = {"_abs": abs, "_hypot": math.hypot, "_isfinite": math.isfinite,
-                 "_sqrt": math.sqrt, "_nan": math.nan}
+# globals of the generated loop, named apart from the expression grammar's
+# numpy ``sqrt``, which shares a scope with a closed loop's field; generated
+# code runs without builtins
+_LOOP_SCOPE = {"_hypot": math.hypot, "_sqrt": math.sqrt, "_inf": math.inf,
+               "_ArithmeticError": ArithmeticError}
 
 
 def _call(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-    """A stage as one call of the attempt's argument ``f`` on the list ``y``."""
+    """A stage as one call of the loop's argument ``f`` on the list ``y``."""
     return [], f"f({t}, {y})"
 
 
-def _attempt_source(n: int, stage=_call) -> str:
-    """Source of the straight-line attempt for state dimension ``n``.
+def _loop_source(n: int, stage=_call) -> str:
+    """Source of the adaptive Dormand-Prince loop for state dimension ``n``.
 
-    Built only from ``n`` and the tableau; every weight is written as its
-    exact ``repr``. The combinations group as ``v + h * (a1 * k1 + a2 * k2
-    + ...)``, summed left to right, and the error norm accumulates from 0.0
-    component by component, so the arithmetic is that of a loop over the
-    components.
+    Built only from ``n``, the tableau and the step control constants;
+    every number is written as its exact ``repr``. The state ``y_i`` and the
+    first stage ``k1_i`` are scalar locals across steps. An attempt's
+    combinations group as ``v + h * (a1 * k1 + a2 * k2 + ...)``, summed left
+    to right, and its error norm accumulates from 0.0 component by
+    component, so the arithmetic is that of a loop over the components.
+    ``abs``, ``min`` and ``max`` are written as the comparisons that give
+    the same values, so a step calls nothing but the field, ``hypot`` and
+    ``sqrt``.
 
     ``stage(t, args, y)`` emits the field at each of stages 2..7: ``t`` is
     the stage time, ``args`` the n component expressions of the stage
-    input and ``y`` the same input as one list. It returns statements and
-    an expression of the n field components. The default calls ``f(t, y)``;
-    :mod:`slowfast.closedloop` writes a loop's field inline.
+    input and ``y`` the same input as one list display. It returns
+    statements and an expression of the n field components. The default
+    calls ``f(t, y)``; :mod:`slowfast.closedloop` writes a loop's field
+    inline.
+
+    The generated ``run(f, t, y, k1, hp, rtol, atol, max_step, min_step,
+    div_norm, stride, n_rec, t_final, ball, margin)`` integrates from ``t``
+    with first step guess ``hp`` and records at ``t + i * stride`` for
+    ``i`` = 1 .. ``n_rec`` - 1 and at ``t_final``. A step is clamped onto
+    the next record time, and stretched onto it rather than leave a sliver
+    shorter than ``min_step``; an attempt whose error exceeds 1 is retried
+    with a smaller step, and one whose state norm or error is not finite,
+    or whose field raises an :class:`ArithmeticError`, with half the step.
+    The run stops at ``t_final``, when the step falls below ``min_step``
+    (``collapse``), when an accepted state's norm exceeds ``div_norm``
+    (``norm``) or once the norm has stayed below ``ball`` for ``margin``
+    time units (``dwell``). It returns ``(times, states, t, reason,
+    accepted, rejected, retried, h_min)``: the recorded times and states
+    (float lists), the time it stopped at, the reason, the counts of
+    accepted, rejected and halved attempts and the smallest accepted step
+    (inf when none was).
     """
     idx = range(n)
 
     def names(stem: str) -> str:
         return "".join(f"{stem}_{i}, " for i in idx)
 
+    def row(stem: str) -> str:
+        return f"[{', '.join(f'{stem}_{i}' for i in idx)}]"
+
     def combo(terms, i: int) -> str:
         return " + ".join(f"{w!r} * k{s}_{i}" for s, w in terms)
 
     def field(t: str, args: list[str], y: str) -> tuple[list[str], str]:
         lines, value = stage(t, args, y)
-        return [f"    {line}" for line in lines], value
+        return [f"            {line}" for line in lines], value
 
-    lines = ["def attempt(f, t, h, y, k1, rtol, atol):",
+    def record(indent: str) -> list[str]:
+        return [f"{indent}times.append(t)", f"{indent}states.append({row('y')})"]
+
+    def factor(bound: str, lo: float, hi: float | None = None) -> list[str]:
+        # s = SAFETY * err ** ORDER_EXP, then max(lo, s) and min(hi, s)
+        lines = [f"{bound}s = {_SAFETY!r} * err ** {_ORDER_EXP!r}",
+                 f"{bound}s = s if s > {lo!r} else {lo!r}"]
+        if hi is not None:
+            lines.append(f"{bound}s = s if s < {hi!r} else {hi!r}")
+        return lines
+
+    lines = ["def run(f, t, y, k1, hp, rtol, atol, max_step, min_step, div_norm,",
+             "        stride, n_rec, t_final, ball, margin):",
              f"    {names('y')}= y",
-             f"    {names('k1')}= k1"]
+             f"    {names('k1')}= k1",
+             "    times, states = [t], [y]",
+             "    accepted = rejected = retried = 0",
+             "    h_min = _inf",
+             "    reason = 't_final'",
+             "    t0 = t_rec = t",
+             "    rec_i = 1",
+             "    t_target = t0 + rec_i * stride if rec_i < n_rec else t_final",
+             "    entry = None",
+             "    while True:",
+             # h = min(hp, max_step, gap), stretched onto the record time
+             # rather than leave an unsteppable sliver
+             "        gap = t_target - t",
+             "        h = hp if hp < max_step else max_step",
+             "        if h > gap:",
+             "            h = gap",
+             "        clamped = h >= gap - min_step",
+             "        if clamped:",
+             "            h = gap",
+             "        if h < min_step:",
+             "            reason = 'collapse'",
+             "            if t_rec < t:",
+             *record("                "),
+             "            break",
+             "        try:"]
     for s, (c, weights) in enumerate(_STAGES, start=2):
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
         terms = list(enumerate(weights, start=1))
         args = [f"y_{i} + h * ({combo(terms, i)})" for i in idx]
         body, value = field(at, args, f"[{', '.join(args)}]")
-        lines += [*body, f"    {names(f'k{s}')}= {value}"]
+        lines += [*body, f"            {names(f'k{s}')}= {value}"]
     for i in idx:
-        lines.append(f"    w_{i} = y_{i} + h * ({combo(_SOLUTION, i)})")
+        lines.append(f"            w_{i} = y_{i} + h * ({combo(_SOLUTION, i)})")
     ws = [f"w_{i}" for i in idx]
-    body, value = field("t + h", ws, "y_new")
-    lines += [f"    y_new = [{', '.join(ws)}]",
-              f"    norm = _hypot({', '.join(ws)})",
-              "    if not _isfinite(norm):",
-              "        return _nan, y_new, None, norm",
+    body, value = field("t + h", ws, row("w"))
+    lines += [f"            norm = _hypot({', '.join(ws)})",
+              "            if not norm < _inf:",
+              "                retried += 1",
+              "                hp = 0.5 * h",
+              "                continue",
               *body,
-              f"    k7 = {value}",
-              f"    {names('k7')}= k7",
-              "    acc = 0.0"]
+              f"            {names('k7')}= {value}",
+              "            acc = 0.0"]
     for i in idx:
-        lines += [f"    v, w = _abs(y_{i}), _abs(w_{i})",
-                  f"    q = h * ({combo(_ERROR, i)}) / (atol + rtol * (v if v > w else w))",
-                  "    acc += q * q"]
-    lines.append(f"    return _sqrt(acc / {n}), y_new, k7, norm")
+        lines += [f"            a = y_{i} if y_{i} >= 0.0 else -y_{i}",
+                  f"            b = w_{i} if w_{i} >= 0.0 else -w_{i}",
+                  f"            q = h * ({combo(_ERROR, i)}) / (atol + rtol * (a if a > b else b))",
+                  "            acc += q * q"]
+    lines += [f"            err = _sqrt(acc / {n})",
+              "        except _ArithmeticError:",
+              "            retried += 1",
+              "            hp = 0.5 * h",
+              "            continue",
+              "        if not err <= 1.0:",
+              "            if err < _inf:",
+              "                rejected += 1",
+              *factor("                ", 0.1),
+              "                hp = h * s",
+              "            else:",
+              "                retried += 1",
+              "                hp = 0.5 * h",
+              "            continue",
+              "        accepted += 1",
+              "        if h < h_min:",
+              "            h_min = h",
+              "        t = t_target if clamped else t + h",
+              *(f"        y_{i} = w_{i}" for i in idx),
+              *(f"        k1_{i} = k7_{i}" for i in idx),
+              "        if err == 0.0:",
+              f"            s = {_MAX_FACTOR!r}",
+              "        else:",
+              *factor("            ", _MIN_FACTOR, _MAX_FACTOR),
+              "        hp = h * s",
+              "        if not hp < max_step:",
+              "            hp = max_step",
+              "        if norm > div_norm:",
+              "            reason = 'norm'",
+              *record("            "),
+              "            break",
+              "        if clamped:",
+              *record("            "),
+              "            if rec_i == n_rec:",
+              "                break",
+              "            t_rec = t",
+              "            rec_i += 1",
+              "            t_target = t0 + rec_i * stride if rec_i < n_rec else t_final",
+              "        if norm < ball:",
+              "            if entry is None:",
+              "                entry = t",
+              "            elif t - entry >= margin:",
+              "                reason = 'dwell'",
+              "                if t_rec < t:",
+              *record("                    "),
+              "                break",
+              "        else:",
+              "            entry = None",
+              "    return times, states, t, reason, accepted, rejected, retried, h_min"]
     return "\n".join(lines) + "\n"
 
 
 @cache
-def _attempt(n: int):
-    """One Dormand-Prince attempt for state dimension ``n``, generated once.
-
-    ``attempt(f, t, h, y, k1, rtol, atol)`` takes ``f: (t, list) -> list``,
-    the state ``y`` and its first stage ``k1`` as float lists, and returns
-    ``(err, y_new, k7, norm)``: the scaled RMS error estimate, the 5th-order
-    solution, its stage (None when ``norm`` is not finite; err is then NaN)
-    and the Euclidean norm of ``y_new``.
-    """
-    scope = dict(_ATTEMPT_SCOPE)
-    exec(compile(_attempt_source(n), f"<dopri attempt n={n}>", "exec"), scope)
-    return scope["attempt"]
+def _loop(n: int):
+    """The generic loop of :func:`_loop_source` for state dimension ``n``,
+    generated once: ``f(t, list) -> list`` is called at every stage."""
+    scope = {**_LOOP_SCOPE, "__builtins__": {}}
+    exec(compile(_loop_source(n), f"<dopri loop n={n}>", "exec"), scope)
+    return scope["run"]
 
 
 def _on_lists(fn):
@@ -295,25 +419,29 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``rhs`` from ``ic`` over [t0, cfg.t_final].
 
-    Records samples every ``cfg.record_stride`` time units (boundaries are
-    hit exactly). Halts early with a diverged outcome when the state norm
-    exceeds ``cfg.divergence_norm``, when the step controller collapses
-    below ``cfg.min_step``, or when the solution stops being finite. If
-    ``stop_ball`` is given, integration also halts once the state has
-    remained inside that ball for ``DWELL`` time units (plus a small margin
-    so that :func:`classify` sees a full dwell window).
+    Records samples every ``cfg.record_stride`` time units and at
+    ``cfg.t_final`` (boundaries are hit exactly). Halts early with a
+    diverged outcome when the state norm exceeds ``cfg.divergence_norm``
+    or when the step controller collapses below ``cfg.min_step``, as it
+    does when the solution stops being finite. If ``stop_ball`` is given,
+    integration also halts once the state has remained inside that ball
+    for ``DWELL`` time units (plus a small margin so that :func:`classify`
+    sees a full dwell window).
 
     ``rhs`` receives the state as a fresh 1-d float array and may return
-    any sequence of floats. An ``rhs`` that carries an ``attempt``
-    attribute, a Dormand-Prince attempt with its field inline (see
-    :func:`_attempt_source`), is stepped by it, else by the generic attempt
-    of the state dimension; the generated closed loops of
-    :mod:`slowfast.closedloop` carry one, and the result is the same bit
-    for bit on both paths. ``control`` receives each recorded state as the
-    list of floats it is recorded as and may return any sequence of
-    floats. A stage at which ``rhs`` raises an :class:`ArithmeticError`
-    counts as non-finite, like a stage that returns inf or NaN: the step is
-    halved and retried.
+    any sequence of floats. The checks, the first stage and the first step
+    guess are made here; then one call runs the whole adaptive loop,
+    generated code of :func:`_loop_source`. An ``rhs`` that carries a
+    ``run`` attribute, that loop with its field inline at every stage (the
+    generated closed loops of :mod:`slowfast.closedloop`), is run by it,
+    else the generic loop of the state dimension calls ``rhs`` once per
+    stage; the result is the same bit for bit on both paths. A stage at
+    which ``rhs`` raises an :class:`ArithmeticError` counts as non-finite,
+    like a stage that returns inf or NaN: the step is halved and retried.
+    ``control`` is evaluated after the loop, once per recorded sample in
+    order, on the list of floats recorded there, and may return any
+    sequence of floats. The trajectory's ``stats`` count the attempts and
+    give the reason the loop stopped.
     """
     y0 = np.array(ic, dtype=float)
     if y0.ndim != 1:
@@ -331,26 +459,8 @@ def integrate(
     if not cfg.t_final > t0:
         raise ValueError("t_final must exceed the initial time")
 
-    stride = cfg.record_stride
-    pending = _record_times(t0, cfg.t_final, stride)
-    times = [t0]
-    states = [y]
-    controls = [control(t0, y)] if control else None
-
-    def emit(t: float, yl: list) -> None:
-        times.append(t)
-        states.append(yl)
-        if control is not None:
-            controls.append(control(t, yl))
-
-    rtol, atol = cfg.rtol, cfg.atol
-    max_step, min_step = cfg.max_step, cfg.min_step
-    div_norm = cfg.divergence_norm
-    attempt = getattr(rhs, "attempt", None) or _attempt(n)
-    isfinite = math.isfinite
-    outcome = Outcome.undecided()
-
     # first step guess, bounded by the output cadence
+    rtol, atol, max_step, min_step = cfg.rtol, cfg.atol, cfg.max_step, cfg.min_step
     scale0 = [atol + rtol * abs(v) for v in y]
     d0, d1 = _rms(y, scale0), _rms(k1, scale0)
     h = min(max_step, cfg.t_final - t0)
@@ -358,74 +468,22 @@ def integrate(
         h = min(h, 0.01 * max(d0, 1e-6) / d1)
     h = max(h, min_step)
 
-    t = t0
-    rec_i = 0
-    ball_entry: float | None = None
-    margin = DWELL + 2.0 * stride
-
-    while rec_i < len(pending):
-        t_target = pending[rec_i]
-        gap = t_target - t
-        h_try = h if h < max_step else max_step  # min(h, max_step, gap)
-        if h_try > gap:
-            h_try = gap
-        # stretch onto the boundary rather than leave an unsteppable sliver
-        clamped = h_try >= gap - min_step
-        if clamped:
-            h_try = gap
-        if h_try < min_step:
-            outcome = Outcome.diverged(t)
-            if times[-1] < t:
-                emit(t, y)
-            break
-
-        err = math.nan  # stays NaN when a stage is not finite
-        try:
-            err, y_new, k7, norm = attempt(ev, t, h_try, y, k1, rtol, atol)
-        except ArithmeticError:
-            pass
-
-        if not isfinite(err):
-            h = 0.5 * h_try
-            continue
-        if err > 1.0:
-            h = h_try * max(0.1, _SAFETY * err**_ORDER_EXP)
-            continue
-
-        # accepted
-        t = t_target if clamped else t + h_try
-        y = y_new
-        k1 = k7
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
-        )
-        h = min(max_step, h_try * factor)
-
-        if norm > div_norm:
-            outcome = Outcome.diverged(t)
-            emit(t, y)
-            break
-
-        if clamped:
-            emit(t, y)
-            rec_i += 1
-
-        if stop_ball is not None:
-            if norm < stop_ball:
-                if ball_entry is None:
-                    ball_entry = t
-                elif t - ball_entry >= margin:
-                    if times[-1] < t:
-                        emit(t, y)
-                    break
-            else:
-                ball_entry = None
-
+    stride = cfg.record_stride
+    n_rec = max(1, int(math.ceil((cfg.t_final - t0) / stride - 1e-12)))
+    run = getattr(rhs, "run", None) or _loop(n)
+    # no norm is below a ball of 0.0, so without stop_ball nothing dwells
+    times, states, t, reason, accepted, rejected, retried, h_min = run(
+        ev, t0, y, k1, h, rtol, atol, max_step, min_step, cfg.divergence_norm,
+        stride, n_rec, cfg.t_final, 0.0 if stop_ball is None else stop_ball,
+        DWELL + 2.0 * stride)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        controls=np.array(controls, dtype=float) if controls is not None else None,
-        outcome=outcome,
+        controls=(np.array([control(tr, yr) for tr, yr in zip(times, states)],
+                           dtype=float) if control else None),
+        outcome=Outcome.diverged(t) if reason in ("norm", "collapse") else Outcome.undecided(),
+        stats=IntegratorStats(reason, accepted, rejected, retried,
+                              h_min if accepted else None),
     )
 
 

@@ -150,6 +150,17 @@ class TestRoaCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, bounds", [("--x-range", [" -inf", "inf"]),
+                                              ("--z-range", ["nan", "1"]),
+                                              ("--x-range", [" -1e308", "1e308"])])
+    def test_non_finite_grid_exits_one(self, tmp_path, capsys, axis, bounds):
+        cfg = write_config(tmp_path, PLANAR)
+        code = main(["roa", "--config", cfg, "--out", str(tmp_path / "roa"),
+                     "--grid", "3", axis, *bounds])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "roa").exists()
+
     def test_small_grid_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)
         code = main([

@@ -133,8 +133,12 @@ class TestExprSlowField:
         y = [0.3, -0.2]
         k1 = rhs(0.0, np.array(y))
         assert [type(v) for v in k1] == [float, float]
-        _, y_new, k7, _ = rhs.attempt(None, 0.0, 1e-3, y, k1, 1e-8, 1e-10)
-        assert [type(v) for v in (*y_new, *k7)] == [float] * 4
+        # rhs.run(f, t, y, k1, h, rtol, atol, max_step, min_step, div_norm,
+        #         stride, n_rec, t_final, ball, margin)
+        _, states, *_ = rhs.run(None, 0.0, y, k1, 1e-3, 1e-8, 1e-10, 1e-3, 1e-13, 1e6,
+                                1e-2, 2, 0.02, 0.0, 1.0)
+        assert len(states) == 3
+        assert {type(v) for yl in states for v in yl} == {float}
         recorded = []
 
         def control(t, yl):
@@ -152,14 +156,14 @@ class TestExprSlowField:
 
 
 class TestFloatPath:
-    """``integrate`` steps a closed loop through its fused attempt, the field
+    """``integrate`` runs a closed loop on its own generated loop, the field
     written inline at every stage; the same rhs behind a plain callable (as
-    a benchmark span wrapper presents it) takes the generic attempt and the
+    a benchmark span wrapper presents it) takes the generic loop and the
     array adapter, and both must give the same run bit for bit."""
 
     @staticmethod
     def _assert_same_run(rhs, ueval, ic, cfg, **kwargs):
-        assert callable(rhs.attempt)
+        assert callable(rhs.run)
         direct = integrate(rhs, ic, cfg, control=ueval, **kwargs)
         adapted = integrate(lambda t, y: rhs(t, y), ic, cfg,
                             control=lambda t, y: ueval(t, y), **kwargs)
@@ -167,6 +171,7 @@ class TestFloatPath:
         assert np.array_equal(direct.states, adapted.states)
         assert np.array_equal(direct.controls, adapted.controls)
         assert direct.outcome == adapted.outcome
+        assert direct.stats == adapted.stats
         return direct
 
     def test_circuit_highgain_segment(self):

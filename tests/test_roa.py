@@ -35,6 +35,27 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="n_points"):
             GridSpec(x_ranges=((0.0, 1.0, 0),), z_range=(0.0, 1.0, 5))
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-3.0, np.inf), (np.nan, 1.0),
+                                        (0.0, np.nan)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(x_ranges=((lo, hi, 3),), z_range=(0.0, 1.0, 3))
+        with pytest.raises(ValueError, match="z_range: bounds must be finite"):
+            GridSpec(x_ranges=((0.0, 1.0, 3),), z_range=(lo, hi, 3))
+
+    def test_overflowing_span_rejected(self):
+        with pytest.raises(ValueError, match="span"):
+            GridSpec(x_ranges=((-1e308, 1e308, 3),), z_range=(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("n", [2.7, np.nan, np.inf, "3"])
+    def test_non_integral_point_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            GridSpec(x_ranges=((0.0, 1.0, 3),), z_range=(0.0, 1.0, n))
+
+    def test_integral_float_point_count_accepted(self):
+        grid = GridSpec(x_ranges=((0.0, 1.0, 3.0),), z_range=(0.0, 1.0, np.int64(2)))
+        assert grid.shape == (3, 2) and all(type(n) is int for n in grid.shape)
+
 
 class TestSweep:
     def test_neighborhood_grid_fully_converges(self):

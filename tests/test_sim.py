@@ -9,7 +9,9 @@ import pytest
 
 import slowfast
 from slowfast import sim
-from slowfast.closedloop import OpenLoop, build_closed_loop
+from slowfast.closedloop import OpenLoop, Thm2, Thm2Plus3, build_closed_loop
+from slowfast.control import Theorem2Params, Theorem3Params
+from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.sim import (
     IntegratorConfig,
     Outcome,
@@ -187,31 +189,313 @@ def _coupled(t, y):
             + y[(i + 1) % n] / (1.0 + y[i] * y[i]) for i in range(n)]
 
 
+# -- the stepping loop that integrate ran before it was generated, kept as
+# an oracle: plain Python over float lists, one _zip_attempt per attempt
+
+
+def _record_times(t0, t_final, stride):
+    n = max(1, int(math.ceil((t_final - t0) / stride - 1e-12)))
+    pts = [t0 + i * stride for i in range(1, n)]
+    pts.append(t_final)
+    return pts
+
+
+def _rms(values, scales):
+    acc = 0.0
+    for v, s in zip(values, scales):
+        q = v / s
+        acc += q * q
+    return math.sqrt(acc / len(scales))
+
+
+def _reference_integrate(rhs, ic, cfg, t0=0.0, control=None, stop_ball=None,
+                         attempt=_zip_attempt):
+    y0 = np.array(ic, dtype=float)
+    if y0.ndim != 1:
+        raise ValueError("initial condition must be a 1-d vector")
+    if not np.all(np.isfinite(y0)):
+        raise sim.NonFiniteError("initial condition contains non-finite entries")
+    n = y0.size
+    ev = sim._on_lists(rhs)
+    y = y0.tolist()
+    k1 = ev(t0, y)
+    if not (isinstance(k1, list) and len(k1) == n):
+        raise ValueError(f"rhs must return {n} values, got {np.shape(k1)}")
+    if not all(map(math.isfinite, k1)):
+        raise sim.NonFiniteError("rhs is not finite at the initial condition")
+    if not cfg.t_final > t0:
+        raise ValueError("t_final must exceed the initial time")
+
+    stride = cfg.record_stride
+    pending = _record_times(t0, cfg.t_final, stride)
+    times = [t0]
+    states = [y]
+    controls = [control(t0, y)] if control else None
+
+    def emit(t, yl):
+        times.append(t)
+        states.append(yl)
+        if control is not None:
+            controls.append(control(t, yl))
+
+    rtol, atol = cfg.rtol, cfg.atol
+    max_step, min_step = cfg.max_step, cfg.min_step
+    div_norm = cfg.divergence_norm
+    isfinite = math.isfinite
+    outcome = Outcome.undecided()
+
+    # first step guess, bounded by the output cadence
+    scale0 = [atol + rtol * abs(v) for v in y]
+    d0, d1 = _rms(y, scale0), _rms(k1, scale0)
+    h = min(max_step, cfg.t_final - t0)
+    if d1 > 0:
+        h = min(h, 0.01 * max(d0, 1e-6) / d1)
+    h = max(h, min_step)
+
+    t = t0
+    rec_i = 0
+    ball_entry = None
+    margin = sim.DWELL + 2.0 * stride
+
+    while rec_i < len(pending):
+        t_target = pending[rec_i]
+        gap = t_target - t
+        h_try = h if h < max_step else max_step  # min(h, max_step, gap)
+        if h_try > gap:
+            h_try = gap
+        # stretch onto the boundary rather than leave an unsteppable sliver
+        clamped = h_try >= gap - min_step
+        if clamped:
+            h_try = gap
+        if h_try < min_step:
+            outcome = Outcome.diverged(t)
+            if times[-1] < t:
+                emit(t, y)
+            break
+
+        err = math.nan  # stays NaN when a stage is not finite
+        try:
+            err, y_new, k7, norm = attempt(ev, t, h_try, y, k1, rtol, atol)
+        except ArithmeticError:
+            pass
+
+        if not isfinite(err):
+            h = 0.5 * h_try
+            continue
+        if err > 1.0:
+            h = h_try * max(0.1, sim._SAFETY * err**sim._ORDER_EXP)
+            continue
+
+        # accepted
+        t = t_target if clamped else t + h_try
+        y = y_new
+        k1 = k7
+        factor = sim._MAX_FACTOR if err == 0.0 else min(
+            sim._MAX_FACTOR, max(sim._MIN_FACTOR, sim._SAFETY * err**sim._ORDER_EXP)
+        )
+        h = min(max_step, h_try * factor)
+
+        if norm > div_norm:
+            outcome = Outcome.diverged(t)
+            emit(t, y)
+            break
+
+        if clamped:
+            emit(t, y)
+            rec_i += 1
+
+        if stop_ball is not None:
+            if norm < stop_ball:
+                if ball_entry is None:
+                    ball_entry = t
+                elif t - ball_entry >= margin:
+                    if times[-1] < t:
+                        emit(t, y)
+                    break
+            else:
+                ball_entry = None
+
+    return Trajectory(
+        times=np.array(times),
+        states=np.array(states),
+        controls=np.array(controls, dtype=float) if controls is not None else None,
+        outcome=outcome,
+    )
+
+
+def _counted_reference(rhs, ic, cfg, **kwargs):
+    """The reference run and the IntegratorStats its attempts add up to."""
+    calls = []
+
+    def attempt(*args):
+        h = args[2]
+        try:
+            out = _zip_attempt(*args)
+        except ArithmeticError:
+            calls.append((h, math.nan))
+            raise
+        calls.append((h, out[0]))
+        return out
+
+    traj = _reference_integrate(rhs, ic, cfg, attempt=attempt, **kwargs)
+    steps = [h for h, err in calls if err <= 1.0]
+    rejected = sum(1.0 < err < math.inf for _, err in calls)
+    return traj, (len(steps), rejected, len(calls) - len(steps) - rejected,
+                  min(steps) if steps else None)
+
+
+def _assert_same_as_reference(rhs, ic, cfg, reason, control=None, stop_ball=None):
+    """``integrate`` and the reference agree bit for bit, the run stops for
+    ``reason``, and its counters are those of the reference's attempts."""
+    ref, counts = _counted_reference(rhs, ic, cfg, control=control, stop_ball=stop_ball)
+    got = integrate(rhs, ic, cfg, control=control, stop_ball=stop_ball)
+    assert np.array_equal(got.times, ref.times)
+    assert np.array_equal(got.states, ref.states)
+    if control is None:
+        assert got.controls is None and ref.controls is None
+    else:
+        assert np.array_equal(got.controls, ref.controls)
+    assert got.outcome == ref.outcome
+    stats = got.stats
+    assert stats.reason == reason
+    assert (stats.accepted, stats.rejected, stats.retried, stats.h_min) == counts
+    return got
+
+
+def _generic_cases(n):
+    """(rhs, ic, cfg, stop_ball, reason) reaching every exit and retry of the
+    loop for state dimension ``n``, each component coupled to the next."""
+    nxt = [(i + 1) % n for i in range(n)]
+    loose = dict(rtol=1e-6, atol=1e-9, max_step=1e-2)
+
+    def ones(v):
+        return [v] * n
+
+    def zero_division(t, y):  # x * 1e-320 underflows to 0 once |x| < 2.5e-4
+        return [-1.0 + 0.0 * (1e-320 / (float(y[0]) * 1e-320))] + [-y[i] for i in range(1, n)]
+
+    return [
+        (_coupled, [0.3 * (-1) ** i for i in range(n)], IntegratorConfig(t_final=0.6, **loose),
+         None, "t_final"),
+        (lambda t, y: [-3.0 * y[i] + 0.5 * y[j] for i, j in enumerate(nxt)],
+         ones(2e-4), IntegratorConfig(t_final=5.0, **loose), 1e-3, "dwell"),
+        (lambda t, y: [y[i] * y[i] + 0.1 * y[j] for i, j in enumerate(nxt)],
+         ones(1.0), IntegratorConfig(t_final=2.0, **loose), None, "norm"),
+        # the same blow-up, let run on: rejected steps until the step collapses
+        (lambda t, y: [y[i] * y[i] + 0.1 * y[j] for i, j in enumerate(nxt)],
+         ones(1.0), IntegratorConfig(t_final=2.0, divergence_norm=1e300, **loose),
+         None, "collapse"),
+        # float ** int raises OverflowError in the stages
+        (lambda t, y: [float(v) ** 3 for v in y], ones(1e100),
+         IntegratorConfig(t_final=1.0, divergence_norm=1e300), None, "collapse"),
+        (zero_division, ones(0.5), IntegratorConfig(t_final=1.0, **loose), None, "collapse"),
+        # a field that is inf (a norm of inf) or NaN (of NaN) past y_0 = 1.5
+        (lambda t, y: [math.inf if y[0] > 1.5 else 1.0] * n, ones(0.0),
+         IntegratorConfig(t_final=3.0, **loose), None, "collapse"),
+        (lambda t, y: [math.nan if y[0] > 1.5 else 1.0] * n, ones(0.0),
+         IntegratorConfig(t_final=3.0, **loose), None, "collapse"),
+        # steps held at max_step end 5e-4 short of each record time, which
+        # is under min_step: each such step is stretched onto it
+        (lambda t, y: [0.01 * math.cos(t + i) for i in range(n)], ones(1.0),
+         IntegratorConfig(rtol=1e-3, atol=1e-6, t_final=1.0, max_step=0.1, min_step=1e-3,
+                          record_stride=0.2 + 5e-4), None, "t_final"),
+    ]
+
+
+def _fused_cases(k):
+    """(system, variant, ic, cfg, stop_ball, reason) for normal-form loops of
+    degeneracy ``k``. The failing drifts act on x_m alone, from x = z = 0
+    elsewhere, where the other fields vanish, so z stays 0 at every k."""
+    m = k - 1
+    p2 = Theorem2Params(c=[1.0] + [0.0] * (m - 1), a=[1.0] * m, b=3.0)
+    p3 = Theorem3Params(K=[5.0] + [0.0] * (m - 1), chi_star=[-2.0] + [0.0] * (m - 1))
+    loose = dict(rtol=1e-6, atol=1e-9, max_step=1e-2)
+
+    def system(last, first="x1 - z"):
+        exprs = (first, *(f"0.5 * x{i} - z * x{i - 1}" for i in range(2, m)), last)
+        return NormalFormSystem(k=k, epsilon=0.05, slow_f=ExprSlowField(exprs=exprs))
+
+    def at(xm):
+        return [0.0] * (m - 1) + [xm, 0.0]
+
+    smooth = system(f"0.5 * x{m} - z * x{m - 1}", first="1 + x1 + z")
+    return [
+        (smooth, Thm2(p2), [0.1] * k, IntegratorConfig(t_final=0.5, **loose), None, "t_final"),
+        (smooth, Thm2Plus3(p2, p3), [1e-4] * k, IntegratorConfig(t_final=5.0, **loose),
+         1e-3, "dwell"),
+        (system(f"x{m} * x{m}"), OpenLoop(), at(1.0), IntegratorConfig(t_final=2.0, **loose),
+         None, "norm"),
+        (system(f"x{m} ** 3"), OpenLoop(), at(1e100),
+         IntegratorConfig(t_final=1.0, divergence_norm=1e300), None, "collapse"),
+        (system(f"-1 + 0 * (1e-320 / (x{m} * 1e-320))"), OpenLoop(), at(0.5),
+         IntegratorConfig(t_final=1.0, **loose), None, "collapse"),
+        (system(f"1 + 0 * sqrt(1.5 - x{m})"), OpenLoop(), at(0.0),
+         IntegratorConfig(t_final=3.0, **loose), None, "collapse"),
+        (system("0.01"), OpenLoop(), at(1.0),
+         IntegratorConfig(rtol=1e-3, atol=1e-6, t_final=1.0, max_step=0.1, min_step=1e-3,
+                          record_stride=0.2 + 5e-4), None, "t_final"),
+    ]
+
+
+class TestReferenceLoop:
+    """The generated loops against the loop they replaced, run verbatim in
+    plain Python over :func:`_zip_attempt`: every exit and every retry."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_generic_loop(self, n):
+        for rhs, ic, cfg, ball, reason in _generic_cases(n):
+            _assert_same_as_reference(rhs, ic, cfg, reason, stop_ball=ball)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_fused_loop(self, k):
+        # each closed loop runs on its own generated loop and, behind a
+        # plain callable, on the generic one
+        for system, variant, ic, cfg, ball, reason in _fused_cases(k):
+            rhs, ueval, _ = build_closed_loop(system, variant)
+            assert callable(rhs.run)
+            for f, u in ((rhs, ueval), (lambda t, y: rhs(t, y), lambda t, y: ueval(t, y))):
+                _assert_same_as_reference(f, ic, cfg, reason, control=u, stop_ball=ball)
+
+    def test_sliver_is_stretched_onto_the_record_time(self):
+        # steps of max_step = 0.1 end 5e-4 < min_step short of every other
+        # record time, so ten steps reach t_final instead of fourteen
+        rhs, ic, cfg, _, _ = _generic_cases(2)[-1]
+        traj = integrate(rhs, ic, cfg)
+        assert traj.times.tolist() == [0.0, *_record_times(0.0, 1.0, 0.2 + 5e-4)]
+        assert (traj.stats.accepted, traj.stats.rejected, traj.stats.retried) == (10, 0, 0)
+
+
 class TestGeneratedAttempt:
+    """The generic generated loop, against the reference on random fields,
+    states, times and tolerances."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_bitwise_equal_to_zip_reference(self, n):
         rng = np.random.default_rng(100 + n)
-        attempt = sim._attempt(n)
-        for _ in range(200):
+        for _ in range(20):
             y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1)).tolist()
             t = float(rng.uniform(-5.0, 5.0))
-            h = float(10.0 ** rng.uniform(-6, -1))
-            rtol, atol = float(10.0 ** rng.uniform(-10, -4)), float(10.0 ** rng.uniform(-12, -6))
-            k1 = _coupled(t, y)
-            got = attempt(_coupled, t, h, y, k1, rtol, atol)
-            ref = _zip_attempt(_coupled, t, h, y, k1, rtol, atol)
-            assert math.isfinite(ref[0])
-            assert got == ref  # err, y_new, k7 and norm, bit for bit
+            cfg = IntegratorConfig(rtol=float(10.0 ** rng.uniform(-10, -4)),
+                                   atol=float(10.0 ** rng.uniform(-12, -6)),
+                                   max_step=float(10.0 ** rng.uniform(-3, -1)),
+                                   t_final=t + float(rng.uniform(0.05, 0.3)),
+                                   record_stride=float(rng.uniform(0.005, 0.05)))
+            ref = _reference_integrate(_coupled, y, cfg, t0=t)
+            got = integrate(_coupled, y, cfg, t0=t)
+            assert ref.outcome == got.outcome == Outcome.undecided()
+            assert np.array_equal(got.times, ref.times)
+            assert np.array_equal(got.states, ref.states)
 
     def test_generated_lazily_and_cached(self):
         code = textwrap.dedent("""
             import slowfast
             from slowfast import sim
-            assert sim._attempt.cache_info().currsize == 0
+            assert sim._loop.cache_info().currsize == 0
             cfg = sim.IntegratorConfig(t_final=0.1)
             for _ in range(2):
                 sim.integrate(lambda t, y: -y, [1.0, 2.0, 3.0], cfg)
-            info = sim._attempt.cache_info()
+            info = sim._loop.cache_info()
             assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
         """)
         src = os.path.dirname(os.path.dirname(slowfast.__file__))
@@ -219,6 +503,51 @@ class TestGeneratedAttempt:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+class TestStats:
+    """``Trajectory.stats``: one case per stop reason."""
+
+    def test_t_final(self):
+        cfg = IntegratorConfig(t_final=1.0, max_step=0.1, record_stride=0.5)
+        stats = integrate(lambda t, y: [0.0], [1.0], cfg).stats
+        # err is 0 on a constant state: ten steps of max_step, none refused
+        assert stats == sim.IntegratorStats("t_final", 10, 0, 0, stats.h_min)
+        assert stats.h_min == pytest.approx(0.1)
+
+    def test_dwell(self):
+        traj = integrate(decay, [1e-4, -1e-4], config_for(0.01, 10.0), stop_ball=1e-3)
+        assert traj.stats.reason == "dwell"
+        assert traj.times[-1] == pytest.approx(sim.DWELL + 0.02, abs=5e-3)
+        assert classify(traj).is_converged
+
+    def test_norm(self):
+        traj = integrate(lambda t, y: y * y, [1.0], IntegratorConfig(t_final=2.0))
+        assert traj.stats.reason == "norm"
+        assert traj.outcome == Outcome.diverged(traj.times[-1])
+        assert abs(traj.states[-1, 0]) > 1e6
+        assert traj.stats.retried == 0 and traj.stats.h_min < 1e-6
+
+    def test_collapse(self):
+        traj = integrate(lambda t, y: [math.nan if y[0] > 1.5 else 1.0], [0.0],
+                         IntegratorConfig(t_final=3.0, max_step=1e-2))
+        stats = traj.stats
+        assert stats.reason == "collapse"
+        assert traj.outcome == Outcome.diverged(traj.times[-1])
+        assert stats.retried > 0 and stats.h_min >= 1e-13
+
+    def test_collapse_before_any_step(self):
+        traj = integrate(lambda t, y: [float(v) ** 3 for v in y], [1e100],
+                         IntegratorConfig(t_final=1.0, divergence_norm=1e300))
+        assert traj.stats == sim.IntegratorStats("collapse", 0, 0, 1, None)
+        assert traj.outcome == Outcome.diverged(0.0) and len(traj) == 1
+
+    def test_set_by_sweep_cells(self):
+        from slowfast.closedloop import CellRunner
+
+        runner = CellRunner(system=build_planar_example(0.01), variant=OpenLoop(),
+                            cfg=config_for(0.01, 10.0))
+        assert runner.simulate([0.1, 1.0]).stats.reason == "norm"
 
 
 class TestClassify:
