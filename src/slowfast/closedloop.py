@@ -18,7 +18,6 @@ import numpy as np
 from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
 from .normal_form import ExprSlowField, NormalFormSystem, compile_functions, parse_expression
 from .sim import (
-    _LOOP_SCOPE,
     BALL,
     IntegratorConfig,
     NonFiniteError,
@@ -196,7 +195,7 @@ def _generated(system, variant_key: bytes):
     blocks = {"_stage": [*assign, *call, f"({field},)"],
               "_rhs": [*assign, *call, f"[{field}]"],
               "_control": [*assign, f"[{', '.join(recorded)}]"]}
-    ns = compile_functions(src, blocks, trees, {**_LOOP_SCOPE, **scope})
+    ns = compile_functions(src, blocks, trees, scope)
     rhs = ns["rhs"]
     rhs.run = ns["run"]
     return rhs, ns["ueval"]

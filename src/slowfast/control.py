@@ -10,14 +10,12 @@ included for comparison.
 """
 from __future__ import annotations
 
-import ast
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blowup import FamilyChartState, from_family_chart
-from .normal_form import NormalFormSystem, _vec, eval_g, parse_expression
+from .normal_form import NormalFormSystem, _vec, eval_g, parse_expression, walk
 
 __all__ = [
     "Theorem2Params",
@@ -137,34 +135,21 @@ def highgain_law(a, b: float, epsilon: float, constants=None) -> list:
             for i, (ai, c) in enumerate(zip(a, const), 1)]
 
 
-_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
-        ast.UAdd: operator.pos}
-
-
-def _value(tree, env: dict) -> float:
-    """Value of a law tree (constants, names, unary and binary arithmetic),
-    operation for operation as the compiled tree computes it."""
-    if isinstance(tree, ast.Constant):
-        return tree.value
-    if isinstance(tree, ast.Name):
-        return env[tree.id]
-    if isinstance(tree, ast.UnaryOp):
-        return _OPS[type(tree.op)](_value(tree.operand, env))
-    return _OPS[type(tree.op)](_value(tree.left, env), _value(tree.right, env))
-
-
 def evaluate(law: list, x, z: float) -> list[float]:
-    """The law trees at the state (x, z), without compiling them.
+    """The law trees walked at the state (x, z), as Python floats.
 
-    This is the one uncompiled evaluator of a law; ``x`` must have one entry
-    per control. Compiling costs about half a millisecond a call, which the
-    verification suites, with their thousands of single evaluations, should
-    not pay.
+    ``x`` must have one entry per control. Compiling costs about half a
+    millisecond a call, which the verification suites, with their thousands
+    of single evaluations, should not pay.
     """
     env = {f"x{i}": xi for i, xi in enumerate(_vec(x, len(law), "x").tolist(), 1)}
     env["z"] = float(z)
-    return [_value(tree, env) for tree in law]
+    return [walk(tree, env) for tree in law]
+
+
+def _check_order(k: int, p: Theorem2Params) -> None:
+    if p.a.size != k - 1:
+        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
 
 
 def chart_controller_family(c: FamilyChartState, k: int,
@@ -178,8 +163,7 @@ def chart_controller_family(c: FamilyChartState, k: int,
     :func:`closed_loop_rhs_family`.
     """
     x_bar = _vec(c.x_bar, k - 1, "x_bar")
-    if p.a.size != k - 1:
-        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
+    _check_order(k, p)
     if c.r_bar == 0 and k >= 3:
         raise ValueError("chart controller is singular at r_bar = 0 for k >= 3")
     u = np.empty(k - 1)
@@ -194,8 +178,7 @@ def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:
 
     Block structure [[-diag(a), b e1], [-e1^T, 0]].
     """
-    if p.a.size != k - 1:
-        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
+    _check_order(k, p)
     J = np.zeros((k, k))
     J[: k - 1, : k - 1] = -np.diag(p.a)
     J[0, k - 1] = p.b
@@ -208,8 +191,7 @@ def eigenvalues_origin(k: int, p: Theorem2Params) -> np.ndarray:
 
     All real parts are negative for a > 0, b > 0.
     """
-    if p.a.size != k - 1:
-        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
+    _check_order(k, p)
     disc = complex(p.a[0] ** 2 - 4.0 * p.b) ** 0.5
     lam = np.empty(k, dtype=complex)
     lam[0] = (-p.a[0] + disc) / 2.0
@@ -235,8 +217,7 @@ def closed_loop_rhs_family(
     """
     k = sys.k
     x_bar = _vec(c.x_bar, k - 1, "x_bar")
-    if p.a.size != k - 1:
-        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
+    _check_order(k, p)
     state, eps = from_family_chart(c, k)
     f = np.asarray(sys.slow_f(state.x, state.z, eps), dtype=float)
     dx_bar = np.empty(k - 1)

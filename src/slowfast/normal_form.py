@@ -7,15 +7,16 @@ The model class has k-1 slow states x, one fast state z and a fast field
 so the origin is the most degenerate point of the critical manifold
 S = {g = 0}. Control enters additively in the slow equations.
 
-Slow fields given as text, and the closed loops generated from them, go
-through one checked expression grammar (:func:`parse_expression`) and are
-compiled by :func:`compile_functions`.
+Slow fields given as text, control laws and the closed loops generated
+from them go through one checked expression grammar (:func:`parse_expression`),
+whose trees are walked by :func:`walk` or compiled by :func:`compile_functions`.
 """
 from __future__ import annotations
 
 import ast
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -35,6 +36,7 @@ __all__ = [
     "validate",
     "on_manifold_tolerance",
     "parse_expression",
+    "walk",
     "compile_functions",
 ]
 
@@ -238,9 +240,11 @@ def _pow(base, exponent):
     return math.nan if isinstance(r, complex) else r
 
 
-# globals of every generated function: no builtins, the listed numpy functions
+# globals of every generated function, where a walk looks up its calls: no
+# builtins, the listed numpy functions and the integrator loop's own names
 _SCOPE = {name: getattr(np, name) for name in _EXPR_FUNCS}
-_SCOPE.update(_pow=_pow, float=float, __builtins__={})
+_SCOPE.update(_pow=_pow, float=float, _hypot=math.hypot, _sqrt=math.sqrt, _inf=math.inf,
+              _ArithmeticError=ArithmeticError, __builtins__={})
 
 
 class _ExprChecker(ast.NodeTransformer):
@@ -250,7 +254,7 @@ class _ExprChecker(ast.NodeTransformer):
     number makes it a constant. Numbers become floats, ``a ** b`` becomes
     ``_pow(a, b)`` unless b is an integral constant (a float to such a power
     is never complex) and a call ``fn(a)`` becomes ``float(fn(a))``, so every
-    value is a Python float; any other node type is an error, so no
+    value is a float; any other node type is an error, so no
     attribute, subscript, comprehension or call outside the listed numpy
     functions can reach the compiler. The checked tree is built new, so the
     parsed tree can be shared.
@@ -300,6 +304,26 @@ class _ExprChecker(ast.NodeTransformer):
                 f"only one-argument calls of {', '.join(_EXPR_FUNCS)} are allowed")
         call = ast.Call(ast.Name(node.func.id, ast.Load()), [self.visit(node.args[0])], [])
         return ast.Call(ast.Name("float", ast.Load()), [call], [])
+
+
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
+        ast.UAdd: operator.pos}
+
+
+def walk(tree: ast.expr, env: dict):
+    """Value of a checked tree with its local names bound by ``env``:
+    operation for operation, on the values as given, what it computes
+    compiled."""
+    if isinstance(tree, ast.Constant):
+        return tree.value
+    if isinstance(tree, ast.Name):
+        return env[tree.id]
+    if isinstance(tree, ast.UnaryOp):
+        return _OPS[type(tree.op)](walk(tree.operand, env))
+    if isinstance(tree, ast.Call):
+        return _SCOPE[tree.func.id](*[walk(arg, env) for arg in tree.args])
+    return _OPS[type(tree.op)](walk(tree.left, env), walk(tree.right, env))
 
 
 @lru_cache(maxsize=256)
@@ -378,8 +402,8 @@ def compile_functions(src: str, blocks: dict, trees: dict, scope: dict | None = 
     compiler as the constants of trees from :func:`parse_expression`, never
     as text; only the blocks are walked to fill them, and ``src``, which
     depends on the state dimension alone for a closed loop, is parsed once
-    per process. The globals are the listed numpy functions, ``_pow``,
-    ``float`` and ``scope``; there are no builtins.
+    per process. The globals are ``_SCOPE`` and ``scope``; there are no
+    builtins.
     """
     fill = _Fill(trees)
     filled = {}
@@ -393,25 +417,27 @@ def compile_functions(src: str, blocks: dict, trees: dict, scope: dict | None = 
 
 
 @lru_cache(maxsize=64)
-def _compile_exprs(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = ()):
-    """One function (x, z, epsilon) -> list of the m expressions.
-
-    Each string is checked against the expression grammar before anything
-    is compiled, with the names x1..xm, z, epsilon, the constant pi and the
-    (name, value) constants ``bound``.
-    """
-    names = [f"x{i + 1}" for i in range(len(exprs))]
-    env = {**{n: n for n in names}, "z": "z", "epsilon": "epsilon", "pi": math.pi,
-           **dict(bound)}
-    trees = {}
-    for i, src in enumerate(exprs):
+def _drift_trees(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = ()) -> tuple:
+    """Checked trees of the m drift expressions, in x1..xm, z, epsilon, the
+    constant pi and the (name, value) constants ``bound``."""
+    env = {**{f"x{i}": f"x{i}" for i in range(1, len(exprs) + 1)}, "z": "z",
+           "epsilon": "epsilon", "pi": math.pi, **dict(bound)}
+    trees = []
+    for i, src in enumerate(exprs, 1):
         try:
-            trees[f"_e{i}"] = parse_expression(src, env)
+            trees.append(parse_expression(src, env))
         except ValueError as exc:
-            raise ValueError(f"slow field expression {i + 1} ({src!r}): {exc}") from None
-    unpack = ", ".join(names) + "," if names else "_"
-    return compile_functions(f"def slow_f(x, z, epsilon):\n    {unpack} = x\n    return _f\n",
-                             {"_f": [f"[{', '.join(trees)}]"]}, trees)["slow_f"]
+            raise ValueError(f"slow field expression {i} ({src!r}): {exc}") from None
+    return tuple(trees)
+
+
+def _drift(exprs: tuple[str, ...], x, z, eps, bound=()) -> list:
+    """The drift expressions walked at (x, z, eps); x1..xm are the entries
+    of ``x`` as it iterates (numpy scalars from an array)."""
+    trees = _drift_trees(exprs, bound)
+    names = (f"x{i}" for i in range(1, len(trees) + 1))
+    env = dict(zip(names, x, strict=True), z=z, epsilon=eps)
+    return [walk(tree, env) for tree in trees]
 
 
 @dataclass(frozen=True)
@@ -420,15 +446,16 @@ class ExprSlowField:
 
     The grammar is that of :func:`parse_expression`, with ``pi``; anything
     else raises ValueError on construction. Instances hold only the source
-    strings, so they pickle cleanly into sweep workers; the compiled
-    function is cached per expression tuple, and a closed loop splices the
-    checked expressions into its own generated function.
+    strings, so they pickle cleanly into sweep workers; the checked trees
+    are cached per expression tuple and walked by :func:`walk` on a call,
+    and a closed loop splices the checked expressions into its own
+    generated function.
     """
 
     exprs: tuple[str, ...]
 
     def __post_init__(self):
-        _compile_exprs(self.exprs)
+        _drift_trees(self.exprs)
 
     def __call__(self, x, z: float, eps: float) -> list:
-        return _compile_exprs(self.exprs)(x, z, eps)
+        return _drift(self.exprs, x, z, eps)

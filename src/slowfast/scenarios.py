@@ -35,6 +35,7 @@ from .normal_form import NormalFormSystem
 from .roa import GridSpec, RoAComparison, RoAReport, compare, sweep, write_report_csv
 from .sim import (
     IntegratorConfig,
+    IntegratorStats,
     NonFiniteError,
     Outcome,
     Trajectory,
@@ -98,10 +99,14 @@ def _require_keys(section: dict, allowed: dict, where: str) -> None:
 
 
 def _number(v, where: str) -> float:
-    # json accepts NaN and +-Infinity; no setting may be one
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{where} must be a finite number, got {v!r}")
-    return float(v)
+    # json accepts NaN, +-Infinity and integers too large for a float; no
+    # setting may be one
+    try:
+        if not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v):
+            return float(v)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {v!r}")
 
 
 def _vector(v, where: str, size: int | None = None) -> list[float]:
@@ -274,7 +279,9 @@ def load_config(path) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
@@ -356,11 +363,15 @@ def _switch_on(system, variant: Variant, ic, opened: Trajectory | None,
         return opened
     seg = integrate(rhs, opened.states[-1], cfg, t0=float(opened.times[-1]),
                     control=ueval)
+    a, b = opened.stats, seg.stats  # a.h_min is set: the open segment ran to the switch
     return Trajectory(
         times=np.concatenate([opened.times[:-1], seg.times]),
         states=np.concatenate([opened.states[:-1], seg.states]),
         controls=np.concatenate([opened.controls[:-1], seg.controls]),
         outcome=seg.outcome,
+        stats=IntegratorStats(b.reason, a.accepted + b.accepted, a.rejected + b.rejected,
+                              a.retried + b.retried,
+                              min(h for h in (a.h_min, b.h_min) if h is not None)),
     )
 
 
@@ -398,23 +409,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
         failures.append(None)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = []
-        for i, (ic, out, fail) in enumerate(zip(cfg.ics, outcomes, failures)):
-            if trajectories[i] is not None:
-                write_trajectory_csv(
-                    trajectories[i], os.path.join(out_dir, f"traj_{i:03d}.csv")
-                )
+        lines = [f"scenario: {describe(variant)} epsilon={cfg.epsilon}"]
+        for i, (ic, traj, out, fail) in enumerate(
+                zip(cfg.ics, trajectories, outcomes, failures)):
+            if traj is not None:
+                write_trajectory_csv(traj, os.path.join(out_dir, f"traj_{i:03d}.csv"))
             t_event = out.t_enter if out.is_converged else out.t_escape
-            note = f" failure={fail}" if fail else ""
-            lines.append(
-                f"ic={list(ic)} outcome={out.kind}"
-                + (f" t={t_event:.6g}" if t_event is not None else "")
-                + note
-            )
-        _write_summary(
-            os.path.join(out_dir, "summary.txt"),
-            [f"scenario: {describe(variant)} epsilon={cfg.epsilon}"] + lines,
-        )
+            lines.append(f"ic={list(ic)} outcome={out.kind}"
+                         + (f" t={t_event:.6g}" if t_event is not None else "")
+                         + (f" failure={fail}" if fail else ""))
+        _write_summary(os.path.join(out_dir, "summary.txt"), lines)
     return ScenarioResult(config=cfg, trajectories=trajectories,
                           outcomes=outcomes, failures=failures)
 
@@ -504,26 +508,19 @@ def run_ex1(
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for i, t in enumerate(runs_u):
-            write_trajectory_csv(t, os.path.join(out_dir, f"ex1_u_ic{i}.csv"))
-        for i, t in enumerate(runs_v):
-            write_trajectory_csv(t, os.path.join(out_dir, f"ex1_v_ic{i}.csv"))
+        for stem, runs in (("u", runs_u), ("v", runs_v)):
+            for i, t in enumerate(runs):
+                write_trajectory_csv(t, os.path.join(out_dir, f"ex1_{stem}_ic{i}.csv"))
         write_trajectory_csv(lit, os.path.join(out_dir, "ex1_v_literal_ic0.csv"))
         write_trajectory_csv(probe, os.path.join(out_dir, "ex1_u_fold_probe.csv"))
         _write_summary(
             os.path.join(out_dir, "ex1_summary.txt"),
             [
                 f"epsilon={epsilon} switch_on={switch_on_time} t_final={t_final}",
-                *(
-                    f"u-run ic={list(EX1_ICS[i])}: {outcomes_u[i].kind},"
-                    f" final_norm={final_u[i]:.3e}"
-                    for i in range(len(EX1_ICS))
-                ),
-                *(
-                    f"v-run ic={list(EX1_ICS[i])}: {outcomes_v[i].kind},"
-                    f" final_norm={final_v[i]:.3e}"
-                    for i in range(len(EX1_ICS))
-                ),
+                *(f"{stem}-run ic={list(ic)}: {o.kind}, final_norm={norm:.3e}"
+                  for stem, outs, norms in (("u", outcomes_u, final_u),
+                                            ("v", outcomes_v, final_v))
+                  for ic, o, norm in zip(EX1_ICS, outs, norms)),
                 f"sup|u|={sup_u:.6g} sup|v|={sup_v:.6g} ratio={ratio:.4f}"
                 f" (bound {EX1_RATIO_BOUND})",
                 "benchmark uses drift-constant cancellation; the literal"

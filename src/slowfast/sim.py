@@ -11,8 +11,9 @@ The closed loops integrated here have 2 to a handful of states, where
 per-call overhead costs far more than the arithmetic. So the whole
 adaptive loop is one straight-line function, generated once per state
 dimension n on first use from n, the tableau and the step control
-constants (:func:`_loop_source`): the state and the stages are scalar
-Python float locals across steps, each stage input is a list display,
+constants (:func:`_loop_source`) and compiled by
+:func:`slowfast.normal_form.compile_functions`: the state and the stages
+are scalar Python float locals across steps, each stage input is a list display,
 the error norm is unrolled in the order of a loop over the components,
 and the step control (clamp to the record time, reject or accept, step
 factor, step collapse, norm escape, ball dwell) is written in the loop
@@ -42,6 +43,8 @@ from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .normal_form import compile_functions
 
 __all__ = [
     "IntegratorConfig",
@@ -189,7 +192,8 @@ class Trajectory:
 
     ``states`` has one row per sample with the fast state in the last
     column; ``controls`` (optional) holds the control signal evaluated at
-    the recorded times only. ``stats`` is set by :func:`integrate`.
+    the recorded times only. ``stats`` is set by :func:`integrate` (a
+    switched run sums the counts of its two segments).
     """
 
     times: np.ndarray
@@ -209,13 +213,6 @@ def _rms(values: list, scales: list) -> float:
         q = v / s
         acc += q * q
     return math.sqrt(acc / len(scales))
-
-
-# globals of the generated loop, named apart from the expression grammar's
-# numpy ``sqrt``, which shares a scope with a closed loop's field; generated
-# code runs without builtins
-_LOOP_SCOPE = {"_hypot": math.hypot, "_sqrt": math.sqrt, "_inf": math.inf,
-               "_ArithmeticError": ArithmeticError}
 
 
 def _call(t: str, args: list[str], y: str) -> tuple[list[str], str]:
@@ -392,10 +389,8 @@ def _loop_source(n: int, stage=_call) -> str:
 @cache
 def _loop(n: int):
     """The generic loop of :func:`_loop_source` for state dimension ``n``,
-    generated once: ``f(t, list) -> list`` is called at every stage."""
-    scope = {**_LOOP_SCOPE, "__builtins__": {}}
-    exec(compile(_loop_source(n), f"<dopri loop n={n}>", "exec"), scope)
-    return scope["run"]
+    compiled once: ``f(t, list) -> list`` is called at every stage."""
+    return compile_functions(_loop_source(n), {}, {})["run"]
 
 
 def _on_lists(fn):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_form import ExprSlowField, NormalFormSystem, _compile_exprs
+from .normal_form import ExprSlowField, NormalFormSystem, _drift
 
 __all__ = [
     "TunnelDiodeParams",
@@ -103,9 +103,9 @@ class TunnelDiodeSystem:
         return {"L": p.L, "Cap": p.Cap, "epsilon": p.epsilon}
 
     def slow_f(self, x, z: float, eps: float) -> list:
-        """The drift f(x, z) as floats, compiled from ``drift`` with L and Cap bound."""
+        """The drift f(x, z), walked from ``drift`` with L and Cap bound."""
         p = self.params
-        return _compile_exprs(self.drift, (("L", p.L), ("Cap", p.Cap)))(x, z, eps)
+        return _drift(self.drift, x, z, eps, (("L", p.L), ("Cap", p.Cap)))
 
     def rhs_circuit(self, y: np.ndarray, u_circuit: np.ndarray) -> np.ndarray:
         """Physical-coordinate field, used to validate the coordinate change."""

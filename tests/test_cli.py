@@ -84,6 +84,34 @@ def test_non_finite_number_exits_one(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", 10 ** 400), ("ics", [[10 ** 400, 0.0]]), ("integrator", {"rtol": 10 ** 400}),
+], ids=["epsilon", "ics", "integrator"])
+def test_integer_too_large_for_a_float_exits_one(tmp_path, capsys, command, key, value):
+    raw = dict(PLANAR, **{key: value})
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+@pytest.mark.parametrize("payload, message", [
+    (b"\xff\xfe{", "config is not UTF-8 text"),
+    (b"[" * 100_000, "config is not valid JSON"),
+    (b'{"epsilon": ' + b"1" * 5000 + b"}", "config is not valid JSON"),
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_unreadable_config_exits_one(tmp_path, capsys, command, payload, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(payload)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 CIRCUIT = dict(PLANAR, system={"builtin": "tunnel_diode"}, ics=[[0.0, 0.0, 0.0]])
 THM2 = {"type": "thm2", "a": [1.0], "b": 3.0}
 BAD_CONTROLLERS = {

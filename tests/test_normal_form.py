@@ -211,3 +211,69 @@ class TestValidate:
 
         sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=flaky)
         assert any("deterministic" in e for e in validate(sys))
+
+
+# each expression is walked, and compiled as the reference, on seeded
+# states: every grammar function, non-integral powers (NaN for a negative
+# base), sqrt(-1), overflow and a division by zero
+WALKED = [f"{fn}(x1 * z + x2) - epsilon * pi" for fn in normal_form._EXPR_FUNCS] + [
+    "x1 ** 1.5 + x2 ** z - -x1 + +z",
+    "x2 ** z",
+    "sqrt(-1) + x1",
+    "x1 ** 400",
+    "exp(800) * x2",
+    "z / (x1 - x1)",
+]
+
+
+def _compiled_drift(exprs):
+    """The drift's checked trees compiled into one function (x, z, epsilon)."""
+    trees = {f"_e{i}": tree for i, tree in enumerate(normal_form._drift_trees(exprs))}
+    names = ", ".join(f"x{i}" for i in range(1, len(exprs) + 1))
+    src = f"def slow_f(x, z, epsilon):\n    {names}, = x\n    return _f\n"
+    return normal_form.compile_functions(src, {"_f": [f"[{', '.join(trees)}]"]},
+                                         trees)["slow_f"]
+
+
+def _outcome(fn, *args):
+    """(type, value) of each returned entry, or of the error raised."""
+    try:
+        return [(type(v), v) for v in fn(*args)]
+    except ArithmeticError as exc:
+        return [(type(exc), str(exc))]
+
+
+class TestWalker:
+    @pytest.mark.parametrize("expr", WALKED)
+    def test_walked_drift_is_the_compiled_drift(self, expr):
+        exprs = (expr, "x2")
+        walked, compiled = normal_form.ExprSlowField(exprs), _compiled_drift(exprs)
+        rng = np.random.default_rng(11)
+        seen = set()
+        with np.errstate(all="ignore"):
+            for _ in range(20):
+                y = rng.uniform(-8.0, 8.0, 3)
+                for args in ((y[:2].tolist(), float(y[2]), 0.01), (y[:2], y[2], 0.01)):
+                    want, got = _outcome(compiled, *args), _outcome(walked, *args)
+                    assert len(got) == len(want)
+                    for (t_got, v_got), (t_want, v_want) in zip(got, want):
+                        assert t_got is t_want, (expr, args)
+                        assert v_got == v_want or (v_got != v_got and v_want != v_want)
+                    seen.add(want[0][0])
+        if expr == "x1 ** 400":
+            assert seen == {OverflowError, float, np.float64}
+        if expr == "z / (x1 - x1)":
+            assert seen == {ZeroDivisionError, np.float64}
+
+    def test_walked_law_is_the_compiled_law(self):
+        tree = normal_form.parse_expression("-c - a * x + tanh(z) ** 2.5",
+                                            {"c": 1.0, "a": 2.0, "x": "x1", "z": "z"})
+        compiled = normal_form.compile_functions(
+            "def u(x1, z):\n    return _u\n", {"_u": ["_t"]}, {"_t": tree})["u"]
+        rng = np.random.default_rng(3)
+        with np.errstate(all="ignore"):
+            for x1, z in rng.uniform(-3.0, 3.0, (50, 2)).tolist():
+                want = compiled(x1, z)
+                got = normal_form.walk(tree, {"x1": x1, "z": z})
+                assert type(got) is type(want)
+                assert got == want or (got != got and want != want)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from slowfast.scenarios import (
     simulate_switched,
 )
 from slowfast import scenarios
-from slowfast.closedloop import HighGain, Thm2, build_closed_loop
+from slowfast.closedloop import HighGain, OpenLoop, Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
-from slowfast.sim import config_for, integrate
+from slowfast.sim import IntegratorStats, config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
 
 
@@ -222,6 +223,21 @@ class TestSwitching:
         i = int(np.where(traj.times == 1.0)[0][0])
         assert np.all(traj.controls[:i] == 0.0)
         assert traj.controls[i] != 0.0
+
+    def test_stats_sum_the_two_segments(self):
+        sys = build_planar_example(0.01)
+        variant = Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.0))
+        cfg = config_for(0.01, 3.0)
+        traj = simulate_switched(sys, variant, (-0.5, 0.5), cfg, switch_on_time=0.2)
+        opened = integrate(build_closed_loop(sys, OpenLoop())[0], [-0.5, 0.5],
+                           replace(cfg, t_final=0.2))
+        closed = integrate(build_closed_loop(sys, variant)[0], opened.states[-1], cfg,
+                           t0=float(opened.times[-1]))
+        a, b = opened.stats, closed.stats
+        assert a.accepted > 0 and b.accepted > 0
+        assert traj.stats == IntegratorStats(
+            b.reason, a.accepted + b.accepted, a.rejected + b.rejected,
+            a.retried + b.retried, min(a.h_min, b.h_min))
 
 
 class TestEx1:
