@@ -96,9 +96,8 @@ def describe(variant: Variant) -> str:
 def drift_at_origin(system) -> list[float]:
     """f(0, 0, 0): the slow drift at the origin, as m finite floats."""
     f0 = np.asarray(system.slow_f([0.0] * system.n_slow, 0.0, 0.0), dtype=float)
-    if f0.shape != (system.n_slow,) or not np.all(np.isfinite(f0)):
-        raise ValueError("the drift at the origin must be finite, one entry per "
-                         f"slow state; got {f0.tolist()}")
+    if not np.all(np.isfinite(f0)):
+        raise ValueError(f"the drift at the origin must be finite; got {f0.tolist()}")
     return f0.tolist()
 
 
@@ -146,10 +145,9 @@ def _generated(system, variant_key: bytes):
     """(rhs, ueval) generated for ``system`` and the pickled variant.
 
     The field is one block of straight-line statements: assign the law to
-    v1..vm, then (if the drift is a plain callable) call its ``slow_f`` once,
-    whose values are taken as Python floats; its value is the drift plus v
-    and the fast field, in x1..xm and z. The drift given as expressions, the
-    fast field, the law and the slot form are checked trees. ``rhs(t, y)``
+    v1..vm; its value is the drift plus v and the fast field, in x1..xm and
+    z. The drift's expressions, the fast field, the law and the slot form
+    are checked trees, compiled with the system's constants. ``rhs(t, y)``
     unpacks the state array and returns the field, ``ueval(t, y)`` the
     recorded control of the float list that :func:`slowfast.sim.integrate`
     records. The same block is written inline at every stage of the whole
@@ -165,15 +163,8 @@ def _generated(system, variant_key: bytes):
     trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
     assign = [f"{v} = _{v}" for v in vs]
 
-    drift, call, scope = system.drift, [], {}
-    if isinstance(drift, tuple):
-        fs = [f"_f{i}" for i in range(1, m + 1)]
-        trees.update(zip(fs, (parse_expression(src, env) for src in drift)))
-    else:  # a plain callable, called once on the unpacked state
-        fs = [f"f{i}" for i in range(1, m + 1)]
-        trees["_eps"] = ast.Constant(float(system.epsilon))
-        scope = {"slow_f": drift, "map": map}
-        call = [f"{', '.join(fs)}, = map(float, slow_f([{', '.join(xs)}], z, _eps))"]
+    fs = [f"_f{i}" for i in range(1, m + 1)]
+    trees.update(zip(fs, (parse_expression(src, env) for src in system.drift)))
     trees["_g"] = parse_expression(system.fast, env)
     field = ", ".join(f"{f} + {v}" for f, v in zip(fs, vs)) + ", _g"
 
@@ -192,10 +183,10 @@ def _generated(system, variant_key: bytes):
     src = _loop_source(m + 1, inline)
     src += f"def rhs(t, y):\n    {state} = y.tolist()\n    return _rhs\n"
     src += f"def ueval(t, y):\n    {state} = y\n    return _control\n"
-    blocks = {"_stage": [*assign, *call, f"({field},)"],
-              "_rhs": [*assign, *call, f"[{field}]"],
+    blocks = {"_stage": [*assign, f"({field},)"],
+              "_rhs": [*assign, f"[{field}]"],
               "_control": [*assign, f"[{', '.join(recorded)}]"]}
-    ns = compile_functions(src, blocks, trees, scope)
+    ns = compile_functions(src, blocks, trees)
     rhs = ns["rhs"]
     rhs.run = ns["run"]
     return rhs, ns["ueval"]
@@ -205,17 +196,18 @@ def build_closed_loop(system, variant: Variant):
     """(rhs, control_eval, n_controls) for the slow-time closed loop.
 
     The right-hand side is one generated function per (system, variant):
-    the control law's and the system's arithmetic as scalar locals in one
-    frame, with every gain and constant compiled in. ``control_eval``
-    reports the signal that is recorded in trajectories: the additive
-    control, except that the baseline law on a system with control slots
-    (``slots``, the circuit) is recorded in slot form. ``rhs(t, y)`` takes
-    the state as an array, the ODE convention; ``control_eval(t, y)`` takes
-    it as the list of floats that :func:`slowfast.sim.integrate` records.
-    Both return lists of Python floats. ``rhs`` carries as ``run`` the
-    whole adaptive Dormand-Prince loop with its field inline at every
-    stage, by which :func:`slowfast.sim.integrate` integrates it in one
-    call. The functions are cached per system (which must be hashable) and
+    the control law's and the system's arithmetic, the drift's expressions
+    included, as scalar locals in one frame, with every gain and constant
+    compiled in. ``control_eval`` reports the signal that is recorded in
+    trajectories: the additive control, except that the baseline law on a
+    system with control slots (``slots``, the circuit) is recorded in slot
+    form. ``rhs(t, y)`` takes the state as an array, the ODE convention;
+    ``control_eval(t, y)`` takes it as the list of floats that
+    :func:`slowfast.sim.integrate` records. Both return lists of Python
+    floats. ``rhs`` carries as ``run`` the whole adaptive Dormand-Prince
+    loop with its field inline at every stage, by which
+    :func:`slowfast.sim.integrate` integrates it in one call; a step of it
+    makes no Python call. The functions are cached per system (which must be hashable) and
     variant, so a sweep compiles its loop once per process.
     """
     rhs, ueval = _generated(system, pickle.dumps(variant))

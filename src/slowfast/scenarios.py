@@ -155,6 +155,18 @@ def _horizon(t_final, switch_on_time) -> tuple[float, float]:
     return t_final, switch
 
 
+def _window(icfg: IntegratorConfig, switch: float) -> None:
+    """A ConfigError unless each segment of a run, the open one up to
+    ``switch`` if there is one and the closed one up to ``icfg.t_final``,
+    spans at least one smallest step of the integrator."""
+    if 0.0 < switch < icfg.min_step:
+        raise ConfigError(f"switch_on_time must be 0 or at least the integrator's"
+                          f" min_step {icfg.min_step:g}, got {switch:g}")
+    if icfg.t_final - switch < icfg.min_step:
+        raise ConfigError(f"t_final - switch_on_time must be at least the integrator's"
+                          f" min_step {icfg.min_step:g}, got {icfg.t_final - switch:g}")
+
+
 # the section schemas: each kind of system or controller maps its keys to
 # (check, default); a key whose default is _REQUIRED must be given, and one
 # whose default is None is left out when it is not
@@ -241,8 +253,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
         "config",
     )
     system = _section(raw["system"], "system", "builtin", _SYSTEMS)
-    if system["builtin"] == "custom" and len(system["f"]) != system["k"] - 1:
-        raise ConfigError(f"system.f must be a list of {system['k'] - 1} expression strings")
     epsilon = _epsilon(raw["epsilon"])
     built = _checked("system", _system, system, epsilon)
     n_slow = built.n_slow
@@ -269,7 +279,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         ics=tuple(ics), t_final=t_final, switch_on_time=switch,
         integrator=integrator, outputs=outputs,
     )
-    _checked("integrator", _integrator_config, cfg)
+    _window(_checked("integrator", _integrator_config, cfg), switch)
     return cfg
 
 
@@ -463,8 +473,9 @@ def run_ex1(
     """
     _epsilon(epsilon)
     _horizon(t_final, switch_on_time)
+    icfg = _checked("integrator", config_for, epsilon, t_final)
+    _window(icfg, switch_on_time)
     system = build_tunnel_diode(TunnelDiodeParams(epsilon=epsilon))
-    icfg = config_for(epsilon, t_final)
     u_var = Thm2(Theorem2Params(c=drift_at_origin(system), a=EX1_A, b=EX1_B))
     v_var = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=True)
     v_lit = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=False)

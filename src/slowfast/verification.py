@@ -76,29 +76,16 @@ def _random_p2(rng: np.random.Generator, k: int) -> control.Theorem2Params:
     )
 
 
-@dataclass(frozen=True)
-class _AffineField:
-    """Picklable smooth slow drift with fixed random coefficients."""
-
-    const: tuple[float, ...]
-    lin_x: tuple[tuple[float, ...], ...]
-    lin_z: tuple[float, ...]
-    lin_eps: tuple[float, ...]
-
-    def __call__(self, x, z, eps):
-        out = np.array(self.const)
-        out += np.asarray(self.lin_x) @ np.asarray(x, dtype=float)
-        out += np.asarray(self.lin_z) * z + np.asarray(self.lin_eps) * eps
-        return out
-
-
-def _random_field(rng: np.random.Generator, m: int) -> _AffineField:
-    return _AffineField(
-        const=tuple(rng.uniform(-2, 2, m)),
-        lin_x=tuple(tuple(row) for row in rng.uniform(-1, 1, (m, m))),
-        lin_z=tuple(rng.uniform(-1, 1, m)),
-        lin_eps=tuple(rng.uniform(-1, 1, m)),
-    )
+def _random_field(rng: np.random.Generator, m: int) -> normal_form.ExprSlowField:
+    """Affine slow drift c + A x + (l z + e epsilon) with seeded coefficients."""
+    const = rng.uniform(-2, 2, m).tolist()
+    lin_x = rng.uniform(-1, 1, (m, m)).tolist()
+    lin_z = rng.uniform(-1, 1, m).tolist()
+    lin_eps = rng.uniform(-1, 1, m).tolist()
+    return normal_form.ExprSlowField(tuple(
+        f"{c!r} + ({' + '.join(f'{a!r} * x{j}' for j, a in enumerate(row, 1))})"
+        f" + ({lz!r} * z + {le!r} * epsilon)"
+        for c, row, lz, le in zip(const, lin_x, lin_z, lin_eps)))
 
 
 @_suite("quasihomogeneity", tol=1e-11)

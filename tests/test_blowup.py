@@ -15,11 +15,10 @@ from slowfast.blowup import (
     to_family_chart,
     weights_for,
 )
-from slowfast.normal_form import NormalFormSystem, State
+from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
 
 
-def zero_f(x, z, eps):
-    return np.zeros(len(x))
+zero_f = ExprSlowField(("0",))
 
 
 class TestWeights:
@@ -170,9 +169,7 @@ class TestDesingFamily:
         assert dz == pytest.approx(-0.14)
 
     def test_origin_is_equilibrium_when_constants_cancel(self):
-        sys = NormalFormSystem(
-            k=2, epsilon=1e-3, slow_f=lambda x, z, e: np.array([5.0])
-        )
+        sys = NormalFormSystem(k=2, epsilon=1e-3, slow_f=ExprSlowField(("5",)))
 
         def ctrl(r, x_bar, z_bar):
             return np.array([-5.0 - x_bar[0] + 3.0 * z_bar])
@@ -271,9 +268,7 @@ class TestDesingDirectional:
             sympy.simplify(e / rho_s ** (k - 1)) for e in [drho, *dchi, dmu]
         ]
 
-        sys = NormalFormSystem(
-            k=k, epsilon=1.0, slow_f=lambda xv, zv, ev: np.array([0.5, -1 / 3])
-        )
+        sys = NormalFormSystem(k=k, epsilon=1.0, slow_f=ExprSlowField(("0.5", "-1 / 3")))
         subs = {rho_s: 0.9, mu_s: 0.7, chi_s[0]: -1.2, chi_s[1]: 0.4}
         c = DirectionalChartState(rho=0.9, chi=[-1.2, 0.4], mu=0.7)
         drho_n, dchi_n, dmu_n = desing_rhs_directional(

@@ -168,6 +168,22 @@ def test_integrator_that_cannot_be_built_exits_one(tmp_path, capsys, command, in
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+@pytest.mark.parametrize("window, message", [
+    ({"switch_on_time": 1e-14}, "switch_on_time must be 0 or at least"),
+    ({"t_final": 1e-14}, "t_final - switch_on_time must be at least"),
+    ({"t_final": 10.0, "switch_on_time": 10.0 - 1e-14}, "t_final - switch_on_time must be"),
+], ids=["switch_on_time", "t_final", "closed_segment"])
+def test_segment_shorter_than_min_step_exits_one(tmp_path, capsys, command, window, message):
+    # such a run would stop at once and be classified diverged at t = 0
+    raw = dict(PLANAR, ics=[[0.0, 0.0]], **window)
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 class TestRoaCommand:
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)
@@ -255,6 +271,10 @@ class TestReproductionCommands:
     @pytest.mark.parametrize("flags", [
         ["--t-final", "5"], ["--epsilon", "0"], ["--epsilon", "nan"], ["--t-final", "inf"],
         ["--switch-on", "-1"], ["--switch-on", "30"],
+        # an integrator that cannot be built: max_step = eps / 2 under min_step
+        ["--epsilon", "1e-20"], ["--epsilon", "1e-13"],
+        # a segment shorter than the integrator's min_step
+        ["--switch-on", "1e-14"], ["--t-final", "10.00000000000001"],
     ])
     def test_ex1_checks_its_flags_before_running(self, tmp_path, capsys, flags):
         code = main(["ex1", "--out", str(tmp_path / "ex1"), *flags])

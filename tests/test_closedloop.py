@@ -21,7 +21,7 @@ from slowfast.closedloop import (
     law,
 )
 from slowfast.control import Theorem2Params, Theorem3Params, evaluate
-from slowfast.normal_form import NormalFormSystem
+from slowfast.normal_form import _SCOPE, NormalFormSystem
 from slowfast.scenarios import EX1_ICS, ConfigError, parse_config
 from slowfast.sim import NonFiniteError, config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
@@ -49,9 +49,7 @@ class TestBuild:
         assert rhs(0.0, y)[0] == pytest.approx(1.0 + 0.2 - 0.3 + u, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        sys = NormalFormSystem(
-            k=3, epsilon=0.01, slow_f=lambda x, z, e: np.zeros(2)
-        )
+        sys = NormalFormSystem(k=3, epsilon=0.01, slow_f=ExprSlowField(exprs=("0", "0")))
         with pytest.raises(ValueError, match="sized for"):
             build_closed_loop(sys, Thm2(P2))
 
@@ -122,13 +120,6 @@ class TestExprSlowField:
     def test_closed_loop_rhs_returns_python_floats(self):
         sys = NormalFormSystem(
             k=2, epsilon=0.05, slow_f=ExprSlowField(exprs=("sin(z) + 1 + x1",)))
-        rhs, _, _ = build_closed_loop(sys, Thm2(P2))
-        out = rhs(0.0, np.array([0.3, -0.2]))
-        assert [type(v) for v in out] == [float, float]
-
-    def test_callable_drift_of_numpy_scalars_gives_python_floats(self):
-        sys = NormalFormSystem(
-            k=2, epsilon=0.05, slow_f=lambda x, z, e: [np.float64(1.0) + x[0] + z])
         rhs, ueval, _ = build_closed_loop(sys, Thm2(P2))
         y = [0.3, -0.2]
         k1 = rhs(0.0, np.array(y))
@@ -230,10 +221,6 @@ class TestFloatPath:
         raises_on_both_paths(NonFiniteError, *loop("sqrt(-1.0 - x1*x1)"), [0.5, 0.5])
 
 
-def _mistyped_field(x, z, eps):
-    return np.array([x[0] + "z"])  # a bug, not a numerical failure
-
-
 class TestCellRunner:
     # outcome of each (variant, ic), recorded when planar cells also went
     # through a separate hand-unrolled stepper and both paths agreed on all 27
@@ -271,17 +258,21 @@ class TestCellRunner:
                             cfg=config_for(0.01, 1.0))
         assert runner((0.5, 0.5)).is_diverged
 
-    def test_programming_errors_propagate(self):
+    def test_programming_errors_propagate(self, monkeypatch):
         from slowfast.roa import GridSpec, sweep
 
-        bad = NormalFormSystem(k=2, epsilon=0.01, slow_f=_mistyped_field)
+        def bug(*args, **kwargs):
+            raise TypeError("a bug, not a numerical failure")
+
+        monkeypatch.setattr(closedloop, "integrate", bug)
+        system = build_planar_example(0.01)
         cfg = config_for(0.01, 1.0)
-        runner = CellRunner(system=bad, variant=OpenLoop(), cfg=cfg)
+        runner = CellRunner(system=system, variant=OpenLoop(), cfg=cfg)
         with pytest.raises(TypeError):
             runner((0.5, 0.5))
         grid = GridSpec(x_ranges=((-1.0, 1.0, 2),), z_range=(-1.0, 1.0, 2))
         with pytest.raises(TypeError):
-            sweep(bad, OpenLoop(), grid, cfg, jobs=1)
+            sweep(system, OpenLoop(), grid, cfg, jobs=1)
 
     def test_overflow_counts_as_diverged(self):
         blowup = NormalFormSystem(
@@ -389,8 +380,11 @@ def _old_planar_slow_f(x, z, eps):
     return [1.0 + x[0] + z]
 
 
-def _cubic_drift(x, z, eps):  # a plain callable returning an array
+def _cubic_drift(x, z, eps):  # the reference of CUBIC, returning an array
     return np.array([1.0 + x[0] * z - eps, x[1] - z * z])
+
+
+CUBIC = ExprSlowField(exprs=("1 + x1 * z - epsilon", "x2 - z * z"))
 
 
 def _variants(m, normal_form=True):
@@ -408,7 +402,8 @@ def _variants(m, normal_form=True):
 
 
 def _loops():
-    """(system, reference slow_f or None for the circuit, variants)."""
+    """(system, reference slow_f or None for the circuit, variants): the
+    planar fold, both circuits, k = 3 twice and k = 4."""
     k3 = ExprSlowField(exprs=("1 + x1 + z * x2", "sin(z) - x2 ** 3 + epsilon"))
     k4 = ExprSlowField(exprs=("1 + x1 + z", "0.5 * x2 - z * z", "tanh(x3) + x1 ** 0.5"))
     yield build_planar_example(0.01), _old_planar_slow_f, _variants(1)
@@ -417,7 +412,7 @@ def _loops():
         yield sys, None, _variants(2, normal_form=False)
     yield NormalFormSystem(k=3, epsilon=0.05, slow_f=k3), k3, _variants(2)
     yield NormalFormSystem(k=4, epsilon=0.02, slow_f=k4), k4, _variants(3)
-    yield NormalFormSystem(k=3, epsilon=0.05, slow_f=_cubic_drift), _cubic_drift, _variants(2)
+    yield NormalFormSystem(k=3, epsilon=0.05, slow_f=CUBIC), _cubic_drift, _variants(2)
 
 
 class TestGenerated:
@@ -452,6 +447,20 @@ class TestGenerated:
                     y = rng.uniform(-3.0, 3.0, k)
                     u = evaluate(law(sys, variant), y[:-1], y[-1])
                     assert u == ueval(0.0, y.tolist())
+
+    def test_globals_are_the_one_scope(self):
+        # the field is written inline: no drift callable and no builtin
+        # reaches a generated loop, only the scope and the functions defined
+        n = 0
+        for system, _, variants in _loops():
+            for variant in variants:
+                rhs, ueval, _ = build_closed_loop(system, variant)
+                scope = rhs.run.__globals__
+                assert scope is rhs.__globals__ is ueval.__globals__
+                assert set(scope) == set(_SCOPE) | {"run", "rhs", "ueval"}
+                assert all(scope[name] is value for name, value in _SCOPE.items())
+                n += 1
+        assert n == 28
 
     def test_generated_once_per_loop(self):
         code = textwrap.dedent("""

@@ -14,17 +14,18 @@ from slowfast.control import (
     thm2_law,
     thm3_law,
 )
-from slowfast.normal_form import NormalFormSystem, State
+from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
 from slowfast.verification import run_suites
 
 
 def _planar(eps):
-    return NormalFormSystem(k=2, epsilon=eps, slow_f=lambda x, z, e: [1.0 + x[0] + z])
+    return NormalFormSystem(k=2, epsilon=eps, slow_f=ExprSlowField(("1 + x1 + z",)))
 
 
 def _drift(*f0):
     """k = 3 system at eps = 0.01 whose slow drift is the constant f0."""
-    return NormalFormSystem(k=3, epsilon=0.01, slow_f=lambda x, z, e: list(f0))
+    return NormalFormSystem(k=3, epsilon=0.01,
+                            slow_f=ExprSlowField(tuple(repr(float(v)) for v in f0)))
 
 
 class TestParams:
@@ -215,9 +216,7 @@ class TestJacobianAndEigenvalues:
 
 class TestClosedLoopFamilyField:
     def test_reduces_to_linear_design_on_sphere(self):
-        sys = NormalFormSystem(
-            k=3, epsilon=0.01, slow_f=lambda x, z, e: np.array([2.0, -1.0])
-        )
+        sys = NormalFormSystem(k=3, epsilon=0.01, slow_f=ExprSlowField(("2", "-1")))
         p = Theorem2Params(c=[2.0, -1.0], a=[1.0, 4.0], b=2.0)
         _, dx, dz = closed_loop_rhs_family(
             FamilyChartState(r_bar=0.0, x_bar=[0.5, -0.25], z_bar=0.4), sys, p

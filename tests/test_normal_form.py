@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from slowfast import normal_form
 from slowfast.normal_form import (
+    ExprSlowField,
     NormalFormSystem,
     State,
     degeneracy_order,
@@ -16,12 +17,8 @@ from slowfast.normal_form import (
 )
 
 
-def zero_f(x, z, eps):
-    return np.zeros(len(x))
-
-
-def affine_f(x, z, eps):
-    return np.array([1.0 + x[0] + z])
+zero_f = ExprSlowField(("0",))
+affine_f = ExprSlowField(("1 + x1 + z",))
 
 
 class TestEvalG:
@@ -100,7 +97,7 @@ class TestRhs:
         assert dz == pytest.approx(-5.0)
 
     def test_origin_equilibrium_by_cancellation(self):
-        sys = NormalFormSystem(k=3, epsilon=0.1, slow_f=lambda x, z, e: np.array([2.0, -1.0]))
+        sys = NormalFormSystem(k=3, epsilon=0.1, slow_f=ExprSlowField(("2", "-1")))
         dx, dz = eval_rhs_fast(
             sys, State(x=[0.0, 0.0], z=0.0), [-2.0, 1.0]
         )
@@ -114,7 +111,8 @@ class TestRhs:
         assert dz == pytest.approx(-500.0)
 
     def test_slow_equals_fast_over_epsilon(self):
-        sys = NormalFormSystem(k=4, epsilon=0.05, slow_f=lambda x, z, e: x + z)
+        sys = NormalFormSystem(k=4, epsilon=0.05,
+                               slow_f=ExprSlowField(("x1 + z", "x2 + z", "x3 + z")))
         s = State(x=[0.3, -0.7, 1.1], z=0.4)
         u = [0.1, 0.2, -0.3]
         dxf, dzf = eval_rhs_fast(sys, s, u)
@@ -134,9 +132,7 @@ class TestRhs:
             eval_rhs_slow(sys, State(x=[1.0], z=0.0), [0.0])
 
     def test_non_finite_evaluator_signalled(self):
-        sys = NormalFormSystem(
-            k=2, epsilon=0.1, slow_f=lambda x, z, e: np.array([np.nan])
-        )
+        sys = NormalFormSystem(k=2, epsilon=0.1, slow_f=ExprSlowField(("1e308 * 10 * x1",)))
         with pytest.raises(ValueError, match="non-finite"):
             eval_rhs_fast(sys, State(x=[1.0], z=0.0), [0.0])
 
@@ -191,26 +187,40 @@ class TestValidate:
         assert validate(sys) == []
 
     def test_k_too_small(self):
-        sys = NormalFormSystem(k=1, epsilon=0.01, slow_f=zero_f)
-        assert any("k must be >= 2" in e for e in validate(sys))
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError, match="k must be an integer >= 2"):
+                NormalFormSystem(k=k, epsilon=0.01, slow_f=zero_f)
+
+    @pytest.mark.parametrize("k", [2.0, True, "2", None])
+    def test_k_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            NormalFormSystem(k=k, epsilon=0.01, slow_f=zero_f)
 
     def test_wrong_evaluator_dimension(self):
-        sys = NormalFormSystem(k=3, epsilon=0.01, slow_f=affine_f)
-        assert any("components" in e for e in validate(sys))
+        # one expression short and one too many are both refused on construction
+        with pytest.raises(ValueError, match="2 expression"):
+            NormalFormSystem(k=3, epsilon=0.01, slow_f=affine_f)
+        with pytest.raises(ValueError, match="1 expression"):
+            NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1", "log(-1)")))
+        assert NormalFormSystem(k=np.int64(3), epsilon=0.01,
+                                slow_f=ExprSlowField(("x1", "x2"))).n_slow == 2
+
+    def test_drift_must_be_expressions(self):
+        for slow_f in (lambda x, z, e: [1.0 + x[0] + z], ("1 + x1 + z",), None):
+            with pytest.raises(ValueError, match="ExprSlowField"):
+                NormalFormSystem(k=2, epsilon=0.01, slow_f=slow_f)
 
     def test_nonpositive_epsilon(self):
         sys = NormalFormSystem(k=2, epsilon=-1.0, slow_f=affine_f)
         assert any("epsilon" in e for e in validate(sys))
 
-    def test_nondeterministic_evaluator_flagged(self):
-        state = {"n": 0}
-
-        def flaky(x, z, eps):
-            state["n"] += 1
-            return np.array([float(state["n"])])
-
-        sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=flaky)
-        assert any("deterministic" in e for e in validate(sys))
+    def test_origin_probes(self):
+        raising = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 / z",)))
+        assert [e.split(":")[0] for e in validate(raising)] == [
+            "slow_f raised at (0, 0, 0.0)", "slow_f raised at (0, 0, 0.01)"]
+        at_eps = NormalFormSystem(k=2, epsilon=0.01,
+                                  slow_f=ExprSlowField(("1e308 * (1 + 1000 * epsilon)",)))
+        assert validate(at_eps) == ["slow_f returned non-finite values at (0, 0, 0.01)"]
 
 
 # each expression is walked, and compiled as the reference, on seeded

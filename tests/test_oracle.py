@@ -8,7 +8,7 @@ import pytest
 
 from slowfast.closedloop import OpenLoop, Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
-from slowfast.normal_form import NormalFormSystem
+from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.scenarios import EX1_ICS
 from slowfast.sim import classify, config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_tunnel_diode
@@ -32,8 +32,7 @@ def _states_at(traj, times):
     return traj.states[idx]
 
 
-def _cusp_f(x, z, eps):
-    return np.array([1.0 + x[0] + z, 0.5 * x[1] - z * z])
+_cusp_f = ExprSlowField(("1 + x1 + z", "0.5 * x2 - z * z"))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.01])
