@@ -1,6 +1,6 @@
 """Stabilization of slow-fast control systems near non-hyperbolic points.
 
-Normal-form models, blow-up charts, controller synthesis, stiff closed-loop
+Normal-form models, blow-up charts, controller synthesis, closed-loop
 simulation and region-of-attraction studies.
 """
 

@@ -38,6 +38,7 @@ __all__ = [
     "drift_at_origin",
     "law",
     "build_closed_loop",
+    "certificate",
     "CellRunner",
     "ExprSlowField",
 ]
@@ -140,6 +141,19 @@ def _check_size(gains, m: int) -> None:
         raise ValueError(f"controller sized for {len(gains)} slow states, system has {m}")
 
 
+def _trees(system, variant: Variant) -> dict:
+    """Checked trees of the law (``_v1``..``_vm``), the drift (``_f1``..``_fm``)
+    and the fast field (``_g``) in x1..xm and z, with the system's constants
+    bound."""
+    m = system.n_slow
+    xs = [f"x{i}" for i in range(1, m + 1)]
+    env = {**dict(zip(xs, xs)), "z": "z", "pi": math.pi, **system.constants}
+    trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
+    trees.update((f"_f{i}", parse_expression(src, env)) for i, src in enumerate(system.drift, 1))
+    trees["_g"] = parse_expression(system.fast, env)
+    return trees
+
+
 @lru_cache(maxsize=64)
 def _generated(system, variant_key: bytes):
     """(rhs, ueval) generated for ``system`` and the pickled variant.
@@ -147,26 +161,22 @@ def _generated(system, variant_key: bytes):
     The field is one block of straight-line statements: assign the law to
     v1..vm; its value is the drift plus v and the fast field, in x1..xm and
     z. The drift's expressions, the fast field, the law and the slot form
-    are checked trees, compiled with the system's constants. ``rhs(t, y)``
-    unpacks the state array and returns the field, ``ueval(t, y)`` the
-    recorded control of the float list that :func:`slowfast.sim.integrate`
-    records. The same block is written inline at every stage of the whole
-    adaptive Dormand-Prince loop (``rhs.run``, from
-    :func:`slowfast.sim._loop_source`), which never calls a function for
-    the field, so a step of the loop makes no Python call.
+    are checked trees (:func:`_trees`), compiled with the system's
+    constants. ``rhs(t, y)`` unpacks the state array and returns the field,
+    ``ueval(t, y)`` the recorded control of the float list that
+    :func:`slowfast.sim.integrate` records. The same block is written
+    inline at every stage of the whole adaptive Dormand-Prince loop
+    (``rhs.run``, from :func:`slowfast.sim._loop_source`), which never
+    calls a function for the field, so a step of the loop makes no Python
+    call.
     """
     variant = pickle.loads(variant_key)
     m = system.n_slow
     xs = [f"x{i}" for i in range(1, m + 1)]
     vs = [f"v{i}" for i in range(1, m + 1)]
-    env = {**dict(zip(xs, xs)), "z": "z", "pi": math.pi, **system.constants}
-    trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
+    trees = _trees(system, variant)
     assign = [f"{v} = _{v}" for v in vs]
-
-    fs = [f"_f{i}" for i in range(1, m + 1)]
-    trees.update(zip(fs, (parse_expression(src, env) for src in system.drift)))
-    trees["_g"] = parse_expression(system.fast, env)
-    field = ", ".join(f"{f} + {v}" for f, v in zip(fs, vs)) + ", _g"
+    field = ", ".join(f"_f{i} + {v}" for i, v in enumerate(vs, 1)) + ", _g"
 
     recorded = vs
     slots = getattr(system, "slots", None)
@@ -214,6 +224,32 @@ def build_closed_loop(system, variant: Variant):
     return rhs, ueval, system.n_slow
 
 
+@lru_cache(maxsize=64)
+def _certificate(system, variant_key: bytes):
+    # imported on first use: runs without sweep cells never compile it
+    from .lyapunov import certify
+
+    trees = _trees(system, pickle.loads(variant_key))
+    field = [ast.BinOp(trees[f"_f{i}"], ast.Add(), trees[f"_v{i}"])
+             for i in range(1, system.n_slow + 1)]
+    names = [f"x{i}" for i in range(1, system.n_slow + 1)] + ["z"]
+    return certify([*field, trees["_g"]], names, BALL)
+
+
+def certificate(system, variant: Variant):
+    """(P, level) of a proved-invariant sublevel set {y^T P y <= level} of
+    the closed loop's origin inside the ball ``sim.BALL``, or None.
+
+    The proof (:func:`slowfast.lyapunov.certify`) expands into monomials
+    the same checked trees that :func:`build_closed_loop` compiles; a loop
+    whose field is not polynomial, whose origin is not a hyperbolic sink or
+    whose remainder the bound cannot control gets None. It is made on first
+    use and cached per system and variant, like the generated loop, and
+    only region-of-attraction cells (:class:`CellRunner`) ask for it.
+    """
+    return _certificate(system, pickle.dumps(variant))
+
+
 @dataclass(frozen=True)
 class CellRunner:
     """Classifies one initial condition under a fixed closed loop.
@@ -221,10 +257,12 @@ class CellRunner:
     Every cell is integrated by :func:`slowfast.sim.integrate` with the
     loop's generated ``run`` (compiled once per process, see
     :func:`build_closed_loop`), stopped once the state has dwelt in the
-    ball ``sim.BALL`` and classified from its trajectory by
-    :func:`slowfast.sim.classify`. Numerical failures (a non-finite initial
-    condition or field there, an ArithmeticError) are recorded as diverged
-    so that a sweep goes on; any other exception is a bug and propagates.
+    ball ``sim.BALL``, or earlier at the first recorded state inside the
+    loop's proved-invariant set (:func:`certificate`), and classified from
+    its trajectory by :func:`slowfast.sim.classify`. Numerical failures (a
+    non-finite initial condition or field there, an ArithmeticError) are
+    recorded as diverged so that a sweep goes on; any other exception is a
+    bug and propagates.
     """
 
     system: object
@@ -232,8 +270,10 @@ class CellRunner:
     cfg: IntegratorConfig
 
     def simulate(self, ic) -> Trajectory:
-        rhs, _, _ = build_closed_loop(self.system, self.variant)
-        return integrate(rhs, np.asarray(ic, dtype=float), self.cfg, stop_ball=BALL)
+        key = pickle.dumps(self.variant)  # one key for both caches
+        rhs, _ = _generated(self.system, key)
+        return integrate(rhs, np.asarray(ic, dtype=float), self.cfg, stop_ball=BALL,
+                         invariant=_certificate(self.system, key))
 
     def __call__(self, ic) -> Outcome:
         try:

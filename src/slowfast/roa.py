@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import CellRunner, Variant, build_closed_loop, describe
+from .closedloop import CellRunner, Variant, build_closed_loop, certificate, describe
 from .sim import IntegratorConfig, Outcome
 
 __all__ = [
@@ -108,12 +108,12 @@ def sweep(
     """Classify the closed loop from every grid node with :class:`CellRunner`.
 
     Cells are independent; with ``jobs`` > 1 they fan out over processes,
-    one cell per task, and ``jobs`` < 1 means one per core. The loop is
-    compiled before the pool starts, so forked workers inherit it, and the
-    cells farthest from the origin, where the stiff and costly ones lie, are
-    handed out first. The report order follows :meth:`GridSpec.points`
-    regardless of worker scheduling, and per-cell numerical failures are
-    recorded as diverged.
+    one cell per task, and ``jobs`` < 1 means one per core. The loop and its
+    certificate are built before the pool starts, so forked workers inherit
+    them, and the cells farthest from the origin, where the long and costly
+    runs lie, are handed out first. The report order follows
+    :meth:`GridSpec.points` regardless of worker scheduling, and per-cell
+    numerical failures are recorded as diverged.
     """
     runner = CellRunner(system=system, variant=variant, cfg=cfg)
     pts = grid.points()
@@ -123,6 +123,7 @@ def sweep(
         outcomes = [runner(p) for p in pts]
     else:
         build_closed_loop(system, variant)
+        certificate(system, variant)
         order = np.argsort(-np.linalg.norm(pts, axis=1), kind="stable")
         outcomes = [None] * len(pts)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

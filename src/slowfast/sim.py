@@ -1,9 +1,13 @@
-"""Adaptive integration of stiff slow-fast closed loops.
+"""Adaptive integration of slow-fast closed loops.
 
 Uses an explicit embedded Dormand-Prince 5(4) pair with error-per-step
-control. At the eps >= 1e-3 scales targeted here the stiffness ratio is
-mild enough that an explicit pair with max_step tied to eps/2 is cheaper
-and more reproducible than an implicit solver. Finite-time blow-up of the
+control and max_step tied to eps/2. At the eps >= 1e-3 scales targeted
+here the step is limited by accuracy, not by stability: on the costliest
+region-of-attraction cells (the compensated loop's grid corners) h times
+the Jacobian's spectral radius stays near 0.1, well inside the pair's
+stability region, and an implicit solver (scipy's Radau) takes several
+times more steps than an explicit one. So the explicit pair is cheaper and
+more reproducible than an implicit solver. Finite-time blow-up of the
 fast state (z' ~ -z^k/eps) is detected by step-size collapse in addition
 to a norm threshold, since no norm test alone is robust for it.
 
@@ -32,8 +36,10 @@ fixed order, so the results do not depend on the BLAS build.
 
 A trajectory converges when its state stays inside a ball for the final
 ``DWELL`` time units; a region-of-attraction cell uses the ball ``BALL``
-and stops integrating once that has happened (see :func:`integrate` and
-:func:`classify`).
+and stops integrating once that has happened, or as soon as a recorded
+state lies in a sublevel set of a Lyapunov function proved to stay inside
+the ball (:mod:`slowfast.lyapunov`), with the same verdict (see
+:func:`integrate` and :func:`classify`).
 """
 from __future__ import annotations
 
@@ -176,7 +182,9 @@ class IntegratorStats:
     smallest accepted step (None when no step was accepted). ``reason`` is
     ``"t_final"``, ``"dwell"`` (the state stayed in the stop ball),
     ``"norm"`` (the state norm passed ``divergence_norm``) or
-    ``"collapse"`` (the step fell below ``min_step``).
+    ``"collapse"`` (the step fell below ``min_step``) or ``"proved"`` (a
+    recorded state lay in a proved-invariant set inside the stop ball, see
+    :func:`integrate`).
     """
 
     reason: str
@@ -241,8 +249,9 @@ def _loop_source(n: int, stage=_call) -> str:
     inline.
 
     The generated ``run(f, t, y, k1, hp, rtol, atol, max_step, min_step,
-    div_norm, stride, n_rec, t_final, ball, margin)`` integrates from ``t``
-    with first step guess ``hp`` and records at ``t + i * stride`` for
+    div_norm, stride, n_rec, t_final, ball, margin, form, level)``
+    integrates from ``t`` with first step guess ``hp`` and records at
+    ``t + i * stride`` for
     ``i`` = 1 .. ``n_rec`` - 1 and at ``t_final``. A step is clamped onto
     the next record time, and stretched onto it rather than leave a sliver
     shorter than ``min_step``; an attempt whose error exceeds 1 is retried
@@ -250,9 +259,14 @@ def _loop_source(n: int, stage=_call) -> str:
     or whose field raises an :class:`ArithmeticError`, with half the step.
     The run stops at ``t_final``, when the step falls below ``min_step``
     (``collapse``), when an accepted state's norm exceeds ``div_norm``
-    (``norm``) or once the norm has stayed below ``ball`` for ``margin``
-    time units (``dwell``). It returns ``(times, states, t, reason,
-    accepted, rejected, retried, h_min)``: the recorded times and states
+    (``norm``), once the norm has stayed below ``ball`` for ``margin``
+    time units (``dwell``), or at a record time before ``t_final`` whose
+    state has V <= ``level`` (``proved``), where V is the quadratic form
+    whose upper-triangle coefficients are ``form``, row by row. A negative
+    ``level``, the default -1.0, skips V, so a trajectory run pays one
+    comparison per record for it and never stops there. It
+    returns ``(times, states, t, reason, accepted, rejected, retried,
+    h_min)``: the recorded times and states
     (float lists), the time it stopped at, the reason, the counts of
     accepted, rejected and halved attempts and the smallest accepted step
     (inf when none was).
@@ -283,9 +297,13 @@ def _loop_source(n: int, stage=_call) -> str:
             lines.append(f"{bound}s = s if s < {hi!r} else {hi!r}")
         return lines
 
+    pairs = [(i, j) for i in idx for j in range(i, n)]
+    quad = " + ".join(f"p_{i}_{j} * y_{i} * y_{j}" for i, j in pairs)
     lines = ["def run(f, t, y, k1, hp, rtol, atol, max_step, min_step, div_norm,",
-             "        stride, n_rec, t_final, ball, margin):",
+             f"        stride, n_rec, t_final, ball, margin, form=({'0.0, ' * len(pairs)}), "
+             "level=-1.0):",
              f"    {names('y')}= y",
+             f"    {''.join(f'p_{i}_{j}, ' for i, j in pairs)}= form",
              f"    {names('k1')}= k1",
              "    times, states = [t], [y]",
              "    accepted = rejected = retried = 0",
@@ -369,6 +387,9 @@ def _loop_source(n: int, stage=_call) -> str:
               *record("            "),
               "            if rec_i == n_rec:",
               "                break",
+              f"            if level >= 0.0 and {quad} <= level:",
+              "                reason = 'proved'",
+              "                break",
               "            t_rec = t",
               "            rec_i += 1",
               "            t_target = t0 + rec_i * stride if rec_i < n_rec else t_final",
@@ -411,6 +432,7 @@ def integrate(
     t0: float = 0.0,
     control: ControlEval | None = None,
     stop_ball: float | None = None,
+    invariant: tuple[np.ndarray, float] | None = None,
 ) -> Trajectory:
     """Integrate ``rhs`` from ``ic`` over [t0, cfg.t_final].
 
@@ -421,7 +443,15 @@ def integrate(
     does when the solution stops being finite. If ``stop_ball`` is given,
     integration also halts once the state has remained inside that ball
     for ``DWELL`` time units (plus a small margin so that :func:`classify`
-    sees a full dwell window).
+    sees a full dwell window). ``invariant``, used only with ``stop_ball``,
+    is a pair (P, level) whose sublevel set {y^T P y <= level} is proved to
+    stay inside that ball (:func:`slowfast.closedloop.certificate`): the
+    run then also halts at the first record time before ``cfg.t_final``
+    whose state lies in it, with the reason ``"proved"``, and its outcome
+    is what the integrated dwell would give, ``converged(t_b)`` when the
+    records are inside the ball from t_b on and t_b + ``DWELL`` still fits
+    before ``cfg.t_final``, else undecided. A trajectory run (no
+    ``stop_ball``) never stops there.
 
     ``rhs`` receives the state as a fresh 1-d float array and may return
     any sequence of floats. The checks, the first stage and the first step
@@ -466,12 +496,18 @@ def integrate(
     stride = cfg.record_stride
     n_rec = max(1, int(math.ceil((cfg.t_final - t0) / stride - 1e-12)))
     run = getattr(rhs, "run", None) or _loop(n)
-    # no norm is below a ball of 0.0, so without stop_ball nothing dwells
+    # no norm is below a ball of 0.0, so without stop_ball nothing dwells,
+    # and without a proof the loop's default level skips the check
+    proof = ()
+    if stop_ball is not None and invariant is not None:
+        P, level = invariant
+        form = [float(P[i, j]) * (1.0 if i == j else 2.0) for i in range(n) for j in range(i, n)]
+        proof = (form, level)
     times, states, t, reason, accepted, rejected, retried, h_min = run(
         ev, t0, y, k1, h, rtol, atol, max_step, min_step, cfg.divergence_norm,
         stride, n_rec, cfg.t_final, 0.0 if stop_ball is None else stop_ball,
-        DWELL + 2.0 * stride)
-    return Trajectory(
+        DWELL + 2.0 * stride, *proof)
+    traj = Trajectory(
         times=np.array(times),
         states=np.array(states),
         controls=(np.array([control(tr, yr) for tr, yr in zip(times, states)],
@@ -480,6 +516,9 @@ def integrate(
         stats=IntegratorStats(reason, accepted, rejected, retried,
                               h_min if accepted else None),
     )
+    if reason == "proved":
+        traj.outcome = _dwelt(traj.times, traj.states, stop_ball, cfg.t_final)
+    return traj
 
 
 def classify(traj: Trajectory, ball: float = BALL) -> Outcome:
@@ -487,19 +526,25 @@ def classify(traj: Trajectory, ball: float = BALL) -> Outcome:
 
     Converged when the state stays inside ``ball`` for the final ``DWELL``
     time units (a transit through the origin does not count); diverged when
-    the integrator flagged escape; undecided otherwise.
+    the integrator flagged escape; undecided otherwise. A run that stopped
+    on a proved-invariant set keeps the verdict :func:`integrate` gave it.
     """
-    if traj.outcome.is_diverged:
+    if traj.outcome.is_diverged or (traj.stats is not None and traj.stats.reason == "proved"):
         return traj.outcome
-    norms = np.linalg.norm(traj.states, axis=1)
-    inside = norms < ball
+    return _dwelt(traj.times, traj.states, ball, traj.times[-1])
+
+
+def _dwelt(times: np.ndarray, states: np.ndarray, ball: float, t_end: float) -> Outcome:
+    """Converged at t_enter, the first record of the last run of records
+    inside ``ball``, when that run starts ``DWELL`` before ``t_end``."""
+    inside = np.linalg.norm(states, axis=1) < ball
     if not inside[-1]:
         return Outcome.undecided()
-    j = traj.times.size - 1
+    j = times.size - 1
     while j > 0 and inside[j - 1]:
         j -= 1
-    t_enter = float(traj.times[j])
-    if traj.times[-1] - t_enter >= DWELL * (1.0 - 1e-12):
+    t_enter = float(times[j])
+    if t_end - t_enter >= DWELL * (1.0 - 1e-12):
         return Outcome.converged(t_enter)
     return Outcome.undecided()
 

@@ -2,10 +2,14 @@
 
 The per-criterion lines print through the capture so any pytest run
 shows them; criterion 7 sweeps two 41 x 41 grids and dominates the
-runtime (34 to 46 s on a shared 2-core VM with Python 3.11).
+runtime (27 to 32 s on a shared 2-core VM with Python 3.11). Its two
+reports are also checked cell for cell against the outcomes recorded in
+``perfbench/reference.json``, without sweeping the grids again.
 """
+import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from slowfast.systems import diode_fold_points
 from slowfast.verification import run_suites
 
 JOBS = max(1, os.cpu_count() or 1)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+KIND_CODE = {"converged": "c", "diverged": "d", "undecided": "u"}
 
 
 def _report(capsys, num, name, passed, detail, wall, budget):
@@ -35,6 +41,14 @@ def ex2_matrix():
     t0 = time.perf_counter()
     report = run_ex2_matrix()
     return report, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def roa_reports(ex2_matrix):
+    report, _ = ex2_matrix
+    t0 = time.perf_counter()
+    reports = run_ex2_roa(report.K_star, grid=default_ex2_grid(41), jobs=JOBS)
+    return reports, time.perf_counter() - t0
 
 
 def test_criterion_1_fold_points(capsys):
@@ -95,18 +109,28 @@ def test_criterion_6_planar_matrix(ex2_matrix, capsys):
     _report(capsys, 6, "planar-matrix", report.contract_ok, detail, wall, 30.0)
 
 
-def test_criterion_7_roa_enlargement(ex2_matrix, capsys):
+def test_criterion_7_roa_enlargement(ex2_matrix, roa_reports, capsys):
     report, _ = ex2_matrix
-    t0 = time.perf_counter()
-    comp, base, cmp = run_ex2_roa(
-        report.K_star, grid=default_ex2_grid(41), jobs=JOBS
-    )
+    (_, _, cmp), wall = roa_reports
     detail = (
         f"41x41 grid: converged {cmp.converged_a} (K={report.K_star:g})"
         f" > {cmp.converged_b} (K=0)"
     )
-    _report(capsys, 7, "roa-enlargement", cmp.a_larger, detail,
-            time.perf_counter() - t0, 600.0)
+    _report(capsys, 7, "roa-enlargement", cmp.a_larger, detail, wall, 600.0)
+
+
+def test_criterion_7_grids_match_reference(ex2_matrix, roa_reports):
+    """Both 41 x 41 grids classify cell for cell as the recorded reference."""
+    report, _ = ex2_matrix
+    (comp, base, _), _ = roa_reports
+    with open(REFERENCE, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    assert ref["grid"]["n"] == 41 and report.K_star == 50.0
+    for label, rep in (("K0", base), ("K50", comp)):
+        got = "".join(KIND_CODE[o.kind] for o in rep.outcomes)
+        diff = [i for i, (g, e) in enumerate(zip(got, ref["roa"][label])) if g != e]
+        assert len(got) == len(ref["roa"][label]) and not diff, (
+            f"{label}: {len(diff)} cells differ from the reference, first {diff[:10]}")
 
 
 def test_criterion_8_directional_chart_tangency(capsys):

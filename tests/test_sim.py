@@ -521,6 +521,21 @@ class TestStats:
         assert traj.times[-1] == pytest.approx(sim.DWELL + 0.02, abs=5e-3)
         assert classify(traj).is_converged
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_proved(self, n):
+        # the generic loop stops at the first record inside {y^T P y <= level}
+        # and gives the verdict of the integrated dwell
+        cfg = config_for(0.01, 10.0)
+        ic = [0.5 * (-1) ** i for i in range(n)]
+        proof = (np.eye(n), 5e-7)
+        traj = integrate(decay, ic, cfg, stop_ball=1e-3, invariant=proof)
+        ref = integrate(decay, ic, cfg, stop_ball=1e-3)
+        assert traj.stats.reason == "proved" and ref.stats.reason == "dwell"
+        assert np.sum(traj.states[-1] ** 2) <= 5e-7 < np.sum(traj.states[-2] ** 2)
+        assert np.array_equal(traj.states, ref.states[:len(traj)])
+        assert classify(traj) == traj.outcome == classify(ref)
+        assert traj.outcome.is_converged
+
     def test_norm(self):
         traj = integrate(lambda t, y: y * y, [1.0], IntegratorConfig(t_final=2.0))
         assert traj.stats.reason == "norm"
