@@ -10,7 +10,7 @@ import ast
 import math
 import pickle
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -269,11 +269,25 @@ class CellRunner:
     variant: Variant
     cfg: IntegratorConfig
 
+    @cached_property
+    def key(self) -> bytes:
+        """The pickled variant that keys the loop and certificate caches.
+
+        It is made once per runner, and a pickled runner carries it, so
+        pool workers never pickle the variant again.
+        """
+        return pickle.dumps(self.variant)
+
+    def prepare(self) -> None:
+        """Generate the loop and prove its certificate now, so that
+        processes forked afterwards inherit both."""
+        _generated(self.system, self.key)
+        _certificate(self.system, self.key)
+
     def simulate(self, ic) -> Trajectory:
-        key = pickle.dumps(self.variant)  # one key for both caches
-        rhs, _ = _generated(self.system, key)
+        rhs, _ = _generated(self.system, self.key)
         return integrate(rhs, np.asarray(ic, dtype=float), self.cfg, stop_ball=BALL,
-                         invariant=_certificate(self.system, key))
+                         invariant=_certificate(self.system, self.key))
 
     def __call__(self, ic) -> Outcome:
         try:

@@ -11,10 +11,10 @@ included for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blowup import FamilyChartState, from_family_chart
 from .normal_form import NormalFormSystem, _vec, eval_g, parse_expression, walk
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
     "eigenvalues_origin",
     "closed_loop_rhs_family",
 ]
+
+if TYPE_CHECKING:
+    from .blowup import FamilyChartState
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,8 @@ def closed_loop_rhs_family(
     (r_bar = 0) this reduces to the linear design whose Jacobian is
     :func:`closed_loop_jacobian_origin`.
     """
+    from .blowup import from_family_chart  # only the chart field needs blowup
+
     k = sys.k
     x_bar = _vec(c.x_bar, k - 1, "x_bar")
     _check_order(k, p)

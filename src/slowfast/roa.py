@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import CellRunner, Variant, build_closed_loop, certificate, describe
+from .closedloop import CellRunner, Variant, describe
 from .sim import IntegratorConfig, Outcome
 
 __all__ = [
@@ -98,6 +97,13 @@ class RoAReport:
         return sum(1 for o in self.outcomes if o.kind == "undecided")
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(
     system,
     variant: Variant,
@@ -108,7 +114,10 @@ def sweep(
     """Classify the closed loop from every grid node with :class:`CellRunner`.
 
     Cells are independent; with ``jobs`` > 1 they fan out over processes,
-    one cell per task, and ``jobs`` < 1 means one per core. The loop and its
+    one cell per task, and ``jobs`` < 1 means the cores this process may run
+    on. The pool starts all its workers at once, so it never has more
+    workers than the grid has cells; with one worker or one cell the sweep
+    runs in this process and never imports the pool. The loop and its
     certificate are built before the pool starts, so forked workers inherit
     them, and the cells farthest from the origin, where the long and costly
     runs lie, are handed out first. The report order follows
@@ -118,15 +127,17 @@ def sweep(
     runner = CellRunner(system=system, variant=variant, cfg=cfg)
     pts = grid.points()
     if jobs is None or jobs < 1:
-        jobs = os.cpu_count() or 1
-    if jobs == 1 or pts.shape[0] <= 1:
+        jobs = _cores()
+    workers = min(jobs, len(pts))
+    if workers <= 1:
         outcomes = [runner(p) for p in pts]
     else:
-        build_closed_loop(system, variant)
-        certificate(system, variant)
+        from concurrent.futures import ProcessPoolExecutor
+
+        runner.prepare()
         order = np.argsort(-np.linalg.norm(pts, axis=1), kind="stable")
         outcomes = [None] * len(pts)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, outcome in zip(order.tolist(), pool.map(runner, pts[order])):
                 outcomes[i] = outcome
     return RoAReport(grid=grid, variant=describe(variant), outcomes=outcomes)

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -49,3 +53,65 @@ def test_generated_code_runs_only_in_compile_functions():
         found += visitor.found
     assert sorted(found) == [("slowfast.normal_form", "compile_functions", "compile"),
                              ("slowfast.normal_form", "compile_functions", "exec")]
+
+
+# the names ``slowfast`` re-exports, by the module that defines them
+EXPORTS = {
+    "blowup": "DirectionalChartState FamilyChartState Weights desing_rhs_directional "
+              "desing_rhs_family family_time_rescale from_directional_zneg "
+              "from_family_chart to_directional_zneg to_family_chart weights_for",
+    "control": "Theorem2Params Theorem3Params chart_controller_family "
+               "closed_loop_jacobian_origin closed_loop_rhs_family eigenvalues_origin",
+    "normal_form": "NormalFormSystem State degeneracy_order eval_g eval_rhs_fast "
+                   "eval_rhs_slow validate",
+    "roa": "GridSpec RoAReport compare sweep",
+    "sim": "IntegratorConfig Outcome Trajectory classify config_for control_sup_norm "
+           "integrate write_trajectory_csv",
+    "systems": "TunnelDiodeParams TunnelDiodeSystem build_planar_example "
+               "build_tunnel_diode diode_fold_points",
+}
+
+# modules that scenario runs never use, the pool and the blow-up charts first
+UNUSED = ["concurrent.futures.process", "multiprocessing", "slowfast.blowup",
+          "slowfast.verification", "slowfast.lyapunov"]
+
+
+def test_import_loads_only_what_a_run_uses():
+    code = textwrap.dedent(f"""
+        import importlib, sys
+        import slowfast
+        loaded = [m for m in sys.modules if m.startswith("slowfast.")]
+        assert not loaded, loaded
+        import slowfast.scenarios
+        loaded = [m for m in {UNUSED!r} if m in sys.modules]
+        assert not loaded, loaded
+        from slowfast.closedloop import Thm2
+        from slowfast.control import Theorem2Params
+        from slowfast.roa import GridSpec, sweep
+        from slowfast.sim import config_for
+        from slowfast.systems import build_planar_example
+        system = build_planar_example(0.01)
+        variant = Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.0))
+        cfg = config_for(0.01, 1.0)
+        sweep(system, variant, GridSpec(((-1.0, 1.0, 2),), (0.0, 0.0, 1)), cfg, jobs=1)
+        sweep(system, variant, GridSpec(((0.0, 0.0, 1),), (0.0, 0.0, 1)), cfg, jobs=8)
+        loaded = [m for m in {UNUSED[:3]!r} if m in sys.modules]
+        assert not loaded, loaded  # serial sweeps need no pool and no charts
+
+        exports = {EXPORTS!r}
+        names = [n for names in exports.values() for n in names.split()]
+        assert len(names) == 41 and sorted(slowfast.__all__) == sorted(names)
+        for module, names in exports.items():
+            mod = importlib.import_module("slowfast." + module)
+            for name in names.split():
+                assert getattr(slowfast, name) is getattr(mod, name), name
+        assert slowfast.sweep is slowfast.roa.sweep
+        assert not hasattr(slowfast, "no_such_name")
+        assert "slowfast.verification" not in sys.modules
+        from slowfast import verification  # a submodule is imported, not looked up
+        assert verification is sys.modules["slowfast.verification"]
+    """)
+    src = os.path.dirname(os.path.dirname(slowfast.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

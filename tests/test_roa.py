@@ -1,5 +1,8 @@
+import concurrent.futures
 import multiprocessing
 import os
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -104,6 +107,51 @@ class TestSweep:
         grid = GridSpec(x_ranges=((-1.0, 1.0, 2),), z_range=(-1.0, 1.0, 2))
         rep = sweep(sys, Thm2(P2), grid, config_for(0.01, 1.0), jobs=2)
         assert len(rep.outcomes) == 4
+
+    def test_pool_never_has_more_workers_than_cells(self, monkeypatch):
+        # the pool forks all its workers up front: record them, start none
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        sys = build_planar_example(0.01)
+        cfg = config_for(0.01, 1.0)
+        three = GridSpec(x_ranges=((0.0, 0.0, 1),), z_range=(-0.5, 0.5, 3))
+        rep = sweep(sys, Thm2(P2), three, cfg, jobs=64)
+        assert started == [3]
+        assert rep.outcomes == sweep(sys, Thm2(P2), three, cfg, jobs=1).outcomes
+        one = GridSpec(x_ranges=((0.0, 0.0, 1),), z_range=(0.0, 0.0, 1))
+        sweep(sys, Thm2(P2), one, cfg, jobs=64)
+        assert started == [3]  # one cell runs in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        sweep(sys, Thm2(P2), three, cfg, jobs=0)
+        assert started == [3, 2]  # jobs < 1: the cores this process may run on
+
+    def test_one_cache_key_per_runner(self, monkeypatch):
+        dumps = []
+
+        def counted(obj, *args, **kwargs):
+            dumps.append(obj)
+            return pickle.dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(closedloop, "pickle",
+                            types.SimpleNamespace(dumps=counted, loads=pickle.loads))
+        grid = GridSpec(x_ranges=((-1.0, 1.0, 3),), z_range=(-1.0, 1.0, 3))
+        rep = sweep(build_planar_example(0.01), Thm2(P2), grid, config_for(0.01, 1.0))
+        assert len(rep.outcomes) == 9
+        assert len(dumps) <= 1
 
     def test_refinement_preserves_coinciding_nodes(self):
         sys = build_planar_example(0.01)
