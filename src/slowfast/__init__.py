@@ -14,13 +14,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     **dict.fromkeys(
-        ["DirectionalChartState", "FamilyChartState", "Weights", "desing_rhs_directional",
-         "desing_rhs_family", "family_time_rescale", "from_directional_zneg",
-         "from_family_chart", "to_directional_zneg", "to_family_chart", "weights_for"],
+        ["DirectionalChartState", "FamilyChartState", "chart_controller_family",
+         "closed_loop_rhs_family", "desing_rhs_directional", "family_time_rescale",
+         "from_directional_zneg", "from_family_chart", "to_directional_zneg",
+         "to_family_chart"],
         "blowup"),
     **dict.fromkeys(
-        ["Theorem2Params", "Theorem3Params", "chart_controller_family",
-         "closed_loop_jacobian_origin", "closed_loop_rhs_family", "eigenvalues_origin"],
+        ["Theorem2Params", "Theorem3Params", "closed_loop_jacobian_origin",
+         "eigenvalues_origin"],
         "control"),
     **dict.fromkeys(
         ["NormalFormSystem", "State", "degeneracy_order", "eval_g", "eval_rhs_fast",

@@ -11,56 +11,30 @@ gamma = 2k-1 for epsilon. Two charts are provided:
 
 Desingularized fields are the blown-up fields divided by the (k-1)-th
 power of the radius, which makes them smooth up to the blow-up sphere.
+The family chart carries the baseline law's linear design: its chart
+controller and its closed-loop field, regular on the sphere r_bar = 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from .control import Theorem2Params, _check_order
 from .normal_form import NormalFormSystem, State, _vec, eval_g
 
 __all__ = [
-    "Weights",
     "FamilyChartState",
     "DirectionalChartState",
-    "weights_for",
     "to_family_chart",
     "from_family_chart",
+    "chart_controller_family",
+    "closed_loop_rhs_family",
     "to_directional_zneg",
     "from_directional_zneg",
-    "desing_rhs_family",
     "desing_rhs_directional",
     "family_time_rescale",
 ]
-
-# chart controller in family-chart coordinates: (r_bar, x_bar, z_bar) -> u_bar
-FamilyChartController = Callable[[float, np.ndarray, float], np.ndarray]
-# controller in original coordinates: (x, z, epsilon) -> u
-OriginalController = Callable[[np.ndarray, float, float], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Weights:
-    """Quasihomogeneous weights used by both charts."""
-
-    k: int
-    alpha: tuple[int, ...]  # weight k-i+1 of slow coordinate x_i
-    z_weight: int
-    gamma: int  # weight of epsilon
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-
-
-def weights_for(k: int) -> Weights:
-    """Weight tuple (k, k-1, ..., 2 | 1 | 2k-1) for degeneracy order k."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return Weights(k=k, alpha=tuple(k - i + 1 for i in range(1, k)), z_weight=1,
-                   gamma=2 * k - 1)
 
 
 @dataclass(frozen=True)
@@ -113,6 +87,54 @@ def from_family_chart(c: FamilyChartState, k: int) -> tuple[State, float]:
     return State(x=x, z=r * c.z_bar), r ** (2 * k - 1)
 
 
+def chart_controller_family(c: FamilyChartState, k: int,
+                            p: Theorem2Params) -> np.ndarray:
+    """Family-chart controller u_bar whose blow-down is the baseline u.
+
+    u_bar_1 = -c_1 - a_1 x_bar_1 + b z_bar and
+    u_bar_i = -c_i - r_bar^(1-i) a_i x_bar_i for i >= 2. The r_bar^(1-i)
+    factor is singular on the sphere, so r_bar = 0 is rejected for k >= 3;
+    the closed-loop field itself stays regular there, see
+    :func:`closed_loop_rhs_family`.
+    """
+    x_bar = _vec(c.x_bar, k - 1, "x_bar")
+    _check_order(k, p)
+    if c.r_bar == 0 and k >= 3:
+        raise ValueError("chart controller is singular at r_bar = 0 for k >= 3")
+    u = np.empty(k - 1)
+    u[0] = -p.c[0] - p.a[0] * x_bar[0] + p.b * c.z_bar
+    for i in range(1, k - 1):
+        u[i] = -p.c[i] - c.r_bar ** (-i) * p.a[i] * x_bar[i]
+    return u
+
+
+def closed_loop_rhs_family(
+    c: FamilyChartState, sys: NormalFormSystem, p: Theorem2Params
+) -> tuple[float, np.ndarray, float]:
+    """Closed-loop desingularized family-chart field, regular at r_bar = 0.
+
+    The singular r_bar^(1-i) of the chart controller cancels against the
+    r_bar^(i-1) prefactor of x_bar_i', leaving
+
+        x_bar_1' = f_bar_1 - c_1 - a_1 x_bar_1 + b z_bar
+        x_bar_i' = r_bar^(i-1) (f_bar_i - c_i) - a_i x_bar_i,  i >= 2,
+
+    with f_bar the slow field at the blown-down point. On the sphere
+    (r_bar = 0) this reduces to the linear design whose Jacobian is
+    :func:`control.closed_loop_jacobian_origin`.
+    """
+    k = sys.k
+    x_bar = _vec(c.x_bar, k - 1, "x_bar")
+    _check_order(k, p)
+    state, eps = from_family_chart(c, k)
+    f = np.asarray(sys.slow_f(state.x, state.z, eps), dtype=float)
+    dx_bar = np.empty(k - 1)
+    dx_bar[0] = f[0] - p.c[0] - p.a[0] * x_bar[0] + p.b * c.z_bar
+    for i in range(1, k - 1):
+        dx_bar[i] = c.r_bar**i * (f[i] - p.c[i]) - p.a[i] * x_bar[i]
+    return 0.0, dx_bar, eval_g(x_bar, c.z_bar, k)
+
+
 def to_directional_zneg(s: State, epsilon: float, k: int) -> DirectionalChartState:
     """Chart coordinates (rho, chi, mu) of a point with z < 0 and eps >= 0."""
     if not s.z < 0:
@@ -128,38 +150,9 @@ def to_directional_zneg(s: State, epsilon: float, k: int) -> DirectionalChartSta
 def from_directional_zneg(c: DirectionalChartState, k: int) -> tuple[State, float]:
     """Blow down the directional chart: z = -rho, x_i = rho^(k-i+1) chi_i."""
     chi = _vec(c.chi, k - 1, "chi")
-    rho = c.rho
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    rho = c.rho  # > 0, checked when the state was made
     x = np.array([rho ** (k - i) * chi[i] for i in range(k - 1)])
     return State(x=x, z=-rho), rho ** (2 * k - 1) * c.mu
-
-
-def desing_rhs_family(
-    c: FamilyChartState,
-    sys: NormalFormSystem,
-    chart_controller: FamilyChartController,
-) -> tuple[float, np.ndarray, float]:
-    """Desingularized family-chart field (r_bar', x_bar', z_bar').
-
-    x_bar_i' = r_bar^(i-1) (f_bar_i + u_bar_i) with f_bar the slow field
-    at the blown-down point and eps = r_bar^(2k-1); z_bar' keeps the form
-    of g; r_bar is a first integral. Well defined at r_bar = 0 provided the
-    chart controller is finite there.
-    """
-    k = sys.k
-    x_bar = _vec(c.x_bar, k - 1, "x_bar")
-    r = c.r_bar
-    state, eps = from_family_chart(c, k)
-    f = np.asarray(sys.slow_f(state.x, state.z, eps), dtype=float)
-    u_bar = np.asarray(chart_controller(r, x_bar, c.z_bar), dtype=float)
-    if u_bar.shape != (k - 1,):
-        raise ValueError(f"chart controller returned shape {u_bar.shape}")
-    if not np.all(np.isfinite(u_bar)):
-        raise ValueError("chart controller returned non-finite values")
-    dx_bar = np.array([r**i * (f[i] + u_bar[i]) for i in range(k - 1)])
-    dz_bar = eval_g(x_bar, c.z_bar, k)
-    return 0.0, dx_bar, dz_bar
 
 
 def _radial_growth(chi: np.ndarray, k: int) -> float:
@@ -179,7 +172,7 @@ def _radial_growth(chi: np.ndarray, k: int) -> float:
 def desing_rhs_directional(
     c: DirectionalChartState,
     sys: NormalFormSystem,
-    controller: OriginalController,
+    controller,
 ) -> tuple[float, np.ndarray, float]:
     """Desingularized directional-chart field (rho', chi', mu').
 

@@ -23,7 +23,6 @@ from .scenarios import (
     run_ex2_roa,
     run_scenario,
 )
-from .verification import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -37,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
+class _SuiteHelp(argparse.HelpFormatter):
+    """Names the suites only when verify's help is printed: no other command loads them."""
+
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return action.help
+        from .verification import SUITES
+
+        return f"{action.help}; available: {', '.join(SUITES)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,11 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     roa.add_argument("--z-range", type=float, nargs=2, default=(-3.0, 3.0))
     roa.add_argument("--jobs", type=int, default=0)
 
-    ver = sub.add_parser("verify", help="run the numerical property suites")
+    ver = sub.add_parser("verify", help="run the numerical property suites",
+                         formatter_class=_SuiteHelp)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--suite", action="append", default=None,
-                     help="run only the named suite (repeatable); "
-                     f"available: {', '.join(SUITES)}")
+                     help="run only the named suite (repeatable)")
     return parser
 
 
@@ -174,6 +184,8 @@ def _cmd_roa(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_suites
+
     try:
         results = run_suites(seed=args.seed, names=args.suite)
     except ValueError as exc:

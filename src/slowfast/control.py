@@ -11,11 +11,10 @@ included for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .normal_form import NormalFormSystem, _vec, eval_g, parse_expression, walk
+from .normal_form import _vec, parse_expression, walk
 
 __all__ = [
     "Theorem2Params",
@@ -24,15 +23,9 @@ __all__ = [
     "thm3_law",
     "highgain_law",
     "evaluate",
-    "chart_controller_family",
     "closed_loop_jacobian_origin",
     "eigenvalues_origin",
-    "closed_loop_rhs_family",
 ]
-
-if TYPE_CHECKING:
-    from .blowup import FamilyChartState
-
 
 @dataclass(frozen=True)
 class Theorem2Params:
@@ -155,27 +148,6 @@ def _check_order(k: int, p: Theorem2Params) -> None:
         raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
 
 
-def chart_controller_family(c: FamilyChartState, k: int,
-                            p: Theorem2Params) -> np.ndarray:
-    """Family-chart controller u_bar whose blow-down is the baseline u.
-
-    u_bar_1 = -c_1 - a_1 x_bar_1 + b z_bar and
-    u_bar_i = -c_i - r_bar^(1-i) a_i x_bar_i for i >= 2. The r_bar^(1-i)
-    factor is singular on the sphere, so r_bar = 0 is rejected for k >= 3;
-    the closed-loop field itself stays regular there, see
-    :func:`closed_loop_rhs_family`.
-    """
-    x_bar = _vec(c.x_bar, k - 1, "x_bar")
-    _check_order(k, p)
-    if c.r_bar == 0 and k >= 3:
-        raise ValueError("chart controller is singular at r_bar = 0 for k >= 3")
-    u = np.empty(k - 1)
-    u[0] = -p.c[0] - p.a[0] * x_bar[0] + p.b * c.z_bar
-    for i in range(1, k - 1):
-        u[i] = -p.c[i] - c.r_bar ** (-i) * p.a[i] * x_bar[i]
-    return u
-
-
 def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:
     """Jacobian of the r_bar = 0 closed-loop family-chart field at the origin.
 
@@ -201,32 +173,3 @@ def eigenvalues_origin(k: int, p: Theorem2Params) -> np.ndarray:
     lam[1] = (-p.a[0] - disc) / 2.0
     lam[2:] = -p.a[1:]
     return lam
-
-
-def closed_loop_rhs_family(
-    c: FamilyChartState, sys: NormalFormSystem, p: Theorem2Params
-) -> tuple[float, np.ndarray, float]:
-    """Closed-loop desingularized family-chart field, regular at r_bar = 0.
-
-    The singular r_bar^(1-i) of the chart controller cancels against the
-    r_bar^(i-1) prefactor of x_bar_i', leaving
-
-        x_bar_1' = f_bar_1 - c_1 - a_1 x_bar_1 + b z_bar
-        x_bar_i' = r_bar^(i-1) (f_bar_i - c_i) - a_i x_bar_i,  i >= 2,
-
-    with f_bar the slow field at the blown-down point. On the sphere
-    (r_bar = 0) this reduces to the linear design whose Jacobian is
-    :func:`closed_loop_jacobian_origin`.
-    """
-    from .blowup import from_family_chart  # only the chart field needs blowup
-
-    k = sys.k
-    x_bar = _vec(c.x_bar, k - 1, "x_bar")
-    _check_order(k, p)
-    state, eps = from_family_chart(c, k)
-    f = np.asarray(sys.slow_f(state.x, state.z, eps), dtype=float)
-    dx_bar = np.empty(k - 1)
-    dx_bar[0] = f[0] - p.c[0] - p.a[0] * x_bar[0] + p.b * c.z_bar
-    for i in range(1, k - 1):
-        dx_bar[i] = c.r_bar**i * (f[i] - p.c[i]) - p.a[i] * x_bar[i]
-    return 0.0, dx_bar, eval_g(x_bar, c.z_bar, k)

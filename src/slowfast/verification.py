@@ -210,7 +210,7 @@ def suite_blowdown_identity(rng: np.random.Generator) -> Iterator[float]:
         eps = float(rng.uniform(1e-6, 1.0))
         s = normal_form.State(x=x, z=z)
         direct = control.evaluate(control.thm2_law(eps, k, p), x, z)
-        chart = control.chart_controller_family(
+        chart = blowup.chart_controller_family(
             blowup.to_family_chart(s, eps, k), k, p
         )
         yield np.max([_rel(abs(d - ch), d) for d, ch in zip(direct, chart)])
@@ -253,7 +253,7 @@ def suite_jacobian_fd(rng: np.random.Generator) -> Iterator[float]:
 
         def field(v: np.ndarray) -> np.ndarray:
             chart = blowup.FamilyChartState(r_bar=0.0, x_bar=v[:-1], z_bar=v[-1])
-            _, dx, dz = control.closed_loop_rhs_family(chart, sysm, p)
+            _, dx, dz = blowup.closed_loop_rhs_family(chart, sysm, p)
             return np.append(dx, dz)
 
         J = control.closed_loop_jacobian_origin(k, p)
@@ -374,7 +374,7 @@ def suite_rhs_continuity_r0(rng: np.random.Generator) -> Iterator[float]:
 
         def value(r: float) -> np.ndarray:
             chart = blowup.FamilyChartState(r_bar=r, x_bar=x_bar, z_bar=z_bar)
-            _, dx, dz = control.closed_loop_rhs_family(chart, sysm, p)
+            _, dx, dz = blowup.closed_loop_rhs_family(chart, sysm, p)
             return np.append(dx, dz)
 
         at_zero = value(0.0)
@@ -432,7 +432,7 @@ def suite_conjugacy(rng: np.random.Generator) -> Iterator[float]:
 
         def chart_rhs(t, y, r_bar=r_bar):
             chart = blowup.FamilyChartState(r_bar=r_bar, x_bar=y[:1], z_bar=y[1])
-            _, dx, dz = control.closed_loop_rhs_family(chart, sysm, p)
+            _, dx, dz = blowup.closed_loop_rhs_family(chart, sysm, p)
             return np.array([dx[0], dz])
 
         chart_traj = integrate(

@@ -6,37 +6,20 @@ from hypothesis import strategies as st
 from slowfast.blowup import (
     DirectionalChartState,
     FamilyChartState,
+    closed_loop_rhs_family,
     desing_rhs_directional,
-    desing_rhs_family,
     family_time_rescale,
     from_directional_zneg,
     from_family_chart,
     to_directional_zneg,
     to_family_chart,
-    weights_for,
 )
+from slowfast.closedloop import Thm2, build_closed_loop
+from slowfast.control import Theorem2Params
 from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
 
 
 zero_f = ExprSlowField(("0",))
-
-
-class TestWeights:
-    def test_k2(self):
-        w = weights_for(2)
-        assert w.alpha == (2,) and w.z_weight == 1 and w.gamma == 3
-
-    def test_k3(self):
-        w = weights_for(3)
-        assert w.alpha == (3, 2) and w.gamma == 5
-
-    def test_k5(self):
-        w = weights_for(5)
-        assert w.alpha == (5, 4, 3, 2) and w.gamma == 9
-
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            weights_for(1)
 
 
 class TestFamilyChart:
@@ -153,53 +136,36 @@ def test_charts_blow_down_to_same_point(args):
     assert abs(eps_a - eps_b) <= 1e-12 * scale
 
 
-class TestDesingFamily:
-    def test_closed_loop_on_sphere_k2(self):
-        # u_bar = -a1 x_bar + b z_bar with c = f = 0
-        sys = NormalFormSystem(k=2, epsilon=1e-3, slow_f=zero_f)
+def _affine_drift(rng, m):
+    """Slow drift c + A x + l z + e epsilon with seeded coefficients."""
+    return ExprSlowField(tuple(
+        " + ".join([repr(rng.uniform(-2, 2)),
+                    *(f"{rng.uniform(-1, 1)!r} * x{j}" for j in range(1, m + 1)),
+                    f"{rng.uniform(-1, 1)!r} * z", f"{rng.uniform(-1, 1)!r} * epsilon"])
+        for _ in range(m)))
 
-        def ctrl(r, x_bar, z_bar):
-            return np.array([-1.0 * x_bar[0] + 3.0 * z_bar])
 
-        dr, dx, dz = desing_rhs_family(
-            FamilyChartState(r_bar=0.0, x_bar=[0.1], z_bar=0.2), sys, ctrl
-        )
-        assert dr == 0.0
-        assert dx == pytest.approx([0.5])
-        assert dz == pytest.approx(-0.14)
-
-    def test_origin_is_equilibrium_when_constants_cancel(self):
-        sys = NormalFormSystem(k=2, epsilon=1e-3, slow_f=ExprSlowField(("5",)))
-
-        def ctrl(r, x_bar, z_bar):
-            return np.array([-5.0 - x_bar[0] + 3.0 * z_bar])
-
-        dr, dx, dz = desing_rhs_family(
-            FamilyChartState(r_bar=0.0, x_bar=[0.0], z_bar=0.0), sys, ctrl
-        )
-        assert dr == 0.0 and dx == pytest.approx([0.0]) and dz == 0.0
-
-    def test_open_loop_positive_radius(self):
-        sys = NormalFormSystem(k=2, epsilon=1e-3, slow_f=zero_f)
-
-        def ctrl(r, x_bar, z_bar):
-            return np.zeros(1)
-
-        dr, dx, dz = desing_rhs_family(
-            FamilyChartState(r_bar=0.3, x_bar=[1.0], z_bar=1.0), sys, ctrl
-        )
-        assert dr == 0.0
-        assert dx == pytest.approx([0.0])
-        assert dz == pytest.approx(-2.0)
-
-    def test_non_finite_controller_signalled(self):
-        sys = NormalFormSystem(k=2, epsilon=1e-3, slow_f=zero_f)
-        with pytest.raises(ValueError, match="non-finite"):
-            desing_rhs_family(
-                FamilyChartState(r_bar=0.1, x_bar=[1.0], z_bar=0.0),
-                sys,
-                lambda r, x, z: np.array([np.inf]),
-            )
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_closed_loop_family_field_is_the_pushed_slow_time_loop(k):
+    # The compiled slow-time loop at the blown-down point, pushed into the
+    # chart: x_bar_i' = r_bar^(i-1) dx_i/dt and z_bar' = r_bar^(k-1) dz/dt.
+    # Over 2000 samples per k the worst error relative to max(1, |field|)
+    # was 3.1e-15, so 1e-13 leaves a margin of 30 for rounding alone.
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        eps = rng.uniform(1e-3, 0.1)
+        sys = NormalFormSystem(k=k, epsilon=eps, slow_f=_affine_drift(rng, k - 1))
+        p = Theorem2Params(c=sys.slow_f(np.zeros(k - 1), 0.0, 0.0),
+                           a=rng.uniform(0.1, 10.0, k - 1), b=rng.uniform(0.1, 10.0))
+        r = eps ** (1.0 / (2 * k - 1))
+        x_bar, z_bar = rng.uniform(-2, 2, k - 1), rng.uniform(-2, 2)
+        _, dx_bar, dz_bar = closed_loop_rhs_family(
+            FamilyChartState(r_bar=r, x_bar=x_bar, z_bar=z_bar), sys, p)
+        chart = np.append(dx_bar, dz_bar)
+        y = [r ** (k - i) * x_bar[i] for i in range(k - 1)] + [r * z_bar]
+        dy = build_closed_loop(sys, Thm2(p))[0](0.0, np.array(y))
+        pushed = np.array([r**i * dy[i] for i in range(k - 1)] + [r ** (k - 1) * dy[-1]])
+        assert np.max(np.abs(pushed - chart)) <= 1e-13 * max(1.0, np.max(np.abs(chart)))
 
 
 class TestDesingDirectional:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import slowfast
 from slowfast.cli import main
 
 
@@ -290,7 +295,35 @@ class TestReproductionCommands:
         assert not (tmp_path / "ex2").exists()
 
 
+def test_simulate_loads_neither_verification_nor_blowup(tmp_path):
+    cfg = write_config(tmp_path, PLANAR)
+    code = textwrap.dedent(f"""
+        import sys
+        import slowfast.cli
+        assert slowfast.cli.main(["simulate", "--config", {cfg!r},
+                                  "--out", {str(tmp_path / "out")!r}]) == 0
+        loaded = [m for m in ("slowfast.verification", "slowfast.blowup")
+                  if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    src = os.path.dirname(os.path.dirname(slowfast.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 class TestVerifyCommand:
+    def test_help_names_every_suite(self, capsys):
+        from slowfast.verification import SUITES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        # help wraps lines, at hyphens too, so compare without whitespace
+        flat = "".join(capsys.readouterr().out.split())
+        assert len(SUITES) == 14
+        assert all(name in flat for name in SUITES)
+
     def test_fast_suites_pass(self, capsys):
         code = main([
             "verify", "--seed", "1",

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from slowfast.blowup import FamilyChartState, to_family_chart
+from slowfast.blowup import (
+    FamilyChartState,
+    chart_controller_family,
+    closed_loop_rhs_family,
+    to_family_chart,
+)
 from slowfast.closedloop import HighGain, Thm2Plus3, law
 from slowfast.control import (
     Theorem2Params,
     Theorem3Params,
-    chart_controller_family,
     closed_loop_jacobian_origin,
-    closed_loop_rhs_family,
     eigenvalues_origin,
     evaluate,
     thm2_law,

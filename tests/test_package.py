@@ -55,13 +55,34 @@ def test_generated_code_runs_only_in_compile_functions():
                              ("slowfast.normal_form", "compile_functions", "exec")]
 
 
+def _imported_modules(tree: ast.Module, package: str) -> set[str]:
+    """Every module an import statement anywhere in ``tree`` names, made absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            found.update([module] if node.module else
+                         [f"{module}.{alias.name}" for alias in node.names])
+    return found
+
+
+def test_control_imports_nothing_from_blowup():
+    # the laws sit below the charts: blowup uses control, never the reverse
+    with open(importlib.import_module("slowfast.control").__file__, encoding="utf-8") as fh:
+        imported = _imported_modules(ast.parse(fh.read()), "slowfast")
+    assert "slowfast.normal_form" in imported
+    assert not [m for m in imported if m.split(".")[:2] == ["slowfast", "blowup"]]
+
+
 # the names ``slowfast`` re-exports, by the module that defines them
 EXPORTS = {
-    "blowup": "DirectionalChartState FamilyChartState Weights desing_rhs_directional "
-              "desing_rhs_family family_time_rescale from_directional_zneg "
-              "from_family_chart to_directional_zneg to_family_chart weights_for",
-    "control": "Theorem2Params Theorem3Params chart_controller_family "
-               "closed_loop_jacobian_origin closed_loop_rhs_family eigenvalues_origin",
+    "blowup": "DirectionalChartState FamilyChartState chart_controller_family "
+              "closed_loop_rhs_family desing_rhs_directional family_time_rescale "
+              "from_directional_zneg from_family_chart to_directional_zneg to_family_chart",
+    "control": "Theorem2Params Theorem3Params closed_loop_jacobian_origin eigenvalues_origin",
     "normal_form": "NormalFormSystem State degeneracy_order eval_g eval_rhs_fast "
                    "eval_rhs_slow validate",
     "roa": "GridSpec RoAReport compare sweep",
@@ -82,7 +103,7 @@ def test_import_loads_only_what_a_run_uses():
         import slowfast
         loaded = [m for m in sys.modules if m.startswith("slowfast.")]
         assert not loaded, loaded
-        import slowfast.scenarios
+        import slowfast.scenarios, slowfast.cli
         loaded = [m for m in {UNUSED!r} if m in sys.modules]
         assert not loaded, loaded
         from slowfast.closedloop import Thm2
@@ -100,7 +121,7 @@ def test_import_loads_only_what_a_run_uses():
 
         exports = {EXPORTS!r}
         names = [n for names in exports.values() for n in names.split()]
-        assert len(names) == 41 and sorted(slowfast.__all__) == sorted(names)
+        assert len(names) == 38 and sorted(slowfast.__all__) == sorted(names)
         for module, names in exports.items():
             mod = importlib.import_module("slowfast." + module)
             for name in names.split():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowfast import control, normal_form
+from slowfast import blowup, normal_form
 from slowfast.verification import SUITES, run_suites
 
 
@@ -40,14 +40,14 @@ def test_nan_fast_field_fails(monkeypatch):
 
 
 def test_nan_chart_controller_component_fails(monkeypatch):
-    chart_controller = control.chart_controller_family
+    chart_controller = blowup.chart_controller_family
 
     def last_component_nan(*args):
         out = np.array(chart_controller(*args), dtype=float)
         out[-1] = np.nan
         return out
 
-    monkeypatch.setattr(control, "chart_controller_family", last_component_nan)
+    monkeypatch.setattr(blowup, "chart_controller_family", last_component_nan)
     res = run_suites(seed=0, names=["blowdown-identity"])[0]
     assert not res.passed and res.line().startswith("FAIL"), res.line()
 
