@@ -96,7 +96,10 @@ def describe(variant: Variant) -> str:
 
 def drift_at_origin(system) -> list[float]:
     """f(0, 0, 0): the slow drift at the origin, as m finite floats."""
-    f0 = np.asarray(system.slow_f([0.0] * system.n_slow, 0.0, 0.0), dtype=float)
+    try:
+        f0 = np.asarray(system.slow_f([0.0] * system.n_slow, 0.0, 0.0), dtype=float)
+    except ArithmeticError as exc:
+        raise ValueError(f"the drift at the origin cannot be evaluated: {exc}") from None
     if not np.all(np.isfinite(f0)):
         raise ValueError(f"the drift at the origin must be finite; got {f0.tolist()}")
     return f0.tolist()

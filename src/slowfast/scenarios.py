@@ -61,28 +61,52 @@ __all__ = [
     "run_ex2_roa",
     "select_compensation_gain",
     "default_ex2_grid",
+    "EX1_CONFIGS",
+    "EX2_CONFIGS",
     "EX2_ICS",
 ]
 
-# circuit reproduction: initial conditions, the fold stabilizer's gains
-# (a1, a2) and b, the 1/eps benchmark's (A1, A2) and B, the convergence
-# balls of the two loops and the bound on sup|u| / sup|v|
+# circuit reproduction: initial conditions, the convergence balls of the
+# fold stabilizer u and of the 1/eps benchmark v, and the bound on
+# sup|u| / sup|v|
 EX1_ICS = ((-10.0, 10.0, 10.0), (50.0, -30.0, -6.0))
-EX1_A, EX1_B = (1.0, 1.0), 10.0
-EX1_HIGHGAIN_A, EX1_HIGHGAIN_B = (1.0, 1.0), 10.0
 EX1_BALL_U, EX1_BALL_V = 1e-2, 5e-2
 EX1_RATIO_BOUND = 0.15
 
+# its three loops as configs, with run_ex1's default epsilon and horizon: u
+# (a = (1, 1), b = 10, c = f(0)) also runs from an informational probe near
+# the other fold of the characteristic, translated coordinates of (V_C, I_L,
+# V_D) near (0, 20, 2); v (A = (1, 1), B = 10) cancels the drift constants,
+# and its literal form does not
+_EX1_RUN = {"system": {"builtin": "tunnel_diode"}, "epsilon": 0.01, "t_final": 30.0,
+            "switch_on_time": 10.0}
+_HIGHGAIN = {"type": "highgain", "A": [1.0, 1.0], "B": 10.0}
+EX1_CONFIGS = {
+    "u": {**_EX1_RUN, "controller": {"type": "thm2", "a": [1.0, 1.0], "b": 10.0},
+          "ics": [*map(list, EX1_ICS), [-4.0, 0.0, -1.9]]},
+    "v": {**_EX1_RUN, "controller": {**_HIGHGAIN, "cancel_constants": True},
+          "ics": [*map(list, EX1_ICS)]},
+    "v_literal": {**_EX1_RUN, "controller": _HIGHGAIN, "ics": [list(EX1_ICS[0])]},
+}
+
 # planar reproduction: initial conditions, the matrix's two epsilons (gain
-# selection and the ROA sweep run at the smaller), the run length, the
-# baseline gains a = 1, b = 3 with c = f(0) = 1, the compensation target
-# chi* = -2 and the candidate compensation gains
+# selection and the ROA sweep run at the smaller) and the candidate
+# compensation gains
 EX2_ICS = ((-2.0, 2.0), (0.1, 1.0))
 EX2_EPSILONS = (0.05, 0.01)
-EX2_T_FINAL = 10.0
-EX2_BASELINE = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
-EX2_CHI_STAR = -2.0
 K_CANDIDATES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
+
+# its three loops as configs without an epsilon: the open loop, the baseline
+# (a = 1, b = 3, c = f(0) = 1) and the baseline compensated towards
+# chi* = -2, which also has no gain K
+_EX2_RUN = {"system": {"builtin": "planar"}, "ics": [*map(list, EX2_ICS)], "t_final": 10.0}
+_BASELINE = {"type": "thm2", "a": [1.0], "b": 3.0, "c": [1.0]}
+EX2_CONFIGS = {
+    "open-loop": {**_EX2_RUN, "controller": {"type": "none"}},
+    "baseline": {**_EX2_RUN, "controller": _BASELINE},
+    "compensated": {**_EX2_RUN, "controller": {**_BASELINE, "type": "thm2plus3",
+                                                "chi_star": [-2.0]}},
+}
 
 
 class ConfigError(ValueError):
@@ -137,34 +161,6 @@ def _flag(v, where: str) -> bool:
     if not isinstance(v, bool):
         raise ConfigError(f"{where} must be a boolean")
     return v
-
-
-def _epsilon(v) -> float:
-    epsilon = _number(v, "epsilon")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    return epsilon
-
-
-def _horizon(t_final, switch_on_time) -> tuple[float, float]:
-    """(t_final, switch_on_time), finite with 0 <= switch_on_time < t_final."""
-    t_final = _number(t_final, "t_final")
-    switch = _number(switch_on_time, "switch_on_time")
-    if not 0.0 <= switch < t_final:
-        raise ConfigError("switch_on_time must lie in [0, t_final)")
-    return t_final, switch
-
-
-def _window(icfg: IntegratorConfig, switch: float) -> None:
-    """A ConfigError unless each segment of a run, the open one up to
-    ``switch`` if there is one and the closed one up to ``icfg.t_final``,
-    spans at least one smallest step of the integrator."""
-    if 0.0 < switch < icfg.min_step:
-        raise ConfigError(f"switch_on_time must be 0 or at least the integrator's"
-                          f" min_step {icfg.min_step:g}, got {switch:g}")
-    if icfg.t_final - switch < icfg.min_step:
-        raise ConfigError(f"t_final - switch_on_time must be at least the integrator's"
-                          f" min_step {icfg.min_step:g}, got {icfg.t_final - switch:g}")
 
 
 # the section schemas: each kind of system or controller maps its keys to
@@ -253,7 +249,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
         "config",
     )
     system = _section(raw["system"], "system", "builtin", _SYSTEMS)
-    epsilon = _epsilon(raw["epsilon"])
+    epsilon = _number(raw["epsilon"], "epsilon")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     built = _checked("system", _system, system, epsilon)
     n_slow = built.n_slow
     controller = _section(raw["controller"], "controller", "type", _CONTROLLERS)
@@ -265,7 +263,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(ics, list) or not ics:
         raise ConfigError("ics must be a non-empty list of state vectors")
     ics = [tuple(_vector(ic, f"ics[{i}]", n_slow + 1)) for i, ic in enumerate(ics)]
-    t_final, switch = _horizon(raw.get("t_final", 10.0), raw.get("switch_on_time", 0.0))
+    t_final = _number(raw.get("t_final", 10.0), "t_final")
+    switch = _number(raw.get("switch_on_time", 0.0), "switch_on_time")
+    if not 0.0 <= switch < t_final:
+        raise ConfigError("switch_on_time must lie in [0, t_final)")
     integrator = raw.get("integrator", {})
     if not isinstance(integrator, dict):
         raise ConfigError("integrator must be an object")
@@ -279,7 +280,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
         ics=tuple(ics), t_final=t_final, switch_on_time=switch,
         integrator=integrator, outputs=outputs,
     )
-    _window(_checked("integrator", _integrator_config, cfg), switch)
+    # each segment of a run, the open one up to the switch if there is one
+    # and the closed one up to t_final, spans at least one smallest step
+    min_step = _checked("integrator", _integrator_config, cfg).min_step
+    if 0.0 < switch < min_step:
+        raise ConfigError(f"switch_on_time must be 0 or at least the integrator's"
+                          f" min_step {min_step:g}, got {switch:g}")
+    if t_final - switch < min_step:
+        raise ConfigError(f"t_final - switch_on_time must be at least the integrator's"
+                          f" min_step {min_step:g}, got {t_final - switch:g}")
     return cfg
 
 
@@ -331,6 +340,12 @@ def _variant(section: dict, system) -> Variant:
 
 def _integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
     return config_for(cfg.epsilon, cfg.t_final, **cfg.integrator)
+
+
+def _built(cfg: ScenarioConfig) -> tuple:
+    """(system, variant, integrator config): what a run of ``cfg`` builds."""
+    system = build_system(cfg)
+    return system, build_variant(cfg, system), _integrator_config(cfg)
 
 
 def simulate_switched(
@@ -399,9 +414,7 @@ class ScenarioResult:
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run every configured initial condition and optionally emit CSVs."""
-    system = build_system(cfg)
-    variant = build_variant(cfg, system)
-    icfg = _integrator_config(cfg)
+    system, variant, icfg = _built(cfg)
     trajectories: list[Trajectory] = []
     outcomes: list[Outcome] = []
     failures: list[str | None] = []
@@ -467,28 +480,24 @@ def run_ex1(
     The fold stabilizer is compared against the 1/eps benchmark; the
     benchmark run cancels the drift constants (without them the loop
     parks at x2 = 16 eps / A2, outside any small ball around the origin;
-    that literal-form offset is simulated and reported separately).
-    ``epsilon``, ``t_final`` and ``switch_on_time`` are checked as a
-    config's are, and a ConfigError is raised before anything runs.
+    that literal-form offset is simulated and reported separately). The
+    loops are ``EX1_CONFIGS`` with ``epsilon``, ``t_final`` and
+    ``switch_on_time`` filled in, so a bad value is a ConfigError raised
+    before anything runs.
     """
-    _epsilon(epsilon)
-    _horizon(t_final, switch_on_time)
-    icfg = _checked("integrator", config_for, epsilon, t_final)
-    _window(icfg, switch_on_time)
-    system = build_tunnel_diode(TunnelDiodeParams(epsilon=epsilon))
-    u_var = Thm2(Theorem2Params(c=drift_at_origin(system), a=EX1_A, b=EX1_B))
-    v_var = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=True)
-    v_lit = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B, cancel_constants=False)
-
-    # informational probe near the other fold of the characteristic,
-    # translated coordinates of (V_C, I_L, V_D) near (0, 20, 2)
-    probe_ic = (-4.0, 0.0, -1.9)
+    run = {"epsilon": epsilon, "t_final": t_final, "switch_on_time": switch_on_time}
+    cfgs = {name: parse_config({**raw, **run}) for name, raw in EX1_CONFIGS.items()}
+    u = cfgs["u"]  # its ICs hold every loop's
+    epsilon, t_final, switch_on_time = u.epsilon, u.t_final, u.switch_on_time  # checked
+    system = build_system(u)
+    icfg = _integrator_config(u)
     # every controller switches on from the one open-loop run of its IC
-    opened = {ic: _open_segment(system, ic, icfg, switch_on_time)
-              for ic in (*EX1_ICS, probe_ic)}
-    runs_u = [_switch_on(system, u_var, ic, opened[ic], icfg) for ic in EX1_ICS]
-    runs_v = [_switch_on(system, v_var, ic, opened[ic], icfg) for ic in EX1_ICS]
-    lit = _switch_on(system, v_lit, EX1_ICS[0], opened[EX1_ICS[0]], icfg)
+    opened = {ic: _open_segment(system, ic, icfg, switch_on_time) for ic in u.ics}
+    trajs = {name: [_switch_on(system, build_variant(cfg, system), ic, opened[ic], icfg)
+                    for ic in cfg.ics]
+             for name, cfg in cfgs.items()}
+    *runs_u, probe = trajs["u"]
+    runs_v, (lit,) = trajs["v"], trajs["v_literal"]
 
     window = (switch_on_time, t_final)
     sup_u = max(control_sup_norm(t, window) for t in runs_u)
@@ -499,8 +508,6 @@ def run_ex1(
     outcomes_v = [classify(t, ball=EX1_BALL_V) for t in runs_v]
     final_u = [float(np.linalg.norm(t.states[-1])) for t in runs_u]
     final_v = [float(np.linalg.norm(t.states[-1])) for t in runs_v]
-
-    probe = _switch_on(system, u_var, probe_ic, opened[probe_ic], icfg)
     probe_outcome = classify(probe)
 
     passed = (
@@ -531,15 +538,15 @@ def run_ex1(
                 *(f"{stem}-run ic={list(ic)}: {o.kind}, final_norm={norm:.3e}"
                   for stem, outs, norms in (("u", outcomes_u, final_u),
                                             ("v", outcomes_v, final_v))
-                  for ic, o, norm in zip(EX1_ICS, outs, norms)),
+                  for ic, o, norm in zip(cfgs["v"].ics, outs, norms)),
                 f"sup|u|={sup_u:.6g} sup|v|={sup_v:.6g} ratio={ratio:.4f}"
                 f" (bound {EX1_RATIO_BOUND})",
                 "benchmark uses drift-constant cancellation; the literal"
                 " 1/eps form settles at "
                 f"{np.array2string(report.v_literal_final_state, precision=4)}"
                 f" (predicted x2 offset 16*eps/A2"
-                f" = {16 * epsilon / EX1_HIGHGAIN_A[1]:.3g})",
-                f"informational probe near the other fold {probe_ic}:"
+                f" = {16 * epsilon / cfgs['v'].controller['A'][1]:.3g})",
+                f"informational probe near the other fold {u.ics[-1]}:"
                 f" {probe_outcome.kind}",
                 f"PASS={passed}",
             ],
@@ -551,13 +558,12 @@ def run_ex1(
 # planar reproduction
 
 
-def _compensated(K: float) -> Thm2Plus3:
-    return Thm2Plus3(EX2_BASELINE, Theorem3Params(K=[K], chi_star=[EX2_CHI_STAR]))
-
-
-def _planar_variants(K_star: float) -> dict[str, Variant]:
-    return {"open-loop": OpenLoop(), "K=0": Thm2(EX2_BASELINE),
-            f"K={K_star:g}": _compensated(K_star)}
+def _ex2_config(name: str, epsilon: float, K: float | None = None) -> ScenarioConfig:
+    """``EX2_CONFIGS[name]`` at ``epsilon``, with the compensation gain ``K``."""
+    raw = {**EX2_CONFIGS[name], "epsilon": epsilon}
+    if K is not None:
+        raw["controller"] = {**raw["controller"], "K": [K]}
+    return parse_config(raw)
 
 
 def select_compensation_gain() -> tuple[float, dict[float, list[str]]]:
@@ -567,20 +573,19 @@ def select_compensation_gain() -> tuple[float, dict[float, list[str]]]:
     region-of-attraction cell. The compensation theorem guarantees existence
     of a suitable gain but not a value; the sweep documents the choice.
     """
-    system = build_planar_example(min(EX2_EPSILONS))
-    icfg = config_for(system.epsilon, EX2_T_FINAL)
     details: dict[float, list[str]] = {}
     chosen = None
     for K in K_CANDIDATES:
-        runner = CellRunner(system=system, variant=_compensated(K), cfg=icfg)
-        kinds = [runner(ic).kind for ic in EX2_ICS]
+        cfg = _ex2_config("compensated", min(EX2_EPSILONS), K)
+        system, variant, icfg = _built(cfg)
+        runner = CellRunner(system=system, variant=variant, cfg=icfg)
+        kinds = [runner(ic).kind for ic in cfg.ics]
         details[K] = kinds
         if chosen is None and all(k == "converged" for k in kinds):
             chosen = K
     if chosen is None:
-        raise RuntimeError(
-            f"no candidate gain in {list(K_CANDIDATES)} stabilizes all probe ICs"
-        )
+        raise RuntimeError(f"no candidate gain in {list(K_CANDIDATES)}"
+                           " stabilizes all probe ICs")
     return chosen, details
 
 
@@ -598,21 +603,21 @@ class Ex2Report:
 def run_ex2_matrix(out_dir=None) -> Ex2Report:
     """Open-loop / baseline / compensated matrix over both epsilon values."""
     K_star, gain_details = select_compensation_gain()
-    variants = _planar_variants(K_star)
+    k_name = f"K={K_star:g}"
     outcomes: dict[tuple[str, float, tuple[float, float]], Outcome] = {}
     trajs = {}
     for eps in EX2_EPSILONS:
-        system = build_planar_example(eps)
-        icfg = config_for(eps, EX2_T_FINAL)
-        for name, variant in variants.items():
-            for ic in EX2_ICS:
+        for name, loop, K in (("open-loop", "open-loop", None), ("K=0", "baseline", None),
+                              (k_name, "compensated", K_star)):
+            cfg = _ex2_config(loop, eps, K)
+            system, variant, icfg = _built(cfg)
+            for ic in cfg.ics:
                 traj = simulate_switched(system, variant, ic, icfg)
                 outcomes[(name, eps, ic)] = classify(traj)
                 trajs[(name, eps, ic)] = traj
 
     eps_lo = min(EX2_EPSILONS)
     eps_hi = max(EX2_EPSILONS)
-    k_name = f"K={K_star:g}"
     notes = []
 
     def check(cond: bool, msg: str) -> bool:
@@ -649,29 +654,20 @@ def run_ex2_matrix(out_dir=None) -> Ex2Report:
         os.makedirs(out_dir, exist_ok=True)
         for (name, eps, ic), traj in trajs.items():
             tag = name.replace("=", "").replace(".", "p")
-            fname = (
-                f"ex2_{tag}_eps{str(eps).replace('.', 'p')}"
-                f"_ic{EX2_ICS.index(ic)}.csv"
-            )
+            fname = f"ex2_{tag}_eps{str(eps).replace('.', 'p')}_ic{EX2_ICS.index(ic)}.csv"
             write_trajectory_csv(traj, os.path.join(out_dir, fname))
         lines = [
             f"K* sweep over {list(K_CANDIDATES)} at eps={eps_lo}: chose K*={K_star:g}",
             *(f"  K={K:g}: {kinds}" for K, kinds in gain_details.items()),
-            *(
-                f"{name} eps={eps} ic={list(ic)}: {out.kind}"
-                for (name, eps, ic), out in outcomes.items()
-            ),
+            *(f"{name} eps={eps} ic={list(ic)}: {out.kind}"
+              for (name, eps, ic), out in outcomes.items()),
         ]
         if report.diverging_ic_k0 is not None:
-            lines.append(
-                f"diverging IC under baseline at eps={eps_lo}:"
-                f" {list(report.diverging_ic_k0)}"
-            )
+            lines.append(f"diverging IC under baseline at eps={eps_lo}:"
+                         f" {list(report.diverging_ic_k0)}")
         lines += notes
-        lines.append(
-            "divergence threshold |state| > 1e6 and step collapse are"
-            " artifact choices, not paper values"
-        )
+        lines.append("divergence threshold |state| > 1e6 and step collapse are"
+                     " artifact choices, not paper values")
         _write_summary(os.path.join(out_dir, "ex2_summary.txt"), lines)
     return report
 
@@ -691,10 +687,11 @@ def run_ex2_roa(
     at the smaller epsilon; ``jobs`` < 1 means one process per core."""
     grid = grid or default_ex2_grid()
     epsilon = min(EX2_EPSILONS)
-    system = build_planar_example(epsilon)
-    cfg = config_for(epsilon, EX2_T_FINAL)
-    rep_comp = sweep(system, _compensated(K_star), grid, cfg, jobs=jobs)
-    rep_base = sweep(system, Thm2(EX2_BASELINE), grid, cfg, jobs=jobs)
+    reports = []
+    for loop, K in (("compensated", K_star), ("baseline", None)):
+        system, variant, icfg = _built(_ex2_config(loop, epsilon, K))
+        reports.append(sweep(system, variant, grid, icfg, jobs=jobs))
+    rep_comp, rep_base = reports
     cmp = compare(rep_comp, rep_base)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,7 @@ from slowfast.closedloop import Thm2
 from slowfast.control import Theorem2Params
 from slowfast.normal_form import compile_functions
 from slowfast.roa import GridSpec, RoAReport, compare, sweep, write_report_csv
-from slowfast.scenarios import _planar_variants
+from slowfast.scenarios import EX2_CONFIGS, build_system, build_variant, parse_config
 from slowfast.sim import Outcome, config_for
 from slowfast.systems import build_planar_example
 
@@ -189,10 +189,16 @@ class TestCompare:
         sys = build_planar_example(0.01)
         grid = GridSpec(x_ranges=((-2.0, 2.0, 3),), z_range=(-2.0, 2.0, 3))
         cfg = config_for(0.01, 10.0)
-        variants = _planar_variants(50.0)
-        base = sweep(sys, variants["K=0"], grid, cfg)
-        comp = sweep(sys, variants["K=50"], grid, cfg)
+        base = sweep(sys, self._variant("baseline"), grid, cfg)
+        comp = sweep(sys, self._variant("compensated", K=[50.0]), grid, cfg)
         return base, comp
+
+    @staticmethod
+    def _variant(name, **gains):
+        raw = EX2_CONFIGS[name]
+        cfg = parse_config({**raw, "epsilon": 0.01,
+                            "controller": {**raw["controller"], **gains}})
+        return build_variant(cfg, build_system(cfg))
 
     def test_identical_reports(self):
         base, _ = self._reports()

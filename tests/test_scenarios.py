@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from slowfast.scenarios import (
-    EX1_HIGHGAIN_A,
-    EX1_HIGHGAIN_B,
+    EX1_CONFIGS,
     EX1_ICS,
+    EX2_CONFIGS,
+    EX2_EPSILONS,
     ConfigError,
     EX2_ICS,
+    K_CANDIDATES,
     build_system,
     build_variant,
     parse_config,
@@ -19,10 +21,11 @@ from slowfast.scenarios import (
     simulate_switched,
 )
 from slowfast import scenarios
-from slowfast.closedloop import HighGain, OpenLoop, Thm2, build_closed_loop
+from slowfast.cli import main
+from slowfast.closedloop import OpenLoop, Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
 from slowfast.sim import IntegratorStats, config_for, integrate
-from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
+from slowfast.systems import build_planar_example
 
 
 def planar_config(**over):
@@ -124,6 +127,18 @@ class TestConfigSchema:
         assert all(type(v) is float for v in [*cfg.controller["A"], cfg.controller["B"]])
         raw = planar_config(controller={"type": "thm2", "a": [1], "b": 3})
         assert parse_config(raw).controller == {"type": "thm2", "a": [1.0], "b": 3.0}
+
+    @pytest.mark.parametrize("controller", [
+        {"type": "thm2", "a": [1.0], "b": 3.0},
+        {"type": "highgain", "A": [1.0], "B": 10.0, "cancel_constants": True},
+    ])
+    def test_drift_that_raises_at_the_origin_is_named(self, controller):
+        raw = planar_config(controller=controller)
+        raw["system"] = {"builtin": "custom", "k": 2, "f": ["1 / x1"]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert str(exc.value) == ("controller: the drift at the origin cannot be"
+                                  " evaluated: float division by zero")
 
 
 # (system section, its number of slow states)
@@ -257,10 +272,11 @@ class TestEx1:
         assert len(opened) == len(set(opened)) == 3
         assert set(EX1_ICS) < set(opened)
         assert [t0 for t0, _ in calls].count(0.5) == 6
-        system = build_tunnel_diode(TunnelDiodeParams(epsilon=0.01))
-        literal = HighGain(a=EX1_HIGHGAIN_A, b=EX1_HIGHGAIN_B)
-        alone = simulate_switched(system, literal, EX1_ICS[0], config_for(0.01, 1.0),
-                                  switch_on_time=0.5)
+        cfg = parse_config({**EX1_CONFIGS["v_literal"], "t_final": 1.0,
+                            "switch_on_time": 0.5})
+        system = build_system(cfg)
+        alone = simulate_switched(system, build_variant(cfg, system), EX1_ICS[0],
+                                  config_for(0.01, 1.0), switch_on_time=0.5)
         assert np.array_equal(rep.v_literal_final_state, alone.states[-1])
 
 
@@ -277,3 +293,34 @@ class TestGainSelection:
 
     def test_probe_ics_are_the_reproduction_ics(self):
         assert EX2_ICS == ((-2.0, 2.0), (0.1, 1.0))
+
+
+def ex2_config(name, epsilon, **gains):
+    raw = EX2_CONFIGS[name]
+    return {**raw, "epsilon": epsilon, "controller": {**raw["controller"], **gains}}
+
+
+# every loop the reproductions run, as the config it is parsed from
+REPRODUCTION_CONFIGS = {
+    **{f"ex1-{name}": raw for name, raw in EX1_CONFIGS.items()},
+    **{f"ex2-{name}-eps{eps}": ex2_config(name, eps)
+       for name in ("open-loop", "baseline") for eps in EX2_EPSILONS},
+    **{f"ex2-compensated-K{K:g}-eps{eps}": ex2_config("compensated", eps, K=[K])
+       for K in K_CANDIDATES for eps in EX2_EPSILONS},
+}
+
+
+@pytest.mark.parametrize("name", list(REPRODUCTION_CONFIGS))
+def test_reproduction_loops_are_valid_configs(name):
+    cfg = parse_config(REPRODUCTION_CONFIGS[name])
+    assert parse_config(cfg.to_dict()) == cfg
+
+
+def test_ex1_stabilizer_is_its_config(tmp_path):
+    run_ex1(out_dir=tmp_path / "ex1")
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(EX1_CONFIGS["u"]))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "u")]) == 0
+    for traj, csv in (("traj_000.csv", "ex1_u_ic0.csv"), ("traj_001.csv", "ex1_u_ic1.csv"),
+                      ("traj_002.csv", "ex1_u_fold_probe.csv")):
+        assert (tmp_path / "u" / traj).read_bytes() == (tmp_path / "ex1" / csv).read_bytes()
