@@ -25,7 +25,7 @@ _EXPORTS = {
         "control"),
     **dict.fromkeys(
         ["NormalFormSystem", "State", "degeneracy_order", "eval_g", "eval_rhs_fast",
-         "eval_rhs_slow", "validate"],
+         "eval_rhs_slow"],
         "normal_form"),
     **dict.fromkeys(["GridSpec", "RoAReport", "compare", "sweep"], "roa"),
     **dict.fromkeys(

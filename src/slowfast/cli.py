@@ -18,6 +18,7 @@ from .scenarios import (
     build_variant,
     default_ex2_grid,
     load_config,
+    make_out_dir,
     run_ex1,
     run_ex2_matrix,
     run_ex2_roa,
@@ -94,14 +95,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(message) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
+        result = run_scenario(cfg, out_dir=args.out or cfg.outputs)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = args.out or cfg.outputs
-    result = run_scenario(cfg, out_dir=out_dir)
+        return _config_error(exc)
     for ic, out, fail in zip(cfg.ics, result.outcomes, result.failures):
         note = f" ({fail})" if fail else ""
         print(f"ic={list(ic)}: {out.kind}{note}")
@@ -116,8 +120,7 @@ def _cmd_ex1(args) -> int:
         report = run_ex1(out_dir=args.out, epsilon=args.epsilon,
                          t_final=args.t_final, switch_on_time=args.switch_on)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     for i, (ou, ov) in enumerate(zip(report.outcomes_u, report.outcomes_v)):
         print(f"ic {i}: stabilizer={ou.kind} benchmark={ov.kind}")
     print(f"sup|u|={report.sup_u:.6g} sup|v|={report.sup_v:.6g}"
@@ -133,9 +136,11 @@ def _cmd_ex2(args) -> int:
     try:
         grid = None if args.skip_roa else default_ex2_grid(args.roa_grid)
     except ValueError as exc:  # a malformed grid
-        print(f"config error: --roa-grid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    report = run_ex2_matrix(out_dir=args.out)
+        return _config_error(f"--roa-grid: {exc}")
+    try:
+        report = run_ex2_matrix(out_dir=args.out)
+    except ConfigError as exc:  # an output directory that cannot be made
+        return _config_error(exc)
     for note in report.contract_notes:
         print(note)
     print(f"selected compensation gain K*={report.K_star:g}")
@@ -167,13 +172,12 @@ def _cmd_roa(args) -> int:
             x_ranges=((args.x_range[0], args.x_range[1], args.grid),) * system.n_slow,
             z_range=(args.z_range[0], args.z_range[1], args.grid),
         )
+        out_dir = args.out or cfg.outputs or "out/roa"
+        make_out_dir(out_dir)
     except ValueError as exc:  # a ConfigError, or a malformed grid
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     report = sweep(system, build_variant(cfg, system), grid, _integrator_config(cfg),
                    jobs=args.jobs)
-    out_dir = args.out or cfg.outputs or "out/roa"
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "roa.csv")
     write_report_csv(report, path)
     print(f"{report.variant}: converged={report.converged_count}"
@@ -189,8 +193,7 @@ def _cmd_verify(args) -> int:
     try:
         results = run_suites(seed=args.seed, names=args.suite)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]

@@ -1,16 +1,16 @@
 """Assembly of runnable closed loops from a system and a controller variant.
 
-Variants are small picklable records so that region-of-attraction sweeps
-can fan out across processes; each worker generates the loop's functions
-once. State vectors are packed as [x_1, ..., x_m, z].
+Variants are frozen records of numbers: two built from equal numbers
+compare and hash equal, so a (system, variant) pair keys the generated loop
+and its certificate, and a sweep builds both once. Forked sweep workers
+inherit them. State vectors are packed as [x_1, ..., x_m, z].
 """
 from __future__ import annotations
 
 import ast
 import math
-import pickle
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -67,6 +67,7 @@ class HighGain:
     cancel_constants: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "a", tuple(map(float, self.a)))
         if not all(0 < v < math.inf for v in (*self.a, self.b)):
             raise ValueError("high-gain parameters must be positive and finite")
 
@@ -79,12 +80,12 @@ def describe(variant: Variant) -> str:
         return "open-loop"
     if isinstance(variant, Thm2):
         p = variant.p
-        return f"thm2(a={p.a.tolist()}, b={p.b}, c={p.c.tolist()})"
+        return f"thm2(a={list(p.a)}, b={p.b}, c={list(p.c)})"
     if isinstance(variant, Thm2Plus3):
         p2, p3 = variant.p2, variant.p3
         return (
-            f"thm2+w(a={p2.a.tolist()}, b={p2.b}, "
-            f"K={p3.K.tolist()}, chi_star={p3.chi_star.tolist()})"
+            f"thm2+w(a={list(p2.a)}, b={p2.b}, "
+            f"K={list(p3.K)}, chi_star={list(p3.chi_star)})"
         )
     if isinstance(variant, HighGain):
         return (
@@ -158,8 +159,9 @@ def _trees(system, variant: Variant) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _generated(system, variant_key: bytes):
-    """(rhs, ueval) generated for ``system`` and the pickled variant.
+def _generated(system, variant: Variant):
+    """(rhs, ueval) generated for ``system`` and ``variant``, cached on the
+    pair: equal variants share one entry.
 
     The field is one block of straight-line statements: assign the law to
     v1..vm; its value is the drift plus v and the fast field, in x1..xm and
@@ -173,7 +175,6 @@ def _generated(system, variant_key: bytes):
     calls a function for the field, so a step of the loop makes no Python
     call.
     """
-    variant = pickle.loads(variant_key)
     m = system.n_slow
     xs = [f"x{i}" for i in range(1, m + 1)]
     vs = [f"v{i}" for i in range(1, m + 1)]
@@ -220,19 +221,19 @@ def build_closed_loop(system, variant: Variant):
     floats. ``rhs`` carries as ``run`` the whole adaptive Dormand-Prince
     loop with its field inline at every stage, by which
     :func:`slowfast.sim.integrate` integrates it in one call; a step of it
-    makes no Python call. The functions are cached per system (which must be hashable) and
-    variant, so a sweep compiles its loop once per process.
+    makes no Python call. The functions are cached on (system, variant),
+    both hashable values, so a sweep compiles its loop once per process.
     """
-    rhs, ueval = _generated(system, pickle.dumps(variant))
+    rhs, ueval = _generated(system, variant)
     return rhs, ueval, system.n_slow
 
 
 @lru_cache(maxsize=64)
-def _certificate(system, variant_key: bytes):
+def _certificate(system, variant: Variant):
     # imported on first use: runs without sweep cells never compile it
     from .lyapunov import certify
 
-    trees = _trees(system, pickle.loads(variant_key))
+    trees = _trees(system, variant)
     field = [ast.BinOp(trees[f"_f{i}"], ast.Add(), trees[f"_v{i}"])
              for i in range(1, system.n_slow + 1)]
     names = [f"x{i}" for i in range(1, system.n_slow + 1)] + ["z"]
@@ -250,7 +251,7 @@ def certificate(system, variant: Variant):
     use and cached per system and variant, like the generated loop, and
     only region-of-attraction cells (:class:`CellRunner`) ask for it.
     """
-    return _certificate(system, pickle.dumps(variant))
+    return _certificate(system, variant)
 
 
 @dataclass(frozen=True)
@@ -258,11 +259,12 @@ class CellRunner:
     """Classifies one initial condition under a fixed closed loop.
 
     Every cell is integrated by :func:`slowfast.sim.integrate` with the
-    loop's generated ``run`` (compiled once per process, see
-    :func:`build_closed_loop`), stopped once the state has dwelt in the
-    ball ``sim.BALL``, or earlier at the first recorded state inside the
-    loop's proved-invariant set (:func:`certificate`), and classified from
-    its trajectory by :func:`slowfast.sim.classify`. Numerical failures (a
+    loop's generated ``run`` (compiled once per process and looked up by
+    (system, variant) for each cell, see :func:`build_closed_loop`),
+    stopped once the state has dwelt in the ball ``sim.BALL``, or earlier
+    at the first recorded state inside the loop's proved-invariant set
+    (:func:`certificate`), and classified from its trajectory by
+    :func:`slowfast.sim.classify`. Numerical failures (a
     non-finite initial condition or field there, an ArithmeticError) are
     recorded as diverged so that a sweep goes on; any other exception is a
     bug and propagates.
@@ -272,25 +274,16 @@ class CellRunner:
     variant: Variant
     cfg: IntegratorConfig
 
-    @cached_property
-    def key(self) -> bytes:
-        """The pickled variant that keys the loop and certificate caches.
-
-        It is made once per runner, and a pickled runner carries it, so
-        pool workers never pickle the variant again.
-        """
-        return pickle.dumps(self.variant)
-
     def prepare(self) -> None:
         """Generate the loop and prove its certificate now, so that
         processes forked afterwards inherit both."""
-        _generated(self.system, self.key)
-        _certificate(self.system, self.key)
+        _generated(self.system, self.variant)
+        _certificate(self.system, self.variant)
 
     def simulate(self, ic) -> Trajectory:
-        rhs, _ = _generated(self.system, self.key)
+        rhs, _ = _generated(self.system, self.variant)
         return integrate(rhs, np.asarray(ic, dtype=float), self.cfg, stop_ball=BALL,
-                         invariant=_certificate(self.system, self.key))
+                         invariant=_certificate(self.system, self.variant))
 
     def __call__(self, ic) -> Outcome:
         try:

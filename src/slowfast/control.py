@@ -10,6 +10,7 @@ included for comparison.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +28,36 @@ __all__ = [
     "eigenvalues_origin",
 ]
 
+
+def _floats(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of Python floats with -0.0 stored as 0.0, so that
+    records built from equal numbers compare, hash and compile alike."""
+    return tuple(v + 0.0 for v in _vec(values, name=name).tolist())
+
+
 @dataclass(frozen=True)
 class Theorem2Params:
     """Baseline controller constants.
 
     ``c`` holds the slow drift at the origin, f(0, 0, 0); ``a`` the diagonal
     feedback gains (all positive); ``b`` the positive gain on the fast state,
-    applied to the first slow equation only.
+    applied to the first slow equation only. The gains are tuples of floats,
+    so the record compares and hashes by its numbers.
     """
 
-    c: np.ndarray
-    a: np.ndarray
+    c: tuple[float, ...]
+    a: tuple[float, ...]
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _vec(self.c, name="c"))
-        object.__setattr__(self, "a", _vec(self.a, name="a"))
+        object.__setattr__(self, "c", _floats(self.c, "c"))
+        object.__setattr__(self, "a", _floats(self.a, "a"))
         object.__setattr__(self, "b", float(self.b))
-        if self.c.size != self.a.size:
+        if len(self.c) != len(self.a):
             raise ValueError("c and a must have the same length")
-        if not np.all(np.isfinite([*self.c, *self.a, self.b])):
+        if not all(map(math.isfinite, (*self.c, *self.a, self.b))):
             raise ValueError("c, a and b must be finite")
-        if not np.all(self.a > 0):
+        if not all(v > 0 for v in self.a):
             raise ValueError("all entries of a must be > 0")
         if not self.b > 0:
             raise ValueError("b must be > 0")
@@ -56,29 +65,29 @@ class Theorem2Params:
 
 @dataclass(frozen=True)
 class Theorem3Params:
-    """Compensation gains K >= 0 and chart target chi*.
+    """Compensation gains K >= 0 and chart target chi*, as tuples of floats.
 
     When any gain is active the target must satisfy chi*_1 < -1 with the
     remaining components zero, so the attracting point in the z < 0 chart
     sits strictly below the critical manifold.
     """
 
-    K: np.ndarray
-    chi_star: np.ndarray
+    K: tuple[float, ...]
+    chi_star: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "K", _vec(self.K, name="K"))
-        object.__setattr__(self, "chi_star", _vec(self.chi_star, name="chi_star"))
-        if self.K.size != self.chi_star.size:
+        object.__setattr__(self, "K", _floats(self.K, "K"))
+        object.__setattr__(self, "chi_star", _floats(self.chi_star, "chi_star"))
+        if len(self.K) != len(self.chi_star):
             raise ValueError("K and chi_star must have the same length")
-        if not np.all(np.isfinite([*self.K, *self.chi_star])):
+        if not all(map(math.isfinite, (*self.K, *self.chi_star))):
             raise ValueError("K and chi_star must be finite")
-        if np.any(self.K < 0):
+        if any(v < 0 for v in self.K):
             raise ValueError("all entries of K must be >= 0")
-        if np.any(self.K > 0):
+        if any(v > 0 for v in self.K):
             if not self.chi_star[0] < -1:
                 raise ValueError("chi_star[0] must be < -1 when compensation is on")
-            if self.chi_star.size > 1 and np.any(self.chi_star[1:] != 0):
+            if any(v != 0 for v in self.chi_star[1:]):
                 raise ValueError("chi_star[j] must be 0 for j >= 2")
 
 
@@ -104,12 +113,12 @@ def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
     bz = p.b * pz
     return [parse_expression("-c - px * a * x" + (" + bz * z" if i == 1 else ""),
                              {"c": c, "px": px, "a": a, "bz": bz, "x": f"x{i}", "z": "z"})
-            for i, (c, a) in enumerate(zip(p.c.tolist(), p.a.tolist()), 1)]
+            for i, (c, a) in enumerate(zip(p.c, p.a), 1)]
 
 
 def thm3_law(k: int, p: Theorem3Params) -> list:
     """Compensation law as checked trees w_i = K_i (x_i z + (-z)^(k-i+2) chi*_i)."""
-    terms = zip(p.K.tolist(), range(k + 1, 2, -1), p.chi_star.tolist())
+    terms = zip(p.K, range(k + 1, 2, -1), p.chi_star)
     return [parse_expression("K * (x * z + (-z) ** n * chi)",
                              {"K": K, "n": n, "chi": chi, "x": f"x{i}", "z": "z"})
             for i, (K, n, chi) in enumerate(terms, 1)]
@@ -144,8 +153,8 @@ def evaluate(law: list, x, z: float) -> list[float]:
 
 
 def _check_order(k: int, p: Theorem2Params) -> None:
-    if p.a.size != k - 1:
-        raise ValueError(f"params sized for k = {p.a.size + 1}, got k = {k}")
+    if len(p.a) != k - 1:
+        raise ValueError(f"params sized for k = {len(p.a) + 1}, got k = {k}")
 
 
 def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:
@@ -171,5 +180,5 @@ def eigenvalues_origin(k: int, p: Theorem2Params) -> np.ndarray:
     lam = np.empty(k, dtype=complex)
     lam[0] = (-p.a[0] + disc) / 2.0
     lam[1] = (-p.a[0] - disc) / 2.0
-    lam[2:] = -p.a[1:]
+    lam[2:] = [-a for a in p.a[1:]]
     return lam

@@ -31,7 +31,6 @@ __all__ = [
     "eval_rhs_fast",
     "eval_rhs_slow",
     "degeneracy_order",
-    "validate",
     "on_manifold_tolerance",
     "parse_expression",
     "walk",
@@ -72,9 +71,7 @@ class NormalFormSystem:
     The uncontrolled slow dynamics f(x, z, epsilon) is ``slow_f``, an
     :class:`ExprSlowField` with one expression per slow state; an integer
     ``k`` >= 2 and that field are checked on construction, so the drift is
-    always data. The instance is immutable; use :func:`validate` to collect
-    the violations of epsilon and of the drift at the origin instead of
-    raising.
+    always data. The instance is immutable.
     """
 
     k: int
@@ -195,23 +192,6 @@ def degeneracy_order(x, z: float, k: int) -> int:
         if abs(g_partial_z(xv, z, k, m)) > tol:
             return m
     return k  # d^k g / dz^k = -k! never vanishes
-
-
-def validate(sys: NormalFormSystem) -> list[str]:
-    """Collect constraint violations; an empty list means the system is valid."""
-    errors: list[str] = []
-    if not (np.isfinite(sys.epsilon) and sys.epsilon > 0):
-        errors.append(f"epsilon must be positive and finite, got {sys.epsilon}")
-    x0 = np.zeros(sys.k - 1)
-    for eps in (0.0, max(sys.epsilon, 0.0)):
-        try:
-            out = sys.slow_f(x0, 0.0, eps)
-        except ArithmeticError as exc:  # report, do not crash
-            errors.append(f"slow_f raised at (0, 0, {eps}): {exc}")
-            continue
-        if not np.all(np.isfinite(out)):
-            errors.append(f"slow_f returned non-finite values at (0, 0, {eps})")
-    return errors
 
 
 _EXPR_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh")

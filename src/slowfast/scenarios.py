@@ -328,14 +328,13 @@ def _variant(section: dict, system) -> Variant:
     if ctype == "none":
         return OpenLoop()
     if ctype == "highgain":
-        return HighGain(a=tuple(section["A"]), b=section["B"],
+        return HighGain(a=section["A"], b=section["B"],
                         cancel_constants=section["cancel_constants"])
     c = section["c"] if "c" in section else drift_at_origin(system)
-    p2 = Theorem2Params(c=np.asarray(c), a=np.asarray(section["a"]), b=section["b"])
+    p2 = Theorem2Params(c=c, a=section["a"], b=section["b"])
     if ctype == "thm2":
         return Thm2(p2)
-    return Thm2Plus3(p2, Theorem3Params(K=np.asarray(section["K"]),
-                                        chi_star=np.asarray(section["chi_star"])))
+    return Thm2Plus3(p2, Theorem3Params(K=section["K"], chi_star=section["chi_star"]))
 
 
 def _integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
@@ -415,6 +414,7 @@ class ScenarioResult:
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run every configured initial condition and optionally emit CSVs."""
     system, variant, icfg = _built(cfg)
+    make_out_dir(out_dir)
     trajectories: list[Trajectory] = []
     outcomes: list[Outcome] = []
     failures: list[str | None] = []
@@ -431,7 +431,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
         outcomes.append(classify(traj))
         failures.append(None)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         lines = [f"scenario: {describe(variant)} epsilon={cfg.epsilon}"]
         for i, (ic, traj, out, fail) in enumerate(
                 zip(cfg.ics, trajectories, outcomes, failures)):
@@ -444,6 +443,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
         _write_summary(os.path.join(out_dir, "summary.txt"), lines)
     return ScenarioResult(config=cfg, trajectories=trajectories,
                           outcomes=outcomes, failures=failures)
+
+
+def make_out_dir(out_dir) -> None:
+    """Create the output directory ``out_dir`` (None: a run without outputs)
+    before a run integrates anything; a path that cannot be made a
+    directory is a ConfigError."""
+    if out_dir is None:
+        return
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
 
 
 def _write_summary(path, lines) -> None:
@@ -491,6 +502,7 @@ def run_ex1(
     epsilon, t_final, switch_on_time = u.epsilon, u.t_final, u.switch_on_time  # checked
     system = build_system(u)
     icfg = _integrator_config(u)
+    make_out_dir(out_dir)
     # every controller switches on from the one open-loop run of its IC
     opened = {ic: _open_segment(system, ic, icfg, switch_on_time) for ic in u.ics}
     trajs = {name: [_switch_on(system, build_variant(cfg, system), ic, opened[ic], icfg)
@@ -525,7 +537,6 @@ def run_ex1(
         p1_probe_outcome=probe_outcome, passed=passed,
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for stem, runs in (("u", runs_u), ("v", runs_v)):
             for i, t in enumerate(runs):
                 write_trajectory_csv(t, os.path.join(out_dir, f"ex1_{stem}_ic{i}.csv"))
@@ -602,6 +613,7 @@ class Ex2Report:
 
 def run_ex2_matrix(out_dir=None) -> Ex2Report:
     """Open-loop / baseline / compensated matrix over both epsilon values."""
+    make_out_dir(out_dir)
     K_star, gain_details = select_compensation_gain()
     k_name = f"K={K_star:g}"
     outcomes: dict[tuple[str, float, tuple[float, float]], Outcome] = {}
@@ -651,7 +663,6 @@ def run_ex2_matrix(out_dir=None) -> Ex2Report:
         contract_ok=ok, contract_notes=notes,
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for (name, eps, ic), traj in trajs.items():
             tag = name.replace("=", "").replace(".", "p")
             fname = f"ex2_{tag}_eps{str(eps).replace('.', 'p')}_ic{EX2_ICS.index(ic)}.csv"
@@ -686,6 +697,7 @@ def run_ex2_roa(
     """Sweep the baseline against the compensated loop on the same grid,
     at the smaller epsilon; ``jobs`` < 1 means one process per core."""
     grid = grid or default_ex2_grid()
+    make_out_dir(out_dir)
     epsilon = min(EX2_EPSILONS)
     reports = []
     for loop, K in (("compensated", K_star), ("baseline", None)):
@@ -694,7 +706,6 @@ def run_ex2_roa(
     rep_comp, rep_base = reports
     cmp = compare(rep_comp, rep_base)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_report_csv(rep_comp, os.path.join(out_dir, "roa_compensated.csv"))
         write_report_csv(rep_base, os.path.join(out_dir, "roa_baseline.csv"))
         _write_summary(

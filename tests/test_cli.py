@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 import slowfast
+from slowfast import closedloop, scenarios
 from slowfast.cli import main
 
 
@@ -293,6 +294,25 @@ class TestReproductionCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: --roa-grid")
         assert not (tmp_path / "ex2").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa", "ex1", "ex2"])
+def test_output_path_under_a_file_exits_one_before_running(tmp_path, capsys, monkeypatch,
+                                                           command):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the output directory was made")
+
+    monkeypatch.setattr(scenarios, "integrate", integrate)
+    monkeypatch.setattr(closedloop, "integrate", integrate)
+    (tmp_path / "file").write_text("")
+    out = ["--out", str(tmp_path / "file" / "out")]
+    argv = {"simulate": ["simulate", "--config", write_config(tmp_path, PLANAR), *out],
+            "roa": ["roa", "--config", write_config(tmp_path, PLANAR), "--grid", "2",
+                    "--jobs", "1", *out],
+            "ex1": ["ex1", *out],
+            "ex2": ["ex2", *out]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
 
 
 def test_simulate_loads_neither_verification_nor_blowup(tmp_path):

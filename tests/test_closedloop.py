@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -22,7 +23,7 @@ from slowfast.closedloop import (
 )
 from slowfast.control import Theorem2Params, Theorem3Params, evaluate
 from slowfast.normal_form import _SCOPE, NormalFormSystem
-from slowfast.scenarios import EX1_ICS, ConfigError, parse_config
+from slowfast.scenarios import EX1_CONFIGS, EX1_ICS, ConfigError, build_variant, parse_config
 from slowfast.sim import NonFiniteError, config_for, integrate
 from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
 
@@ -74,6 +75,34 @@ class TestBuild:
         sys = build_tunnel_diode()
         with pytest.raises(ValueError, match="not defined"):
             build_closed_loop(sys, Thm2Plus3(P2, P3))
+
+    def test_variants_are_values(self):
+        # equal numbers, however given, make equal records: the loop caches
+        # key on them, so they must compare and hash by value
+        def pairs():
+            yield (Thm2(Theorem2Params(c=[1.0, -0.5], a=[1.0, 2.0], b=3.0)),
+                   Thm2(Theorem2Params(c=np.array([1, -0.5]), a=(1, 2), b=3)))
+            yield (Thm2Plus3(Theorem2Params(c=[0.0, 0.0], a=[1.0, 2.0], b=3.0),
+                             Theorem3Params(K=[10.0, 5.0], chi_star=[-2.0, 0.0])),
+                   Thm2Plus3(Theorem2Params(c=[-0.0, 0.0], a=[1.0, 2.0], b=3.0),
+                             Theorem3Params(K=np.array([10.0, 5.0]),
+                                            chi_star=np.array([-2.0, -0.0]))))
+            circuit = build_tunnel_diode()
+            raw = {**EX1_CONFIGS["u"], "ics": [[0.0, 0.0, 0.0]]}
+            yield tuple(build_variant(parse_config(raw), circuit) for _ in range(2))
+            yield HighGain(a=(1.0, 2.0), b=3.0), HighGain(a=[1, 2.0], b=3.0)
+
+        for a, b in pairs():
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert describe(a) == describe(b)
+        assert Thm2(P2) != Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.5))
+
+    def test_negative_zero_gains_are_stored_as_zero(self):
+        p2 = Theorem2Params(c=[-0.0, 1.0], a=[1.0, 1.0], b=3.0)
+        p3 = Theorem3Params(K=[-0.0], chi_star=[-0.0])
+        assert [math.copysign(1.0, v) for v in (*p2.c, *p3.K, *p3.chi_star)] == [1.0] * 4
+        assert describe(Thm2Plus3(Theorem2Params(c=[-0.0], a=[1.0], b=3.0), p3)) == (
+            "thm2+w(a=[1.0], b=3.0, K=[0.0], chi_star=[0.0])")
 
     def test_describe_is_readable(self):
         assert describe(OpenLoop()) == "open-loop"
@@ -289,7 +318,7 @@ class TestCellRunner:
 def _ref_thm2(eps, k, p):
     inv = 1.0 / eps
     pz, px = inv ** (1.0 / (2 * k - 1)), inv ** (k / (2 * k - 1))
-    c, a, bz = p.c.tolist(), p.a.tolist(), p.b * pz
+    c, a, bz = p.c, p.a, p.b * pz
 
     def law(x, z):
         u = [-ci - px * ai * xi for ci, ai, xi in zip(c, a, x)]
@@ -300,7 +329,7 @@ def _ref_thm2(eps, k, p):
 
 
 def _ref_thm3(k, p):
-    terms = tuple(zip(p.K.tolist(), range(k + 1, 2, -1), p.chi_star.tolist()))
+    terms = tuple(zip(p.K, range(k + 1, 2, -1), p.chi_star))
     return lambda x, z: [Ki * (xi * z + (-z) ** n * chi)
                          for (Ki, n, chi), xi in zip(terms, x)]
 

@@ -13,7 +13,6 @@ from slowfast.normal_form import (
     eval_rhs_fast,
     eval_rhs_slow,
     g_partial_z,
-    validate,
 )
 
 
@@ -182,10 +181,6 @@ class TestDegeneracyOrder:
 
 
 class TestValidate:
-    def test_valid_system(self):
-        sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=affine_f)
-        assert validate(sys) == []
-
     def test_k_too_small(self):
         for k in (1, 0, -3):
             with pytest.raises(ValueError, match="k must be an integer >= 2"):
@@ -209,18 +204,6 @@ class TestValidate:
         for slow_f in (lambda x, z, e: [1.0 + x[0] + z], ("1 + x1 + z",), None):
             with pytest.raises(ValueError, match="ExprSlowField"):
                 NormalFormSystem(k=2, epsilon=0.01, slow_f=slow_f)
-
-    def test_nonpositive_epsilon(self):
-        sys = NormalFormSystem(k=2, epsilon=-1.0, slow_f=affine_f)
-        assert any("epsilon" in e for e in validate(sys))
-
-    def test_origin_probes(self):
-        raising = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 / z",)))
-        assert [e.split(":")[0] for e in validate(raising)] == [
-            "slow_f raised at (0, 0, 0.0)", "slow_f raised at (0, 0, 0.01)"]
-        at_eps = NormalFormSystem(k=2, epsilon=0.01,
-                                  slow_f=ExprSlowField(("1e308 * (1 + 1000 * epsilon)",)))
-        assert validate(at_eps) == ["slow_f returned non-finite values at (0, 0, 0.01)"]
 
 
 # each expression is walked, and compiled as the reference, on seeded

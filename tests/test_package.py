@@ -84,7 +84,7 @@ EXPORTS = {
               "from_directional_zneg from_family_chart to_directional_zneg to_family_chart",
     "control": "Theorem2Params Theorem3Params closed_loop_jacobian_origin eigenvalues_origin",
     "normal_form": "NormalFormSystem State degeneracy_order eval_g eval_rhs_fast "
-                   "eval_rhs_slow validate",
+                   "eval_rhs_slow",
     "roa": "GridSpec RoAReport compare sweep",
     "sim": "IntegratorConfig Outcome Trajectory classify config_for control_sup_norm "
            "integrate write_trajectory_csv",
@@ -121,7 +121,7 @@ def test_import_loads_only_what_a_run_uses():
 
         exports = {EXPORTS!r}
         names = [n for names in exports.values() for n in names.split()]
-        assert len(names) == 38 and sorted(slowfast.__all__) == sorted(names)
+        assert len(names) == 37 and sorted(slowfast.__all__) == sorted(names)
         for module, names in exports.items():
             mod = importlib.import_module("slowfast." + module)
             for name in names.split():

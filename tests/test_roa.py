@@ -1,8 +1,6 @@
 import concurrent.futures
 import multiprocessing
 import os
-import pickle
-import types
 
 import numpy as np
 import pytest
@@ -139,19 +137,22 @@ class TestSweep:
         sweep(sys, Thm2(P2), three, cfg, jobs=0)
         assert started == [3, 2]  # jobs < 1: the cores this process may run on
 
-    def test_one_cache_key_per_runner(self, monkeypatch):
-        dumps = []
-
-        def counted(obj, *args, **kwargs):
-            dumps.append(obj)
-            return pickle.dumps(obj, *args, **kwargs)
-
-        monkeypatch.setattr(closedloop, "pickle",
-                            types.SimpleNamespace(dumps=counted, loads=pickle.loads))
+    def test_one_loop_and_one_proof_per_sweep(self):
+        # the caches key on the (system, variant) values: a serial sweep
+        # builds its loop and its certificate once, and a second sweep of an
+        # equal variant built anew builds neither again
+        closedloop._generated.cache_clear()
+        closedloop._certificate.cache_clear()
         grid = GridSpec(x_ranges=((-1.0, 1.0, 3),), z_range=(-1.0, 1.0, 3))
-        rep = sweep(build_planar_example(0.01), Thm2(P2), grid, config_for(0.01, 1.0))
+        cfg = config_for(0.01, 1.0)
+        rep = sweep(build_planar_example(0.01), Thm2(P2), grid, cfg)
         assert len(rep.outcomes) == 9
-        assert len(dumps) <= 1
+        for cache in (closedloop._generated, closedloop._certificate):
+            assert cache.cache_info().misses == 1
+        again = Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.0))
+        assert sweep(build_planar_example(0.01), again, grid, cfg).outcomes == rep.outcomes
+        for cache in (closedloop._generated, closedloop._certificate):
+            assert cache.cache_info().misses == 1
 
     def test_refinement_preserves_coinciding_nodes(self):
         sys = build_planar_example(0.01)

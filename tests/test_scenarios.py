@@ -20,7 +20,7 @@ from slowfast.scenarios import (
     select_compensation_gain,
     simulate_switched,
 )
-from slowfast import scenarios
+from slowfast import closedloop, scenarios
 from slowfast.cli import main
 from slowfast.closedloop import OpenLoop, Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
@@ -199,6 +199,23 @@ class TestRunScenario:
         run_scenario(cfg, out_dir=a)
         run_scenario(cfg, out_dir=b)
         assert (a / "traj_000.csv").read_bytes() == (b / "traj_000.csv").read_bytes()
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_gains_share_one_loop(self, tmp_path, first):
+        # c = [0.0] and c = [-0.0] are one record, so whichever is built
+        # first, the run built second from the cached loop writes the same
+        # bytes; from x1 = 0, z = -0 the recorded u at t = 0 keeps the sign
+        # of its constant
+        def run(c):
+            raw = planar_config(ics=[[0.0, -0.0], [0.5, -0.5]], t_final=0.5)
+            raw["system"] = {"builtin": "custom", "k": 2, "f": ["-x1"]}
+            raw["controller"] = {**raw["controller"], "c": [c]}
+            out = tmp_path / f"{len(list(tmp_path.iterdir()))}"
+            run_scenario(parse_config(raw), out_dir=out)
+            return [p.read_bytes() for p in sorted(out.iterdir())]
+
+        closedloop._generated.cache_clear()
+        assert run(first) == run(-first)
 
     def test_custom_expression_system(self):
         raw = planar_config()
