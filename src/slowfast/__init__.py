@@ -33,8 +33,7 @@ _EXPORTS = {
          "control_sup_norm", "integrate", "write_trajectory_csv"],
         "sim"),
     **dict.fromkeys(
-        ["TunnelDiodeParams", "TunnelDiodeSystem", "build_planar_example",
-         "build_tunnel_diode", "diode_fold_points"],
+        ["TunnelDiodeSystem", "build_planar_example", "diode_fold_points"],
         "systems"),
 }
 

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
-from .normal_form import ExprSlowField, NormalFormSystem, compile_functions, parse_expression
+from .normal_form import ExprSlowField, _horner, compile_functions, parse_expression
 from .sim import (
     BALL,
     IntegratorConfig,
@@ -115,7 +115,8 @@ def law(system, variant: Variant) -> list:
     config checks build them. The baseline gains scale with the system's
     degeneracy order ``k``; a defaulted ``c`` and ``cancel_constants``
     cancel the drift at the origin. Compensation is designed in the z < 0
-    chart of the normal form, so it needs one. A variant that cannot run
+    chart of the normal form, so it needs the normal form's fast field: a
+    system with its own, the circuit, is refused. A variant that cannot run
     on the system raises ValueError.
     """
     k, m, eps = system.k, system.n_slow, float(system.epsilon)
@@ -129,9 +130,9 @@ def law(system, variant: Variant) -> list:
         _check_size(variant.p.a, m)
         return thm2_law(eps, k, variant.p)
     if isinstance(variant, Thm2Plus3):
-        if not isinstance(system, NormalFormSystem):
+        if system.fast != _horner(k):
             raise ValueError(f"controller variant {describe(variant)} is not defined "
-                             f"for {type(system).__name__}")
+                             f"for a system with its own fast field")
         p2, p3 = variant.p2, variant.p3
         _check_size(p2.a, m)
         _check_size(p3.K, m)
@@ -183,11 +184,10 @@ def _generated(system, variant: Variant):
     field = ", ".join(f"_f{i} + {v}" for i, v in enumerate(vs, 1)) + ", _g"
 
     recorded = vs
-    slots = getattr(system, "slots", None)
-    if slots is not None and isinstance(variant, Thm2):
+    if system.slots is not None and isinstance(variant, Thm2):
         recorded = [f"_u{i}" for i in range(1, m + 1)]
         slot_env = {**dict(zip(vs, vs)), **system.constants}
-        trees.update(zip(recorded, (parse_expression(src, slot_env) for src in slots)))
+        trees.update(zip(recorded, (parse_expression(src, slot_env) for src in system.slots)))
 
     state = f"{', '.join(xs)}, z"
 

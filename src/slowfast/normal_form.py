@@ -7,6 +7,11 @@ The model class has k-1 slow states x, one fast state z and a fast field
 so the origin is the most degenerate point of the critical manifold
 S = {g = 0}. Control enters additively in the slow equations.
 
+Every system is one frozen record, :class:`NormalFormSystem`: k, epsilon,
+the drift with the constants it names, the fast field (g by default) and
+optional control slots, all as expressions. The builtin rows of
+:mod:`slowfast.systems` and ``custom`` configs fill in the same record.
+
 Slow fields given as text, control laws and the closed loops generated
 from them go through one checked expression grammar (:func:`parse_expression`),
 whose trees are walked by :func:`walk` or compiled by :func:`compile_functions`.
@@ -66,17 +71,25 @@ class State:
 
 @dataclass(frozen=True)
 class NormalFormSystem:
-    """Controlled slow-fast system with degeneracy order ``k``.
+    """Controlled slow-fast system with degeneracy order ``k``: the one
+    system record, for the builtin rows and ``custom`` configs alike.
 
-    The uncontrolled slow dynamics f(x, z, epsilon) is ``slow_f``, an
-    :class:`ExprSlowField` with one expression per slow state; an integer
-    ``k`` >= 2 and that field are checked on construction, so the drift is
-    always data. The instance is immutable.
+    ``slow_f`` is the drift f(x, z, epsilon), an :class:`ExprSlowField`
+    with one expression per slow state and the named constants they use.
+    ``fast`` is dz/dt as an expression in the same names; by default it is
+    the normal form's g / epsilon in Horner form, which needs k - 1 slow
+    states. ``slots``, if given, is the control recorded in place of the
+    additive v1..vm by the baseline law, as expressions in v1..vm and the
+    constants. An integer ``k`` >= 2 and every expression are checked on
+    construction, so the system is data throughout. The instance is
+    immutable and compares and hashes by value.
     """
 
     k: int
     epsilon: float
     slow_f: ExprSlowField = field(repr=False)
+    fast: str | None = field(default=None, repr=False)
+    slots: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if (not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool)
@@ -84,15 +97,25 @@ class NormalFormSystem:
             raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
         if not isinstance(self.slow_f, ExprSlowField):
             raise ValueError(f"slow_f must be an ExprSlowField, got {type(self.slow_f).__name__}")
-        if len(self.slow_f.exprs) != self.k - 1:
-            raise ValueError(f"slow_f must have k - 1 = {self.k - 1} expressions, "
-                             f"got {len(self.slow_f.exprs)}")
+        m, bound = self.n_slow, self.slow_f.constants
+        _drift_trees(self.drift, bound)
+        if self.fast is None:
+            if m != self.k - 1:
+                raise ValueError(f"slow_f must have k - 1 = {self.k - 1} expressions, got {m}")
+            object.__setattr__(self, "fast", _horner(self.k))
+        try:
+            parse_expression(self.fast, _env(_names(m), bound))
+        except ValueError as exc:
+            raise ValueError(f"fast field: {exc}") from None
+        if self.slots is not None:
+            object.__setattr__(self, "slots", tuple(self.slots))
+            if len(self.slots) != m:
+                raise ValueError(f"slots must have {m} expressions, got {len(self.slots)}")
+            _checked(self.slots, tuple(f"v{i}" for i in range(1, m + 1)), bound, "slot")
 
     @property
     def n_slow(self) -> int:
-        return self.k - 1
-
-    # the slow-time field as data, from which closed loops are generated
+        return len(self.slow_f.exprs)
 
     @property
     def drift(self) -> tuple[str, ...]:
@@ -100,16 +123,16 @@ class NormalFormSystem:
         return self.slow_f.exprs
 
     @property
-    def fast(self) -> str:
-        """dz/dt = g / epsilon in Horner form, -((z z + x_{k-1}) z + ... + x_1) / epsilon."""
-        s = "z"
-        for i in range(self.k - 1, 0, -1):
-            s = f"({s}) * z + x{i}"
-        return f"-({s}) / epsilon"
-
-    @property
     def constants(self) -> dict[str, float]:
-        return {"epsilon": float(self.epsilon)}
+        return {**dict(self.slow_f.constants), "epsilon": float(self.epsilon)}
+
+
+def _horner(k: int) -> str:
+    """dz/dt = g / epsilon in Horner form, -((z z + x_{k-1}) z + ... + x_1) / epsilon."""
+    s = "z"
+    for i in range(k - 1, 0, -1):
+        s = f"({s}) * z + x{i}"
+    return f"-({s}) / epsilon"
 
 
 def eval_g(x, z: float, k: int) -> float:
@@ -380,19 +403,32 @@ def compile_functions(src: str, blocks: dict, trees: dict) -> dict:
     return ns
 
 
-@lru_cache(maxsize=64)
-def _drift_trees(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = ()) -> tuple:
-    """Checked trees of the m drift expressions, in x1..xm, z, epsilon, the
-    constant pi and the (name, value) constants ``bound``."""
-    env = {**{f"x{i}": f"x{i}" for i in range(1, len(exprs) + 1)}, "z": "z",
-           "epsilon": "epsilon", "pi": math.pi, **dict(bound)}
+def _names(m: int) -> tuple[str, ...]:
+    return (*(f"x{i}" for i in range(1, m + 1)), "z", "epsilon")
+
+
+def _env(names, bound) -> dict:
+    return {**dict(zip(names, names)), "pi": math.pi, **dict(bound)}
+
+
+def _checked(exprs: tuple[str, ...], names: tuple[str, ...], bound, what: str) -> tuple:
+    """Checked trees of ``exprs`` in the local ``names``, the constant pi and
+    the (name, value) constants ``bound``; an error names the expression."""
+    env = _env(names, bound)
     trees = []
     for i, src in enumerate(exprs, 1):
         try:
             trees.append(parse_expression(src, env))
         except ValueError as exc:
-            raise ValueError(f"slow field expression {i} ({src!r}): {exc}") from None
+            raise ValueError(f"{what} expression {i} ({src!r}): {exc}") from None
     return tuple(trees)
+
+
+@lru_cache(maxsize=64)
+def _drift_trees(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = ()) -> tuple:
+    """Checked trees of the m drift expressions, in x1..xm, z, epsilon, the
+    constant pi and the (name, value) constants ``bound``."""
+    return _checked(exprs, _names(len(exprs)), bound, "slow field")
 
 
 def _drift(exprs: tuple[str, ...], x, z, eps, bound=()) -> list:
@@ -406,20 +442,26 @@ def _drift(exprs: tuple[str, ...], x, z, eps, bound=()) -> list:
 
 @dataclass(frozen=True)
 class ExprSlowField:
-    """Slow drift defined by expression strings in x1..xm, z and epsilon.
+    """Slow drift defined by expression strings in x1..xm, z and epsilon,
+    and the named constants ``constants`` they use.
 
     The grammar is that of :func:`parse_expression`, with ``pi``; anything
-    else raises ValueError on construction. Instances hold only the source
-    strings, so they pickle cleanly into sweep workers; the checked trees
-    are cached per expression tuple and walked by :func:`walk` on a call,
-    and a closed loop splices the checked expressions into its own
+    else raises ValueError on construction. The constants, given as a
+    mapping or as (name, value) pairs, are kept as pairs of names and
+    floats sorted by name. Instances hold only strings and numbers, so they
+    compare by value and pickle cleanly into sweep workers; the checked
+    trees are cached per expression tuple and walked by :func:`walk` on a
+    call, and a closed loop splices the checked expressions into its own
     generated function.
     """
 
     exprs: tuple[str, ...]
+    constants: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        _drift_trees(self.exprs)
+        object.__setattr__(self, "constants", tuple(
+            sorted((name, float(value)) for name, value in dict(self.constants).items())))
+        _drift_trees(self.exprs, self.constants)
 
     def __call__(self, x, z: float, eps: float) -> list:
-        return _drift(self.exprs, x, z, eps)
+        return _drift(self.exprs, x, z, eps, self.constants)

@@ -45,7 +45,7 @@ from .sim import (
     integrate,
     write_trajectory_csv,
 )
-from .systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
+from .systems import TunnelDiodeSystem, build_planar_example
 
 __all__ = [
     "ConfigError",
@@ -317,8 +317,7 @@ def _system(section: dict, epsilon: float):
     if section["builtin"] == "planar":
         return build_planar_example(epsilon)
     if section["builtin"] == "tunnel_diode":
-        return build_tunnel_diode(
-            TunnelDiodeParams(L=section["L"], Cap=section["Cap"], epsilon=epsilon))
+        return TunnelDiodeSystem(L=section["L"], Cap=section["Cap"], epsilon=epsilon)
     return NormalFormSystem(k=section["k"], epsilon=epsilon,
                             slow_f=ExprSlowField(exprs=tuple(section["f"])))
 

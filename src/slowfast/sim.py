@@ -298,7 +298,9 @@ def _loop_source(n: int, stage=_call) -> str:
         return lines
 
     pairs = [(i, j) for i in idx for j in range(i, n)]
-    quad = " + ".join(f"p_{i}_{j} * y_{i} * y_{j}" for i, j in pairs)
+    # V summed left to right in statements: one expression of n(n+1)/2 terms
+    # nests too deep for the compiler from n = 44 on
+    first, *rest = [f"p_{i}_{j} * y_{i} * y_{j}" for i, j in pairs]
     lines = ["def run(f, t, y, k1, hp, rtol, atol, max_step, min_step, div_norm,",
              f"        stride, n_rec, t_final, ball, margin, form=({'0.0, ' * len(pairs)}), "
              "level=-1.0):",
@@ -387,9 +389,12 @@ def _loop_source(n: int, stage=_call) -> str:
               *record("            "),
               "            if rec_i == n_rec:",
               "                break",
-              f"            if level >= 0.0 and {quad} <= level:",
-              "                reason = 'proved'",
-              "                break",
+              "            if level >= 0.0:",
+              f"                V = {first}",
+              *(f"                V += {term}" for term in rest),
+              "                if V <= level:",
+              "                    reason = 'proved'",
+              "                    break",
               "            t_rec = t",
               "            rec_i += 1",
               "            t_target = t0 + rec_i * stride if rec_i < n_rec else t_final",

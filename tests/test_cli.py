@@ -57,6 +57,26 @@ class TestSimulate:
         code = main(["simulate", "--config", write_config(tmp_path, raw)])
         assert code == 2
 
+    def test_custom_system_with_many_slow_states_runs(self, tmp_path, capsys):
+        # k = 45: the closed loop has 45 states and its proof form 1035 terms
+        raw = dict(PLANAR, system={"builtin": "custom", "k": 45,
+                                   "f": ["1 + x1 + z"] + ["-x%d" % i for i in range(2, 45)]},
+                   controller={"type": "none"}, ics=[[0.0] * 45], t_final=0.1)
+        code = main(["simulate", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out" / "traj_000.csv").exists()
+
+    def test_fast_field_too_deep_to_parse_exits_one(self, tmp_path, capsys):
+        # the normal form's Horner fast field nests k parentheses; k = 201
+        # is refused while the config is checked, before anything runs
+        raw = dict(PLANAR, system={"builtin": "custom", "k": 201, "f": ["0"] * 200},
+                   controller={"type": "none"}, ics=[[0.0] * 201])
+        code = main(["simulate", "--config", write_config(tmp_path, raw)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: system: fast field: too many nested parentheses" in err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -25,7 +25,7 @@ from slowfast.control import Theorem2Params, Theorem3Params, evaluate
 from slowfast.normal_form import _SCOPE, NormalFormSystem
 from slowfast.scenarios import EX1_CONFIGS, EX1_ICS, ConfigError, build_variant, parse_config
 from slowfast.sim import NonFiniteError, config_for, integrate
-from slowfast.systems import TunnelDiodeParams, build_planar_example, build_tunnel_diode
+from slowfast.systems import TunnelDiodeSystem, build_planar_example
 
 P2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
 P3 = Theorem3Params(K=[50.0], chi_star=[-2.0])
@@ -55,7 +55,7 @@ class TestBuild:
             build_closed_loop(sys, Thm2(P2))
 
     def test_tunnel_diode_slots(self):
-        sys = build_tunnel_diode()
+        sys = TunnelDiodeSystem()
         p = Theorem2Params(c=[4.0, 16.0], a=[1.0, 1.0], b=10.0)
         rhs, ueval, m = build_closed_loop(sys, Thm2(p))
         assert m == 2
@@ -64,7 +64,7 @@ class TestBuild:
         assert rhs(0.0, np.zeros(3)) == pytest.approx([0.0, 0.0, 0.0])
 
     def test_tunnel_diode_highgain_additive(self):
-        sys = build_tunnel_diode()
+        sys = TunnelDiodeSystem()
         rhs, ueval, _ = build_closed_loop(
             sys, HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True)
         )
@@ -72,7 +72,7 @@ class TestBuild:
         assert rhs(0.0, np.zeros(3)) == pytest.approx([0.0, 0.0, 0.0])
 
     def test_tunnel_diode_compensation_unsupported(self):
-        sys = build_tunnel_diode()
+        sys = TunnelDiodeSystem()
         with pytest.raises(ValueError, match="not defined"):
             build_closed_loop(sys, Thm2Plus3(P2, P3))
 
@@ -87,7 +87,7 @@ class TestBuild:
                    Thm2Plus3(Theorem2Params(c=[-0.0, 0.0], a=[1.0, 2.0], b=3.0),
                              Theorem3Params(K=np.array([10.0, 5.0]),
                                             chi_star=np.array([-2.0, -0.0]))))
-            circuit = build_tunnel_diode()
+            circuit = TunnelDiodeSystem()
             raw = {**EX1_CONFIGS["u"], "ics": [[0.0, 0.0, 0.0]]}
             yield tuple(build_variant(parse_config(raw), circuit) for _ in range(2))
             yield HighGain(a=(1.0, 2.0), b=3.0), HighGain(a=[1, 2.0], b=3.0)
@@ -195,7 +195,7 @@ class TestFloatPath:
         return direct
 
     def test_circuit_highgain_segment(self):
-        sys = build_tunnel_diode(TunnelDiodeParams(epsilon=0.01))
+        sys = TunnelDiodeSystem(epsilon=0.01)
         rhs, ueval, _ = build_closed_loop(
             sys, HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True))
         traj = self._assert_same_run(rhs, ueval, EX1_ICS[0], config_for(0.01, 2.0))
@@ -371,8 +371,8 @@ def _ref_loop(system, variant, slow_f=None):
     """(rhs, ueval) over float lists, composed as before generation."""
     k, m, eps = system.k, system.n_slow, float(system.epsilon)
     if slow_f is None:
-        p = system.params
-        field, drift = _ref_circuit_field(p.L, p.Cap, eps), system.slow_f
+        L, Cap = system.constants["L"], system.constants["Cap"]
+        field, drift = _ref_circuit_field(L, Cap, eps), system.slow_f
     else:
         field, drift = _ref_normal_form_field(slow_f, eps), slow_f
     if isinstance(variant, OpenLoop):
@@ -388,8 +388,6 @@ def _ref_loop(system, variant, slow_f=None):
         law = lambda x, z: [a + b for a, b in zip(u(x, z), w(x, z))]  # noqa: E731
     record = law
     if slow_f is None and isinstance(variant, Thm2):
-        L, Cap = system.params.L, system.params.Cap
-
         def record(x, z):
             v = law(x, z)
             return [L * v[0], -Cap * v[1]]
@@ -437,7 +435,7 @@ def _loops():
     k4 = ExprSlowField(exprs=("1 + x1 + z", "0.5 * x2 - z * z", "tanh(x3) + x1 ** 0.5"))
     yield build_planar_example(0.01), _old_planar_slow_f, _variants(1)
     for L, Cap in ((1.0, 1.0), (2.0, 0.5)):
-        sys = build_tunnel_diode(TunnelDiodeParams(L=L, Cap=Cap, epsilon=0.01))
+        sys = TunnelDiodeSystem(L=L, Cap=Cap, epsilon=0.01)
         yield sys, None, _variants(2, normal_form=False)
     yield NormalFormSystem(k=3, epsilon=0.05, slow_f=k3), k3, _variants(2)
     yield NormalFormSystem(k=4, epsilon=0.02, slow_f=k4), k4, _variants(3)

@@ -11,7 +11,7 @@ from slowfast.control import Theorem2Params
 from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.scenarios import EX1_ICS
 from slowfast.sim import classify, config_for, integrate
-from slowfast.systems import TunnelDiodeParams, build_tunnel_diode
+from slowfast.systems import TunnelDiodeSystem
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -50,7 +50,7 @@ def test_k3_normal_form_thm2_matches_dop853(eps):
 
 def test_ex1_stabilizer_segment_matches_dop853():
     # the closed-loop segment of the first ex1 u-run, from the switch state
-    sysm = build_tunnel_diode(TunnelDiodeParams(epsilon=0.01))
+    sysm = TunnelDiodeSystem(epsilon=0.01)
     rhs_off, _, _ = build_closed_loop(sysm, OpenLoop())
     rhs_on, _, _ = build_closed_loop(
         sysm, Thm2(Theorem2Params(c=[4.0, 16.0], a=[1.0, 1.0], b=10.0)))

@@ -88,8 +88,7 @@ EXPORTS = {
     "roa": "GridSpec RoAReport compare sweep",
     "sim": "IntegratorConfig Outcome Trajectory classify config_for control_sup_norm "
            "integrate write_trajectory_csv",
-    "systems": "TunnelDiodeParams TunnelDiodeSystem build_planar_example "
-               "build_tunnel_diode diode_fold_points",
+    "systems": "TunnelDiodeSystem build_planar_example diode_fold_points",
 }
 
 # modules that scenario runs never use, the pool and the blow-up charts first
@@ -121,7 +120,7 @@ def test_import_loads_only_what_a_run_uses():
 
         exports = {EXPORTS!r}
         names = [n for names in exports.values() for n in names.split()]
-        assert len(names) == 37 and sorted(slowfast.__all__) == sorted(names)
+        assert len(names) == 35 and sorted(slowfast.__all__) == sorted(names)
         for module, names in exports.items():
             mod = importlib.import_module("slowfast." + module)
             for name in names.split():
@@ -136,3 +135,14 @@ def test_import_loads_only_what_a_run_uses():
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_tracer_restores_every_binding():
+    # the benchmark's tracer looks names up in the package (among them
+    # ``systems.TunnelDiodeSystem``) and must put back all it patches
+    root = os.path.dirname(os.path.dirname(os.path.dirname(slowfast.__file__)))
+    code = "import sys, selftest\nsys.exit(0 if selftest.tracer_restores() else 1)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=os.path.join(root, "perfbench"),
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -101,6 +101,14 @@ class TestIntegrate:
         assert raised
         assert traj.outcome.is_diverged
 
+    @pytest.mark.parametrize("n", [44, 120])
+    def test_many_states_compile(self, n):
+        # the proof form's n(n+1)/2 terms are summed in statements, not in
+        # one expression nested too deep to compile
+        traj = integrate(decay, np.ones(n), IntegratorConfig(t_final=0.01))
+        assert traj.stats.reason == "t_final"
+        assert traj.states[-1] == pytest.approx(np.full(n, math.exp(-0.01)), rel=1e-9)
+
     def test_rhs_of_wrong_length_rejected(self):
         cfg = IntegratorConfig(t_final=1.0)
         with pytest.raises(ValueError, match="must return 2 values"):
@@ -521,7 +529,7 @@ class TestStats:
         assert traj.times[-1] == pytest.approx(sim.DWELL + 0.02, abs=5e-3)
         assert classify(traj).is_converged
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_proved(self, n):
         # the generic loop stops at the first record inside {y^T P y <= level}
         # and gives the verdict of the integrated dwell
