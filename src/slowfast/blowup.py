@@ -11,30 +11,30 @@ gamma = 2k-1 for epsilon. Two charts are provided:
 
 Desingularized fields are the blown-up fields divided by the (k-1)-th
 power of the radius, which makes them smooth up to the blow-up sphere.
-The family chart carries the baseline law's linear design: its chart
-controller and its closed-loop field, regular on the sphere r_bar = 0.
+
+The blow-down maps monomials to monomials, so the chart algebra of a
+polynomial loop is derived from its checked trees (:mod:`slowfast.poly`):
+the baseline law's chart controller (:func:`family_law`), its closed-loop
+family field (:func:`family_field`, regular on the sphere r_bar = 0 and
+evaluated compiled by :func:`closed_loop_rhs_family`) and the
+compensation in the z < 0 chart (:func:`compensation_zneg`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .control import Theorem2Params, _check_order
-from .normal_form import NormalFormSystem, State, _vec, eval_g
+from . import poly
+from .control import Theorem2Params, Theorem3Params, _check_order, thm2_template, thm3_law
+from .normal_form import (NormalFormSystem, State, _drift_trees, _env, _names, _require_g,
+                          _vec, compile_functions, parse_expression)
 
-__all__ = [
-    "FamilyChartState",
-    "DirectionalChartState",
-    "to_family_chart",
-    "from_family_chart",
-    "chart_controller_family",
-    "closed_loop_rhs_family",
-    "to_directional_zneg",
-    "from_directional_zneg",
-    "desing_rhs_directional",
-    "family_time_rescale",
-]
+__all__ = ["FamilyChartState", "DirectionalChartState", "to_family_chart", "from_family_chart",
+           "fast_poly", "gain_law", "family_law", "family_field", "closed_loop_rhs_family",
+           "compensation_zneg", "to_directional_zneg", "from_directional_zneg",
+           "desing_rhs_directional", "family_time_rescale"]
 
 
 @dataclass(frozen=True)
@@ -87,52 +87,90 @@ def from_family_chart(c: FamilyChartState, k: int) -> tuple[State, float]:
     return State(x=x, z=r * c.z_bar), r ** (2 * k - 1)
 
 
-def chart_controller_family(c: FamilyChartState, k: int,
-                            p: Theorem2Params) -> np.ndarray:
-    """Family-chart controller u_bar whose blow-down is the baseline u.
+def _mono(n: int, c: float, d: int, j: int | None = None) -> tuple:
+    """The image c r^d, times the j-th name if given, in n names, r last."""
+    return c, tuple(d if i == n - 1 else int(i == j) for i in range(n))
 
-    u_bar_1 = -c_1 - a_1 x_bar_1 + b z_bar and
-    u_bar_i = -c_i - r_bar^(1-i) a_i x_bar_i for i >= 2. The r_bar^(1-i)
-    factor is singular on the sphere, so r_bar = 0 is rejected for k >= 3;
-    the closed-loop field itself stays regular there, see
-    :func:`closed_loop_rhs_family`.
-    """
-    x_bar = _vec(c.x_bar, k - 1, "x_bar")
+
+def _blow_down(k: int, n: int, z: float, *scalars) -> list:
+    """Images in n names (v_1..v_m, ..., r) of x_i = r^(k-i+1) v_i, of
+    z = ``z`` r, times v_k if n > k, and of each (c, d) of ``scalars`` as c r^d."""
+    return [*(_mono(n, 1.0, k - i, i) for i in range(k - 1)),
+            _mono(n, z, 1, k - 1 if n > k else None), *(_mono(n, *cd) for cd in scalars)]
+
+
+def _times_r(p: dict, d: int) -> dict:
+    return {(*e[:-1], e[-1] + d): c for e, c in p.items()}
+
+
+def fast_poly(fast: str, k: int) -> dict:
+    """Monomials in x1..xm, z of the fast-field text ``fast`` with epsilon = 1."""
+    names = list(_names(k - 1)[:-1])
+    return poly.expand(parse_expression(fast, _env(names, {"epsilon": 1.0})), names)
+
+
+def gain_law(k: int, p: Theorem2Params) -> list[dict]:
+    """The baseline law in x1..xm, z and r = eps^(1/(2k-1)):
+    ``control.THM2_TEMPLATE`` with px = r^-k and bz = b r^-1."""
     _check_order(k, p)
-    if c.r_bar == 0 and k >= 3:
-        raise ValueError("chart controller is singular at r_bar = 0 for k >= 3")
-    u = np.empty(k - 1)
-    u[0] = -p.c[0] - p.a[0] * x_bar[0] + p.b * c.z_bar
-    for i in range(1, k - 1):
-        u[i] = -p.c[i] - c.r_bar ** (-i) * p.a[i] * x_bar[i]
-    return u
+    images = [*(_mono(k + 1, 1.0, 0, j) for j in range(k)),
+              _mono(k + 1, 1.0, -k), _mono(k + 1, p.b, -1)]
+    names = [*_names(k - 1)[:-1], "px", "bz"]
+    return [poly.substitute(poly.expand(t, names), images) for t in thm2_template(p, "px", "bz")]
 
 
-def closed_loop_rhs_family(
-    c: FamilyChartState, sys: NormalFormSystem, p: Theorem2Params
-) -> tuple[float, np.ndarray, float]:
-    """Closed-loop desingularized family-chart field, regular at r_bar = 0.
+def family_law(k: int, p: Theorem2Params) -> list[dict]:
+    """The chart controller, :func:`gain_law` in (x_bar_1..x_bar_m, z_bar, r_bar):
+    -c_1 - a_1 x_bar_1 + b z_bar and -c_i - r_bar^(1-i) a_i x_bar_i."""
+    images = _blow_down(k, k + 1, 1.0, (1.0, 1))
+    return [poly.substitute(u, images) for u in gain_law(k, p)]
 
-    The singular r_bar^(1-i) of the chart controller cancels against the
-    r_bar^(i-1) prefactor of x_bar_i', leaving
 
-        x_bar_1' = f_bar_1 - c_1 - a_1 x_bar_1 + b z_bar
-        x_bar_i' = r_bar^(i-1) (f_bar_i - c_i) - a_i x_bar_i,  i >= 2,
+def family_field(sys: NormalFormSystem, p: Theorem2Params) -> list[dict]:
+    """The baseline closed loop in the family chart, as polynomials in
+    (x_bar_1..x_bar_m, z_bar, r_bar): x_i = r^(k-i+1) x_bar_i, z = r z_bar
+    and eps = r^(2k-1) substituted into f + v and into g / eps, times the
+    time factor r^k (:func:`family_time_rescale`). So x_bar_i' =
+    r^(i-1) (f_i + v_i), in which the law's r^(1-i) cancels, and z_bar' =
+    g(x_bar, z_bar). A drift that is not polynomial, or a row with its own
+    fast field, raises ValueError."""
+    _require_g(sys, "the family-chart field")
+    k, names = sys.k, list(_names(sys.n_slow))
+    try:
+        drift = [poly.expand(t, names) for t in _drift_trees(sys.drift, sys.slow_f.constants)]
+    except poly.NotPolynomial as exc:
+        raise ValueError(f"the family-chart field needs a polynomial drift, not {list(sys.drift)}: "
+                         f"{exc}") from None
+    images = _blow_down(k, k + 1, 1.0, (1.0, 2 * k - 1))
+    slow = [_times_r(poly._add(poly.substitute(f, images), v), i)
+            for i, (f, v) in enumerate(zip(drift, family_law(k, p)))]
+    g = poly.substitute(fast_poly(sys.fast, k), images[:-1])
+    # the time factor r^k, z_bar = z / r and eps^-1 = r^-(2k-1)
+    return [*slow, _times_r(g, k - 1 - (2 * k - 1))]
 
-    with f_bar the slow field at the blown-down point. On the sphere
-    (r_bar = 0) this reduces to the linear design whose Jacobian is
-    :func:`control.closed_loop_jacobian_origin`.
-    """
-    k = sys.k
-    x_bar = _vec(c.x_bar, k - 1, "x_bar")
-    _check_order(k, p)
-    state, eps = from_family_chart(c, k)
-    f = np.asarray(sys.slow_f(state.x, state.z, eps), dtype=float)
-    dx_bar = np.empty(k - 1)
-    dx_bar[0] = f[0] - p.c[0] - p.a[0] * x_bar[0] + p.b * c.z_bar
-    for i in range(1, k - 1):
-        dx_bar[i] = c.r_bar**i * (f[i] - p.c[i]) - p.a[i] * x_bar[i]
-    return 0.0, dx_bar, eval_g(x_bar, c.z_bar, k)
+
+@lru_cache(maxsize=64)
+def _family_function(sys: NormalFormSystem, p: Theorem2Params):
+    names = [*(f"xb{i}" for i in range(1, sys.k)), "zb", "r"]
+    trees = {f"_d{i}": poly.render(q, names) for i, q in enumerate(family_field(sys, p))}
+    src = f"def field({', '.join(names)}):\n    return _field\n"
+    return compile_functions(src, {"_field": [f"({', '.join(trees)},)"]}, trees)["field"]
+
+
+def closed_loop_rhs_family(c: FamilyChartState, sys: NormalFormSystem,
+                           p: Theorem2Params) -> tuple[float, np.ndarray, float]:
+    """(r_bar', x_bar', z_bar') at ``c``: r_bar' = 0 and :func:`family_field`,
+    rendered and compiled once per (system, params)."""
+    field = _family_function(sys, p)
+    *dx, dz = field(*_vec(c.x_bar, sys.k - 1, "x_bar").tolist(), c.z_bar, c.r_bar)
+    return 0.0, np.array(dx), dz
+
+
+def compensation_zneg(k: int, p: Theorem3Params) -> list[dict]:
+    """``control.thm3_law`` under x_i = rho^(k-i+1) chi_i and z = -rho, in
+    (chi_1..chi_m, rho): K_i rho^(k-i+2) (chi*_i - chi_i)."""
+    images = _blow_down(k, k, -1.0)
+    return [poly.substitute(poly.expand(t, _names(k - 1)[:-1]), images) for t in thm3_law(k, p)]
 
 
 def to_directional_zneg(s: State, epsilon: float, k: int) -> DirectionalChartState:
@@ -161,19 +199,14 @@ def _radial_growth(chi: np.ndarray, k: int) -> float:
     Obtained by pushing z' = g through rho = -z and dividing by rho^(k-1);
     reduces to 1 - sum_i (-1)^i chi_i for k even.
     """
-    sign = -1.0
     s = (-1.0) ** k
     for i in range(k - 1):
-        s -= sign * chi[i]
-        sign = -sign
+        s -= (-1.0) ** (i + 1) * chi[i]
     return s
 
 
-def desing_rhs_directional(
-    c: DirectionalChartState,
-    sys: NormalFormSystem,
-    controller,
-) -> tuple[float, np.ndarray, float]:
+def desing_rhs_directional(c: DirectionalChartState, sys: NormalFormSystem,
+                           controller) -> tuple[float, np.ndarray, float]:
     """Desingularized directional-chart field (rho', chi', mu').
 
     rho' = rho F(chi), mu' = -(2k-1) mu F(chi) and
@@ -182,7 +215,9 @@ def desing_rhs_directional(
 
     with f + u evaluated at the blown-down point. The controller receives
     original coordinates (x, z, eps) and must include any compensation term.
+    A row with its own fast field is refused.
     """
+    _require_g(sys, "the z < 0 chart field")
     k = sys.k
     chi = _vec(c.chi, k - 1, "chi")
     state, eps = from_directional_zneg(c, k)
@@ -192,9 +227,7 @@ def desing_rhs_directional(
         raise ValueError(f"controller returned shape {u.shape}")
     F = _radial_growth(chi, k)
     rho, mu = c.rho, c.mu
-    dchi = np.array(
-        [rho**i * mu * (f[i] + u[i]) - (k - i) * F * chi[i] for i in range(k - 1)]
-    )
+    dchi = np.array([rho**i * mu * (f[i] + u[i]) - (k - i) * F * chi[i] for i in range(k - 1)])
     return rho * F, dchi, -(2 * k - 1) * mu * F
 
 

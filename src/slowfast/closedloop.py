@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
-from .normal_form import ExprSlowField, _horner, compile_functions, parse_expression
+from .normal_form import ExprSlowField, _require_g, compile_functions, parse_expression
 from .sim import (
     BALL,
     IntegratorConfig,
@@ -130,9 +130,7 @@ def law(system, variant: Variant) -> list:
         _check_size(variant.p.a, m)
         return thm2_law(eps, k, variant.p)
     if isinstance(variant, Thm2Plus3):
-        if system.fast != _horner(k):
-            raise ValueError(f"controller variant {describe(variant)} is not defined "
-                             f"for a system with its own fast field")
+        _require_g(system, f"controller variant {describe(variant)}")
         p2, p3 = variant.p2, variant.p3
         _check_size(p2.a, m)
         _check_size(p3.K, m)

@@ -17,16 +17,9 @@ import numpy as np
 
 from .normal_form import _vec, parse_expression, walk
 
-__all__ = [
-    "Theorem2Params",
-    "Theorem3Params",
-    "thm2_law",
-    "thm3_law",
-    "highgain_law",
-    "evaluate",
-    "closed_loop_jacobian_origin",
-    "eigenvalues_origin",
-]
+__all__ = ["Theorem2Params", "Theorem3Params", "THM2_TEMPLATE", "thm2_template", "thm2_law",
+           "thm3_law", "highgain_law", "evaluate", "closed_loop_jacobian_origin",
+           "eigenvalues_origin"]
 
 
 def _floats(values, name: str) -> tuple[float, ...]:
@@ -91,29 +84,34 @@ class Theorem3Params:
                 raise ValueError("chi_star[j] must be 0 for j >= 2")
 
 
-def _gain_powers(epsilon: float, k: int) -> tuple[float, float]:
-    """(eps^(-1/(2k-1)), eps^(-k/(2k-1))) used by the baseline controller."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    inv = 1.0 / epsilon
-    return inv ** (1.0 / (2 * k - 1)), inv ** (k / (2 * k - 1))
+#: the baseline law's text for u_1 and for u_i, i >= 2, in which px and bz
+#: are the gain powers: numbers in :func:`thm2_law`, names in the blow-up
+THM2_TEMPLATE = ("-c - px * a * x + bz * z", "-c - px * a * x")
+
+
+def thm2_template(p: Theorem2Params, px, bz) -> list:
+    """:data:`THM2_TEMPLATE` as checked trees u_1..u_m in x1..xm and z, with
+    px and bz bound to numbers or, given as strings, renamed to locals."""
+    first, rest = THM2_TEMPLATE
+    return [parse_expression(first if i == 1 else rest,
+                             {"c": c, "px": px, "a": a, "bz": bz, "x": f"x{i}", "z": "z"})
+            for i, (c, a) in enumerate(zip(p.c, p.a), 1)]
 
 
 def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
     """Baseline law as checked expression trees u_1..u_m in x1..xm and z.
 
     u_i = -c_i - (px a_i) x_i, plus (b pz) z on u_1, with the gain powers
-    (pz, px) of :func:`_gain_powers` taken once as constants. Closed loops
-    compile these trees and :func:`evaluate` walks them, so this is the one
-    definition of the law. The + sign on b is the one consistent with the
-    family-chart design and the Hurwitz closed-loop spectrum (characteristic
-    polynomial lambda^2 + a1 lambda + b).
+    pz = eps^(-1/(2k-1)) and px = eps^(-k/(2k-1)) taken once as constants.
+    Closed loops compile these trees and :func:`evaluate` walks them, so
+    :data:`THM2_TEMPLATE` is the one definition of the law. The + sign on b
+    is the one consistent with the family-chart design and the Hurwitz
+    closed-loop spectrum (characteristic polynomial lambda^2 + a1 lambda + b).
     """
-    pz, px = _gain_powers(epsilon, k)
-    bz = p.b * pz
-    return [parse_expression("-c - px * a * x" + (" + bz * z" if i == 1 else ""),
-                             {"c": c, "px": px, "a": a, "bz": bz, "x": f"x{i}", "z": "z"})
-            for i, (c, a) in enumerate(zip(p.c, p.a), 1)]
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    inv = 1.0 / epsilon
+    return thm2_template(p, inv ** (k / (2 * k - 1)), p.b * inv ** (1.0 / (2 * k - 1)))
 
 
 def thm3_law(k: int, p: Theorem3Params) -> list:

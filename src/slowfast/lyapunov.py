@@ -6,18 +6,18 @@ decreases along solutions on every small enough level set, so its
 sublevel sets there are invariant (Lyapunov's indirect method; Khalil,
 *Nonlinear Systems*, 3rd ed., section 8.2). :func:`certify` turns that
 into a proof for one closed loop: it expands the loop's checked
-expression trees into monomials, solves for P with numpy, picks a level
-whose sublevel set lies well inside a given ball and proves dV/dt < 0 on
-its boundary from a bound on R made from the monomials' coefficients. A
-region-of-attraction cell whose state reaches that set has then provably
-stayed in the ball for good, which :func:`slowfast.sim.integrate` would
-otherwise confirm by integrating the dwell.
+expression trees into monomials (:func:`slowfast.poly.expand`), solves
+for P with numpy, picks a level whose sublevel set lies well inside a
+given ball and proves dV/dt < 0 on its boundary from a bound on R made
+from the monomials' coefficients. A region-of-attraction cell whose
+state reaches that set has then provably stayed in the ball for good,
+which :func:`slowfast.sim.integrate` would otherwise confirm by
+integrating the dwell.
 
-Only polynomial fields are expanded: numbers, names, ``+ - *``, unary
-minus, division by a constant and a non-negative integral power, up to
-``MAX_DEGREE``. A call, a fractional power or a division by a
-non-constant refuses the proof, and so does a non-Hurwitz J or a bound
-that does not hold with the factor ``SAFETY`` to spare.
+A field that is not polynomial (a call, a fractional power, a division by
+a non-constant, a degree over ``poly.MAX_DEGREE``) refuses the proof, and
+so does a non-Hurwitz J or a bound that does not hold with the factor
+``SAFETY`` to spare.
 """
 from __future__ import annotations
 
@@ -26,87 +26,14 @@ import math
 
 import numpy as np
 
-__all__ = ["NotPolynomial", "MAX_DEGREE", "expand", "lyapunov_matrix", "proves", "certify"]
+from .poly import MAX_DEGREE, NotPolynomial, expand
 
-#: highest monomial degree an expansion may reach
-MAX_DEGREE = 12
+__all__ = ["lyapunov_matrix", "proves", "certify"]
+
 #: the certified sublevel set lies inside the ball of this fraction of the radius
 LEVEL_RADIUS = 0.5
 #: factor by which the proved decrease must beat the remainder bound
 SAFETY = 2.0
-
-
-class NotPolynomial(ValueError):
-    """A tree is not a polynomial of the admitted form."""
-
-
-def _add(p: dict, q: dict, sign: float = 1.0) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0.0) + sign * c
-    return out
-
-
-def _mul(p: dict, q: dict) -> dict:
-    if _degree(p) + _degree(q) > MAX_DEGREE:
-        raise NotPolynomial(f"degree over {MAX_DEGREE}")
-    out: dict = {}
-    for e, c in p.items():
-        for f, d in q.items():
-            g = tuple(a + b for a, b in zip(e, f))
-            out[g] = out.get(g, 0.0) + c * d
-    return out
-
-
-def _degree(p: dict) -> int:
-    return max((sum(e) for e in p), default=0)
-
-
-def expand(tree: ast.expr, names: list[str]) -> dict:
-    """Monomials of a checked tree in the variables ``names``.
-
-    The result maps exponent tuples (one entry per name) to float
-    coefficients. Raises :class:`NotPolynomial` for any node outside the
-    admitted grammar, an unknown name, a division by a non-constant or by
-    zero, a power that is not a non-negative integral constant and a
-    degree over ``MAX_DEGREE``.
-    """
-    zero = (0,) * len(names)
-    if isinstance(tree, ast.Constant):
-        return {zero: float(tree.value)}
-    if isinstance(tree, ast.Name):
-        if tree.id not in names:
-            raise NotPolynomial(f"unknown name `{tree.id}`")
-        return {tuple(int(n == tree.id) for n in names): 1.0}
-    if isinstance(tree, ast.UnaryOp) and isinstance(tree.op, (ast.USub, ast.UAdd)):
-        p = expand(tree.operand, names)
-        return {e: -c for e, c in p.items()} if isinstance(tree.op, ast.USub) else p
-    if not isinstance(tree, ast.BinOp):
-        raise NotPolynomial(f"`{type(tree).__name__}` is not polynomial")
-    if isinstance(tree.op, ast.Pow):
-        r = tree.right
-        if not (isinstance(r, ast.Constant) and float(r.value).is_integer() and r.value >= 0):
-            raise NotPolynomial("a power must be a non-negative integral constant")
-        base = expand(tree.left, names)
-        if _degree(base) * r.value > MAX_DEGREE:
-            raise NotPolynomial(f"degree over {MAX_DEGREE}")
-        out = {zero: 1.0}
-        for _ in range(int(r.value)):
-            out = _mul(out, base)
-        return out
-    p, q = expand(tree.left, names), expand(tree.right, names)
-    if isinstance(tree.op, ast.Add):
-        return _add(p, q)
-    if isinstance(tree.op, ast.Sub):
-        return _add(p, q, -1.0)
-    if isinstance(tree.op, ast.Mult):
-        return _mul(p, q)
-    if isinstance(tree.op, ast.Div):
-        d = q.get(zero, 0.0)
-        if set(q) - {zero} or d == 0.0:
-            raise NotPolynomial("division by a non-constant or by zero")
-        return {e: c / d for e, c in p.items()}
-    raise NotPolynomial(f"operator `{type(tree.op).__name__}` is not polynomial")
 
 
 def _split(polys: list[dict], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

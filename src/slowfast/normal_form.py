@@ -167,8 +167,15 @@ def g_partial_z(x, z: float, k: int, m: int) -> float:
     return -s
 
 
+def _require_g(sys: NormalFormSystem, what: str) -> None:
+    """Refuse a row with its own fast field where ``what`` assumes g / epsilon."""
+    if sys.fast != _horner(sys.k):
+        raise ValueError(f"{what} is not defined for a system with its own fast field, {sys.fast!r}")
+
+
 def eval_rhs_fast(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float]:
     """Fast-time vector field: x' = eps*(f + u), z' = g, for the control vector u."""
+    _require_g(sys, "the normal-form vector field")
     x, z = _vec(s.x, sys.k - 1, "x"), float(s.z)
     uv = _vec(u, sys.k - 1, "u")
     f = np.asarray(sys.slow_f(x, z, sys.epsilon), dtype=float)

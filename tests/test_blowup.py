@@ -7,7 +7,9 @@ from slowfast.blowup import (
     DirectionalChartState,
     FamilyChartState,
     closed_loop_rhs_family,
+    compensation_zneg,
     desing_rhs_directional,
+    family_field,
     family_time_rescale,
     from_directional_zneg,
     from_family_chart,
@@ -15,8 +17,9 @@ from slowfast.blowup import (
     to_family_chart,
 )
 from slowfast.closedloop import Thm2, build_closed_loop
-from slowfast.control import Theorem2Params
+from slowfast.control import Theorem2Params, Theorem3Params
 from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
+from slowfast.systems import TunnelDiodeSystem
 
 
 zero_f = ExprSlowField(("0",))
@@ -166,6 +169,82 @@ def test_closed_loop_family_field_is_the_pushed_slow_time_loop(k):
         dy = build_closed_loop(sys, Thm2(p))[0](0.0, np.array(y))
         pushed = np.array([r**i * dy[i] for i in range(k - 1)] + [r ** (k - 1) * dy[-1]])
         assert np.max(np.abs(pushed - chart)) <= 1e-13 * max(1.0, np.max(np.abs(chart)))
+
+
+def _oracle_family_field(sympy, sys, p):
+    """f + v and g / eps of the slow-time loop, blown down by sympy and
+    scaled into the family chart, as {exponents: coefficient} in
+    (x_bar_1..x_bar_m, z_bar, r_bar)."""
+    k = sys.k
+    xb, (zb, r) = sympy.symbols(f"xb1:{k}"), sympy.symbols("zb r")
+    x = [r ** (k - i) * xb[i] for i in range(k - 1)]
+    eps = r ** (2 * k - 1)
+    env = {f"x{i}": xi for i, xi in enumerate(x, 1)}
+    env.update(z=r * zb, epsilon=eps, **dict(sys.slow_f.constants))
+    f = [sympy.sympify(src, locals=env) for src in sys.drift]
+    u = [-c - a * r ** -k * xi for c, a, xi in zip(p.c, p.a, x)]
+    u[0] += p.b / r * (r * zb)
+    g = -((r * zb) ** k + sum(xi * (r * zb) ** i for i, xi in enumerate(x)))
+    field = [r ** k / r ** (k - i) * (fi + ui) for i, (fi, ui) in enumerate(zip(f, u))]
+    field.append(r ** k / r * g / eps)
+    return [{m: float(c) for m, c in sympy.Poly(sympy.expand(q), *xb, zb, r).terms()}
+            for q in field]
+
+
+def _agree(derived, oracle):
+    for d, o in zip(derived, oracle, strict=True):
+        for e in {*d, *o}:
+            want = o.get(e, 0.0)
+            assert abs(d.get(e, 0.0) - want) <= 1e-14 * max(1.0, abs(want)), (e, d, o)
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 4, 5], ids=["planar-fold", "2", "3", "4", "5"])
+def test_family_field_matches_symbolic_blow_down(k):
+    # the planar fold, then a seeded affine drift at each k
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(k or 0)
+    if k is None:
+        k, sys = 2, NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)))
+    else:
+        sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(rng, k - 1))
+    p = Theorem2Params(c=rng.uniform(-2, 2, k - 1), a=rng.uniform(0.1, 10.0, k - 1),
+                       b=rng.uniform(0.1, 10.0))
+    derived = family_field(sys, p)
+    assert all(e[-1] >= 0 for q in derived for e in q)  # regular on the sphere
+    _agree(derived, _oracle_family_field(sympy, sys, p))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_compensation_zneg_matches_symbolic_blow_down(k):
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(k)
+    chi_star = [-rng.uniform(1.01, 4.0)] + [0.0] * (k - 2)
+    p3 = Theorem3Params(K=rng.uniform(0.0, 20.0, k - 1), chi_star=chi_star)
+    chi, rho = sympy.symbols(f"chi1:{k}"), sympy.Symbol("rho")
+    x = [rho ** (k - i) * chi[i] for i in range(k - 1)]
+    w = [K * (xi * -rho + rho ** (k - i + 1) * cs)
+         for i, (K, xi, cs) in enumerate(zip(p3.K, x, p3.chi_star))]
+    oracle = [{m: float(c) for m, c in sympy.Poly(sympy.expand(q), *chi, rho).terms()}
+              for q in w]
+    _agree(compensation_zneg(k, p3), oracle)
+
+
+def test_family_field_refuses_a_drift_that_is_not_polynomial():
+    sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + sin(z)",)))
+    p = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
+    with pytest.raises(ValueError, match=r"polynomial drift, not \['1 \+ sin\(z\)'\]: `Call`"):
+        closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0], z_bar=0.0), sys, p)
+
+
+def test_chart_fields_refuse_a_row_with_its_own_fast_field():
+    sys = TunnelDiodeSystem()
+    p = Theorem2Params(c=[20.0, 16.0], a=[1.0, 1.0], b=3.0)
+    with pytest.raises(ValueError, match=r"family-chart field is not defined .* own fast field, '-\(3"):
+        closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0, 0.0], z_bar=0.0),
+                               sys, p)
+    with pytest.raises(ValueError, match=r"z < 0 chart field is not defined .* own fast field, '-\(3"):
+        desing_rhs_directional(DirectionalChartState(rho=0.5, chi=[0.0, 0.0], mu=0.1), sys,
+                               lambda x, z, e: np.zeros(2))
 
 
 class TestDesingDirectional:

@@ -3,8 +3,8 @@ import pytest
 
 from slowfast.blowup import (
     FamilyChartState,
-    chart_controller_family,
     closed_loop_rhs_family,
+    family_law,
     to_family_chart,
 )
 from slowfast.closedloop import HighGain, Thm2Plus3, law
@@ -17,7 +17,8 @@ from slowfast.control import (
     thm2_law,
     thm3_law,
 )
-from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
+from slowfast.normal_form import ExprSlowField, NormalFormSystem, State, walk
+from slowfast.poly import render
 from slowfast.verification import run_suites
 
 
@@ -124,25 +125,33 @@ class TestFullControl:
         assert u == pytest.approx([-2.5])
 
 
+def _chart_controller(c: FamilyChartState, k, p):
+    """The derived chart controller (``family_law``) walked at the chart point c."""
+    names = [*(f"xb{i}" for i in range(1, k)), "zb", "r"]
+    env = dict(zip(names, [*c.x_bar.tolist(), c.z_bar, c.r_bar]))
+    return [walk(render(u, names), env) for u in family_law(k, p)]
+
+
 class TestChartController:
     def test_k2_example(self):
         p = Theorem2Params(c=[0.0], a=[1.0], b=3.0)
-        u = chart_controller_family(
+        u = _chart_controller(
             FamilyChartState(r_bar=0.7, x_bar=[0.1], z_bar=0.2), 2, p
         )
         assert u == pytest.approx([0.5])
 
     def test_k3_radial_weighting(self):
         p = Theorem2Params(c=[0.0, 0.0], a=[1.0, 1.0], b=1.0)
-        u = chart_controller_family(
+        u = _chart_controller(
             FamilyChartState(r_bar=0.5, x_bar=[0.0, 1.0], z_bar=0.0), 3, p
         )
         assert u == pytest.approx([0.0, -2.0])
 
     def test_singular_on_sphere_for_k3(self):
         p = Theorem2Params(c=[0.0, 0.0], a=[1.0, 1.0], b=1.0)
-        with pytest.raises(ValueError, match="singular"):
-            chart_controller_family(
+        assert family_law(3, p)[1][(0, 1, 0, -1)] == -1.0  # -a_2 x_bar_2 / r_bar
+        with pytest.raises(ZeroDivisionError):
+            _chart_controller(
                 FamilyChartState(r_bar=0.0, x_bar=[1.0, 1.0], z_bar=0.0), 3, p
             )
 
@@ -151,7 +160,7 @@ class TestChartController:
         s = State(x=[0.3], z=-0.8)
         eps = 0.02
         direct = evaluate(thm2_law(eps, 2, p), s.x, s.z)
-        chart = chart_controller_family(to_family_chart(s, eps, 2), 2, p)
+        chart = _chart_controller(to_family_chart(s, eps, 2), 2, p)
         assert chart == pytest.approx(direct, rel=1e-11)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import slowfast
-from slowfast import closedloop, lyapunov
+from slowfast import closedloop, lyapunov, poly
 from slowfast.closedloop import CellRunner, OpenLoop, Thm2, Thm2Plus3, certificate
 from slowfast.control import Theorem2Params, Theorem3Params
 from slowfast.normal_form import ExprSlowField, NormalFormSystem, parse_expression, walk
@@ -58,7 +58,7 @@ def _field(system, variant):
     m = system.n_slow
     field = [ast.BinOp(trees[f"_f{i}"], ast.Add(), trees[f"_v{i}"]) for i in range(1, m + 1)]
     names = [f"x{i}" for i in range(1, m + 1)] + ["z"]
-    polys = [lyapunov.expand(tree, names) for tree in [*field, trees["_g"]]]
+    polys = [poly.expand(tree, names) for tree in [*field, trees["_g"]]]
     return lyapunov._split(polys, m + 1)
 
 
@@ -107,10 +107,10 @@ class TestExpand:
     ])
     def test_agrees_with_walk(self, src):
         tree = parse_expression(src, {"x1": "x1", "z": "z"})
-        poly = lyapunov.expand(tree, NAMES)
+        expanded = poly.expand(tree, NAMES)
         rng = np.random.default_rng(1)
         for x1, z in rng.uniform(-2.0, 2.0, size=(20, 2)).tolist():
-            value = sum(c * x1 ** e[0] * z ** e[1] for e, c in poly.items())
+            value = sum(c * x1 ** e[0] * z ** e[1] for e, c in expanded.items())
             assert value == pytest.approx(walk(tree, {"x1": x1, "z": z}), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("src", [
@@ -119,16 +119,16 @@ class TestExpand:
     ])
     def test_refuses(self, src):
         tree = parse_expression(src, {"x1": "x1", "z": "z"})
-        with pytest.raises(lyapunov.NotPolynomial):
-            lyapunov.expand(tree, NAMES)
+        with pytest.raises(poly.NotPolynomial):
+            poly.expand(tree, NAMES)
 
     def test_degree_cap(self):
-        cap = lyapunov.MAX_DEGREE
+        cap = poly.MAX_DEGREE
         ok = parse_expression(f"(x1 + z) ** {cap}", {"x1": "x1", "z": "z"})
-        assert max(sum(e) for e in lyapunov.expand(ok, NAMES)) == cap
-        with pytest.raises(lyapunov.NotPolynomial):
-            lyapunov.expand(parse_expression(f"(x1 + z) ** {cap + 1}", {"x1": "x1", "z": "z"}),
-                            NAMES)
+        assert max(sum(e) for e in poly.expand(ok, NAMES)) == cap
+        with pytest.raises(poly.NotPolynomial):
+            poly.expand(parse_expression(f"(x1 + z) ** {cap + 1}", {"x1": "x1", "z": "z"}),
+                        NAMES)
 
 
 class TestProof:

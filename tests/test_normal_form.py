@@ -135,6 +135,13 @@ class TestRhs:
         with pytest.raises(ValueError, match="non-finite"):
             eval_rhs_fast(sys, State(x=[1.0], z=0.0), [0.0])
 
+    @pytest.mark.parametrize("field", [eval_rhs_fast, eval_rhs_slow])
+    def test_row_with_its_own_fast_field_refused(self, field):
+        from slowfast.systems import TunnelDiodeSystem
+
+        with pytest.raises(ValueError, match=r"own fast field, '-\(3 \* z \* z \+ x1 \+ z \*\* 3\)"):
+            field(TunnelDiodeSystem(), State(x=[0.0, 0.0], z=0.0), [0.0, 0.0])
+
 
 class TestDegeneracyOrder:
     def test_origin_has_full_order(self):
