@@ -16,7 +16,7 @@ The blow-down maps monomials to monomials, so the chart algebra of a
 polynomial loop is derived from its checked trees (:mod:`slowfast.poly`):
 the baseline law's chart controller (:func:`family_law`), its closed-loop
 family field (:func:`family_field`, regular on the sphere r_bar = 0 and
-evaluated compiled by :func:`closed_loop_rhs_family`) and the
+generated as a loop like the slow-time ones, :func:`family_loop`) and the
 compensation in the z < 0 chart (:func:`compensation_zneg`).
 """
 from __future__ import annotations
@@ -29,12 +29,13 @@ import numpy as np
 from . import poly
 from .control import Theorem2Params, Theorem3Params, _check_order, thm2_template, thm3_law
 from .normal_form import (NormalFormSystem, State, _drift_trees, _env, _names, _require_g,
-                          _vec, compile_functions, parse_expression)
+                          _vec, parse_expression)
+from .sim import compile_loop
 
 __all__ = ["FamilyChartState", "DirectionalChartState", "to_family_chart", "from_family_chart",
-           "fast_poly", "gain_law", "family_law", "family_field", "closed_loop_rhs_family",
-           "compensation_zneg", "to_directional_zneg", "from_directional_zneg",
-           "desing_rhs_directional", "family_time_rescale"]
+           "fast_poly", "gain_law", "family_law", "family_field", "family_loop",
+           "closed_loop_rhs_family", "compensation_zneg", "to_directional_zneg",
+           "from_directional_zneg", "desing_rhs_directional", "family_time_rescale"]
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def fast_poly(fast: str, k: int) -> dict:
 def gain_law(k: int, p: Theorem2Params) -> list[dict]:
     """The baseline law in x1..xm, z and r = eps^(1/(2k-1)):
     ``control.THM2_TEMPLATE`` with px = r^-k and bz = b r^-1."""
-    _check_order(k, p)
+    _check_order(k, p.a)
     images = [*(_mono(k + 1, 1.0, 0, j) for j in range(k)),
               _mono(k + 1, 1.0, -k), _mono(k + 1, p.b, -1)]
     names = [*_names(k - 1)[:-1], "px", "bz"]
@@ -150,20 +151,21 @@ def family_field(sys: NormalFormSystem, p: Theorem2Params) -> list[dict]:
 
 
 @lru_cache(maxsize=64)
-def _family_function(sys: NormalFormSystem, p: Theorem2Params):
-    names = [*(f"xb{i}" for i in range(1, sys.k)), "zb", "r"]
+def family_loop(sys: NormalFormSystem, p: Theorem2Params):
+    """``rhs`` of :func:`slowfast.sim.compile_loop` on (x_bar_1..x_bar_m,
+    z_bar, r_bar), once per (system, params): :func:`family_field` and
+    r_bar' = 0, so r_bar stays the same float along a run."""
+    names = [*(f"xb{i}" for i in range(1, sys.k)), "zb", "rb"]
     trees = {f"_d{i}": poly.render(q, names) for i, q in enumerate(family_field(sys, p))}
-    src = f"def field({', '.join(names)}):\n    return _field\n"
-    return compile_functions(src, {"_field": [f"({', '.join(trees)},)"]}, trees)["field"]
+    return compile_loop(names, [f"{', '.join(trees)}, 0.0"], trees)[0]
 
 
 def closed_loop_rhs_family(c: FamilyChartState, sys: NormalFormSystem,
                            p: Theorem2Params) -> tuple[float, np.ndarray, float]:
-    """(r_bar', x_bar', z_bar') at ``c``: r_bar' = 0 and :func:`family_field`,
-    rendered and compiled once per (system, params)."""
-    field = _family_function(sys, p)
-    *dx, dz = field(*_vec(c.x_bar, sys.k - 1, "x_bar").tolist(), c.z_bar, c.r_bar)
-    return 0.0, np.array(dx), dz
+    """(r_bar', x_bar', z_bar') at ``c``: the ``rhs`` of :func:`family_loop`."""
+    *dx, dz, dr = family_loop(sys, p)(0.0, np.array(
+        [*_vec(c.x_bar, sys.k - 1, "x_bar").tolist(), c.z_bar, c.r_bar]))
+    return dr, np.array(dx), dz
 
 
 def compensation_zneg(k: int, p: Theorem3Params) -> list[dict]:

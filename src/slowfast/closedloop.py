@@ -16,17 +16,9 @@ from typing import Union
 import numpy as np
 
 from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
-from .normal_form import ExprSlowField, _require_g, compile_functions, parse_expression
-from .sim import (
-    BALL,
-    IntegratorConfig,
-    NonFiniteError,
-    Outcome,
-    Trajectory,
-    _loop_source,
-    classify,
-    integrate,
-)
+from .normal_form import ExprSlowField, _require_g, parse_expression
+from .sim import (BALL, IntegratorConfig, NonFiniteError, Outcome, Trajectory, classify,
+                  compile_loop, integrate)
 
 __all__ = [
     "OpenLoop",
@@ -159,49 +151,26 @@ def _trees(system, variant: Variant) -> dict:
 
 @lru_cache(maxsize=64)
 def _generated(system, variant: Variant):
-    """(rhs, ueval) generated for ``system`` and ``variant``, cached on the
-    pair: equal variants share one entry.
+    """(rhs, ueval) of :func:`slowfast.sim.compile_loop` for ``system`` and
+    ``variant``, cached on the pair: equal variants share one entry.
 
-    The field is one block of straight-line statements: assign the law to
-    v1..vm; its value is the drift plus v and the fast field, in x1..xm and
-    z. The drift's expressions, the fast field, the law and the slot form
-    are checked trees (:func:`_trees`), compiled with the system's
-    constants. ``rhs(t, y)`` unpacks the state array and returns the field,
-    ``ueval(t, y)`` the recorded control of the float list that
-    :func:`slowfast.sim.integrate` records. The same block is written
-    inline at every stage of the whole adaptive Dormand-Prince loop
-    (``rhs.run``, from :func:`slowfast.sim._loop_source`), which never
-    calls a function for the field, so a step of the loop makes no Python
-    call.
+    The field's block assigns the law to v1..vm; its value is the drift plus
+    v and the fast field, in x1..xm and z. The recorded control is v, or the
+    slot form of the baseline law on a system with slots. All are checked
+    trees (:func:`_trees`) with the system's constants bound.
     """
     m = system.n_slow
-    xs = [f"x{i}" for i in range(1, m + 1)]
     vs = [f"v{i}" for i in range(1, m + 1)]
     trees = _trees(system, variant)
     assign = [f"{v} = _{v}" for v in vs]
-    field = ", ".join(f"_f{i} + {v}" for i, v in enumerate(vs, 1)) + ", _g"
-
     recorded = vs
     if system.slots is not None and isinstance(variant, Thm2):
         recorded = [f"_u{i}" for i in range(1, m + 1)]
         slot_env = {**dict(zip(vs, vs)), **system.constants}
         trees.update(zip(recorded, (parse_expression(src, slot_env) for src in system.slots)))
-
-    state = f"{', '.join(xs)}, z"
-
-    def inline(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-        return [f"{state} = {', '.join(args)}"], "_stage"
-
-    src = _loop_source(m + 1, inline)
-    src += f"def rhs(t, y):\n    {state} = y.tolist()\n    return _rhs\n"
-    src += f"def ueval(t, y):\n    {state} = y\n    return _control\n"
-    blocks = {"_stage": [*assign, f"({field},)"],
-              "_rhs": [*assign, f"[{field}]"],
-              "_control": [*assign, f"[{', '.join(recorded)}]"]}
-    ns = compile_functions(src, blocks, trees)
-    rhs = ns["rhs"]
-    rhs.run = ns["run"]
-    return rhs, ns["ueval"]
+    field = ", ".join(f"_f{i} + {v}" for i, v in enumerate(vs, 1)) + ", _g"
+    names = [*(f"x{i}" for i in range(1, m + 1)), "z"]
+    return compile_loop(names, [*assign, field], trees, [*assign, f"[{', '.join(recorded)}]"])
 
 
 def build_closed_loop(system, variant: Variant):
@@ -217,10 +186,9 @@ def build_closed_loop(system, variant: Variant):
     ``control_eval(t, y)`` takes it as the list of floats that
     :func:`slowfast.sim.integrate` records. Both return lists of Python
     floats. ``rhs`` carries as ``run`` the whole adaptive Dormand-Prince
-    loop with its field inline at every stage, by which
-    :func:`slowfast.sim.integrate` integrates it in one call; a step of it
-    makes no Python call. The functions are cached on (system, variant),
-    both hashable values, so a sweep compiles its loop once per process.
+    loop with its field inline at every stage (:func:`slowfast.sim.compile_loop`).
+    The functions are cached on (system, variant), both hashable values, so
+    a sweep compiles its loop once per process.
     """
     rhs, ueval = _generated(system, variant)
     return rhs, ueval, system.n_slow

@@ -115,7 +115,9 @@ def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
 
 
 def thm3_law(k: int, p: Theorem3Params) -> list:
-    """Compensation law as checked trees w_i = K_i (x_i z + (-z)^(k-i+2) chi*_i)."""
+    """Compensation law as checked trees w_i = K_i (x_i z + (-z)^(k-i+2) chi*_i)
+    of k - 1 gains (else ValueError)."""
+    _check_order(k, p.K)
     terms = zip(p.K, range(k + 1, 2, -1), p.chi_star)
     return [parse_expression("K * (x * z + (-z) ** n * chi)",
                              {"K": K, "n": n, "chi": chi, "x": f"x{i}", "z": "z"})
@@ -150,9 +152,9 @@ def evaluate(law: list, x, z: float) -> list[float]:
     return [walk(tree, env) for tree in law]
 
 
-def _check_order(k: int, p: Theorem2Params) -> None:
-    if len(p.a) != k - 1:
-        raise ValueError(f"params sized for k = {len(p.a) + 1}, got k = {k}")
+def _check_order(k: int, gains) -> None:
+    if len(gains) != k - 1:
+        raise ValueError(f"params sized for k = {len(gains) + 1}, got k = {k}")
 
 
 def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:
@@ -160,7 +162,7 @@ def closed_loop_jacobian_origin(k: int, p: Theorem2Params) -> np.ndarray:
 
     Block structure [[-diag(a), b e1], [-e1^T, 0]].
     """
-    _check_order(k, p)
+    _check_order(k, p.a)
     J = np.zeros((k, k))
     J[: k - 1, : k - 1] = -np.diag(p.a)
     J[0, k - 1] = p.b
@@ -173,7 +175,7 @@ def eigenvalues_origin(k: int, p: Theorem2Params) -> np.ndarray:
 
     All real parts are negative for a > 0, b > 0.
     """
-    _check_order(k, p)
+    _check_order(k, p.a)
     disc = complex(p.a[0] ** 2 - 4.0 * p.b) ** 0.5
     lam = np.empty(k, dtype=complex)
     lam[0] = (-p.a[0] + disc) / 2.0

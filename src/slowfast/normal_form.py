@@ -234,11 +234,22 @@ def _pow(base, exponent):
     return math.nan if isinstance(r, complex) else r
 
 
+def _quadratic(form, y) -> float:
+    """y^T P y of the upper-triangle coefficients ``form`` of P, row by row,
+    summed left to right from 0.0 (``sum`` compensates from Python 3.12)."""
+    v = 0.0
+    p = iter(form)
+    for i, yi in enumerate(y):
+        for yj in y[i:]:
+            v += next(p) * yi * yj
+    return v
+
+
 # globals of every generated function, where a walk looks up its calls: no
 # builtins, the listed numpy functions and the integrator loop's own names
 _SCOPE = {name: getattr(np, name) for name in _EXPR_FUNCS}
 _SCOPE.update(_pow=_pow, float=float, _hypot=math.hypot, _sqrt=math.sqrt, _inf=math.inf,
-              _ArithmeticError=ArithmeticError, __builtins__={})
+              _ArithmeticError=ArithmeticError, _quadratic=_quadratic, __builtins__={})
 
 
 class _ExprChecker(ast.NodeTransformer):

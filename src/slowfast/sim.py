@@ -21,15 +21,15 @@ are scalar Python float locals across steps, each stage input is a list display,
 the error norm is unrolled in the order of a loop over the components,
 and the step control (clamp to the record time, reject or accept, step
 factor, step collapse, norm escape, ball dwell) is written in the loop
-with comparisons instead of calls. The generic loop calls the
+with comparisons instead of calls; the proof test at record times is one
+call, so the source is linear in n. The generic loop calls the
 right-hand side once per stage with a fresh float array, and the
-right-hand side may return any sequence. A generated closed loop of
-:mod:`slowfast.closedloop` carries its own loop (its ``run`` attribute):
-the same source from the same generator, with the loop's field written
-inline at every stage instead of called, in the same order of
-operations, so both give the same run bit for bit and a step of a closed
-loop makes no Python call. This is the only stepper: trajectories and
-every region-of-attraction sweep cell run through :func:`integrate`,
+right-hand side may return any sequence. A loop of :func:`compile_loop`
+(the slow-time closed loops and the family chart's) carries its own loop
+as ``run``: the same source with the field written inline at every
+stage, in the same order of operations, so both give the same run bit
+for bit and a step makes no Python call. This is the only stepper:
+trajectories, chart flows and sweep cells run through :func:`integrate`,
 whose trajectory reports the loop's counters and stop reason as
 :class:`IntegratorStats`. Everything is plain IEEE double arithmetic in a
 fixed order, so the results do not depend on the BLAS build.
@@ -245,8 +245,7 @@ def _loop_source(n: int, stage=_call) -> str:
     the stage time, ``args`` the n component expressions of the stage
     input and ``y`` the same input as one list display. It returns
     statements and an expression of the n field components. The default
-    calls ``f(t, y)``; :mod:`slowfast.closedloop` writes a loop's field
-    inline.
+    calls ``f(t, y)``; :func:`compile_loop` writes a field inline.
 
     The generated ``run(f, t, y, k1, hp, rtol, atol, max_step, min_step,
     div_norm, stride, n_rec, t_final, ball, margin, form, level)``
@@ -262,12 +261,12 @@ def _loop_source(n: int, stage=_call) -> str:
     (``norm``), once the norm has stayed below ``ball`` for ``margin``
     time units (``dwell``), or at a record time before ``t_final`` whose
     state has V <= ``level`` (``proved``), where V is the quadratic form
-    whose upper-triangle coefficients are ``form``, row by row. A negative
-    ``level``, the default -1.0, skips V, so a trajectory run pays one
-    comparison per record for it and never stops there. It
-    returns ``(times, states, t, reason, accepted, rejected, retried,
-    h_min)``: the recorded times and states
-    (float lists), the time it stopped at, the reason, the counts of
+    whose upper-triangle coefficients are ``form``, row by row, summed by
+    one call of ``normal_form._quadratic``. A negative ``level``, the
+    default -1.0, skips V, so a trajectory run pays one comparison per
+    record for it and never stops there. It returns ``(times, states, t,
+    reason, accepted, rejected, retried, h_min)``: the recorded times and
+    states (float lists), the time it stopped at, the reason, the counts of
     accepted, rejected and halved attempts and the smallest accepted step
     (inf when none was).
     """
@@ -297,15 +296,9 @@ def _loop_source(n: int, stage=_call) -> str:
             lines.append(f"{bound}s = s if s < {hi!r} else {hi!r}")
         return lines
 
-    pairs = [(i, j) for i in idx for j in range(i, n)]
-    # V summed left to right in statements: one expression of n(n+1)/2 terms
-    # nests too deep for the compiler from n = 44 on
-    first, *rest = [f"p_{i}_{j} * y_{i} * y_{j}" for i, j in pairs]
     lines = ["def run(f, t, y, k1, hp, rtol, atol, max_step, min_step, div_norm,",
-             f"        stride, n_rec, t_final, ball, margin, form=({'0.0, ' * len(pairs)}), "
-             "level=-1.0):",
+             "        stride, n_rec, t_final, ball, margin, form=(), level=-1.0):",
              f"    {names('y')}= y",
-             f"    {''.join(f'p_{i}_{j}, ' for i, j in pairs)}= form",
              f"    {names('k1')}= k1",
              "    times, states = [t], [y]",
              "    accepted = rejected = retried = 0",
@@ -389,12 +382,9 @@ def _loop_source(n: int, stage=_call) -> str:
               *record("            "),
               "            if rec_i == n_rec:",
               "                break",
-              "            if level >= 0.0:",
-              f"                V = {first}",
-              *(f"                V += {term}" for term in rest),
-              "                if V <= level:",
-              "                    reason = 'proved'",
-              "                    break",
+              "            if level >= 0.0 and _quadratic(form, states[-1]) <= level:",
+              "                reason = 'proved'",
+              "                break",
               "            t_rec = t",
               "            rec_i += 1",
               "            t_target = t0 + rec_i * stride if rec_i < n_rec else t_final",
@@ -410,6 +400,35 @@ def _loop_source(n: int, stage=_call) -> str:
               "            entry = None",
               "    return times, states, t, reason, accepted, rejected, retried, h_min"]
     return "\n".join(lines) + "\n"
+
+
+def compile_loop(names: Sequence[str], field: list[str], trees: dict,
+                 control: list[str] | None = None):
+    """``(rhs, ueval)`` of the field ``field`` in the state ``names``: the
+    one generator of a loop with its field inline.
+
+    ``field`` is a block of :func:`slowfast.normal_form.compile_functions`,
+    statements and then the n components separated by commas, in which each
+    name of ``trees`` stands for that checked tree. ``rhs(t, y)`` returns
+    the components as a list of floats and carries as ``run`` the loop of
+    :func:`_loop_source` with the block inline at every stage. The block
+    ``control`` gives ``ueval(t, y)`` of a recorded float list, else None.
+    """
+    state = "".join(f"{name}, " for name in names)
+
+    def inline(t: str, args: list[str], y: str) -> tuple[list[str], str]:
+        return [f"{state}= {', '.join(args)}"], "_stage"
+
+    *body, values = field
+    src = _loop_source(len(names), inline)
+    src += f"def rhs(t, y):\n    {state}= y.tolist()\n    return _rhs\n"
+    blocks = {"_stage": [*body, f"({values},)"], "_rhs": [*body, f"[{values}]"]}
+    if control is not None:
+        src += f"def ueval(t, y):\n    {state}= y\n    return _control\n"
+        blocks["_control"] = control
+    ns = compile_functions(src, blocks, trees)
+    ns["rhs"].run = ns["run"]
+    return ns["rhs"], ns.get("ueval")
 
 
 @cache
@@ -463,7 +482,7 @@ def integrate(
     guess are made here; then one call runs the whole adaptive loop,
     generated code of :func:`_loop_source`. An ``rhs`` that carries a
     ``run`` attribute, that loop with its field inline at every stage (the
-    generated closed loops of :mod:`slowfast.closedloop`), is run by it,
+    loops of :func:`compile_loop`), is run by it,
     else the generic loop of the state dimension calls ``rhs`` once per
     stage; the result is the same bit for bit on both paths. A stage at
     which ``rhs`` raises an :class:`ArithmeticError` counts as non-finite,

@@ -6,9 +6,9 @@ its name, its tolerance and the one pass rule. Where the invariant is a
 polynomial identity, a sample is a monomial: the suite compares the
 coefficients of the laws and fields derived by :mod:`slowfast.blowup`
 from the checked trees with the form the paper states. Where float code
-is what is checked (the chart maps, the compiled chart field, the flows),
-a sample is a point. The suites double as the acceptance checks wired
-into the command line.
+is what is checked (the chart maps, the generated family-chart loop, the
+flows), a sample is a point. The suites double as the acceptance checks
+wired into the command line.
 """
 from __future__ import annotations
 
@@ -77,15 +77,17 @@ def _random_p2(rng: np.random.Generator, k: int) -> control.Theorem2Params:
 
 
 def _random_field(rng: np.random.Generator, m: int) -> normal_form.ExprSlowField:
-    """Affine slow drift c + A x + (l z + e epsilon) with seeded coefficients."""
-    const = rng.uniform(-2, 2, m).tolist()
-    lin_x = rng.uniform(-1, 1, (m, m)).tolist()
-    lin_z = rng.uniform(-1, 1, m).tolist()
-    lin_eps = rng.uniform(-1, 1, m).tolist()
+    """Affine slow drift c + A x + (l z + e epsilon) with seeded coefficients,
+    bound as the named constants of one expression tuple per m, so that each
+    m is parsed once."""
+    c, a, lz, le = (rng.uniform(-2, 2, m), rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m),
+                    rng.uniform(-1, 1, m))
+    values = {f"{name}{i}": v for name, vs in (("c", c), ("l", lz), ("e", le))
+              for i, v in enumerate(vs, 1)}
+    values.update((f"a{i}_{j}", v) for i, row in enumerate(a, 1) for j, v in enumerate(row, 1))
     return normal_form.ExprSlowField(tuple(
-        f"{c!r} + ({' + '.join(f'{a!r} * x{j}' for j, a in enumerate(row, 1))})"
-        f" + ({lz!r} * z + {le!r} * epsilon)"
-        for c, row, lz, le in zip(const, lin_x, lin_z, lin_eps)))
+        f"c{i} + ({' + '.join(f'a{i}_{j} * x{j}' for j in range(1, m + 1))})"
+        f" + (l{i} * z + e{i} * epsilon)" for i in range(1, m + 1)), values)
 
 
 def _poly_errors(got: dict, want: dict) -> Iterator[float]:
@@ -279,7 +281,7 @@ def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
     mu = float(rng.uniform(0.1, 1.5))
     c = blowup.DirectionalChartState(rho=rho, chi=chi, mu=mu)
     drho, dchi, dmu = blowup.desing_rhs_directional(c, sysm, ctrl)
-    chart_rhs = np.concatenate(([drho], dchi, [dmu]))
+    chart_field = np.concatenate(([drho], dchi, [dmu]))
 
     def blowdown_vec(v: np.ndarray) -> np.ndarray:
         cs = blowup.DirectionalChartState(rho=v[0], chi=v[1:k], mu=v[k])
@@ -291,7 +293,7 @@ def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
     J = np.transpose([(blowdown_vec(v0 + e) - blowdown_vec(v0 - e)) / (2 * h)
                       for e, h in zip(np.diag(steps), steps)])
 
-    pushed = J @ chart_rhs
+    pushed = J @ chart_field
     st, eps = blowup.from_directional_zneg(c, k)
     sys_eps = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=sysm.slow_f)
     dx, dz = normal_form.eval_rhs_fast(sys_eps, st, ctrl(st.x, st.z, eps))
@@ -345,7 +347,8 @@ def suite_conjugacy(rng: np.random.Generator) -> Iterator[float]:
     """Blow-down of the desingularized closed-loop flow matches direct integration.
 
     k = 2, eps = 0.01: the chart trajectory at desingularized time s equals
-    the slow-time trajectory at t = eps^(2/3) s after blow-down.
+    the slow-time trajectory at t = eps^(2/3) s after blow-down; the chart
+    loop carries r_bar as a state of rate 0.
     """
     k, eps = 2, 0.01
     sysm = build_planar_example(eps)
@@ -355,19 +358,14 @@ def suite_conjugacy(rng: np.random.Generator) -> Iterator[float]:
     cfg_direct = config_for(eps, 1.0, rtol=1e-10, atol=1e-12, record_stride=0.1)
     cfg_chart = config_for(eps, 1.0 / tau, rtol=1e-10, atol=1e-12, max_step=1e-2,
                            record_stride=0.1 / tau)
+    chart_loop = blowup.family_loop(sysm, p)
     for _ in range(3):
         ic = _draw_surviving_ic(rng, rhs, cfg_direct)
         direct = integrate(rhs, ic, cfg_direct)
         c0 = blowup.to_family_chart(normal_form.State(x=ic[:1], z=ic[1]), eps, k)
-
-        def chart_rhs(t, y, r_bar=c0.r_bar):
-            chart = blowup.FamilyChartState(r_bar=r_bar, x_bar=y[:1], z_bar=y[1])
-            _, dx, dz = blowup.closed_loop_rhs_family(chart, sysm, p)
-            return np.append(dx, dz)
-
-        chart = integrate(chart_rhs, np.append(c0.x_bar, c0.z_bar), cfg_chart)
+        chart = integrate(chart_loop, [*c0.x_bar, c0.z_bar, c0.r_bar], cfg_chart)
         for y, want in zip(chart.states, direct.states):
-            st, _ = blowup.from_family_chart(blowup.FamilyChartState(c0.r_bar, y[:1], y[1]), k)
+            st, _ = blowup.from_family_chart(blowup.FamilyChartState(y[2], y[:1], y[1]), k)
             yield _rel(_max_abs(st.x - want[:1], st.z - want[1]), float(np.max(np.abs(want))))
 
 

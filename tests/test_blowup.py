@@ -10,6 +10,7 @@ from slowfast.blowup import (
     compensation_zneg,
     desing_rhs_directional,
     family_field,
+    family_loop,
     family_time_rescale,
     from_directional_zneg,
     from_family_chart,
@@ -19,6 +20,7 @@ from slowfast.blowup import (
 from slowfast.closedloop import Thm2, build_closed_loop
 from slowfast.control import Theorem2Params, Theorem3Params
 from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
+from slowfast.sim import IntegratorConfig, integrate
 from slowfast.systems import TunnelDiodeSystem
 
 
@@ -169,6 +171,50 @@ def test_closed_loop_family_field_is_the_pushed_slow_time_loop(k):
         dy = build_closed_loop(sys, Thm2(p))[0](0.0, np.array(y))
         pushed = np.array([r**i * dy[i] for i in range(k - 1)] + [r ** (k - 1) * dy[-1]])
         assert np.max(np.abs(pushed - chart)) <= 1e-13 * max(1.0, np.max(np.abs(chart)))
+
+
+class TestFamilyLoop:
+    """The family-chart field generated as a closed loop on (x_bar, z_bar,
+    r_bar), with r_bar' = 0, by the builder of the slow-time loops."""
+
+    @staticmethod
+    def _loop(k):
+        rng = np.random.default_rng(40 + k)
+        sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(rng, k - 1))
+        p = Theorem2Params(c=sys.slow_f(np.zeros(k - 1), 0.0, 0.0),
+                           a=rng.uniform(0.5, 5.0, k - 1), b=rng.uniform(0.5, 5.0))
+        return sys, p, rng
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_steps_like_the_generic_loop(self, k):
+        # its own loop and, behind a plain callable, the generic one give the
+        # same run bit for bit; r_bar is the same float at every record
+        sys, p, rng = self._loop(k)
+        rhs = family_loop(sys, p)
+        assert callable(rhs.run) and family_loop(sys, p) is rhs
+        cfg = IntegratorConfig(t_final=3.0, max_step=1e-2, record_stride=0.05)
+        reasons = set()
+        for r_bar, scale, ball in ((0.0, 1e-4, 1e-3), (0.0, 1.0, None),
+                                   (0.01 ** (1 / (2 * k - 1)), 1.0, None), (0.9, 1.0, None)):
+            y = [*(scale * rng.uniform(-1.0, 1.0, k)), r_bar]
+            direct = integrate(rhs, y, cfg, stop_ball=ball)
+            generic = integrate(lambda t, v: rhs(t, v), y, cfg, stop_ball=ball)
+            assert np.array_equal(direct.times, generic.times)
+            assert np.array_equal(direct.states, generic.states)
+            assert direct.outcome == generic.outcome and direct.stats == generic.stats
+            assert all(v == r_bar for v in direct.states[:, -1].tolist())
+            reasons.add(direct.stats.reason)
+        assert reasons == {"dwell", "t_final"}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_closed_loop_rhs_family_is_the_loop_rhs(self, k):
+        sys, p, rng = self._loop(k)
+        rhs = family_loop(sys, p)
+        for r_bar in (0.0, *rng.uniform(0.0, 1.0, 20)):
+            x_bar, z_bar = rng.uniform(-2, 2, k - 1), float(rng.uniform(-2, 2))
+            dr, dx, dz = closed_loop_rhs_family(FamilyChartState(r_bar, x_bar, z_bar), sys, p)
+            assert [*dx.tolist(), dz, dr] == rhs(0.0, np.array([*x_bar, z_bar, r_bar]))
+            assert dr == 0.0
 
 
 def _oracle_family_field(sympy, sys, p):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import slowfast
-from slowfast import closedloop
+from slowfast import closedloop, sim
 from slowfast.closedloop import (
     CellRunner,
     ExprSlowField,
@@ -522,8 +522,7 @@ class TestGenerated:
         field = object.__new__(ExprSlowField)
         object.__setattr__(field, "exprs", (hostile,))
         compiled = []
-        monkeypatch.setattr(closedloop, "compile_functions",
-                            lambda *args: compiled.append(args))
+        monkeypatch.setattr(sim, "compile_functions", lambda *args: compiled.append(args))
         with pytest.raises(ValueError, match="allowed"):
             build_closed_loop(NormalFormSystem(k=2, epsilon=0.01, slow_f=field), OpenLoop())
         assert compiled == []

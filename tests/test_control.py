@@ -4,6 +4,7 @@ import pytest
 from slowfast.blowup import (
     FamilyChartState,
     closed_loop_rhs_family,
+    compensation_zneg,
     family_law,
     to_family_chart,
 )
@@ -102,6 +103,14 @@ class TestThm3Compensation:
         p = Theorem3Params(K=[7.0, 3.0], chi_star=[-1.5, 0.0])
         w = evaluate(thm3_law(3, p), [2.0, -4.0], 0.0)
         assert w == pytest.approx([0.0, 0.0])
+
+    @pytest.mark.parametrize("k, gains", [(2, 2), (4, 1)])
+    def test_gains_must_number_k_minus_one(self, k, gains):
+        p = Theorem3Params(K=[1.0] * gains, chi_star=[-2.0] + [0.0] * (gains - 1))
+        with pytest.raises(ValueError, match=f"params sized for k = {gains + 1}, got k = {k}"):
+            thm3_law(k, p)
+        with pytest.raises(ValueError, match=f"params sized for k = {gains + 1}, got k = {k}"):
+            compensation_zneg(k, p)
 
     def test_zero_gain_reduces_to_baseline(self):
         p2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)

@@ -55,6 +55,17 @@ def test_generated_code_runs_only_in_compile_functions():
                              ("slowfast.normal_form", "compile_functions", "exec")]
 
 
+def test_loops_are_generated_only_in_sim():
+    # one builder turns a field into a generated loop, for slow time and the charts
+    callers = set()
+    for name in MODULES:
+        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        callers.update(name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "compile_functions")
+    assert callers == {"slowfast.sim"}
+
+
 def _imported_modules(tree: ast.Module, package: str) -> set[str]:
     """Every module an import statement anywhere in ``tree`` names, made absolute."""
     found = set()

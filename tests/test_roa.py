@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from slowfast import closedloop
+from slowfast import closedloop, sim
 from slowfast.closedloop import Thm2
 from slowfast.control import Theorem2Params
 from slowfast.normal_form import compile_functions
@@ -100,7 +100,7 @@ class TestSweep:
             return compile_functions(*args)
 
         closedloop._generated.cache_clear()
-        monkeypatch.setattr(closedloop, "compile_functions", compile_in_parent_only)
+        monkeypatch.setattr(sim, "compile_functions", compile_in_parent_only)
         sys = build_planar_example(0.01)
         grid = GridSpec(x_ranges=((-1.0, 1.0, 2),), z_range=(-1.0, 1.0, 2))
         rep = sweep(sys, Thm2(P2), grid, config_for(0.01, 1.0), jobs=2)

@@ -11,7 +11,7 @@ import slowfast
 from slowfast import sim
 from slowfast.closedloop import OpenLoop, Thm2, Thm2Plus3, build_closed_loop
 from slowfast.control import Theorem2Params, Theorem3Params
-from slowfast.normal_form import ExprSlowField, NormalFormSystem
+from slowfast.normal_form import ExprSlowField, NormalFormSystem, _quadratic
 from slowfast.sim import (
     IntegratorConfig,
     Outcome,
@@ -103,11 +103,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("n", [44, 120])
     def test_many_states_compile(self, n):
-        # the proof form's n(n+1)/2 terms are summed in statements, not in
-        # one expression nested too deep to compile
         traj = integrate(decay, np.ones(n), IntegratorConfig(t_final=0.01))
         assert traj.stats.reason == "t_final"
         assert traj.states[-1] == pytest.approx(np.full(n, math.exp(-0.01)), rel=1e-9)
+
+    def test_loop_source_is_linear_in_the_dimension(self):
+        # the proof test is one call, not n(n+1)/2 statements (21,597 lines
+        # at n = 200 when it was written inline)
+        assert sim._loop_source(200).count("\n") < 2000
 
     def test_rhs_of_wrong_length_rejected(self):
         cfg = IntegratorConfig(t_final=1.0)
@@ -543,6 +546,34 @@ class TestStats:
         assert np.array_equal(traj.states, ref.states[:len(traj)])
         assert classify(traj) == traj.outcome == classify(ref)
         assert traj.outcome.is_converged
+
+    def test_proved_at_the_record_of_an_inline_form(self):
+        # a full form at n = 60: the run stops at the first record whose V,
+        # summed term by term as the loop once wrote it inline, is <= level
+        n, level = 60, 5e-7
+        rng = np.random.default_rng(60)
+        a = rng.standard_normal((n, n)) / n
+        P = np.eye(n) + a @ a.T
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        form = [float(P[i, j]) * (1.0 if i == j else 2.0) for i, j in pairs]
+
+        def inline_v(y):
+            first, *rest = [p * y[i] * y[j] for p, (i, j) in zip(form, pairs)]
+            v = first
+            for term in rest:
+                v += term
+            return v
+
+        cfg = IntegratorConfig(t_final=10.0, max_step=1e-2)
+        ic = rng.uniform(-0.5, 0.5, n)
+        traj = integrate(decay, ic, cfg, stop_ball=1e-3, invariant=(P, level))
+        ref = integrate(decay, ic, cfg, stop_ball=1e-3)
+        records = ref.states.tolist()
+        assert all(_quadratic(form, y) == inline_v(y) for y in records)
+        stop = next(i for i, y in enumerate(records) if i and inline_v(y) <= level)
+        assert traj.stats.reason == "proved" and ref.stats.reason == "dwell"
+        assert np.array_equal(traj.times, ref.times[:stop + 1])
+        assert np.array_equal(traj.states, ref.states[:stop + 1])
 
     def test_norm(self):
         traj = integrate(lambda t, y: y * y, [1.0], IntegratorConfig(t_final=2.0))
