@@ -7,7 +7,8 @@ gamma = 2k-1 for epsilon. Two charts are provided:
 * the family chart, which fixes the epsilon direction; its radius
   r_bar = eps^(1/(2k-1)) is constant along trajectories, and
 * the directional chart covering z < 0, used to track trajectories
-  that leave a neighborhood of the origin with z decreasing.
+  that leave a neighborhood of the origin with z decreasing; its
+  r_bar = eps^(1/(2k-1)) = rho mu^(1/(2k-1)) is constant along orbits too.
 
 Desingularized fields are the blown-up fields divided by the (k-1)-th
 power of the radius, which makes them smooth up to the blow-up sphere.
@@ -16,26 +17,32 @@ The blow-down maps monomials to monomials, so the chart algebra of a
 polynomial loop is derived from its checked trees (:mod:`slowfast.poly`):
 the baseline law's chart controller (:func:`family_law`), its closed-loop
 family field (:func:`family_field`, regular on the sphere r_bar = 0 and
-generated as a loop like the slow-time ones, :func:`family_loop`) and the
-compensation in the z < 0 chart (:func:`compensation_zneg`).
+generated as a loop like the slow-time ones, :func:`family_loop`), the
+compensation in the z < 0 chart (:func:`compensation_zneg`) and the closed
+loop in that chart (:func:`directional_field`), whose radial rate comes out
+of g. The law templates of :mod:`slowfast.control` are expanded once in
+their own names, and a law's gains enter by substitution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import poly
-from .control import Theorem2Params, Theorem3Params, _check_order, thm2_template, thm3_law
+from . import control, poly
+from .closedloop import OpenLoop, Thm2, Thm2Plus3, Variant, describe
+from .control import Theorem2Params, Theorem3Params, _check_order
 from .normal_form import (NormalFormSystem, State, _drift_trees, _env, _names, _require_g,
-                          _vec, parse_expression)
+                          _vec, parse_expression, walk)
 from .sim import compile_loop
 
 __all__ = ["FamilyChartState", "DirectionalChartState", "to_family_chart", "from_family_chart",
            "fast_poly", "gain_law", "family_law", "family_field", "family_loop",
            "closed_loop_rhs_family", "compensation_zneg", "to_directional_zneg",
-           "from_directional_zneg", "desing_rhs_directional", "family_time_rescale"]
+           "from_directional_zneg", "directional_field", "desing_rhs_directional",
+           "family_time_rescale"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,8 @@ class FamilyChartState:
 
 @dataclass(frozen=True)
 class DirectionalChartState:
-    """Coordinates (rho, chi, mu) in the chart covering z < 0."""
+    """Coordinates (rho, chi, mu) in the chart covering z < 0; mu =
+    eps / rho^(2k-1) must be finite and >= 0."""
 
     rho: float
     chi: np.ndarray
@@ -68,6 +76,8 @@ class DirectionalChartState:
         object.__setattr__(self, "mu", float(self.mu))
         if not self.rho > 0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
 
 def to_family_chart(s: State, epsilon: float, k: int) -> FamilyChartState:
@@ -100,24 +110,43 @@ def _blow_down(k: int, n: int, z: float, *scalars) -> list:
             _mono(n, z, 1, k - 1 if n > k else None), *(_mono(n, *cd) for cd in scalars)]
 
 
-def _times_r(p: dict, d: int) -> dict:
-    return {(*e[:-1], e[-1] + d): c for e, c in p.items()}
+def _times(p: dict, c: float, powers: dict) -> dict:
+    """``p`` times ``c`` and the name at each key of ``powers`` to its value."""
+    return {tuple(n + powers.get(j, 0) for j, n in enumerate(e)): c * v for e, v in p.items()}
+
+
+def _drift_polys(sys: NormalFormSystem, what: str) -> list[dict]:
+    """Monomials in x1..xm, z, epsilon of the drift; ValueError if not polynomial."""
+    names = list(_names(sys.n_slow))
+    try:
+        return [poly.expand(t, names) for t in _drift_trees(sys.drift, sys.slow_f.constants)]
+    except poly.NotPolynomial as exc:
+        raise ValueError(f"{what} needs a polynomial drift, not {list(sys.drift)}: "
+                         f"{exc}") from None
+
+
+@lru_cache(maxsize=64)
+def _expanded(src: str, names: tuple[str, ...], bound: tuple = ()) -> dict:
+    # cached and shared, so read only: substitute and _add build new dicts
+    return poly.expand(parse_expression(src, _env(names, bound)), list(names))
 
 
 def fast_poly(fast: str, k: int) -> dict:
     """Monomials in x1..xm, z of the fast-field text ``fast`` with epsilon = 1."""
-    names = list(_names(k - 1)[:-1])
-    return poly.expand(parse_expression(fast, _env(names, {"epsilon": 1.0})), names)
+    return dict(_expanded(fast, _names(k - 1)[:-1], (("epsilon", 1.0),)))
 
 
 def gain_law(k: int, p: Theorem2Params) -> list[dict]:
     """The baseline law in x1..xm, z and r = eps^(1/(2k-1)):
-    ``control.THM2_TEMPLATE`` with px = r^-k and bz = b r^-1."""
+    ``control.THM2_TEMPLATE``, expanded once in its own names, with c_i and
+    a_i substituted and the gain powers px = r^-k and bz = b r^-1."""
     _check_order(k, p.a)
-    images = [*(_mono(k + 1, 1.0, 0, j) for j in range(k)),
-              _mono(k + 1, 1.0, -k), _mono(k + 1, p.b, -1)]
-    names = [*_names(k - 1)[:-1], "px", "bz"]
-    return [poly.substitute(poly.expand(t, names), images) for t in thm2_template(p, "px", "bz")]
+    first, rest = control.THM2_TEMPLATE
+    gains = [_mono(k + 1, 1.0, -k), _mono(k + 1, p.b, -1)]
+    return [poly.substitute(_expanded(rest if i else first, ("x", "z", "c", "a", "px", "bz")),
+                            [_mono(k + 1, 1.0, 0, i), _mono(k + 1, 1.0, 0, k - 1),
+                             _mono(k + 1, c, 0), _mono(k + 1, a, 0), *gains])
+            for i, (c, a) in enumerate(zip(p.c, p.a))]
 
 
 def family_law(k: int, p: Theorem2Params) -> list[dict]:
@@ -135,19 +164,15 @@ def family_field(sys: NormalFormSystem, p: Theorem2Params) -> list[dict]:
     r^(i-1) (f_i + v_i), in which the law's r^(1-i) cancels, and z_bar' =
     g(x_bar, z_bar). A drift that is not polynomial, or a row with its own
     fast field, raises ValueError."""
-    _require_g(sys, "the family-chart field")
-    k, names = sys.k, list(_names(sys.n_slow))
-    try:
-        drift = [poly.expand(t, names) for t in _drift_trees(sys.drift, sys.slow_f.constants)]
-    except poly.NotPolynomial as exc:
-        raise ValueError(f"the family-chart field needs a polynomial drift, not {list(sys.drift)}: "
-                         f"{exc}") from None
+    what = "the family-chart field"
+    _require_g(sys, what)
+    k = sys.k
     images = _blow_down(k, k + 1, 1.0, (1.0, 2 * k - 1))
-    slow = [_times_r(poly._add(poly.substitute(f, images), v), i)
-            for i, (f, v) in enumerate(zip(drift, family_law(k, p)))]
+    slow = [_times(poly._add(poly.substitute(f, images), v), 1.0, {k: i})
+            for i, (f, v) in enumerate(zip(_drift_polys(sys, what), family_law(k, p)))]
     g = poly.substitute(fast_poly(sys.fast, k), images[:-1])
     # the time factor r^k, z_bar = z / r and eps^-1 = r^-(2k-1)
-    return [*slow, _times_r(g, k - 1 - (2 * k - 1))]
+    return [*slow, _times(g, 1.0, {k: k - 1 - (2 * k - 1)})]
 
 
 @lru_cache(maxsize=64)
@@ -169,10 +194,16 @@ def closed_loop_rhs_family(c: FamilyChartState, sys: NormalFormSystem,
 
 
 def compensation_zneg(k: int, p: Theorem3Params) -> list[dict]:
-    """``control.thm3_law`` under x_i = rho^(k-i+1) chi_i and z = -rho, in
-    (chi_1..chi_m, rho): K_i rho^(k-i+2) (chi*_i - chi_i)."""
-    images = _blow_down(k, k, -1.0)
-    return [poly.substitute(poly.expand(t, _names(k - 1)[:-1]), images) for t in thm3_law(k, p)]
+    """``control.THM3_TEMPLATE``, expanded once per power in its own names,
+    with K_i and chi*_i substituted and x_i = rho^(k-i+1) chi_i and z = -rho,
+    in (chi_1..chi_m, rho): K_i rho^(k-i+2) (chi*_i - chi_i). Its monomial
+    K chi z^(k+1) has degree k + 3, so k up to 9 (``poly.MAX_DEGREE``)."""
+    _check_order(k, p.K)
+    *xs, z = _blow_down(k, k, -1.0)
+    return [poly.substitute(_expanded(control.THM3_TEMPLATE, ("x", "z", "K", "chi"),
+                                      (("n", k + 1 - i),)),
+                            [x, z, _mono(k, K, 0), _mono(k, chi, 0)])
+            for i, (x, K, chi) in enumerate(zip(xs, p.K, p.chi_star))]
 
 
 def to_directional_zneg(s: State, epsilon: float, k: int) -> DirectionalChartState:
@@ -195,42 +226,79 @@ def from_directional_zneg(c: DirectionalChartState, k: int) -> tuple[State, floa
     return State(x=x, z=-rho), rho ** (2 * k - 1) * c.mu
 
 
-def _radial_growth(chi: np.ndarray, k: int) -> float:
-    """F(chi) = (-1)^k - sum_i (-1)^i chi_i, the radial rate of the z<0 chart.
+def _zneg_images(k: int) -> list:
+    """Images in (chi_1..chi_m, rho, r_bar) of x_i = rho^(k-i+1) chi_i and z = -rho."""
+    return [(c, (*e, 0)) for c, e in _blow_down(k, k, -1.0)]
 
-    Obtained by pushing z' = g through rho = -z and dividing by rho^(k-1);
-    reduces to 1 - sum_i (-1)^i chi_i for k even.
+
+def _zneg_law(k: int, variant: Variant) -> list[dict]:
+    """The control of ``variant`` in (chi_1..chi_m, rho, r_bar): :func:`gain_law`
+    under x_i = rho^(k-i+1) chi_i, z = -rho and r = r_bar, plus
+    :func:`compensation_zneg` for ``Thm2Plus3``."""
+    if isinstance(variant, OpenLoop):
+        return [{}] * (k - 1)
+    if not isinstance(variant, (Thm2, Thm2Plus3)):
+        raise ValueError(f"the z < 0 chart field is not defined for controller variant "
+                         f"{describe(variant)}")
+    u = [poly.substitute(q, [*_zneg_images(k), _mono(k + 1, 1.0, 1)])
+         for q in gain_law(k, variant.p2 if isinstance(variant, Thm2Plus3) else variant.p)]
+    if isinstance(variant, Thm2):
+        return u
+    chi_rho = [_mono(k + 1, 1.0, 0, j) for j in range(k)]
+    return [poly._add(q, poly.substitute(w, chi_rho))
+            for q, w in zip(u, compensation_zneg(k, variant.p3))]
+
+
+def directional_field(sys: NormalFormSystem, variant: Variant) -> list[dict]:
+    """The closed loop of ``variant`` in the z < 0 chart, as polynomials in
+    (chi_1..chi_m, rho, r_bar): x_i = rho^(k-i+1) chi_i, z = -rho and
+    eps = r_bar^(2k-1) substituted into the fast-time field x' = eps (f + v),
+    z' = g, pushed through the chart and divided by rho^(k-1). So rho' =
+    -g / rho^(k-1) = rho F(chi), with the radial rate F(chi) = -g / rho^k, and
+
+        chi_i' = r_bar^(2k-1) rho^(i-2k) (f_i + v_i) - (k-i+1) F(chi) chi_i,
+
+    with negative powers of rho > 0 and none of r_bar. Returned as [chi_1',
+    .., chi_m', rho']; r_bar = rho mu^(1/(2k-1)) is constant along orbits.
+    ``OpenLoop``, ``Thm2`` and ``Thm2Plus3`` are admitted. A drift that is not
+    polynomial, another variant or a row with its own fast field raises
+    ValueError.
     """
-    s = (-1.0) ** k
-    for i in range(k - 1):
-        s -= (-1.0) ** (i + 1) * chi[i]
-    return s
+    what = "the z < 0 chart field"
+    _require_g(sys, what)
+    k = sys.k
+    images = _zneg_images(k)
+    drift = [poly.substitute(f, [*images, _mono(k + 1, 1.0, 2 * k - 1)])
+             for f in _drift_polys(sys, what)]
+    drho = _times(poly.substitute(fast_poly(sys.fast, k), images), -1.0, {k - 1: 1 - k})
+    rate = _times(drho, 1.0, {k - 1: -1})
+    dchi = [poly._add(_times(poly._add(f, v), 1.0, {k - 1: i + 1 - 2 * k, k: 2 * k - 1}),
+                      _times(rate, -(k - i), {i: 1}))
+            for i, (f, v) in enumerate(zip(drift, _zneg_law(k, variant)))]
+    return [*dchi, drho]
+
+
+@lru_cache(maxsize=64)
+def _directional_trees(sys: NormalFormSystem, variant: Variant) -> tuple:
+    names = [*(f"chi{i}" for i in range(1, sys.k)), "rho", "rb"]
+    return names, [poly.render(q, names) for q in directional_field(sys, variant)]
 
 
 def desing_rhs_directional(c: DirectionalChartState, sys: NormalFormSystem,
-                           controller) -> tuple[float, np.ndarray, float]:
-    """Desingularized directional-chart field (rho', chi', mu').
+                           variant: Variant) -> tuple[float, np.ndarray, float]:
+    """Desingularized z < 0 chart field (rho', chi', mu') at ``c``.
 
-    rho' = rho F(chi), mu' = -(2k-1) mu F(chi) and
-
-        chi_i' = rho^(i-1) mu (f_i + u_i) - (k-i+1) F(chi) chi_i,
-
-    with f + u evaluated at the blown-down point. The controller receives
-    original coordinates (x, z, eps) and must include any compensation term.
-    A row with its own fast field is refused.
+    :func:`directional_field`, rendered once per (system, variant) and
+    walked at r_bar = rho mu^(1/(2k-1)); mu' = -(2k-1) mu rho' / rho. The
+    point's mu fixes eps = rho^(2k-1) mu, so the system's own epsilon is
+    not read. Variants and systems are refused as by :func:`directional_field`.
     """
-    _require_g(sys, "the z < 0 chart field")
     k = sys.k
-    chi = _vec(c.chi, k - 1, "chi")
-    state, eps = from_directional_zneg(c, k)
-    f = np.asarray(sys.slow_f(state.x, state.z, eps), dtype=float)
-    u = np.asarray(controller(state.x, state.z, eps), dtype=float)
-    if u.shape != (k - 1,):
-        raise ValueError(f"controller returned shape {u.shape}")
-    F = _radial_growth(chi, k)
-    rho, mu = c.rho, c.mu
-    dchi = np.array([rho**i * mu * (f[i] + u[i]) - (k - i) * F * chi[i] for i in range(k - 1)])
-    return rho * F, dchi, -(2 * k - 1) * mu * F
+    names, trees = _directional_trees(sys, variant)
+    env = dict(zip(names, [*_vec(c.chi, k - 1, "chi").tolist(), c.rho,
+                           c.rho * c.mu ** (1.0 / (2 * k - 1))]))
+    *dchi, drho = (walk(t, env) for t in trees)
+    return drho, np.array(dchi), -(2 * k - 1) * c.mu * drho / c.rho
 
 
 def family_time_rescale(epsilon: float, k: int) -> float:

@@ -122,7 +122,9 @@ def suite_fast_field_horner(rng: np.random.Generator) -> Iterator[float]:
 @_suite("slow-fast-scaling", tol=1e-14)
 def suite_slow_fast_scaling(rng: np.random.Generator) -> Iterator[float]:
     """Slow-time field of the analysis functions against the generated
-    open loop's field, u added to its slow components.
+    open loop's field, u added to its slow components: one drawn system
+    (drift and eps) per k = 2..6, so one compiled loop each, at 40 drawn
+    states and controls.
 
     The loop evaluates g by its own Horner expression, the analysis
     functions by a power sum scaled to fast time and back. The error is
@@ -130,18 +132,18 @@ def suite_slow_fast_scaling(rng: np.random.Generator) -> Iterator[float]:
     (1 + |z|^k + sum_i |x_i| |z|^(i-1)) / eps, and the largest slow
     component.
     """
-    for _ in range(200):
-        k = int(rng.integers(2, 7))
+    for k in range(2, 7):
         eps = float(rng.uniform(1e-3, 1.0))
         sysm = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=_random_field(rng, k - 1))
-        s = normal_form.State(x=rng.uniform(-2, 2, k - 1), z=rng.uniform(-2, 2))
-        u = rng.uniform(-2, 2, k - 1)
-        dxs, dzs = normal_form.eval_rhs_slow(sysm, s, u)
         rhs, _, _ = build_closed_loop(sysm, OpenLoop())
-        *fx, dz = rhs(0.0, np.append(s.x, s.z))
-        dx = np.array(fx) + u
-        terms = 1.0 + abs(s.z) ** k + sum(abs(xi) * abs(s.z) ** i for i, xi in enumerate(s.x))
-        yield _max_abs(dxs - dx, dzs - dz) / max(terms / eps, _max_abs(dx))
+        for _ in range(40):
+            s = normal_form.State(x=rng.uniform(-2, 2, k - 1), z=rng.uniform(-2, 2))
+            u = rng.uniform(-2, 2, k - 1)
+            dxs, dzs = normal_form.eval_rhs_slow(sysm, s, u)
+            *fx, dz = rhs(0.0, np.append(s.x, s.z))
+            dx = np.array(fx) + u
+            terms = 1.0 + abs(s.z) ** k + sum(abs(xi) * abs(s.z) ** i for i, xi in enumerate(s.x))
+            yield _max_abs(dxs - dx, dzs - dz) / max(terms / eps, _max_abs(dx))
 
 
 @_suite("degeneracy-origin", tol=0.0)
@@ -266,22 +268,18 @@ def suite_scale_behavior(rng: np.random.Generator) -> Iterator[float]:
 
 def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
     """One tangency sample: J_blowdown @ chart field vs fast field / rho^(k-1)."""
-    sysm = normal_form.NormalFormSystem(k=k, epsilon=1.0, slow_f=_random_field(rng, k - 1))
-    p2 = _random_p2(rng, k)
-    p3 = control.Theorem3Params(K=rng.uniform(0.0, 5.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2))
-
-    def ctrl(x, z, eps):
-        sys_eps = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=sysm.slow_f)
-        return control.evaluate(law(sys_eps, Thm2Plus3(p2, p3)), x, z)
-
+    slow_f = _random_field(rng, k - 1)
+    variant = Thm2Plus3(_random_p2(rng, k), control.Theorem3Params(
+        K=rng.uniform(0.0, 5.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2)))
     # rho <= 1 keeps the rho^(2k-1) powers from amplifying the finite
     # difference truncation error past the certificate tolerance
     rho = float(rng.uniform(0.2, 1.0))
     chi = rng.uniform(-1.5, 1.5, k - 1)
     mu = float(rng.uniform(0.1, 1.5))
     c = blowup.DirectionalChartState(rho=rho, chi=chi, mu=mu)
-    drho, dchi, dmu = blowup.desing_rhs_directional(c, sysm, ctrl)
-    chart_field = np.concatenate(([drho], dchi, [dmu]))
+    st, eps = blowup.from_directional_zneg(c, k)
+    sysm = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=slow_f)
+    chart_field = np.hstack(blowup.desing_rhs_directional(c, sysm, variant))
 
     def blowdown_vec(v: np.ndarray) -> np.ndarray:
         cs = blowup.DirectionalChartState(rho=v[0], chi=v[1:k], mu=v[k])
@@ -294,9 +292,7 @@ def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
                       for e, h in zip(np.diag(steps), steps)])
 
     pushed = J @ chart_field
-    st, eps = blowup.from_directional_zneg(c, k)
-    sys_eps = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=sysm.slow_f)
-    dx, dz = normal_form.eval_rhs_fast(sys_eps, st, ctrl(st.x, st.z, eps))
+    dx, dz = normal_form.eval_rhs_fast(sysm, st, control.evaluate(law(sysm, variant), st.x, st.z))
     fast = np.concatenate((dx, [dz, 0.0]))
     err = np.abs(rho ** (k - 1) * pushed - fast)
     scale = max(1.0, float(np.max(np.abs(fast))))

@@ -9,6 +9,7 @@ from slowfast.blowup import (
     closed_loop_rhs_family,
     compensation_zneg,
     desing_rhs_directional,
+    directional_field,
     family_field,
     family_loop,
     family_time_rescale,
@@ -17,8 +18,8 @@ from slowfast.blowup import (
     to_directional_zneg,
     to_family_chart,
 )
-from slowfast.closedloop import Thm2, build_closed_loop
-from slowfast.control import Theorem2Params, Theorem3Params
+from slowfast.closedloop import HighGain, OpenLoop, Thm2, Thm2Plus3, build_closed_loop, law
+from slowfast.control import Theorem2Params, Theorem3Params, evaluate
 from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
 from slowfast.sim import IntegratorConfig, integrate
 from slowfast.systems import TunnelDiodeSystem
@@ -104,6 +105,12 @@ class TestDirectionalChart:
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError, match="rho"):
             DirectionalChartState(rho=0.0, chi=[1.0], mu=0.1)
+
+    @pytest.mark.parametrize("mu", [-1e-300, -0.5, float("nan"), float("inf")])
+    def test_invalid_mu_rejected(self, mu):
+        # eps = rho^(2k-1) mu would blow down negative or not finite
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+            DirectionalChartState(rho=0.5, chi=[1.0], mu=mu)
 
 
 @st.composite
@@ -290,16 +297,102 @@ def test_chart_fields_refuse_a_row_with_its_own_fast_field():
                                sys, p)
     with pytest.raises(ValueError, match=r"z < 0 chart field is not defined .* own fast field, '-\(3"):
         desing_rhs_directional(DirectionalChartState(rho=0.5, chi=[0.0, 0.0], mu=0.1), sys,
-                               lambda x, z, e: np.zeros(2))
+                               OpenLoop())
+
+
+def _reference_directional(c, sys, variant):
+    """(rho', chi', mu') written out in numpy: f + u at the blown-down point,
+    the law's trees walked at eps = rho^(2k-1) mu, and the radial rate
+    F(chi) = (-1)^k - sum_i (-1)^i chi_i by hand, so chi_i' =
+    rho^(i-1) mu (f_i + u_i) - (k-i+1) F chi_i and mu' = -(2k-1) mu F."""
+    k = sys.k
+    chi = np.asarray(c.chi, dtype=float)
+    st, eps = from_directional_zneg(c, k)
+    sys_eps = NormalFormSystem(k=k, epsilon=eps, slow_f=sys.slow_f)
+    f = np.asarray(sys.slow_f(st.x, st.z, eps), dtype=float)
+    u = np.asarray(evaluate(law(sys_eps, variant), st.x, st.z), dtype=float)
+    F = (-1.0) ** k - sum((-1.0) ** (i + 1) * chi[i] for i in range(k - 1))
+    dchi = np.array([c.rho ** i * c.mu * (f[i] + u[i]) - (k - i) * F * chi[i]
+                     for i in range(k - 1)])
+    return c.rho * F, dchi, -(2 * k - 1) * c.mu * F
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_directional_field_matches_the_numpy_reference(k):
+    # every variant the chart admits, at seeded chart points; the worst
+    # error relative to max(1, |field|) over these 300 samples is 2.6e-15
+    rng = np.random.default_rng(70 + k)
+    for _ in range(20):
+        sys = NormalFormSystem(k=k, epsilon=1.0, slow_f=_affine_drift(rng, k - 1))
+        p2 = Theorem2Params(c=rng.uniform(-2, 2, k - 1), a=rng.uniform(0.1, 10.0, k - 1),
+                            b=rng.uniform(0.1, 10.0))
+        p3 = Theorem3Params(K=rng.uniform(0.0, 20.0, k - 1),
+                            chi_star=[-rng.uniform(1.01, 4.0)] + [0.0] * (k - 2))
+        for variant in (OpenLoop(), Thm2(p2), Thm2Plus3(p2, p3)):
+            c = DirectionalChartState(rho=rng.uniform(0.2, 1.5), chi=rng.uniform(-1.5, 1.5, k - 1),
+                                      mu=rng.uniform(0.05, 1.5))
+            got = np.hstack(desing_rhs_directional(c, sys, variant))
+            want = np.hstack(_reference_directional(c, sys, variant))
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_directional_field_monomials(k):
+    # rho'/rho is the radial rate F(chi) = (-1)^k - sum_i (-1)^i chi_i alone;
+    # r_bar never has a negative power and rho none below 1 - 2k
+    rng = np.random.default_rng(k)
+    sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(rng, k - 1))
+    p2 = Theorem2Params(c=rng.uniform(-2, 2, k - 1), a=rng.uniform(0.1, 10.0, k - 1), b=2.0)
+    p3 = Theorem3Params(K=rng.uniform(0.0, 20.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2))
+    *dchi, drho = directional_field(sys, Thm2Plus3(p2, p3))
+    rate = {tuple(0 if j == k - 1 else n for j, n in enumerate(e)): c for e, c in drho.items()}
+    assert all(e[k - 1] == 1 and e[k] == 0 for e in drho)
+    assert rate == {(0,) * (k + 1): (-1.0) ** k,
+                    **{tuple(int(j == i) for j in range(k + 1)): (-1.0) ** i
+                       for i in range(k - 1)}}
+    assert all(e[k] >= 0 and e[k - 1] >= 1 - 2 * k for q in dchi for e in q)
+    assert min(e[k - 1] for q in dchi for e in q) == 1 - 2 * k
+
+
+def test_directional_field_on_the_eps_zero_slice():
+    # mu = 0: the slow drift and the law drop out and chi' = -(k-i+1) F chi
+    k, chi = 3, np.array([0.4, -0.3])
+    sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(np.random.default_rng(1), 2))
+    variant = Thm2(Theorem2Params(c=[1.0, -1.0], a=[2.0, 3.0], b=4.0))
+    drho, dchi, dmu = desing_rhs_directional(DirectionalChartState(0.7, chi, 0.0), sys, variant)
+    F = -1.0 + chi[0] - chi[1]
+    assert drho == pytest.approx(0.7 * F, rel=1e-15)
+    assert dchi.tolist() == pytest.approx([-3 * F * chi[0], -2 * F * chi[1]], rel=1e-15)
+    assert dmu == 0.0
+
+
+def test_directional_field_reads_eps_from_the_chart_point():
+    rng = np.random.default_rng(5)
+    drift = _affine_drift(rng, 2)
+    variant = Thm2(Theorem2Params(c=[1.0, -1.0], a=[2.0, 3.0], b=4.0))
+    c = DirectionalChartState(rho=0.6, chi=[0.2, -0.1], mu=0.3)
+    a, b = (np.hstack(desing_rhs_directional(c, NormalFormSystem(k=3, epsilon=e, slow_f=drift),
+                                             variant)) for e in (1e-3, 0.5))
+    assert np.array_equal(a, b)
+
+
+def test_directional_field_refuses_other_variants_and_drifts():
+    sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)))
+    with pytest.raises(ValueError, match=r"z < 0 chart field is not defined for controller "
+                                         r"variant highgain"):
+        directional_field(sys, HighGain(a=[1.0], b=1.0))
+    with pytest.raises(ValueError, match="params sized for k = 3, got k = 2"):
+        directional_field(sys, Thm2(Theorem2Params(c=[0.0, 0.0], a=[1.0, 1.0], b=1.0)))
+    sin = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + sin(z)",)))
+    with pytest.raises(ValueError, match=r"z < 0 chart field needs a polynomial drift"):
+        directional_field(sin, OpenLoop())
 
 
 class TestDesingDirectional:
     def test_radial_rate_at_chi_zero(self):
         sys = NormalFormSystem(k=2, epsilon=1.0, slow_f=zero_f)
         c = DirectionalChartState(rho=0.7, chi=[0.0], mu=0.4)
-        drho, dchi, dmu = desing_rhs_directional(
-            c, sys, lambda x, z, e: np.zeros(1)
-        )
+        drho, dchi, dmu = desing_rhs_directional(c, sys, OpenLoop())
         assert drho == pytest.approx(0.7)  # F = 1 for k even at chi = 0
         assert dchi == pytest.approx([0.0])
         assert dmu == pytest.approx(-3 * 0.4)
@@ -307,9 +400,7 @@ class TestDesingDirectional:
     def test_radial_rate_at_chi_one(self):
         sys = NormalFormSystem(k=2, epsilon=1.0, slow_f=zero_f)
         c = DirectionalChartState(rho=0.5, chi=[1.0], mu=0.25)
-        drho, dchi, dmu = desing_rhs_directional(
-            c, sys, lambda x, z, e: np.zeros(1)
-        )
+        drho, dchi, dmu = desing_rhs_directional(c, sys, OpenLoop())
         assert drho == pytest.approx(1.0)  # F = 2
         assert dchi == pytest.approx([-4.0])
         assert dmu == pytest.approx(-6 * 0.25)
@@ -318,17 +409,12 @@ class TestDesingDirectional:
         # w = K (x z + (-z)^3 chi*) appears in chi' as K mu rho^3 (chi* - chi)
         K, chi_star = 10.0, -2.0
         sys = NormalFormSystem(k=2, epsilon=1.0, slow_f=zero_f)
-
-        def comp_only(x, z, eps):
-            return np.array([K * (x[0] * z + (-z) ** 3 * chi_star)])
-
+        p2 = Theorem2Params(c=[0.0], a=[1.0], b=3.0)
         rho, chi, mu = 0.8, 0.3, 0.6
         c = DirectionalChartState(rho=rho, chi=[chi], mu=mu)
-        _, dchi, _ = desing_rhs_directional(c, sys, comp_only)
-        base = DirectionalChartState(rho=rho, chi=[chi], mu=mu)
-        _, dchi0, _ = desing_rhs_directional(
-            base, sys, lambda x, z, e: np.zeros(1)
-        )
+        _, dchi, _ = desing_rhs_directional(
+            c, sys, Thm2Plus3(p2, Theorem3Params(K=[K], chi_star=[chi_star])))
+        _, dchi0, _ = desing_rhs_directional(c, sys, Thm2(p2))
         contribution = dchi[0] - dchi0[0]
         assert contribution == pytest.approx(
             K * mu * rho**3 * (chi_star - chi), rel=1e-12
@@ -362,9 +448,7 @@ class TestDesingDirectional:
         sys = NormalFormSystem(k=k, epsilon=1.0, slow_f=ExprSlowField(("0.5", "-1 / 3")))
         subs = {rho_s: 0.9, mu_s: 0.7, chi_s[0]: -1.2, chi_s[1]: 0.4}
         c = DirectionalChartState(rho=0.9, chi=[-1.2, 0.4], mu=0.7)
-        drho_n, dchi_n, dmu_n = desing_rhs_directional(
-            c, sys, lambda xv, zv, ev: np.zeros(2)
-        )
+        drho_n, dchi_n, dmu_n = desing_rhs_directional(c, sys, OpenLoop())
         assert drho_n == pytest.approx(float(desing[0].subs(subs)), rel=1e-12)
         assert dchi_n[0] == pytest.approx(float(desing[1].subs(subs)), rel=1e-12)
         assert dchi_n[1] == pytest.approx(float(desing[2].subs(subs)), rel=1e-12)

@@ -80,12 +80,26 @@ def _imported_modules(tree: ast.Module, package: str) -> set[str]:
     return found
 
 
+# the modules a simulation, reproduction or sweep runs through
+RUN_PATH = ["sim", "closedloop", "control", "normal_form", "roa", "scenarios", "systems",
+            "lyapunov", "poly", "cli"]
+
+
+def _imports(module: str) -> set[str]:
+    with open(importlib.import_module(f"slowfast.{module}").__file__, encoding="utf-8") as fh:
+        return _imported_modules(ast.parse(fh.read()), "slowfast")
+
+
 def test_control_imports_nothing_from_blowup():
-    # the laws sit below the charts: blowup uses control, never the reverse
-    with open(importlib.import_module("slowfast.control").__file__, encoding="utf-8") as fh:
-        imported = _imported_modules(ast.parse(fh.read()), "slowfast")
-    assert "slowfast.normal_form" in imported
-    assert not [m for m in imported if m.split(".")[:2] == ["slowfast", "blowup"]]
+    # the laws and the loops sit below the charts: blowup uses control and
+    # the variant records of closedloop, and no module on a run path
+    # imports blowup, not even inside a function
+    assert {"slowfast.normal_form"} <= _imports("control")
+    assert {"slowfast.closedloop", "slowfast.control"} <= _imports("blowup")
+    assert set(RUN_PATH) < {name.split(".")[1] for name in MODULES}
+    for module in RUN_PATH:
+        found = [m for m in _imports(module) if m.split(".")[:2] == ["slowfast", "blowup"]]
+        assert not found, (module, found)
 
 
 # the names ``slowfast`` re-exports, by the module that defines them
