@@ -20,8 +20,9 @@ family field (:func:`family_field`, regular on the sphere r_bar = 0 and
 generated as a loop like the slow-time ones, :func:`family_loop`), the
 compensation in the z < 0 chart (:func:`compensation_zneg`) and the closed
 loop in that chart (:func:`directional_field`), whose radial rate comes out
-of g. The law templates of :mod:`slowfast.control` are expanded once in
-their own names, and a law's gains enter by substitution.
+of g. The laws come from :mod:`slowfast.control` and
+:func:`slowfast.closedloop.law` with their gain powers as names, and a
+chart puts in those powers of its radius by substitution.
 """
 from __future__ import annotations
 
@@ -31,11 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import control, poly
-from .closedloop import OpenLoop, Thm2, Thm2Plus3, Variant, describe
-from .control import Theorem2Params, Theorem3Params, _check_order
+from . import poly
+from .closedloop import Variant, law
+from .control import Theorem2Params, Theorem3Params, _check_order, thm2_template, thm3_law
 from .normal_form import (NormalFormSystem, State, _drift_trees, _env, _names, _require_g,
-                          _vec, parse_expression, walk)
+                          _vec, parse_expression)
 from .sim import compile_loop
 
 __all__ = ["FamilyChartState", "DirectionalChartState", "to_family_chart", "from_family_chart",
@@ -125,28 +126,28 @@ def _drift_polys(sys: NormalFormSystem, what: str) -> list[dict]:
                          f"{exc}") from None
 
 
-@lru_cache(maxsize=64)
-def _expanded(src: str, names: tuple[str, ...], bound: tuple = ()) -> dict:
-    # cached and shared, so read only: substitute and _add build new dicts
-    return poly.expand(parse_expression(src, _env(names, bound)), list(names))
+def _gain_polys(k: int, trees: list, images: list) -> list[dict]:
+    """Trees of a law in x1..xm, z and the gain powers px and pz, expanded
+    and substituted: the images of x1..xm, z in n names, and px = r^-k and
+    pz = r^-1 for r = eps^(1/(2k-1)), the last of those names."""
+    n = len(images[0][1])
+    images = [*images, _mono(n, 1.0, -k), _mono(n, 1.0, -1)]
+    names = [*_names(k - 1)[:-1], "px", "pz"]
+    return [poly.substitute(poly.expand(t, names), images) for t in trees]
 
 
 def fast_poly(fast: str, k: int) -> dict:
     """Monomials in x1..xm, z of the fast-field text ``fast`` with epsilon = 1."""
-    return dict(_expanded(fast, _names(k - 1)[:-1], (("epsilon", 1.0),)))
+    names = list(_names(k - 1)[:-1])
+    return poly.expand(parse_expression(fast, _env(names, {"epsilon": 1.0})), names)
 
 
 def gain_law(k: int, p: Theorem2Params) -> list[dict]:
     """The baseline law in x1..xm, z and r = eps^(1/(2k-1)):
-    ``control.THM2_TEMPLATE``, expanded once in its own names, with c_i and
-    a_i substituted and the gain powers px = r^-k and bz = b r^-1."""
+    ``control.THM2_TEMPLATE`` with px = r^-k and pz = r^-1."""
     _check_order(k, p.a)
-    first, rest = control.THM2_TEMPLATE
-    gains = [_mono(k + 1, 1.0, -k), _mono(k + 1, p.b, -1)]
-    return [poly.substitute(_expanded(rest if i else first, ("x", "z", "c", "a", "px", "bz")),
-                            [_mono(k + 1, 1.0, 0, i), _mono(k + 1, 1.0, 0, k - 1),
-                             _mono(k + 1, c, 0), _mono(k + 1, a, 0), *gains])
-            for i, (c, a) in enumerate(zip(p.c, p.a))]
+    return _gain_polys(k, thm2_template(p, "px", "pz"),
+                       [_mono(k + 1, 1.0, 0, j) for j in range(k)])
 
 
 def family_law(k: int, p: Theorem2Params) -> list[dict]:
@@ -194,16 +195,10 @@ def closed_loop_rhs_family(c: FamilyChartState, sys: NormalFormSystem,
 
 
 def compensation_zneg(k: int, p: Theorem3Params) -> list[dict]:
-    """``control.THM3_TEMPLATE``, expanded once per power in its own names,
-    with K_i and chi*_i substituted and x_i = rho^(k-i+1) chi_i and z = -rho,
-    in (chi_1..chi_m, rho): K_i rho^(k-i+2) (chi*_i - chi_i). Its monomial
-    K chi z^(k+1) has degree k + 3, so k up to 9 (``poly.MAX_DEGREE``)."""
-    _check_order(k, p.K)
-    *xs, z = _blow_down(k, k, -1.0)
-    return [poly.substitute(_expanded(control.THM3_TEMPLATE, ("x", "z", "K", "chi"),
-                                      (("n", k + 1 - i),)),
-                            [x, z, _mono(k, K, 0), _mono(k, chi, 0)])
-            for i, (x, K, chi) in enumerate(zip(xs, p.K, p.chi_star))]
+    """``control.thm3_law`` under x_i = rho^(k-i+1) chi_i and z = -rho, in
+    (chi_1..chi_m, rho): K_i rho^(k-i+2) (chi*_i - chi_i)."""
+    images = _blow_down(k, k, -1.0)
+    return [poly.substitute(poly.expand(t, _names(k - 1)[:-1]), images) for t in thm3_law(k, p)]
 
 
 def to_directional_zneg(s: State, epsilon: float, k: int) -> DirectionalChartState:
@@ -226,29 +221,6 @@ def from_directional_zneg(c: DirectionalChartState, k: int) -> tuple[State, floa
     return State(x=x, z=-rho), rho ** (2 * k - 1) * c.mu
 
 
-def _zneg_images(k: int) -> list:
-    """Images in (chi_1..chi_m, rho, r_bar) of x_i = rho^(k-i+1) chi_i and z = -rho."""
-    return [(c, (*e, 0)) for c, e in _blow_down(k, k, -1.0)]
-
-
-def _zneg_law(k: int, variant: Variant) -> list[dict]:
-    """The control of ``variant`` in (chi_1..chi_m, rho, r_bar): :func:`gain_law`
-    under x_i = rho^(k-i+1) chi_i, z = -rho and r = r_bar, plus
-    :func:`compensation_zneg` for ``Thm2Plus3``."""
-    if isinstance(variant, OpenLoop):
-        return [{}] * (k - 1)
-    if not isinstance(variant, (Thm2, Thm2Plus3)):
-        raise ValueError(f"the z < 0 chart field is not defined for controller variant "
-                         f"{describe(variant)}")
-    u = [poly.substitute(q, [*_zneg_images(k), _mono(k + 1, 1.0, 1)])
-         for q in gain_law(k, variant.p2 if isinstance(variant, Thm2Plus3) else variant.p)]
-    if isinstance(variant, Thm2):
-        return u
-    chi_rho = [_mono(k + 1, 1.0, 0, j) for j in range(k)]
-    return [poly._add(q, poly.substitute(w, chi_rho))
-            for q, w in zip(u, compensation_zneg(k, variant.p3))]
-
-
 def directional_field(sys: NormalFormSystem, variant: Variant) -> list[dict]:
     """The closed loop of ``variant`` in the z < 0 chart, as polynomials in
     (chi_1..chi_m, rho, r_bar): x_i = rho^(k-i+1) chi_i, z = -rho and
@@ -260,44 +232,49 @@ def directional_field(sys: NormalFormSystem, variant: Variant) -> list[dict]:
 
     with negative powers of rho > 0 and none of r_bar. Returned as [chi_1',
     .., chi_m', rho']; r_bar = rho mu^(1/(2k-1)) is constant along orbits.
-    ``OpenLoop``, ``Thm2`` and ``Thm2Plus3`` are admitted. A drift that is not
-    polynomial, another variant or a row with its own fast field raises
-    ValueError.
+    The control v is :func:`slowfast.closedloop.law` with its gain powers
+    px = r_bar^-k and pz = r_bar^-1, so the variants are those that law
+    admits with named gain powers. A drift that is not polynomial, a
+    variant that law refuses, a row with its own fast field or a law or g of
+    degree over ``poly.MAX_DEGREE`` in x and z (the compensation's is k + 1,
+    so k up to 11) raises ValueError.
     """
     what = "the z < 0 chart field"
     _require_g(sys, what)
     k = sys.k
-    images = _zneg_images(k)
+    images = [(c, (*e, 0)) for c, e in _blow_down(k, k, -1.0)]
     drift = [poly.substitute(f, [*images, _mono(k + 1, 1.0, 2 * k - 1)])
              for f in _drift_polys(sys, what)]
-    drho = _times(poly.substitute(fast_poly(sys.fast, k), images), -1.0, {k - 1: 1 - k})
+    try:
+        v = _gain_polys(k, law(sys, variant, ("px", "pz")), images)
+        g = fast_poly(sys.fast, k)
+    except poly.NotPolynomial as exc:
+        raise ValueError(f"{what} at k = {k}: {exc}") from None
+    drho = _times(poly.substitute(g, images), -1.0, {k - 1: 1 - k})
     rate = _times(drho, 1.0, {k - 1: -1})
-    dchi = [poly._add(_times(poly._add(f, v), 1.0, {k - 1: i + 1 - 2 * k, k: 2 * k - 1}),
+    dchi = [poly._add(_times(poly._add(f, u), 1.0, {k - 1: i + 1 - 2 * k, k: 2 * k - 1}),
                       _times(rate, -(k - i), {i: 1}))
-            for i, (f, v) in enumerate(zip(drift, _zneg_law(k, variant)))]
+            for i, (f, u) in enumerate(zip(drift, v))]
     return [*dchi, drho]
 
 
-@lru_cache(maxsize=64)
-def _directional_trees(sys: NormalFormSystem, variant: Variant) -> tuple:
-    names = [*(f"chi{i}" for i in range(1, sys.k)), "rho", "rb"]
-    return names, [poly.render(q, names) for q in directional_field(sys, variant)]
+def _value(p: dict, values: list[float]) -> float:
+    """``p`` at ``values``, one per name: each coefficient times its powers."""
+    return sum(c * math.prod(v ** n for v, n in zip(values, e) if n) for e, c in p.items())
 
 
 def desing_rhs_directional(c: DirectionalChartState, sys: NormalFormSystem,
                            variant: Variant) -> tuple[float, np.ndarray, float]:
     """Desingularized z < 0 chart field (rho', chi', mu') at ``c``.
 
-    :func:`directional_field`, rendered once per (system, variant) and
-    walked at r_bar = rho mu^(1/(2k-1)); mu' = -(2k-1) mu rho' / rho. The
-    point's mu fixes eps = rho^(2k-1) mu, so the system's own epsilon is
-    not read. Variants and systems are refused as by :func:`directional_field`.
+    :func:`directional_field`, its monomials evaluated at r_bar = rho
+    mu^(1/(2k-1)); mu' = -(2k-1) mu rho' / rho. The point's mu fixes eps =
+    rho^(2k-1) mu, so the system's own epsilon is not read. Variants and
+    systems are refused as by :func:`directional_field`.
     """
-    k = sys.k
-    names, trees = _directional_trees(sys, variant)
-    env = dict(zip(names, [*_vec(c.chi, k - 1, "chi").tolist(), c.rho,
-                           c.rho * c.mu ** (1.0 / (2 * k - 1))]))
-    *dchi, drho = (walk(t, env) for t in trees)
+    k, field = sys.k, directional_field(sys, variant)
+    values = [*_vec(c.chi, k - 1, "chi").tolist(), c.rho, c.rho * c.mu ** (1.0 / (2 * k - 1))]
+    *dchi, drho = (_value(q, values) for q in field)
     return drho, np.array(dchi), -(2 * k - 1) * c.mu * drho / c.rho
 
 

@@ -15,7 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from .control import Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm3_law
+from .control import (Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm2_template,
+                      thm3_law)
 from .normal_form import ExprSlowField, _require_g, parse_expression
 from .sim import (BALL, IntegratorConfig, NonFiniteError, Outcome, Trajectory, classify,
                   compile_loop, integrate)
@@ -98,36 +99,47 @@ def drift_at_origin(system) -> list[float]:
     return f0.tolist()
 
 
-def law(system, variant: Variant) -> list:
+def law(system, variant: Variant, powers: tuple[str, str] | None = None) -> list:
     """Checked trees of the additive control v_1..v_m of ``variant`` on
     ``system``, in x1..xm and z.
 
     This is the one place where a controller becomes a control: closed
-    loops compile these trees, the verification suites evaluate them and
-    config checks build them. The baseline gains scale with the system's
-    degeneracy order ``k``; a defaulted ``c`` and ``cancel_constants``
-    cancel the drift at the origin. Compensation is designed in the z < 0
-    chart of the normal form, so it needs the normal form's fast field: a
-    system with its own, the circuit, is refused. A variant that cannot run
-    on the system raises ValueError.
+    loops compile these trees, the verification suites evaluate them, config
+    checks build them and the blow-up expands them. The baseline gains scale
+    with the system's degeneracy order ``k``; a defaulted ``c`` and
+    ``cancel_constants`` cancel the drift at the origin. Compensation is
+    designed in the z < 0 chart of the normal form, so it needs the normal
+    form's fast field: a system with its own, the circuit, is refused. A
+    variant that cannot run on the system raises ValueError.
+
+    Given ``powers``, a pair of names, the baseline law's gain powers px =
+    eps^(-k/(2k-1)) and pz = eps^(-1/(2k-1)) are those names in place of
+    numbers of the system's epsilon, for the blow-up to put in powers of its
+    radius; the high-gain law, whose gains are not these powers, is then
+    refused.
     """
     k, m, eps = system.k, system.n_slow, float(system.epsilon)
+
+    def baseline(p: Theorem2Params) -> list:
+        _check_size(p.a, m)
+        return thm2_law(eps, k, p) if powers is None else thm2_template(p, *powers)
+
     if isinstance(variant, OpenLoop):
         return [ast.Constant(0.0)] * m
     if isinstance(variant, HighGain):
+        if powers is not None:
+            raise ValueError(f"controller variant {describe(variant)} has no gain powers "
+                             f"eps^(-k/(2k-1)), eps^(-1/(2k-1)) to name")
         _check_size(variant.a, m)
         const = drift_at_origin(system) if variant.cancel_constants else None
         return highgain_law(variant.a, variant.b, eps, const)
     if isinstance(variant, Thm2):
-        _check_size(variant.p.a, m)
-        return thm2_law(eps, k, variant.p)
+        return baseline(variant.p)
     if isinstance(variant, Thm2Plus3):
         _require_g(system, f"controller variant {describe(variant)}")
-        p2, p3 = variant.p2, variant.p3
-        _check_size(p2.a, m)
-        _check_size(p3.K, m)
-        return [ast.BinOp(u, ast.Add(), w)
-                for u, w in zip(thm2_law(eps, k, p2), thm3_law(k, p3))]
+        u = baseline(variant.p2)
+        _check_size(variant.p3.K, m)
+        return [ast.BinOp(v, ast.Add(), w) for v, w in zip(u, thm3_law(k, variant.p3))]
     raise TypeError(f"unknown controller variant {variant!r}")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .normal_form import _vec, parse_expression, walk
 
-__all__ = ["Theorem2Params", "Theorem3Params", "THM2_TEMPLATE", "THM3_TEMPLATE", "thm2_law",
+__all__ = ["Theorem2Params", "Theorem3Params", "THM2_TEMPLATE", "thm2_template", "thm2_law",
            "thm3_law", "highgain_law", "evaluate", "closed_loop_jacobian_origin",
            "eigenvalues_origin"]
 
@@ -84,13 +84,20 @@ class Theorem3Params:
                 raise ValueError("chi_star[j] must be 0 for j >= 2")
 
 
-#: the baseline law's text for u_1 and for u_i, i >= 2, in which px and bz
-#: are the gain powers: numbers in :func:`thm2_law`, names in the blow-up
-THM2_TEMPLATE = ("-c - px * a * x + bz * z", "-c - px * a * x")
+#: the baseline law's text for u_1 and for u_i, i >= 2, in which px and pz
+#: are the gain powers eps^(-k/(2k-1)) and eps^(-1/(2k-1)): numbers in
+#: :func:`thm2_law`, names in the blow-up
+THM2_TEMPLATE = ("-c - px * a * x + b * pz * z", "-c - px * a * x")
 
-#: the compensation's text for w_i, whose power n = k - i + 2 is bound to a
-#: number; K and chi are numbers in :func:`thm3_law`, names in the blow-up
-THM3_TEMPLATE = "K * (x * z + (-z) ** n * chi)"
+
+def thm2_template(p: Theorem2Params, px, pz) -> list:
+    """:data:`THM2_TEMPLATE` as checked trees u_1..u_m in x1..xm and z, with
+    px and pz bound to numbers or, given as strings, renamed to locals."""
+    first, rest = THM2_TEMPLATE
+    return [parse_expression(first if i == 1 else rest,
+                             {"c": c, "px": px, "a": a, "b": p.b, "pz": pz, "x": f"x{i}",
+                              "z": "z"})
+            for i, (c, a) in enumerate(zip(p.c, p.a), 1)]
 
 
 def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
@@ -106,19 +113,16 @@ def thm2_law(epsilon: float, k: int, p: Theorem2Params) -> list:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     inv = 1.0 / epsilon
-    px, bz = inv ** (k / (2 * k - 1)), p.b * inv ** (1.0 / (2 * k - 1))
-    first, rest = THM2_TEMPLATE
-    return [parse_expression(first if i == 1 else rest,
-                             {"c": c, "px": px, "a": a, "bz": bz, "x": f"x{i}", "z": "z"})
-            for i, (c, a) in enumerate(zip(p.c, p.a), 1)]
+    return thm2_template(p, inv ** (k / (2 * k - 1)), inv ** (1.0 / (2 * k - 1)))
 
 
 def thm3_law(k: int, p: Theorem3Params) -> list:
     """Compensation law as checked trees w_i = K_i (x_i z + (-z)^(k-i+2) chi*_i)
-    of k - 1 gains (else ValueError), from :data:`THM3_TEMPLATE`."""
+    of k - 1 gains (else ValueError)."""
     _check_order(k, p.K)
     terms = zip(p.K, range(k + 1, 2, -1), p.chi_star)
-    return [parse_expression(THM3_TEMPLATE, {"K": K, "n": n, "chi": chi, "x": f"x{i}", "z": "z"})
+    return [parse_expression("K * (x * z + (-z) ** n * chi)",
+                             {"K": K, "n": n, "chi": chi, "x": f"x{i}", "z": "z"})
             for i, (K, n, chi) in enumerate(terms, 1)]
 
 

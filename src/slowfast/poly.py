@@ -17,8 +17,6 @@ __all__ = ["NotPolynomial", "MAX_DEGREE", "expand", "substitute", "render"]
 #: highest monomial degree an expansion may reach
 MAX_DEGREE = 12
 
-_LOAD, _POW, _MULT, _ADD = ast.Load(), ast.Pow(), ast.Mult(), ast.Add()
-
 
 class NotPolynomial(ValueError):
     """A tree is not a polynomial of the admitted form."""
@@ -109,19 +107,12 @@ def substitute(p: dict, images: list) -> dict:
 
 def render(p: dict, names: list[str]) -> ast.expr:
     """Checked tree of ``p`` in the local ``names``: the sum of its terms in
-    order, each its coefficient times integral powers; 0.0 when empty. The
-    terms share one node per power and one instance per operator, as
-    ``ast.parse`` shares contexts, since a walk or a compile only reads the
-    tree; fewer new nodes make a render cheaper."""
-    powers: dict = {}
+    order, each its coefficient times integral powers; 0.0 when empty."""
+    def power(name, d):
+        node = ast.Name(name, ast.Load())
+        return node if d == 1 else ast.BinOp(node, ast.Pow(), ast.Constant(float(d)))
 
-    def power(j, d):
-        if (j, d) not in powers:
-            node = ast.Name(names[j], _LOAD)
-            powers[j, d] = node if d == 1 else ast.BinOp(node, _POW, ast.Constant(float(d)))
-        return powers[j, d]
-
-    terms = [reduce(lambda a, b: ast.BinOp(a, _MULT, b),
-                    [power(j, d) for j, d in enumerate(e) if d], ast.Constant(float(c)))
+    terms = [reduce(lambda a, b: ast.BinOp(a, ast.Mult(), b),
+                    [power(n, d) for n, d in zip(names, e) if d], ast.Constant(float(c)))
              for e, c in p.items()]
-    return reduce(lambda a, b: ast.BinOp(a, _ADD, b), terms) if terms else ast.Constant(0.0)
+    return reduce(lambda a, b: ast.BinOp(a, ast.Add(), b), terms) if terms else ast.Constant(0.0)

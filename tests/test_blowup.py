@@ -336,6 +336,35 @@ def test_directional_field_matches_the_numpy_reference(k):
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("k", [10, 11])
+def test_directional_field_up_to_the_compensation_degree(k):
+    # the compensation's monomial K chi* z^(k+1) reaches poly.MAX_DEGREE = 12 at k = 11
+    rng = np.random.default_rng(k)
+    sys = NormalFormSystem(k=k, epsilon=1.0, slow_f=_affine_drift(rng, k - 1))
+    p2 = Theorem2Params(c=rng.uniform(-2, 2, k - 1), a=rng.uniform(0.1, 10.0, k - 1), b=2.0)
+    p3 = Theorem3Params(K=rng.uniform(0.0, 20.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2))
+    for i, (q, K, chi) in enumerate(zip(compensation_zneg(k, p3), p3.K, p3.chi_star)):
+        # K_i rho^(k-i+2) (chi*_i - chi_i), i from 1
+        rho = tuple(k - i + 1 if j == k - 1 else 0 for j in range(k))
+        want = {rho: K * chi, tuple(n + (j == i) for j, n in enumerate(rho)): -K}
+        assert {e: c for e, c in q.items() if c} == {e: c for e, c in want.items() if c}
+    for _ in range(5):
+        c = DirectionalChartState(rho=rng.uniform(0.5, 1.0), chi=rng.uniform(-1.0, 1.0, k - 1),
+                                  mu=rng.uniform(0.05, 1.5))
+        got = np.hstack(desing_rhs_directional(c, sys, Thm2Plus3(p2, p3)))
+        want = np.hstack(_reference_directional(c, sys, Thm2Plus3(p2, p3)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_directional_field_refuses_a_law_over_the_degree_bound():
+    sys = NormalFormSystem(k=12, epsilon=1.0, slow_f=ExprSlowField(("0",) * 11))
+    p2 = Theorem2Params(c=[0.0] * 11, a=[1.0] * 11, b=2.0)
+    p3 = Theorem3Params(K=[1.0] * 11, chi_star=[-2.0] + [0.0] * 10)
+    with pytest.raises(ValueError, match="z < 0 chart field at k = 12: degree over 12"):
+        directional_field(sys, Thm2Plus3(p2, p3))
+    assert len(directional_field(sys, Thm2(p2))) == 12
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_directional_field_monomials(k):
     # rho'/rho is the radial rate F(chi) = (-1)^k - sum_i (-1)^i chi_i alone;
@@ -378,10 +407,10 @@ def test_directional_field_reads_eps_from_the_chart_point():
 
 def test_directional_field_refuses_other_variants_and_drifts():
     sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)))
-    with pytest.raises(ValueError, match=r"z < 0 chart field is not defined for controller "
-                                         r"variant highgain"):
+    # the variants are refused by closedloop.law, the one dispatch on them
+    with pytest.raises(ValueError, match=r"controller variant highgain\(.*\) has no gain powers"):
         directional_field(sys, HighGain(a=[1.0], b=1.0))
-    with pytest.raises(ValueError, match="params sized for k = 3, got k = 2"):
+    with pytest.raises(ValueError, match="controller sized for 2 slow states, system has 1"):
         directional_field(sys, Thm2(Theorem2Params(c=[0.0, 0.0], a=[1.0, 1.0], b=1.0)))
     sin = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + sin(z)",)))
     with pytest.raises(ValueError, match=r"z < 0 chart field needs a polynomial drift"):

@@ -22,7 +22,7 @@ from slowfast.closedloop import (
     law,
 )
 from slowfast.control import Theorem2Params, Theorem3Params, evaluate
-from slowfast.normal_form import _SCOPE, NormalFormSystem
+from slowfast.normal_form import _SCOPE, NormalFormSystem, walk
 from slowfast.scenarios import EX1_CONFIGS, EX1_ICS, ConfigError, build_variant, parse_config
 from slowfast.sim import NonFiniteError, config_for, integrate
 from slowfast.systems import TunnelDiodeSystem, build_planar_example
@@ -75,6 +75,21 @@ class TestBuild:
         sys = TunnelDiodeSystem()
         with pytest.raises(ValueError, match="not defined"):
             build_closed_loop(sys, Thm2Plus3(P2, P3))
+
+    def test_law_with_named_gain_powers(self):
+        # the blow-up's form of the law: px and pz left as names, bound here
+        # to the numbers law puts in, give the same floats
+        k, eps = 3, 0.02
+        sys = NormalFormSystem(k=k, epsilon=eps, slow_f=ExprSlowField(("1 + x2", "z")))
+        p2 = Theorem2Params(c=[1.0, -0.5], a=[2.0, 3.0], b=4.0)
+        p3 = Theorem3Params(K=[5.0, 1.5], chi_star=[-2.0, 0.0])
+        env = {"x1": 0.3, "x2": -0.7, "z": -0.4, "px": (1.0 / eps) ** (k / (2 * k - 1)),
+               "pz": (1.0 / eps) ** (1.0 / (2 * k - 1))}
+        for variant in (OpenLoop(), Thm2(p2), Thm2Plus3(p2, p3)):
+            named = [walk(t, env) for t in law(sys, variant, ("px", "pz"))]
+            assert named == evaluate(law(sys, variant), [0.3, -0.7], -0.4)
+        with pytest.raises(ValueError, match="has no gain powers"):
+            law(sys, HighGain(a=[1.0, 1.0], b=1.0), ("px", "pz"))
 
     def test_variants_are_values(self):
         # equal numbers, however given, make equal records: the loop caches

@@ -92,7 +92,7 @@ def _imports(module: str) -> set[str]:
 
 def test_control_imports_nothing_from_blowup():
     # the laws and the loops sit below the charts: blowup uses control and
-    # the variant records of closedloop, and no module on a run path
+    # closedloop's law and variant records, and no module on a run path
     # imports blowup, not even inside a function
     assert {"slowfast.normal_form"} <= _imports("control")
     assert {"slowfast.closedloop", "slowfast.control"} <= _imports("blowup")
