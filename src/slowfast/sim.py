@@ -25,7 +25,7 @@ with comparisons instead of calls; the proof test at record times is one
 call, so the source is linear in n. The generic loop calls the
 right-hand side once per stage with a fresh float array, and the
 right-hand side may return any sequence. A loop of :func:`compile_loop`
-(the slow-time closed loops and the family chart's) carries its own loop
+(the slow-time closed loops and both blow-up charts') carries its own loop
 as ``run``: the same source with the field written inline at every
 stage, in the same order of operations, so both give the same run bit
 for bit and a step makes no Python call. This is the only stepper:

@@ -4,11 +4,11 @@ Every suite draws its own samples from a seeded generator and yields one
 error per sample for a single invariant; :func:`_suite` registers it with
 its name, its tolerance and the one pass rule. Where the invariant is a
 polynomial identity, a sample is a monomial: the suite compares the
-coefficients of the laws and fields derived by :mod:`slowfast.blowup`
-from the checked trees with the form the paper states. Where float code
-is what is checked (the chart maps, the generated family-chart loop, the
-flows), a sample is a point. The suites double as the acceptance checks
-wired into the command line.
+coefficients of the laws and chart fields that :mod:`slowfast.blowup`
+derives from its one chart record with the form the paper states. Where
+float code is what is checked (the chart maps, the generated chart loops,
+the flows), a sample is a point. The suites double as the acceptance
+checks wired into the command line.
 """
 from __future__ import annotations
 
@@ -222,19 +222,18 @@ def suite_eigenvalues(rng: np.random.Generator) -> Iterator[float]:
 
 @_suite("jacobian-fd", tol=1e-6)
 def suite_jacobian_fd(rng: np.random.Generator) -> Iterator[float]:
-    """Central differences of the compiled closed-loop family field on the
-    sphere r_bar = 0 reproduce J."""
+    """Central differences of the generated closed-loop family-chart loop
+    on the sphere r_bar = 0 reproduce J."""
     h = 1e-6
     for k in (2, 3, 4):
         p = _random_p2(rng, k)
         sysm = normal_form.NormalFormSystem(k=k, epsilon=1e-2, slow_f=_random_field(rng, k - 1))
         # the drift constants must match f(0,0,0) for the origin to be fixed
         p = control.Theorem2Params(c=sysm.slow_f(np.zeros(k - 1), 0.0, 0.0), a=p.a, b=p.b)
+        rhs = blowup.chart_loop(sysm, Thm2(p), blowup.FAMILY)
 
         def field(v: np.ndarray) -> np.ndarray:
-            chart = blowup.FamilyChartState(r_bar=0.0, x_bar=v[:-1], z_bar=v[-1])
-            _, dx, dz = blowup.closed_loop_rhs_family(chart, sysm, p)
-            return np.append(dx, dz)
+            return np.array(rhs(0.0, np.append(v, 0.0))[:-1])
 
         J = control.closed_loop_jacobian_origin(k, p)
         for j, e in enumerate(np.eye(k) * h):
@@ -301,7 +300,7 @@ def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
 
 @_suite("tangency", tol=1e-8)
 def suite_tangency(rng: np.random.Generator) -> Iterator[float]:
-    """Directional chart field is the original field up to the rho^(k-1) rescale.
+    """The walked z < 0 chart field is the original one up to the rho^(k-1) rescale.
 
     Validates the chain-rule form of the radial rate F(chi), whose printed
     summation bound is dimensionally impossible.
@@ -312,12 +311,12 @@ def suite_tangency(rng: np.random.Generator) -> Iterator[float]:
 
 @_suite("rhs-continuity-r0", tol=1e-6)
 def suite_rhs_continuity_r0(rng: np.random.Generator) -> Iterator[float]:
-    """The derived closed-loop family field is regular on the sphere r_bar = 0:
-    per component, for a seeded affine drift and law at each k = 2..6, the
-    largest |coefficient| on a negative power of r_bar."""
+    """The family chart's field is regular on the sphere r_bar = 0: per
+    component, for a seeded affine drift and baseline law at each k = 2..6,
+    the largest |coefficient| on a negative power of r_bar."""
     for k in range(2, 7):
         sysm = normal_form.NormalFormSystem(k=k, epsilon=1e-2, slow_f=_random_field(rng, k - 1))
-        for q in blowup.family_field(sysm, _random_p2(rng, k)):
+        for q in blowup.chart_field(sysm, Thm2(_random_p2(rng, k)), blowup.FAMILY):
             yield max((abs(c) for e, c in q.items() if e[-1] < 0), default=0.0)
 
 
@@ -343,8 +342,8 @@ def suite_conjugacy(rng: np.random.Generator) -> Iterator[float]:
     """Blow-down of the desingularized closed-loop flow matches direct integration.
 
     k = 2, eps = 0.01: the chart trajectory at desingularized time s equals
-    the slow-time trajectory at t = eps^(2/3) s after blow-down; the chart
-    loop carries r_bar as a state of rate 0.
+    the slow-time trajectory at t = eps^(2/3) s after blow-down; the family
+    chart's loop carries r_bar as a state of rate 0.
     """
     k, eps = 2, 0.01
     sysm = build_planar_example(eps)
@@ -354,7 +353,7 @@ def suite_conjugacy(rng: np.random.Generator) -> Iterator[float]:
     cfg_direct = config_for(eps, 1.0, rtol=1e-10, atol=1e-12, record_stride=0.1)
     cfg_chart = config_for(eps, 1.0 / tau, rtol=1e-10, atol=1e-12, max_step=1e-2,
                            record_stride=0.1 / tau)
-    chart_loop = blowup.family_loop(sysm, p)
+    chart_loop = blowup.chart_loop(sysm, Thm2(p), blowup.FAMILY)
     for _ in range(3):
         ic = _draw_surviving_ic(rng, rhs, cfg_direct)
         direct = integrate(rhs, ic, cfg_direct)

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast.blowup import (
+    FAMILY,
+    ZNEG,
     DirectionalChartState,
     FamilyChartState,
+    chart_field,
+    chart_loop,
     closed_loop_rhs_family,
     compensation_zneg,
     desing_rhs_directional,
-    directional_field,
-    family_field,
-    family_loop,
     family_time_rescale,
     from_directional_zneg,
     from_family_chart,
@@ -53,6 +54,15 @@ class TestFamilyChart:
     def test_epsilon_zero_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             to_family_chart(State(x=[1.0], z=0.0), 0.0, 2)
+        # an infinite epsilon would blow up to r_bar = inf
+        with pytest.raises(ValueError, match="finite epsilon > 0, got inf"):
+            to_family_chart(State(x=[1.0], z=0.0), float("inf"), 2)
+
+    @pytest.mark.parametrize("r_bar", [-0.5, float("nan"), float("inf")])
+    def test_invalid_r_bar_rejected(self, r_bar):
+        # eps = r_bar^(2k-1) would blow down negative or not finite
+        with pytest.raises(ValueError, match="r_bar must be finite and >= 0"):
+            FamilyChartState(r_bar=r_bar, x_bar=[1.0], z_bar=0.5)
 
     def test_blow_down_examples(self):
         s, eps = from_family_chart(
@@ -105,6 +115,8 @@ class TestDirectionalChart:
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError, match="rho"):
             DirectionalChartState(rho=0.0, chi=[1.0], mu=0.1)
+        with pytest.raises(ValueError, match="rho must be finite and > 0, got inf"):
+            DirectionalChartState(rho=float("inf"), chi=[1.0], mu=0.1)
 
     @pytest.mark.parametrize("mu", [-1e-300, -0.5, float("nan"), float("inf")])
     def test_invalid_mu_rejected(self, mu):
@@ -172,7 +184,7 @@ def test_closed_loop_family_field_is_the_pushed_slow_time_loop(k):
         r = eps ** (1.0 / (2 * k - 1))
         x_bar, z_bar = rng.uniform(-2, 2, k - 1), rng.uniform(-2, 2)
         _, dx_bar, dz_bar = closed_loop_rhs_family(
-            FamilyChartState(r_bar=r, x_bar=x_bar, z_bar=z_bar), sys, p)
+            FamilyChartState(r_bar=r, x_bar=x_bar, z_bar=z_bar), sys, Thm2(p))
         chart = np.append(dx_bar, dz_bar)
         y = [r ** (k - i) * x_bar[i] for i in range(k - 1)] + [r * z_bar]
         dy = build_closed_loop(sys, Thm2(p))[0](0.0, np.array(y))
@@ -181,29 +193,45 @@ def test_closed_loop_family_field_is_the_pushed_slow_time_loop(k):
 
 
 class TestFamilyLoop:
-    """The family-chart field generated as a closed loop on (x_bar, z_bar,
-    r_bar), with r_bar' = 0, by the builder of the slow-time loops."""
+    """Each chart's field generated as a closed loop on (v_1..v_m, w, r_bar),
+    with r_bar' = 0, by the builder of the slow-time loops: the baseline law
+    in the family chart, the compensated one in the z < 0 chart."""
 
     @staticmethod
-    def _loop(k):
+    def _loop(k, chart=FAMILY):
         rng = np.random.default_rng(40 + k)
         sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(rng, k - 1))
         p = Theorem2Params(c=sys.slow_f(np.zeros(k - 1), 0.0, 0.0),
                            a=rng.uniform(0.5, 5.0, k - 1), b=rng.uniform(0.5, 5.0))
-        return sys, p, rng
+        if chart is ZNEG:
+            return sys, Thm2Plus3(p, Theorem3Params(K=[5.0] * (k - 1),
+                                                    chi_star=[-2.0] + [0.0] * (k - 2))), rng
+        return sys, Thm2(p), rng
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_steps_like_the_generic_loop(self, k):
+    @pytest.mark.parametrize("chart, k, stops", [
+        (FAMILY, 2, {"dwell", "t_final"}), (FAMILY, 3, {"dwell", "t_final"}),
+        (FAMILY, 4, {"dwell", "t_final"}), (ZNEG, 2, {"dwell", "t_final", "norm"}),
+        (ZNEG, 3, {"t_final", "norm"}), (ZNEG, 4, {"dwell", "t_final"})],
+        ids=["2", "3", "4", "zneg-2", "zneg-3", "zneg-4"])
+    def test_steps_like_the_generic_loop(self, chart, k, stops):
         # its own loop and, behind a plain callable, the generic one give the
-        # same run bit for bit; r_bar is the same float at every record
-        sys, p, rng = self._loop(k)
-        rhs = family_loop(sys, p)
-        assert callable(rhs.run) and family_loop(sys, p) is rhs
+        # same run bit for bit; r_bar is the same float at every record. In
+        # the z < 0 chart w is rho, drawn in [scale / 2, scale]; at odd k
+        # rho' = rho F with F(0) = -1, so near chi = 0 rho decays and chi
+        # grows, and nothing dwells. Where rho decays under eps > 0 that
+        # chart is stiff (a k = 3 run at r_bar = 0.01^(1/5) took millions
+        # of steps), so its middle radius is 0.3
+        sys, variant, rng = self._loop(k, chart)
+        rhs = chart_loop(sys, variant, chart)
+        assert callable(rhs.run) and chart_loop(sys, variant, chart) is rhs
         cfg = IntegratorConfig(t_final=3.0, max_step=1e-2, record_stride=0.05)
         reasons = set()
-        for r_bar, scale, ball in ((0.0, 1e-4, 1e-3), (0.0, 1.0, None),
-                                   (0.01 ** (1 / (2 * k - 1)), 1.0, None), (0.9, 1.0, None)):
+        middle = 0.01 ** (1 / (2 * k - 1)) if chart is FAMILY else 0.3
+        for r_bar, scale, ball in ((0.0, 1e-4, 1e-3), (0.0, 1.0, None), (middle, 1.0, None),
+                                   (0.9, 1.0, None)):
             y = [*(scale * rng.uniform(-1.0, 1.0, k)), r_bar]
+            if chart is ZNEG:
+                y[k - 1] = scale * (0.5 + abs(y[k - 1]) / 2)
             direct = integrate(rhs, y, cfg, stop_ball=ball)
             generic = integrate(lambda t, v: rhs(t, v), y, cfg, stop_ball=ball)
             assert np.array_equal(direct.times, generic.times)
@@ -211,22 +239,53 @@ class TestFamilyLoop:
             assert direct.outcome == generic.outcome and direct.stats == generic.stats
             assert all(v == r_bar for v in direct.states[:, -1].tolist())
             reasons.add(direct.stats.reason)
-        assert reasons == {"dwell", "t_final"}
+        assert reasons == stops
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_closed_loop_rhs_family_is_the_loop_rhs(self, k):
-        sys, p, rng = self._loop(k)
-        rhs = family_loop(sys, p)
+        sys, variant, rng = self._loop(k)
+        rhs = chart_loop(sys, variant, FAMILY)
         for r_bar in (0.0, *rng.uniform(0.0, 1.0, 20)):
             x_bar, z_bar = rng.uniform(-2, 2, k - 1), float(rng.uniform(-2, 2))
-            dr, dx, dz = closed_loop_rhs_family(FamilyChartState(r_bar, x_bar, z_bar), sys, p)
+            dr, dx, dz = closed_loop_rhs_family(FamilyChartState(r_bar, x_bar, z_bar), sys,
+                                                variant)
             assert [*dx.tolist(), dz, dr] == rhs(0.0, np.array([*x_bar, z_bar, r_bar]))
             assert dr == 0.0
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_desing_rhs_directional_is_the_loop_rhs(self, k):
+        # (chi', rho') of the point function are the z < 0 loop's at r_bar =
+        # rho mu^(1/(2k-1)), bit for bit
+        sys, variant, rng = self._loop(k, ZNEG)
+        rhs = chart_loop(sys, variant, ZNEG)
+        for mu in (0.0, *rng.uniform(0.0, 1.5, 20)):
+            chi, rho = rng.uniform(-2, 2, k - 1), float(rng.uniform(0.2, 1.5))
+            drho, dchi, _ = desing_rhs_directional(DirectionalChartState(rho, chi, mu), sys,
+                                                   variant)
+            r_bar = rho * mu ** (1.0 / (2 * k - 1))
+            assert [*dchi.tolist(), drho, 0.0] == rhs(0.0, np.array([*chi, rho, r_bar]))
 
-def _oracle_family_field(sympy, sys, p):
-    """f + v and g / eps of the slow-time loop, blown down by sympy and
-    scaled into the family chart, as {exponents: coefficient} in
+
+def _hand_law(variant, x, z, r):
+    """The law of ``variant`` written out, with its gain powers
+    eps^(-k/(2k-1)) = r^-k and eps^(-1/(2k-1)) = r^-1: 0, or the baseline
+    -c_i - a_i r^-k x_i (+ b r^-1 z) plus, compensated, K_i (x_i z +
+    (-z)^(k-i+2) chi*_i)."""
+    k = len(x) + 1
+    if isinstance(variant, OpenLoop):
+        return [0] * (k - 1)
+    p = variant.p if isinstance(variant, Thm2) else variant.p2
+    u = [-c - a * r ** -k * xi for c, a, xi in zip(p.c, p.a, x)]
+    u[0] += p.b / r * z
+    if isinstance(variant, Thm2Plus3):
+        u = [ui + K * (xi * z + (-z) ** (k - i + 1) * cs)
+             for i, (ui, K, xi, cs) in enumerate(zip(u, variant.p3.K, x, variant.p3.chi_star))]
+    return u
+
+
+def _oracle_family_field(sympy, sys, variant):
+    """f + v and g / eps of the slow-time loop of ``variant``, blown down by
+    sympy and scaled into the family chart, as {exponents: coefficient} in
     (x_bar_1..x_bar_m, z_bar, r_bar)."""
     k = sys.k
     xb, (zb, r) = sympy.symbols(f"xb1:{k}"), sympy.symbols("zb r")
@@ -235,8 +294,7 @@ def _oracle_family_field(sympy, sys, p):
     env = {f"x{i}": xi for i, xi in enumerate(x, 1)}
     env.update(z=r * zb, epsilon=eps, **dict(sys.slow_f.constants))
     f = [sympy.sympify(src, locals=env) for src in sys.drift]
-    u = [-c - a * r ** -k * xi for c, a, xi in zip(p.c, p.a, x)]
-    u[0] += p.b / r * (r * zb)
+    u = _hand_law(variant, x, r * zb, r)
     g = -((r * zb) ** k + sum(xi * (r * zb) ** i for i, xi in enumerate(x)))
     field = [r ** k / r ** (k - i) * (fi + ui) for i, (fi, ui) in enumerate(zip(f, u))]
     field.append(r ** k / r * g / eps)
@@ -251,8 +309,12 @@ def _agree(derived, oracle):
             assert abs(d.get(e, 0.0) - want) <= 1e-14 * max(1.0, abs(want)), (e, d, o)
 
 
-@pytest.mark.parametrize("k", [None, 2, 3, 4, 5], ids=["planar-fold", "2", "3", "4", "5"])
-def test_family_field_matches_symbolic_blow_down(k):
+@pytest.mark.parametrize("kind, k", [
+    (Thm2, None), (Thm2, 2), (Thm2, 3), (Thm2, 4), (Thm2, 5), (OpenLoop, 3),
+    (Thm2Plus3, 2), (Thm2Plus3, 3), (Thm2Plus3, 4), (Thm2Plus3, 5)],
+    ids=["planar-fold", "2", "3", "4", "5", "openloop-3", "thm2plus3-2", "thm2plus3-3",
+         "thm2plus3-4", "thm2plus3-5"])
+def test_family_field_matches_symbolic_blow_down(kind, k):
     # the planar fold, then a seeded affine drift at each k
     sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(k or 0)
@@ -262,9 +324,11 @@ def test_family_field_matches_symbolic_blow_down(k):
         sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(rng, k - 1))
     p = Theorem2Params(c=rng.uniform(-2, 2, k - 1), a=rng.uniform(0.1, 10.0, k - 1),
                        b=rng.uniform(0.1, 10.0))
-    derived = family_field(sys, p)
+    variant = {OpenLoop: OpenLoop(), Thm2: Thm2(p), Thm2Plus3: Thm2Plus3(p, Theorem3Params(
+        K=rng.uniform(0.0, 20.0, k - 1), chi_star=[-rng.uniform(1.01, 4.0)] + [0.0] * (k - 2)))}
+    derived = chart_field(sys, variant[kind], FAMILY)
     assert all(e[-1] >= 0 for q in derived for e in q)  # regular on the sphere
-    _agree(derived, _oracle_family_field(sympy, sys, p))
+    _agree(derived, _oracle_family_field(sympy, sys, variant[kind]))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -286,7 +350,8 @@ def test_family_field_refuses_a_drift_that_is_not_polynomial():
     sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + sin(z)",)))
     p = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
     with pytest.raises(ValueError, match=r"polynomial drift, not \['1 \+ sin\(z\)'\]: `Call`"):
-        closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0], z_bar=0.0), sys, p)
+        closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0], z_bar=0.0), sys,
+                               Thm2(p))
 
 
 def test_chart_fields_refuse_a_row_with_its_own_fast_field():
@@ -294,7 +359,7 @@ def test_chart_fields_refuse_a_row_with_its_own_fast_field():
     p = Theorem2Params(c=[20.0, 16.0], a=[1.0, 1.0], b=3.0)
     with pytest.raises(ValueError, match=r"family-chart field is not defined .* own fast field, '-\(3"):
         closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0, 0.0], z_bar=0.0),
-                               sys, p)
+                               sys, Thm2(p))
     with pytest.raises(ValueError, match=r"z < 0 chart field is not defined .* own fast field, '-\(3"):
         desing_rhs_directional(DirectionalChartState(rho=0.5, chi=[0.0, 0.0], mu=0.1), sys,
                                OpenLoop())
@@ -361,8 +426,8 @@ def test_directional_field_refuses_a_law_over_the_degree_bound():
     p2 = Theorem2Params(c=[0.0] * 11, a=[1.0] * 11, b=2.0)
     p3 = Theorem3Params(K=[1.0] * 11, chi_star=[-2.0] + [0.0] * 10)
     with pytest.raises(ValueError, match="z < 0 chart field at k = 12: degree over 12"):
-        directional_field(sys, Thm2Plus3(p2, p3))
-    assert len(directional_field(sys, Thm2(p2))) == 12
+        chart_field(sys, Thm2Plus3(p2, p3), ZNEG)
+    assert len(chart_field(sys, Thm2(p2), ZNEG)) == 12
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -373,7 +438,7 @@ def test_directional_field_monomials(k):
     sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(rng, k - 1))
     p2 = Theorem2Params(c=rng.uniform(-2, 2, k - 1), a=rng.uniform(0.1, 10.0, k - 1), b=2.0)
     p3 = Theorem3Params(K=rng.uniform(0.0, 20.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2))
-    *dchi, drho = directional_field(sys, Thm2Plus3(p2, p3))
+    *dchi, drho = chart_field(sys, Thm2Plus3(p2, p3), ZNEG)
     rate = {tuple(0 if j == k - 1 else n for j, n in enumerate(e)): c for e, c in drho.items()}
     assert all(e[k - 1] == 1 and e[k] == 0 for e in drho)
     assert rate == {(0,) * (k + 1): (-1.0) ** k,
@@ -409,12 +474,12 @@ def test_directional_field_refuses_other_variants_and_drifts():
     sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)))
     # the variants are refused by closedloop.law, the one dispatch on them
     with pytest.raises(ValueError, match=r"controller variant highgain\(.*\) has no gain powers"):
-        directional_field(sys, HighGain(a=[1.0], b=1.0))
+        chart_field(sys, HighGain(a=[1.0], b=1.0), ZNEG)
     with pytest.raises(ValueError, match="controller sized for 2 slow states, system has 1"):
-        directional_field(sys, Thm2(Theorem2Params(c=[0.0, 0.0], a=[1.0, 1.0], b=1.0)))
+        chart_field(sys, Thm2(Theorem2Params(c=[0.0, 0.0], a=[1.0, 1.0], b=1.0)), ZNEG)
     sin = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + sin(z)",)))
     with pytest.raises(ValueError, match=r"z < 0 chart field needs a polynomial drift"):
-        directional_field(sin, OpenLoop())
+        chart_field(sin, OpenLoop(), ZNEG)
 
 
 class TestDesingDirectional:

@@ -8,7 +8,7 @@ from slowfast.blowup import (
     family_law,
     to_family_chart,
 )
-from slowfast.closedloop import HighGain, Thm2Plus3, law
+from slowfast.closedloop import HighGain, Thm2, Thm2Plus3, law
 from slowfast.control import (
     Theorem2Params,
     Theorem3Params,
@@ -240,7 +240,7 @@ class TestClosedLoopFamilyField:
         sys = NormalFormSystem(k=3, epsilon=0.01, slow_f=ExprSlowField(("2", "-1")))
         p = Theorem2Params(c=[2.0, -1.0], a=[1.0, 4.0], b=2.0)
         _, dx, dz = closed_loop_rhs_family(
-            FamilyChartState(r_bar=0.0, x_bar=[0.5, -0.25], z_bar=0.4), sys, p
+            FamilyChartState(r_bar=0.0, x_bar=[0.5, -0.25], z_bar=0.4), sys, Thm2(p)
         )
         assert dx == pytest.approx([-0.5 + 0.8, 1.0])
         assert dz == pytest.approx(-(0.4**3 + 0.5 + (-0.25) * 0.4))
