@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,17 +95,17 @@ def from_family_chart(c: FamilyChartState, k: int) -> tuple[State, float]:
 @dataclass(frozen=True)
 class Chart:
     """A chart in the names (v_1..v_m, w, r_bar): x_i = R^(k-i+1) v_i and
-    eps = r_bar^(2k-1) for the radius R, the name at ``radius`` from the end,
-    and z = ``sign`` R w, or z = ``sign`` R where w is R. ``what`` names the
+    eps = r_bar^(2k-1) for the radius R. Where ``radial``, R is w and z =
+    ``sign`` R; otherwise R is r_bar and z = ``sign`` R w. ``what`` names the
     field in refusals."""
 
     what: str
     sign: float
-    radius: int
+    radial: bool
 
 
-FAMILY = Chart("the family-chart field", 1.0, 1)
-ZNEG = Chart("the z < 0 chart field", -1.0, 2)
+FAMILY = Chart("the family-chart field", 1.0, False)
+ZNEG = Chart("the z < 0 chart field", -1.0, True)
 
 
 def _mono(n: int, c: float, *powers) -> tuple:
@@ -114,12 +113,13 @@ def _mono(n: int, c: float, *powers) -> tuple:
     return c, tuple(sum(d for j, d in powers if j == i) for i in range(n))
 
 
-def _images(k: int, chart: Chart) -> list:
-    """Images of x1..xm, z and eps in the chart's k + 1 names."""
-    R = k + 1 - chart.radius
-    z = [(R, 1)] if R == k - 1 else [(k - 1, 1), (R, 1)]
+def _images(k: int, chart: Chart) -> tuple[list, int]:
+    """Images of x1..xm, z and eps in the chart's k + 1 names, and the index
+    of its radius R among those names."""
+    R = k - 1 if chart.radial else k
+    z = [(R, 1)] if chart.radial else [(k - 1, 1), (R, 1)]
     return [*(_mono(k + 1, 1.0, (i, 1), (R, k - i)) for i in range(k - 1)),
-            _mono(k + 1, chart.sign, *z), _mono(k + 1, 1.0, (k, 2 * k - 1))]
+            _mono(k + 1, chart.sign, *z), _mono(k + 1, 1.0, (k, 2 * k - 1))], R
 
 
 def _times(p: dict, c: float, *powers) -> dict:
@@ -165,14 +165,14 @@ def gain_law(k: int, p: Theorem2Params) -> list[dict]:
 def family_law(k: int, p: Theorem2Params) -> list[dict]:
     """The chart controller, :func:`gain_law` in (x_bar_1..x_bar_m, z_bar, r_bar):
     -c_1 - a_1 x_bar_1 + b z_bar and -c_i - r_bar^(1-i) a_i x_bar_i."""
-    images = [*_images(k, FAMILY)[:k], _mono(k + 1, 1.0, (k, 1))]
+    images = [*_images(k, FAMILY)[0][:k], _mono(k + 1, 1.0, (k, 1))]
     return [poly.substitute(u, images) for u in gain_law(k, p)]
 
 
 def compensation_zneg(k: int, p: Theorem3Params) -> list[dict]:
     """``control.thm3_law`` under x_i = rho^(k-i+1) chi_i and z = -rho, in
     (chi_1..chi_m, rho): K_i rho^(k-i+2) (chi*_i - chi_i)."""
-    images = [(c, e[:-1]) for c, e in _images(k, ZNEG)[:k]]
+    images = [(c, e[:-1]) for c, e in _images(k, ZNEG)[0][:k]]
     return [poly.substitute(poly.expand(t, _names(k - 1)[:-1]), images) for t in thm3_law(k, p)]
 
 
@@ -214,21 +214,20 @@ def chart_field(sys: NormalFormSystem, variant: Variant, chart: Chart) -> list[d
     11) raises ValueError.
     """
     _require_g(sys, chart.what)
-    k, R = sys.k, sys.k + 1 - chart.radius
-    images = _images(k, chart)
+    k = sys.k
+    images, R = _images(k, chart)
     drift = [poly.substitute(f, images) for f in _drift_polys(sys, chart.what)]
     try:
         v = _gain_polys(k, law(sys, variant, ("px", "pz")), images[:k])
         g = poly.substitute(fast_poly(sys.fast, k), images[:k])
     except poly.NotPolynomial as exc:
         raise ValueError(f"{chart.what} at k = {k}: {exc}") from None
-    radial = R == k - 1  # w is the radius, z = sign R
     q = _times(g, chart.sign, (R, -k))
-    rate = q if radial else {}
+    rate = q if chart.radial else {}
     slow = [poly._add(_times(poly._add(f, u), 1.0, (R, i + 1 - 2 * k), (k, 2 * k - 1)),
                       _times(rate, -(k - i), (i, 1)))
             for i, (f, u) in enumerate(zip(drift, v))]
-    return [*slow, _times(q, 1.0, (R, 1)) if radial else q]
+    return [*slow, _times(q, 1.0, (R, 1)) if chart.radial else q]
 
 
 def _trees(sys: NormalFormSystem, variant: Variant, chart: Chart) -> tuple[list[str], list]:
@@ -237,11 +236,10 @@ def _trees(sys: NormalFormSystem, variant: Variant, chart: Chart) -> tuple[list[
     return names, [poly.render(q, names) for q in chart_field(sys, variant, chart)]
 
 
-@lru_cache(maxsize=64)
 def chart_loop(sys: NormalFormSystem, variant: Variant, chart: Chart):
-    """``rhs`` of :func:`slowfast.sim.compile_loop` on (v_1..v_m, w, r_bar),
-    once per (system, variant, chart): :func:`chart_field` and r_bar' = 0,
-    so r_bar stays the same float along a run."""
+    """``rhs`` of :func:`slowfast.sim.compile_loop` on (v_1..v_m, w, r_bar):
+    :func:`chart_field` and r_bar' = 0, so r_bar stays the same float along a
+    run. Each call derives and compiles the loop afresh."""
     names, trees = _trees(sys, variant, chart)
     field = {f"_d{i}": t for i, t in enumerate(trees)}
     return compile_loop(names, [f"{', '.join(field)}, 0.0"], field)[0]
@@ -259,7 +257,8 @@ def _walked(sys: NormalFormSystem, variant: Variant, chart: Chart, v, name: str,
 def closed_loop_rhs_family(c: FamilyChartState, sys: NormalFormSystem,
                            variant: Variant) -> tuple[float, np.ndarray, float]:
     """(r_bar', x_bar', z_bar') at ``c``: :func:`chart_field` in the family
-    chart walked at the point; r_bar' = 0."""
+    chart walked at the point; r_bar' = 0. Every call derives the field
+    afresh, so a run steps :func:`chart_loop` instead."""
     *dx, dz = _walked(sys, variant, FAMILY, c.x_bar, "x_bar", c.z_bar, c.r_bar)
     return 0.0, np.array(dx), dz
 
@@ -269,7 +268,8 @@ def desing_rhs_directional(c: DirectionalChartState, sys: NormalFormSystem,
     """Desingularized z < 0 chart field (rho', chi', mu') at ``c``:
     :func:`chart_field` in the z < 0 chart walked at r_bar = rho
     mu^(1/(2k-1)), and mu' = -(2k-1) mu rho' / rho. The point's mu fixes
-    eps = rho^(2k-1) mu, so the system's own epsilon is not read."""
+    eps = rho^(2k-1) mu, so the system's own epsilon is not read. Every
+    call derives the field afresh, like :func:`closed_loop_rhs_family`."""
     k = sys.k
     *dchi, drho = _walked(sys, variant, ZNEG, c.chi, "chi", c.rho,
                           c.rho * c.mu ** (1.0 / (2 * k - 1)))

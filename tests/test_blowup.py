@@ -223,7 +223,7 @@ class TestFamilyLoop:
         # of steps), so its middle radius is 0.3
         sys, variant, rng = self._loop(k, chart)
         rhs = chart_loop(sys, variant, chart)
-        assert callable(rhs.run) and chart_loop(sys, variant, chart) is rhs
+        assert callable(rhs.run)
         cfg = IntegratorConfig(t_final=3.0, max_step=1e-2, record_stride=0.05)
         reasons = set()
         middle = 0.01 ** (1 / (2 * k - 1)) if chart is FAMILY else 0.3
