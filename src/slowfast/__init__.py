@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     **dict.fromkeys(
-        ["DirectionalChartState", "FamilyChartState", "closed_loop_rhs_family",
-         "desing_rhs_directional", "family_time_rescale", "from_directional_zneg",
-         "from_family_chart", "to_directional_zneg", "to_family_chart"],
+        ["DirectionalChartState", "FamilyChartState", "family_time_rescale",
+         "from_directional_zneg", "from_family_chart", "to_directional_zneg",
+         "to_family_chart"],
         "blowup"),
     **dict.fromkeys(
         ["Theorem2Params", "Theorem3Params", "closed_loop_jacobian_origin",

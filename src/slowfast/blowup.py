@@ -11,12 +11,12 @@ z_bar = -1 covering z < 0, whose radius is rho = -z.
 Everything else is derived from that record. The blow-down maps monomials
 to monomials, so a polynomial closed loop of any variant is pushed into a
 chart from its checked trees (:mod:`slowfast.poly`): :func:`chart_field`,
-with no negative power of r_bar, generated as a loop by :func:`chart_loop` and
-walked at a point by :func:`closed_loop_rhs_family` and
-:func:`desing_rhs_directional`; the same images give the chart controller
-(:func:`family_law`) and the compensation in the z < 0 chart
-(:func:`compensation_zneg`). The float maps ``to_*`` and ``from_*`` are
-written out apart from those images, as an independent blow-down.
+with no negative power of r_bar, and generated as a loop by :func:`chart_loop`,
+the one evaluator of a chart field, at a point or along a run. The same
+images give the chart controller (:func:`family_law`) and the compensation in
+the z < 0 chart (:func:`compensation_zneg`). The float maps ``to_*`` and
+``from_*`` are written out apart from those images, as an independent
+blow-down.
 """
 from __future__ import annotations
 
@@ -29,14 +29,13 @@ from . import poly
 from .closedloop import Variant, law
 from .control import Theorem2Params, Theorem3Params, _check_order, thm2_template, thm3_law
 from .normal_form import (NormalFormSystem, State, _drift_trees, _env, _names, _require_g,
-                          _vec, parse_expression, walk)
+                          _vec, parse_expression)
 from .sim import compile_loop
 
 __all__ = ["FamilyChartState", "DirectionalChartState", "to_family_chart", "from_family_chart",
            "to_directional_zneg", "from_directional_zneg", "Chart", "FAMILY", "ZNEG",
            "fast_poly", "gain_law", "family_law", "compensation_zneg", "chart_field",
-           "chart_loop", "closed_loop_rhs_family", "desing_rhs_directional",
-           "family_time_rescale"]
+           "chart_loop", "family_time_rescale"]
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,8 @@ def to_directional_zneg(s: State, epsilon: float, k: int) -> DirectionalChartSta
     """Chart coordinates (rho, chi, mu) of a point with z < 0 and eps >= 0."""
     if not s.z < 0:
         raise ValueError(f"directional chart covers z < 0 only, got z = {s.z}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     x = _vec(s.x, k - 1, "x")
     rho = -s.z
     chi = np.array([x[i] / rho ** (k - i) for i in range(k - 1)])
@@ -230,50 +229,15 @@ def chart_field(sys: NormalFormSystem, variant: Variant, chart: Chart) -> list[d
     return [*slow, _times(q, 1.0, (R, 1)) if chart.radial else q]
 
 
-def _trees(sys: NormalFormSystem, variant: Variant, chart: Chart) -> tuple[list[str], list]:
-    """The chart's local names and :func:`chart_field` as checked trees in them."""
-    names = [*(f"v{i}" for i in range(1, sys.k)), "w", "rb"]
-    return names, [poly.render(q, names) for q in chart_field(sys, variant, chart)]
-
-
 def chart_loop(sys: NormalFormSystem, variant: Variant, chart: Chart):
     """``rhs`` of :func:`slowfast.sim.compile_loop` on (v_1..v_m, w, r_bar):
-    :func:`chart_field` and r_bar' = 0, so r_bar stays the same float along a
-    run. Each call derives and compiles the loop afresh."""
-    names, trees = _trees(sys, variant, chart)
-    field = {f"_d{i}": t for i, t in enumerate(trees)}
+    :func:`chart_field`, rendered to checked trees, and r_bar' = 0, so r_bar
+    stays the same float along a run. It is the one evaluator of a chart
+    field; each call derives and compiles the loop afresh."""
+    names = [*(f"v{i}" for i in range(1, sys.k)), "w", "rb"]
+    field = {f"_d{i}": poly.render(q, names)
+             for i, q in enumerate(chart_field(sys, variant, chart))}
     return compile_loop(names, [f"{', '.join(field)}, 0.0"], field)[0]
-
-
-def _walked(sys: NormalFormSystem, variant: Variant, chart: Chart, v, name: str,
-            w: float, r_bar: float) -> list[float]:
-    """:func:`chart_field` at (v, w, r_bar), walked operation for operation
-    as :func:`chart_loop` computes it; ``v`` is sized after the refusals."""
-    names, trees = _trees(sys, variant, chart)
-    env = dict(zip(names, [*_vec(v, sys.k - 1, name).tolist(), w, r_bar]))
-    return [walk(t, env) for t in trees]
-
-
-def closed_loop_rhs_family(c: FamilyChartState, sys: NormalFormSystem,
-                           variant: Variant) -> tuple[float, np.ndarray, float]:
-    """(r_bar', x_bar', z_bar') at ``c``: :func:`chart_field` in the family
-    chart walked at the point; r_bar' = 0. Every call derives the field
-    afresh, so a run steps :func:`chart_loop` instead."""
-    *dx, dz = _walked(sys, variant, FAMILY, c.x_bar, "x_bar", c.z_bar, c.r_bar)
-    return 0.0, np.array(dx), dz
-
-
-def desing_rhs_directional(c: DirectionalChartState, sys: NormalFormSystem,
-                           variant: Variant) -> tuple[float, np.ndarray, float]:
-    """Desingularized z < 0 chart field (rho', chi', mu') at ``c``:
-    :func:`chart_field` in the z < 0 chart walked at r_bar = rho
-    mu^(1/(2k-1)), and mu' = -(2k-1) mu rho' / rho. The point's mu fixes
-    eps = rho^(2k-1) mu, so the system's own epsilon is not read. Every
-    call derives the field afresh, like :func:`closed_loop_rhs_family`."""
-    k = sys.k
-    *dchi, drho = _walked(sys, variant, ZNEG, c.chi, "chi", c.rho,
-                          c.rho * c.mu ** (1.0 / (2 * k - 1)))
-    return drho, np.array(dchi), -(2 * k - 1) * c.mu * drho / c.rho
 
 
 def family_time_rescale(epsilon: float, k: int) -> float:
@@ -282,6 +246,6 @@ def family_time_rescale(epsilon: float, k: int) -> float:
     Dividing the blown-up fast-time field by r_bar^(k-1) and converting
     fast to slow time gives t = eps^(k/(2k-1)) * s.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return epsilon ** (k / (2 * k - 1))

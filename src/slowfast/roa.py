@@ -66,7 +66,7 @@ class GridSpec:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def points(self) -> np.ndarray:
         """All grid nodes, shape (n_cells, m+1), in fixed C order (z fastest)."""

@@ -12,7 +12,7 @@ checks wired into the command line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -265,33 +265,32 @@ def suite_scale_behavior(rng: np.random.Generator) -> Iterator[float]:
             yield from _poly_errors(gains, _poly(k + 1, (-p.a[i], {i: 1, k: -k})))
 
 
-def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
-    """One tangency sample: J_blowdown @ chart field vs fast field / rho^(k-1)."""
-    slow_f = _random_field(rng, k - 1)
-    variant = Thm2Plus3(_random_p2(rng, k), control.Theorem3Params(
-        K=rng.uniform(0.0, 5.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2)))
+def _directional_pushforward_error(rng: np.random.Generator, sysm, variant, rhs) -> float:
+    """One tangency sample: J_blowdown @ chart loop vs fast field / rho^(k-1)."""
+    k = sysm.k
     # rho <= 1 keeps the rho^(2k-1) powers from amplifying the finite
     # difference truncation error past the certificate tolerance
     rho = float(rng.uniform(0.2, 1.0))
     chi = rng.uniform(-1.5, 1.5, k - 1)
     mu = float(rng.uniform(0.1, 1.5))
-    c = blowup.DirectionalChartState(rho=rho, chi=chi, mu=mu)
-    st, eps = blowup.from_directional_zneg(c, k)
-    sysm = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=slow_f)
-    chart_field = np.hstack(blowup.desing_rhs_directional(c, sysm, variant))
+    v0 = np.concatenate((chi, [rho, rho * mu ** (1.0 / (2 * k - 1))]))
+    chart_field = np.array(rhs(0.0, v0))  # (chi', rho', r_bar' = 0)
 
     def blowdown_vec(v: np.ndarray) -> np.ndarray:
-        cs = blowup.DirectionalChartState(rho=v[0], chi=v[1:k], mu=v[k])
+        # the float map, with mu = (r_bar / rho)^(2k-1)
+        cs = blowup.DirectionalChartState(rho=v[k - 1], chi=v[:k - 1],
+                                          mu=(v[k] / v[k - 1]) ** (2 * k - 1))
         st, eps = blowup.from_directional_zneg(cs, k)
         return np.concatenate((st.x, [st.z, eps]))
 
-    v0 = np.concatenate(([rho], chi, [mu]))
     steps = 1e-6 * np.maximum(1.0, np.abs(v0))
     J = np.transpose([(blowdown_vec(v0 + e) - blowdown_vec(v0 - e)) / (2 * h)
                       for e, h in zip(np.diag(steps), steps)])
 
     pushed = J @ chart_field
-    dx, dz = normal_form.eval_rhs_fast(sysm, st, control.evaluate(law(sysm, variant), st.x, st.z))
+    st, eps = blowup.from_directional_zneg(blowup.DirectionalChartState(rho, chi, mu), k)
+    at = replace(sysm, epsilon=eps)
+    dx, dz = normal_form.eval_rhs_fast(at, st, control.evaluate(law(at, variant), st.x, st.z))
     fast = np.concatenate((dx, [dz, 0.0]))
     err = np.abs(rho ** (k - 1) * pushed - fast)
     scale = max(1.0, float(np.max(np.abs(fast))))
@@ -300,13 +299,21 @@ def _directional_pushforward_error(rng: np.random.Generator, k: int) -> float:
 
 @_suite("tangency", tol=1e-8)
 def suite_tangency(rng: np.random.Generator) -> Iterator[float]:
-    """The walked z < 0 chart field is the original one up to the rho^(k-1) rescale.
+    """The generated z < 0 chart loop is the original field up to the rho^(k-1) rescale.
 
-    Validates the chain-rule form of the radial rate F(chi), whose printed
-    summation bound is dimensionally impossible.
+    One drawn system and compensated variant per k = 2, 4, 6, whose loop is
+    generated once and sampled at the points drawn for that k. Validates the
+    chain-rule form of the radial rate F(chi), whose printed summation bound
+    is dimensionally impossible.
     """
+    loops = []
+    for k in (2, 4, 6):
+        sysm = normal_form.NormalFormSystem(k=k, epsilon=1.0, slow_f=_random_field(rng, k - 1))
+        variant = Thm2Plus3(_random_p2(rng, k), control.Theorem3Params(
+            K=rng.uniform(0.0, 5.0, k - 1), chi_star=[-2.0] + [0.0] * (k - 2)))
+        loops.append((sysm, variant, blowup.chart_loop(sysm, variant, blowup.ZNEG)))
     for i in range(500):
-        yield _directional_pushforward_error(rng, (2, 4, 6)[i % 3])
+        yield _directional_pushforward_error(rng, *loops[i % 3])
 
 
 @_suite("rhs-continuity-r0", tol=1e-6)

@@ -10,9 +10,7 @@ from slowfast.blowup import (
     FamilyChartState,
     chart_field,
     chart_loop,
-    closed_loop_rhs_family,
     compensation_zneg,
-    desing_rhs_directional,
     family_time_rescale,
     from_directional_zneg,
     from_family_chart,
@@ -27,6 +25,14 @@ from slowfast.systems import TunnelDiodeSystem
 
 
 zero_f = ExprSlowField(("0",))
+
+
+def _zneg_at(c, sys, variant):
+    """(rho', chi', r_bar') of the z < 0 chart loop at the chart point ``c``,
+    at r_bar = rho mu^(1/(2k-1)); r_bar' = 0 is mu' = -(2k-1) mu rho' / rho."""
+    r_bar = c.rho * c.mu ** (1.0 / (2 * sys.k - 1))
+    *dchi, drho, dr = chart_loop(sys, variant, ZNEG)(0.0, np.array([*c.chi, c.rho, r_bar]))
+    return drho, np.array(dchi), dr
 
 
 class TestFamilyChart:
@@ -57,6 +63,11 @@ class TestFamilyChart:
         # an infinite epsilon would blow up to r_bar = inf
         with pytest.raises(ValueError, match="finite epsilon > 0, got inf"):
             to_family_chart(State(x=[1.0], z=0.0), float("inf"), 2)
+        # the other chart maps refuse a non-finite epsilon by name as well
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0, got inf"):
+            family_time_rescale(float("inf"), 2)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0, got nan"):
+            to_directional_zneg(State(x=[1.0], z=-1.0), float("nan"), 2)
 
     @pytest.mark.parametrize("r_bar", [-0.5, float("nan"), float("inf")])
     def test_invalid_r_bar_rejected(self, r_bar):
@@ -183,9 +194,8 @@ def test_closed_loop_family_field_is_the_pushed_slow_time_loop(k):
                            a=rng.uniform(0.1, 10.0, k - 1), b=rng.uniform(0.1, 10.0))
         r = eps ** (1.0 / (2 * k - 1))
         x_bar, z_bar = rng.uniform(-2, 2, k - 1), rng.uniform(-2, 2)
-        _, dx_bar, dz_bar = closed_loop_rhs_family(
-            FamilyChartState(r_bar=r, x_bar=x_bar, z_bar=z_bar), sys, Thm2(p))
-        chart = np.append(dx_bar, dz_bar)
+        *chart, dr = chart_loop(sys, Thm2(p), FAMILY)(0.0, np.array([*x_bar, z_bar, r]))
+        assert dr == 0.0
         y = [r ** (k - i) * x_bar[i] for i in range(k - 1)] + [r * z_bar]
         dy = build_closed_loop(sys, Thm2(p))[0](0.0, np.array(y))
         pushed = np.array([r**i * dy[i] for i in range(k - 1)] + [r ** (k - 1) * dy[-1]])
@@ -240,30 +250,6 @@ class TestFamilyLoop:
             assert all(v == r_bar for v in direct.states[:, -1].tolist())
             reasons.add(direct.stats.reason)
         assert reasons == stops
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_closed_loop_rhs_family_is_the_loop_rhs(self, k):
-        sys, variant, rng = self._loop(k)
-        rhs = chart_loop(sys, variant, FAMILY)
-        for r_bar in (0.0, *rng.uniform(0.0, 1.0, 20)):
-            x_bar, z_bar = rng.uniform(-2, 2, k - 1), float(rng.uniform(-2, 2))
-            dr, dx, dz = closed_loop_rhs_family(FamilyChartState(r_bar, x_bar, z_bar), sys,
-                                                variant)
-            assert [*dx.tolist(), dz, dr] == rhs(0.0, np.array([*x_bar, z_bar, r_bar]))
-            assert dr == 0.0
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_desing_rhs_directional_is_the_loop_rhs(self, k):
-        # (chi', rho') of the point function are the z < 0 loop's at r_bar =
-        # rho mu^(1/(2k-1)), bit for bit
-        sys, variant, rng = self._loop(k, ZNEG)
-        rhs = chart_loop(sys, variant, ZNEG)
-        for mu in (0.0, *rng.uniform(0.0, 1.5, 20)):
-            chi, rho = rng.uniform(-2, 2, k - 1), float(rng.uniform(0.2, 1.5))
-            drho, dchi, _ = desing_rhs_directional(DirectionalChartState(rho, chi, mu), sys,
-                                                   variant)
-            r_bar = rho * mu ** (1.0 / (2 * k - 1))
-            assert [*dchi.tolist(), drho, 0.0] == rhs(0.0, np.array([*chi, rho, r_bar]))
 
 
 def _hand_law(variant, x, z, r):
@@ -350,26 +336,23 @@ def test_family_field_refuses_a_drift_that_is_not_polynomial():
     sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + sin(z)",)))
     p = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
     with pytest.raises(ValueError, match=r"polynomial drift, not \['1 \+ sin\(z\)'\]: `Call`"):
-        closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0], z_bar=0.0), sys,
-                               Thm2(p))
+        chart_loop(sys, Thm2(p), FAMILY)
 
 
 def test_chart_fields_refuse_a_row_with_its_own_fast_field():
     sys = TunnelDiodeSystem()
     p = Theorem2Params(c=[20.0, 16.0], a=[1.0, 1.0], b=3.0)
     with pytest.raises(ValueError, match=r"family-chart field is not defined .* own fast field, '-\(3"):
-        closed_loop_rhs_family(FamilyChartState(r_bar=0.1, x_bar=[0.0, 0.0], z_bar=0.0),
-                               sys, Thm2(p))
+        chart_loop(sys, Thm2(p), FAMILY)
     with pytest.raises(ValueError, match=r"z < 0 chart field is not defined .* own fast field, '-\(3"):
-        desing_rhs_directional(DirectionalChartState(rho=0.5, chi=[0.0, 0.0], mu=0.1), sys,
-                               OpenLoop())
+        chart_loop(sys, OpenLoop(), ZNEG)
 
 
 def _reference_directional(c, sys, variant):
-    """(rho', chi', mu') written out in numpy: f + u at the blown-down point,
-    the law's trees walked at eps = rho^(2k-1) mu, and the radial rate
+    """(rho', chi', r_bar') written out in numpy: f + u at the blown-down
+    point, the law's trees walked at eps = rho^(2k-1) mu, and the radial rate
     F(chi) = (-1)^k - sum_i (-1)^i chi_i by hand, so chi_i' =
-    rho^(i-1) mu (f_i + u_i) - (k-i+1) F chi_i and mu' = -(2k-1) mu F."""
+    rho^(i-1) mu (f_i + u_i) - (k-i+1) F chi_i and r_bar' = 0."""
     k = sys.k
     chi = np.asarray(c.chi, dtype=float)
     st, eps = from_directional_zneg(c, k)
@@ -379,7 +362,7 @@ def _reference_directional(c, sys, variant):
     F = (-1.0) ** k - sum((-1.0) ** (i + 1) * chi[i] for i in range(k - 1))
     dchi = np.array([c.rho ** i * c.mu * (f[i] + u[i]) - (k - i) * F * chi[i]
                      for i in range(k - 1)])
-    return c.rho * F, dchi, -(2 * k - 1) * c.mu * F
+    return c.rho * F, dchi, 0.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -396,7 +379,7 @@ def test_directional_field_matches_the_numpy_reference(k):
         for variant in (OpenLoop(), Thm2(p2), Thm2Plus3(p2, p3)):
             c = DirectionalChartState(rho=rng.uniform(0.2, 1.5), chi=rng.uniform(-1.5, 1.5, k - 1),
                                       mu=rng.uniform(0.05, 1.5))
-            got = np.hstack(desing_rhs_directional(c, sys, variant))
+            got = np.hstack(_zneg_at(c, sys, variant))
             want = np.hstack(_reference_directional(c, sys, variant))
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -416,7 +399,7 @@ def test_directional_field_up_to_the_compensation_degree(k):
     for _ in range(5):
         c = DirectionalChartState(rho=rng.uniform(0.5, 1.0), chi=rng.uniform(-1.0, 1.0, k - 1),
                                   mu=rng.uniform(0.05, 1.5))
-        got = np.hstack(desing_rhs_directional(c, sys, Thm2Plus3(p2, p3)))
+        got = np.hstack(_zneg_at(c, sys, Thm2Plus3(p2, p3)))
         want = np.hstack(_reference_directional(c, sys, Thm2Plus3(p2, p3)))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -453,11 +436,11 @@ def test_directional_field_on_the_eps_zero_slice():
     k, chi = 3, np.array([0.4, -0.3])
     sys = NormalFormSystem(k=k, epsilon=0.01, slow_f=_affine_drift(np.random.default_rng(1), 2))
     variant = Thm2(Theorem2Params(c=[1.0, -1.0], a=[2.0, 3.0], b=4.0))
-    drho, dchi, dmu = desing_rhs_directional(DirectionalChartState(0.7, chi, 0.0), sys, variant)
+    drho, dchi, dr = _zneg_at(DirectionalChartState(0.7, chi, 0.0), sys, variant)
     F = -1.0 + chi[0] - chi[1]
     assert drho == pytest.approx(0.7 * F, rel=1e-15)
     assert dchi.tolist() == pytest.approx([-3 * F * chi[0], -2 * F * chi[1]], rel=1e-15)
-    assert dmu == 0.0
+    assert dr == 0.0
 
 
 def test_directional_field_reads_eps_from_the_chart_point():
@@ -465,8 +448,8 @@ def test_directional_field_reads_eps_from_the_chart_point():
     drift = _affine_drift(rng, 2)
     variant = Thm2(Theorem2Params(c=[1.0, -1.0], a=[2.0, 3.0], b=4.0))
     c = DirectionalChartState(rho=0.6, chi=[0.2, -0.1], mu=0.3)
-    a, b = (np.hstack(desing_rhs_directional(c, NormalFormSystem(k=3, epsilon=e, slow_f=drift),
-                                             variant)) for e in (1e-3, 0.5))
+    a, b = (np.hstack(_zneg_at(c, NormalFormSystem(k=3, epsilon=e, slow_f=drift), variant))
+            for e in (1e-3, 0.5))
     assert np.array_equal(a, b)
 
 
@@ -486,18 +469,18 @@ class TestDesingDirectional:
     def test_radial_rate_at_chi_zero(self):
         sys = NormalFormSystem(k=2, epsilon=1.0, slow_f=zero_f)
         c = DirectionalChartState(rho=0.7, chi=[0.0], mu=0.4)
-        drho, dchi, dmu = desing_rhs_directional(c, sys, OpenLoop())
+        drho, dchi, dr = _zneg_at(c, sys, OpenLoop())
         assert drho == pytest.approx(0.7)  # F = 1 for k even at chi = 0
         assert dchi == pytest.approx([0.0])
-        assert dmu == pytest.approx(-3 * 0.4)
+        assert dr == 0.0  # mu' = -3 mu F
 
     def test_radial_rate_at_chi_one(self):
         sys = NormalFormSystem(k=2, epsilon=1.0, slow_f=zero_f)
         c = DirectionalChartState(rho=0.5, chi=[1.0], mu=0.25)
-        drho, dchi, dmu = desing_rhs_directional(c, sys, OpenLoop())
+        drho, dchi, dr = _zneg_at(c, sys, OpenLoop())
         assert drho == pytest.approx(1.0)  # F = 2
         assert dchi == pytest.approx([-4.0])
-        assert dmu == pytest.approx(-6 * 0.25)
+        assert dr == 0.0  # mu' = -3 mu F
 
     def test_compensation_contribution(self):
         # w = K (x z + (-z)^3 chi*) appears in chi' as K mu rho^3 (chi* - chi)
@@ -506,9 +489,8 @@ class TestDesingDirectional:
         p2 = Theorem2Params(c=[0.0], a=[1.0], b=3.0)
         rho, chi, mu = 0.8, 0.3, 0.6
         c = DirectionalChartState(rho=rho, chi=[chi], mu=mu)
-        _, dchi, _ = desing_rhs_directional(
-            c, sys, Thm2Plus3(p2, Theorem3Params(K=[K], chi_star=[chi_star])))
-        _, dchi0, _ = desing_rhs_directional(c, sys, Thm2(p2))
+        _, dchi, _ = _zneg_at(c, sys, Thm2Plus3(p2, Theorem3Params(K=[K], chi_star=[chi_star])))
+        _, dchi0, _ = _zneg_at(c, sys, Thm2(p2))
         contribution = dchi[0] - dchi0[0]
         assert contribution == pytest.approx(
             K * mu * rho**3 * (chi_star - chi), rel=1e-12
@@ -542,11 +524,14 @@ class TestDesingDirectional:
         sys = NormalFormSystem(k=k, epsilon=1.0, slow_f=ExprSlowField(("0.5", "-1 / 3")))
         subs = {rho_s: 0.9, mu_s: 0.7, chi_s[0]: -1.2, chi_s[1]: 0.4}
         c = DirectionalChartState(rho=0.9, chi=[-1.2, 0.4], mu=0.7)
-        drho_n, dchi_n, dmu_n = desing_rhs_directional(c, sys, OpenLoop())
+        drho_n, dchi_n, dr_n = _zneg_at(c, sys, OpenLoop())
         assert drho_n == pytest.approx(float(desing[0].subs(subs)), rel=1e-12)
         assert dchi_n[0] == pytest.approx(float(desing[1].subs(subs)), rel=1e-12)
         assert dchi_n[1] == pytest.approx(float(desing[2].subs(subs)), rel=1e-12)
-        assert dmu_n == pytest.approx(float(desing[3].subs(subs)), rel=1e-12)
+        # the loop's r_bar' = 0 is the chain rule's mu': r_bar = rho mu^(1/(2k-1))
+        r_bar = rho_s * mu_s ** sympy.Rational(1, 2 * k - 1)
+        dr = sympy.diff(r_bar, rho_s) * desing[0] + sympy.diff(r_bar, mu_s) * desing[3]
+        assert sympy.simplify(dr) == 0 and dr_n == 0.0
 
 
 class TestTimeRescale:

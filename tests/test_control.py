@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slowfast.blowup import (
+    FAMILY,
     FamilyChartState,
-    closed_loop_rhs_family,
+    chart_loop,
     compensation_zneg,
     family_law,
     to_family_chart,
@@ -239,9 +240,8 @@ class TestClosedLoopFamilyField:
     def test_reduces_to_linear_design_on_sphere(self):
         sys = NormalFormSystem(k=3, epsilon=0.01, slow_f=ExprSlowField(("2", "-1")))
         p = Theorem2Params(c=[2.0, -1.0], a=[1.0, 4.0], b=2.0)
-        _, dx, dz = closed_loop_rhs_family(
-            FamilyChartState(r_bar=0.0, x_bar=[0.5, -0.25], z_bar=0.4), sys, Thm2(p)
-        )
+        *dx, dz, dr = chart_loop(sys, Thm2(p), FAMILY)(0.0, np.array([0.5, -0.25, 0.4, 0.0]))
+        assert dr == 0.0
         assert dx == pytest.approx([-0.5 + 0.8, 1.0])
         assert dz == pytest.approx(-(0.4**3 + 0.5 + (-0.25) * 0.4))
 

@@ -26,6 +26,11 @@ class TestGridSpec:
         )
         assert grid.n_cells == 4 and grid.shape == (2, 2)
 
+    def test_cell_count_does_not_wrap(self):
+        # 41**12 is past the int64 range, where a product of the shape wraps
+        grid = GridSpec(x_ranges=((0.0, 1.0, 41),) * 11, z_range=(0.0, 1.0, 41))
+        assert grid.n_cells == 41**12 > np.iinfo(np.int64).max
+
     def test_single_point_range(self):
         grid = GridSpec(x_ranges=((0.0, 0.0, 1),), z_range=(0.0, 0.0, 1))
         assert grid.points() == pytest.approx(np.zeros((1, 2)))
