@@ -30,6 +30,9 @@ EXIT_CONFIG = 1
 EXIT_CONTRACT = 2
 EXIT_VERIFY = 3
 
+JOBS_HELP = ("processes for the ROA sweep, this one included, capped at the cores "
+             "it may run on (0 = all of them)")
+
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is a configuration error: exit 1, not argparse's 2."""
@@ -70,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ex2 = sub.add_parser("ex2", help="planar fold reproduction + ROA comparison")
     ex2.add_argument("--out", default="out/ex2")
-    ex2.add_argument("--jobs", type=int, default=0,
-                     help="worker processes for the ROA sweep (0 = all cores)")
+    ex2.add_argument("--jobs", type=int, default=0, help=JOBS_HELP)
     ex2.add_argument("--roa-grid", type=int, default=41,
                      help="grid points per axis for the ROA comparison")
     ex2.add_argument("--skip-roa", action="store_true",
@@ -85,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     roa.add_argument("--grid", type=int, default=41, help="points per axis")
     roa.add_argument("--x-range", type=float, nargs=2, default=(-3.0, 3.0))
     roa.add_argument("--z-range", type=float, nargs=2, default=(-3.0, 3.0))
-    roa.add_argument("--jobs", type=int, default=0)
+    roa.add_argument("--jobs", type=int, default=0, help=JOBS_HELP)
 
     ver = sub.add_parser("verify", help="run the numerical property suites",
                          formatter_class=_SuiteHelp)

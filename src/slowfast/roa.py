@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,34 +115,121 @@ def sweep(
 ) -> RoAReport:
     """Classify the closed loop from every grid node with :class:`CellRunner`.
 
-    Cells are independent; with ``jobs`` > 1 they fan out over processes,
-    one cell per task, and ``jobs`` < 1 means the cores this process may run
-    on. The pool starts all its workers at once, so it never has more
-    workers than the grid has cells; with one worker or one cell the sweep
-    runs in this process and never imports the pool. The loop and its
-    certificate are built before the pool starts, so forked workers inherit
-    them, and the cells farthest from the origin, where the long and costly
-    runs lie, are handed out first. The report order follows
-    :meth:`GridSpec.points` regardless of worker scheduling, and per-cell
-    numerical failures are recorded as diverged.
+    Cells are independent; with ``jobs`` > 1 they fan out over that many
+    processes, this one included, and ``jobs`` < 1 means the cores this
+    process may run on. There are never more processes than the grid has
+    cells or than this process has cores. With one, or where ``os.fork``
+    does not exist, the sweep runs in this process and forks nothing.
+    Otherwise the loop and its certificate are built before the fork, so
+    the children inherit them, and the cells farthest from the origin,
+    where the long and costly runs lie, go first, each to whichever process
+    is free (:func:`_fan_out`). The report order follows
+    :meth:`GridSpec.points` regardless of scheduling, and per-cell
+    numerical failures are recorded as diverged; any other exception of a
+    cell is raised here with its type, after every child has been reaped.
     """
     runner = CellRunner(system=system, variant=variant, cfg=cfg)
     pts = grid.points()
     if jobs is None or jobs < 1:
         jobs = _cores()
-    workers = min(jobs, len(pts))
-    if workers <= 1:
+    workers = min(jobs, len(pts), _cores())
+    if workers <= 1 or not hasattr(os, "fork"):
         outcomes = [runner(p) for p in pts]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
         runner.prepare()
-        order = np.argsort(-np.linalg.norm(pts, axis=1), kind="stable")
-        outcomes = [None] * len(pts)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, outcome in zip(order.tolist(), pool.map(runner, pts[order])):
-                outcomes[i] = outcome
+        outcomes = _fan_out(runner, pts, workers)
     return RoAReport(grid=grid, variant=describe(variant), outcomes=outcomes)
+
+
+def _fan_out(runner: CellRunner, pts: np.ndarray, workers: int) -> list[Outcome]:
+    """Classify ``pts`` on this process and ``workers - 1`` forked children.
+
+    Every process takes the next cell, farthest from the origin first, from
+    one counter that travels through a pipe: the process that has read it
+    holds the lock until it writes the next value back, and one whose cell
+    raised writes back the end, so that the others stop. A child sends its
+    ``(index, Outcome)`` pairs, or the exception with its traceback, in one
+    pickle through a pipe of its own and leaves by ``os._exit``. When this
+    process raises, the children are killed. Either way each one is reaped
+    before this returns, and one that sent nothing is an error that names
+    its exit status.
+    """
+    order = np.argsort(-np.linalg.norm(pts, axis=1), kind="stable").tolist()
+    counter_r, counter_w = os.pipe()
+
+    def put(i: int) -> None:
+        os.write(counter_w, i.to_bytes(8, "little"))
+
+    def cells():
+        while True:
+            i = int.from_bytes(os.read(counter_r, 8), "little")
+            put(min(i + 1, len(order)))
+            if i == len(order):
+                return
+            yield order[i]
+
+    outcomes = [None] * len(order)
+    children = {}  # pid -> read end of the pipe its result comes through
+    sent = {}
+    put(0)
+    try:
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never return into the caller's frames
+                code = 1
+                try:
+                    os.close(result_r)
+                    try:
+                        result = [(i, runner(pts[i])) for i in cells()]
+                    except BaseException as exc:  # noqa: BLE001 - sent to the caller
+                        os.read(counter_r, 8)  # the others take no further cell
+                        put(len(order))
+                        result = _portable(exc)
+                    with open(result_w, "wb") as fh:
+                        pickle.dump(result, fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(result_w)
+            children[pid] = result_r
+        for i in cells():
+            outcomes[i] = runner(pts[i])
+        for pid, fd in children.items():
+            with open(fd, "rb", closefd=False) as fh:
+                sent[pid] = fh.read()
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
+        for fd in (counter_r, counter_w, *children.values()):
+            os.close(fd)
+    for pid, data in sent.items():
+        if status[pid] != 0 or not data:
+            raise RuntimeError(f"sweep worker {pid} exited with status {status[pid]}"
+                               " without sending its outcomes")
+        result = pickle.loads(data)
+        if isinstance(result, tuple):
+            exc, trace = result
+            raise exc from RuntimeError(f"in sweep worker {pid}:\n{trace}")
+        for i, outcome in result:
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _portable(exc: BaseException) -> tuple[BaseException, str]:
+    """``exc`` and its traceback as text, or a RuntimeError with its repr
+    when the exception does not survive a pickle round trip."""
+    import traceback
+
+    trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any failure to pickle
+        exc = RuntimeError(f"a sweep cell raised {exc!r}")
+    return exc, trace
 
 
 @dataclass

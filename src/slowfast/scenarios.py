@@ -694,7 +694,9 @@ def run_ex2_roa(
     out_dir=None,
 ) -> tuple[RoAReport, RoAReport, RoAComparison]:
     """Sweep the baseline against the compensated loop on the same grid,
-    at the smaller epsilon; ``jobs`` < 1 means one process per core."""
+    at the smaller epsilon. Each sweep runs on ``jobs`` processes, this one
+    included, capped at the grid's cells and the cores this process may run
+    on; ``jobs`` < 1 means all of those cores (see :func:`slowfast.roa.sweep`)."""
     grid = grid or default_ex2_grid()
     make_out_dir(out_dir)
     epsilon = min(EX2_EPSILONS)

@@ -1,12 +1,11 @@
-import concurrent.futures
-import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
-from slowfast import closedloop, sim
-from slowfast.closedloop import Thm2
+from slowfast import closedloop, roa, sim
+from slowfast.closedloop import CellRunner, Thm2
 from slowfast.control import Theorem2Params
 from slowfast.normal_form import compile_functions
 from slowfast.roa import GridSpec, RoAReport, compare, sweep, write_report_csv
@@ -94,7 +93,7 @@ class TestSweep:
         assert len({o.kind for o in serial.outcomes}) > 1
         assert serial.outcomes == parallel.outcomes  # kinds and times, in grid order
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="workers inherit the parent's loop only when forked")
     def test_workers_inherit_the_compiled_loop(self, monkeypatch):
         parent = os.getpid()
@@ -111,24 +110,23 @@ class TestSweep:
         rep = sweep(sys, Thm2(P2), grid, config_for(0.01, 1.0), jobs=2)
         assert len(rep.outcomes) == 4
 
-    def test_pool_never_has_more_workers_than_cells(self, monkeypatch):
-        # the pool forks all its workers up front: record them, start none
+    @staticmethod
+    def _record_fan_out(monkeypatch, cores):
+        # the processes a fan-out would run, the caller included: record
+        # them, fork none, and classify the cells in this process
         started = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def serial(runner, pts, workers):
+            started.append(workers)
+            return [runner(p) for p in pts]
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(roa, "_fan_out", serial)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        return started
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_never_has_more_workers_than_cells(self, monkeypatch):
+        started = self._record_fan_out(monkeypatch, cores=8)
         sys = build_planar_example(0.01)
         cfg = config_for(0.01, 1.0)
         three = GridSpec(x_ranges=((0.0, 0.0, 1),), z_range=(-0.5, 0.5, 3))
@@ -141,6 +139,81 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         sweep(sys, Thm2(P2), three, cfg, jobs=0)
         assert started == [3, 2]  # jobs < 1: the cores this process may run on
+
+    def test_never_more_workers_than_cores(self, monkeypatch):
+        started = self._record_fan_out(monkeypatch, cores=2)
+        sys = build_planar_example(0.01)
+        cfg = config_for(0.01, 1.0)
+        four = GridSpec(x_ranges=((-0.5, 0.5, 2),), z_range=(-0.5, 0.5, 2))
+        sweep(sys, Thm2(P2), four, cfg, jobs=5000)
+        assert started == [2]
+        self._record_fan_out(monkeypatch, cores=1)
+        sweep(sys, Thm2(P2), four, cfg, jobs=5000)
+        assert started == [2]  # one core: the sweep runs in this process
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks no child")
+    def test_more_processes_than_cores_classify_each_cell_once(self, monkeypatch, tmp_path):
+        # every process appends the cells it classifies to one log: a cell
+        # taken twice, or never, breaks the count
+        log = os.open(tmp_path / "cells", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        simulate = CellRunner.simulate
+
+        def logged(self, ic):
+            os.write(log, f"{float(ic[0])!r} {float(ic[1])!r}\n".encode())
+            return simulate(self, ic)
+
+        sys = build_planar_example(0.01)
+        cfg = config_for(0.01, 1.0)
+        grid = GridSpec(x_ranges=((-2.0, 2.0, 8),), z_range=(-2.0, 2.0, 8))
+        serial = sweep(sys, Thm2(P2), grid, cfg, jobs=1)
+        monkeypatch.setattr(CellRunner, "simulate", logged)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        t0 = time.perf_counter()
+        try:
+            parallel = sweep(sys, Thm2(P2), grid, cfg, jobs=6)
+        finally:
+            os.close(log)
+        assert time.perf_counter() - t0 < 60.0
+        assert parallel.outcomes == serial.outcomes
+        cells = sorted(f"{float(x)!r} {float(z)!r}" for x, z in grid.points())
+        assert sorted((tmp_path / "cells").read_text().splitlines()) == cells
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _sweep_with_a_child_cell(monkeypatch, child_cell):
+        # the caller's cells are slow, so the forked child classifies some
+        parent = os.getpid()
+        simulate = CellRunner.simulate
+
+        def cell(self, ic):
+            if os.getpid() != parent:
+                child_cell()
+            time.sleep(0.05)
+            return simulate(self, ic)
+
+        monkeypatch.setattr(CellRunner, "simulate", cell)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = GridSpec(x_ranges=((-0.5, 0.5, 2),), z_range=(-0.5, 0.5, 2))
+        return sweep(build_planar_example(0.01), Thm2(P2), grid, config_for(0.01, 1.0),
+                     jobs=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks no child")
+    def test_a_childs_programming_error_is_raised_with_its_type(self, monkeypatch):
+        def bug():
+            raise TypeError("a bug in a cell")
+
+        with pytest.raises(TypeError, match="a bug in a cell"):
+            self._sweep_with_a_child_cell(monkeypatch, bug)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child has been reaped
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks no child")
+    def test_a_child_that_exits_without_a_result_is_an_error(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            self._sweep_with_a_child_cell(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_one_loop_and_one_proof_per_sweep(self):
         # the caches key on the (system, variant) values: a serial sweep
