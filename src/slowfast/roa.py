@@ -175,7 +175,12 @@ def _fan_out(runner: CellRunner, pts: np.ndarray, workers: int) -> list[Outcome]
     try:
         for _ in range(workers - 1):
             result_r, result_w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(result_r)
+                os.close(result_w)
+                raise
             if pid == 0:  # the child: never return into the caller's frames
                 code = 1
                 try:

@@ -151,6 +151,41 @@ class TestSweep:
         sweep(sys, Thm2(P2), four, cfg, jobs=5000)
         assert started == [2]  # one core: the sweep runs in this process
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_kills_and_reaps_the_children_and_closes_the_pipes(self, monkeypatch):
+        # the first child is busy for 20 s: only a kill ends it in time
+        parent = os.getpid()
+        simulate = CellRunner.simulate
+        fork = os.fork
+        forks = []
+
+        def slow_in_children(self, ic):
+            if os.getpid() != parent:
+                time.sleep(20.0)
+            return simulate(self, ic)
+
+        def second_fork_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError("no process left")
+            return fork()
+
+        sys = build_planar_example(0.01)
+        grid = GridSpec(x_ranges=((-0.5, 0.5, 2),), z_range=(-0.5, 0.5, 2))
+        cfg = config_for(0.01, 1.0)
+        sweep(sys, Thm2(P2), grid, cfg)  # the loop and its proof, before counting
+        fds = sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(CellRunner, "simulate", slow_in_children)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        t0 = time.perf_counter()
+        with pytest.raises(BlockingIOError):
+            sweep(sys, Thm2(P2), grid, cfg, jobs=3)
+        assert time.perf_counter() - t0 < 10.0
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks no child")
     def test_more_processes_than_cores_classify_each_cell_once(self, monkeypatch, tmp_path):
         # every process appends the cells it classifies to one log: a cell
