@@ -32,17 +32,16 @@ __all__ = [
     "NormalFormSystem",
     "State",
     "eval_g",
-    "g_partial_z",
     "eval_rhs_fast",
     "eval_rhs_slow",
     "degeneracy_order",
-    "on_manifold_tolerance",
     "parse_expression",
     "walk",
     "compile_functions",
 ]
 
-#: scale factor of the |g| <= tol * (1 + ||(x,z)||^k) manifold membership test
+#: relative size below which g or a z-derivative of g counts as zero: at most
+#: this times the sum of the magnitudes of its terms
 MANIFOLD_TOL = 1e-9
 
 
@@ -135,36 +134,31 @@ def _horner(k: int) -> str:
     return f"-({s}) / epsilon"
 
 
-def eval_g(x, z: float, k: int) -> float:
-    """Fast field -(z^k + sum_i x_i z^(i-1)) of the normal-form class."""
+def _g_terms(x, z: float, k: int, m: int) -> tuple[float, float]:
+    """The m-th z-derivative of g at (x, z) as a power sum, and the sum of
+    the magnitudes of its terms. Under (x_i, z) -> (lam^(k-i+1) x_i, lam z)
+    every term scales by lam^(k-m), and so do both sums."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    xv = _vec(x, k - 1, "x")
-    z = float(z)
-    s = z**k
-    zp = 1.0
-    for i in range(k - 1):
-        s += xv[i] * zp
-        zp *= z
-    return -s
-
-
-def g_partial_z(x, z: float, k: int, m: int) -> float:
-    """m-th partial derivative of g with respect to z, in closed form.
-
-    g is polynomial in z, so the derivative is exact (no differencing).
-    """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
-    xv = _vec(x, k - 1, "x")
-    z = float(z)
-    s = 0.0
-    if k >= m:
-        s += math.perm(k, m) * z ** (k - m)
-    for i in range(1, k):  # slow coordinate x_i multiplies z^(i-1)
-        if i - 1 >= m:
-            s += xv[i - 1] * math.perm(i - 1, m) * z ** (i - 1 - m)
-    return -s
+    xv, z = _vec(x, k - 1, "x"), float(z)
+    s = math.perm(k, m) * z ** max(k - m, 0)
+    size = abs(s)
+    zp = 1.0
+    for i in range(m, k - 1):  # slow coordinate x_(i+1) multiplies z^i
+        t = xv[i] * math.perm(i, m) * zp
+        s += t
+        size += abs(t)
+        zp *= z
+    return -s, size
+
+
+def eval_g(x, z: float, k: int, m: int = 0) -> float:
+    """Fast field g = -(z^k + sum_i x_i z^(i-1)) of the normal-form class,
+    or its m-th partial derivative with respect to z, exact in the
+    polynomial (no differencing)."""
+    return _g_terms(x, z, k, m)[0]
 
 
 def _require_g(sys: NormalFormSystem, what: str) -> None:
@@ -195,31 +189,26 @@ def eval_rhs_slow(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float
     return dx / sys.epsilon, dz / sys.epsilon
 
 
-def on_manifold_tolerance(x, z: float, k: int) -> float:
-    """Scale-aware acceptance threshold for critical-manifold membership."""
-    xv = _vec(x, None, "x")
-    norm = math.hypot(float(np.linalg.norm(xv)), float(z))
-    return MANIFOLD_TOL * (1.0 + norm**k)
-
-
 def degeneracy_order(x, z: float, k: int) -> int:
     """Smallest m >= 1 with nonzero m-th z-derivative of g at a point of S.
 
     m = 1 means the point is normally hyperbolic; m = k occurs only at the
-    origin. The point must be finite and lie on the critical manifold
-    within the scale-aware tolerance.
+    origin. The point must be finite and lie on the critical manifold. A
+    value counts as zero when it is at most ``MANIFOLD_TOL`` times the sum
+    of the magnitudes of its own terms, so the order does not change under
+    g's weighted scaling (x_i, z) -> (lam^(k-i+1) x_i, lam z).
     """
     xv = _vec(x, k - 1, "x")
     if not (np.all(np.isfinite(xv)) and np.isfinite(z)):
         raise ValueError(f"point must be finite, got x={xv.tolist()}, z={z}")
-    tol = on_manifold_tolerance(xv, z, k)
-    residual = abs(eval_g(xv, z, k))
-    if not residual <= tol:
+    g, size = _g_terms(xv, z, k, 0)
+    if not abs(g) <= MANIFOLD_TOL * size < math.inf:  # an overflowed term holds no point
         raise ValueError(
-            f"point is off the critical manifold: |g| = {residual:.3e} > {tol:.3e}"
+            f"point is off the critical manifold: |g| = {abs(g):.3e} > {MANIFOLD_TOL * size:.3e}"
         )
     for m in range(1, k):
-        if abs(g_partial_z(xv, z, k, m)) > tol:
+        d, size = _g_terms(xv, z, k, m)
+        if abs(d) > MANIFOLD_TOL * size:
             return m
     return k  # d^k g / dz^k = -k! never vanishes
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from slowfast.normal_form import (
     eval_g,
     eval_rhs_fast,
     eval_rhs_slow,
-    g_partial_z,
 )
 
 
@@ -38,6 +39,10 @@ class TestEvalG:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
             eval_g([], 1.0, 1)
+
+    def test_negative_derivative_order_rejected(self):
+        with pytest.raises(ValueError, match="derivative order must be >= 0"):
+            eval_g([1.0], 1.0, 2, -1)
 
 
 @st.composite
@@ -167,8 +172,8 @@ class TestDegeneracyOrder:
             expr = sympy.diff(expr, zs)
             orders.append(float(expr.subs(zs, 1.0)))
         assert orders[0] == 0.0 and orders[1] != 0.0
-        for m in range(1, 4):
-            assert g_partial_z(x, 1.0, 3, m) == pytest.approx(
+        for m in range(0, 4):
+            assert eval_g(x, 1.0, 3, m) == pytest.approx(
                 float(sympy.diff(g, zs, m).subs(zs, 1.0)), rel=1e-12, abs=1e-12
             )
 
@@ -182,9 +187,41 @@ class TestDegeneracyOrder:
             degeneracy_order(x, z, 2)
 
     def test_nan_residual_is_off_the_manifold(self, monkeypatch):
-        monkeypatch.setattr(normal_form, "eval_g", lambda x, z, k: np.nan)
+        monkeypatch.setattr(normal_form, "_g_terms", lambda x, z, k, m: (np.nan, 1.0))
         with pytest.raises(ValueError, match="off the critical manifold"):
             degeneracy_order([0.0], 0.0, 2)
+
+    @pytest.mark.parametrize("x, z", [([-1e12], 1e6), ([-1e150], 1e75)])
+    def test_large_hyperbolic_point(self, x, z):
+        # dg/dz = -2z, however large the point: the scale is dg/dz's own term
+        assert degeneracy_order(x, z, 2) == 1
+
+    def test_large_residual_is_off_the_manifold(self):
+        # |g| = 2e24 against terms summing to 4e24
+        with pytest.raises(ValueError, match="off the critical manifold"):
+            degeneracy_order([3e8, -3e16], 1e8, 3)
+
+    def test_overflowing_terms_are_off_the_manifold(self):
+        # x_2 z = -1e310 overflows, so |g| and its term sum are both inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="off the critical"):
+            degeneracy_order([1e300, -1e300], 1e10, 3)
+
+    def test_huge_point_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert degeneracy_order([-1e200], 1e100, 2) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_order_invariant_under_weighted_scaling(self, k):
+        # z^k + sum_i x_i z^(i-1) = (z - (k-m))^m (z + m)^(k-m): integer
+        # roots summing to 0, so the point (x, k - m) of S has order m; each
+        # scaling (x_i, z) -> (lam^(k-i+1) x_i, lam z) with lam = 2^j is exact
+        for m in range(1, k + 1):
+            x = np.poly([k - m] * m + [-m] * (k - m))[:1:-1]
+            for j in range(-60, 61):
+                lam = 2.0**j
+                xs = [lam ** (k - i) * xi for i, xi in enumerate(x)]
+                assert degeneracy_order(xs, lam * (k - m), k) == m, (m, j)
 
 
 class TestValidate:

@@ -115,7 +115,8 @@ EXPORTS = {
     "systems": "TunnelDiodeSystem build_planar_example diode_fold_points",
 }
 
-# modules that scenario runs never use, the pool and the blow-up charts first
+# modules that scenario runs never use, those of a process pool (which no
+# sweep needs) and the blow-up charts first
 UNUSED = ["concurrent.futures.process", "multiprocessing", "slowfast.blowup",
           "slowfast.poly", "slowfast.verification", "slowfast.lyapunov"]
 
@@ -137,10 +138,12 @@ def test_import_loads_only_what_a_run_uses():
         system = build_planar_example(0.01)
         variant = Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.0))
         cfg = config_for(0.01, 1.0)
-        sweep(system, variant, GridSpec(((-1.0, 1.0, 2),), (0.0, 0.0, 1)), cfg, jobs=1)
+        two = GridSpec(((-1.0, 1.0, 2),), (0.0, 0.0, 1))
+        sweep(system, variant, two, cfg, jobs=1)
         sweep(system, variant, GridSpec(((0.0, 0.0, 1),), (0.0, 0.0, 1)), cfg, jobs=8)
+        sweep(system, variant, two, cfg, jobs=2)  # fans out wherever two cores are
         loaded = [m for m in {UNUSED[:3]!r} if m in sys.modules]
-        assert not loaded, loaded  # serial sweeps need no pool and no charts
+        assert not loaded, loaded  # no sweep, serial or fanned, needs a pool or the charts
 
         exports = {EXPORTS!r}
         names = [n for names in exports.values() for n in names.split()]

@@ -9,9 +9,31 @@ FAST_SUITES = [name for name in SUITES if name != "conjugacy"]
 
 
 def test_fast_suites_pass_for_several_seeds():
-    for seed in (0, 1, 2):
+    # seed 0 is pinned, every suite included, by the test below
+    for seed in (1, 2):
         for res in run_suites(seed=seed, names=FAST_SUITES):
             assert res.passed, res.line()
+
+
+# what ``slowfast verify --seed 0`` prints, but max_err: (name, tol, n), in
+# order, and the suites whose error is exactly 0
+SEED0 = [("quasihomogeneity", 1e-11, 20), ("fast-field-horner", 1e-14, 20),
+         ("slow-fast-scaling", 1e-14, 200), ("degeneracy-origin", 0.0, 5),
+         ("chart-roundtrip", 1e-12, 2000), ("chart-compatibility", 1e-12, 500),
+         ("blowdown-identity", 1e-11, 1418), ("eigenvalues", 1e-9, 200),
+         ("jacobian-fd", 1e-6, 9), ("compensation-chart-form", 1e-11, 1266),
+         ("scale-behavior", 1e-12, 296), ("tangency", 1e-8, 500),
+         ("rhs-continuity-r0", 1e-6, 20), ("conjugacy", 1e-5, 33)]
+EXACT = {"quasihomogeneity", "fast-field-horner", "degeneracy-origin", "blowdown-identity",
+         "compensation-chart-form", "scale-behavior", "rhs-continuity-r0"}
+
+
+def test_seed_0_gives_the_same_answers():
+    results = run_suites(seed=0)
+    assert [(r.name, r.tol, r.n_samples) for r in results] == SEED0
+    for res in results:
+        assert res.passed, res.line()
+        assert res.max_err == 0.0 or res.name not in EXACT, res.line()
 
 
 def test_contracted_suites_are_registered():
