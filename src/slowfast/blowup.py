@@ -28,8 +28,8 @@ import numpy as np
 from . import poly
 from .closedloop import Variant, law
 from .control import Theorem2Params, Theorem3Params, _check_order, thm2_template, thm3_law
-from .normal_form import (NormalFormSystem, State, _drift_trees, _env, _names, _require_g,
-                          _vec, parse_expression)
+from .expr import parse_expression
+from .normal_form import NormalFormSystem, State, _drift_trees, _env, _names, _require_g, _vec
 from .sim import compile_loop
 
 __all__ = ["FamilyChartState", "DirectionalChartState", "to_family_chart", "from_family_chart",

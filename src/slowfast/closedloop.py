@@ -17,7 +17,8 @@ import numpy as np
 
 from .control import (Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm2_template,
                       thm3_law)
-from .normal_form import ExprSlowField, _require_g, parse_expression
+from .expr import parse_expression
+from .normal_form import ExprSlowField, _env, _require_g
 from .sim import (BALL, IntegratorConfig, NonFiniteError, Outcome, Trajectory, classify,
                   compile_loop, integrate)
 
@@ -150,11 +151,10 @@ def _check_size(gains, m: int) -> None:
 
 def _trees(system, variant: Variant) -> dict:
     """Checked trees of the law (``_v1``..``_vm``), the drift (``_f1``..``_fm``)
-    and the fast field (``_g``) in x1..xm and z, with the system's constants
-    bound."""
+    and the fast field (``_g``) in x1..xm and z, with pi and the system's
+    constants bound."""
     m = system.n_slow
-    xs = [f"x{i}" for i in range(1, m + 1)]
-    env = {**dict(zip(xs, xs)), "z": "z", "pi": math.pi, **system.constants}
+    env = _env([*(f"x{i}" for i in range(1, m + 1)), "z"], system.constants)
     trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
     trees.update((f"_f{i}", parse_expression(src, env)) for i, src in enumerate(system.drift, 1))
     trees["_g"] = parse_expression(system.fast, env)
@@ -178,7 +178,7 @@ def _generated(system, variant: Variant):
     recorded = vs
     if system.slots is not None and isinstance(variant, Thm2):
         recorded = [f"_u{i}" for i in range(1, m + 1)]
-        slot_env = {**dict(zip(vs, vs)), **system.constants}
+        slot_env = _env(vs, system.constants)
         trees.update(zip(recorded, (parse_expression(src, slot_env) for src in system.slots)))
     field = ", ".join(f"_f{i} + {v}" for i, v in enumerate(vs, 1)) + ", _g"
     names = [*(f"x{i}" for i in range(1, m + 1)), "z"]

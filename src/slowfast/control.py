@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_form import _vec, parse_expression, walk
+from .expr import parse_expression, walk
+from .normal_form import _vec
 
 __all__ = ["Theorem2Params", "Theorem3Params", "THM2_TEMPLATE", "thm2_template", "thm2_law",
            "thm3_law", "highgain_law", "evaluate", "closed_loop_jacobian_origin",

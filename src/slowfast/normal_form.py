@@ -12,20 +12,19 @@ the drift with the constants it names, the fast field (g by default) and
 optional control slots, all as expressions. The builtin rows of
 :mod:`slowfast.systems` and ``custom`` configs fill in the same record.
 
-Slow fields given as text, control laws and the closed loops generated
-from them go through one checked expression grammar (:func:`parse_expression`),
-whose trees are walked by :func:`walk` or compiled by :func:`compile_functions`.
+Every expression of the record is checked by the grammar of
+:mod:`slowfast.expr`; a drift is walked there (:func:`slowfast.expr.walk`),
+and a closed loop compiles the same checked trees in :mod:`slowfast.sim`.
 """
 from __future__ import annotations
 
-import ast
-import copy
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .expr import parse_expression, walk
 
 __all__ = [
     "ExprSlowField",
@@ -35,9 +34,6 @@ __all__ = [
     "eval_rhs_fast",
     "eval_rhs_slow",
     "degeneracy_order",
-    "parse_expression",
-    "walk",
-    "compile_functions",
 ]
 
 #: relative size below which g or a z-derivative of g counts as zero: at most
@@ -137,13 +133,16 @@ def _horner(k: int) -> str:
 def _g_terms(x, z: float, k: int, m: int) -> tuple[float, float]:
     """The m-th z-derivative of g at (x, z) as a power sum, and the sum of
     the magnitudes of its terms. Under (x_i, z) -> (lam^(k-i+1) x_i, lam z)
-    every term scales by lam^(k-m), and so do both sums."""
+    every term scales by lam^(k-m), and so do both sums; an overflowing term is inf."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if m < 0:
         raise ValueError("derivative order must be >= 0")
-    xv, z = _vec(x, k - 1, "x"), float(z)
-    s = math.perm(k, m) * z ** max(k - m, 0)
+    xv, z, n = _vec(x, k - 1, "x").tolist(), float(z), max(k - m, 0)
+    try:
+        s = math.perm(k, m) * z ** n
+    except OverflowError:  # a float power raises where a product gives inf
+        s = math.copysign(math.inf, z) if n % 2 else math.inf
     size = abs(s)
     zp = 1.0
     for i in range(m, k - 1):  # slow coordinate x_(i+1) multiplies z^i
@@ -213,203 +212,6 @@ def degeneracy_order(x, z: float, k: int) -> int:
     return k  # d^k g / dz^k = -k! never vanishes
 
 
-_EXPR_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh")
-_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def _pow(base, exponent):
-    """``base ** exponent`` with NaN, as numpy gives, where Python gives a complex."""
-    r = base ** exponent
-    return math.nan if isinstance(r, complex) else r
-
-
-def _quadratic(form, y) -> float:
-    """y^T P y of the upper-triangle coefficients ``form`` of P, row by row,
-    summed left to right from 0.0 (``sum`` compensates from Python 3.12)."""
-    v = 0.0
-    p = iter(form)
-    for i, yi in enumerate(y):
-        for yj in y[i:]:
-            v += next(p) * yi * yj
-    return v
-
-
-# globals of every generated function, where a walk looks up its calls: no
-# builtins, the listed numpy functions and the integrator loop's own names
-_SCOPE = {name: getattr(np, name) for name in _EXPR_FUNCS}
-_SCOPE.update(_pow=_pow, float=float, _hypot=math.hypot, _sqrt=math.sqrt, _inf=math.inf,
-              _ArithmeticError=ArithmeticError, _quadratic=_quadratic, __builtins__={})
-
-
-class _ExprChecker(ast.NodeTransformer):
-    """Admits only the expression grammar, in one pass.
-
-    Each name is looked up in ``env``: a string renames it to that local, a
-    number makes it a constant. Numbers become floats, ``a ** b`` becomes
-    ``_pow(a, b)`` unless b is an integral constant (a float to such a power
-    is never complex) and a call ``fn(a)`` becomes ``float(fn(a))``, so every
-    value is a float; any other node type is an error, so no
-    attribute, subscript, comprehension or call outside the listed numpy
-    functions can reach the compiler. The checked tree is built new, so the
-    parsed tree can be shared.
-    """
-
-    def __init__(self, env: dict):
-        self.env = env
-
-    def generic_visit(self, node):
-        raise ValueError(f"`{type(node).__name__}` is not allowed")
-
-    def visit_Expression(self, node):
-        return self.visit(node.body)
-
-    def visit_Constant(self, node):
-        if type(node.value) not in (int, float):
-            raise ValueError(f"constant {node.value!r} is not a real number")
-        return ast.Constant(float(node.value))
-
-    def visit_Name(self, node):
-        if node.id not in self.env:
-            raise ValueError(f"unknown name `{node.id}`")
-        value = self.env[node.id]
-        if isinstance(value, str):
-            return ast.Name(value, ast.Load())
-        return ast.Constant(float(value))
-
-    def visit_UnaryOp(self, node):
-        if not isinstance(node.op, (ast.USub, ast.UAdd)):
-            raise ValueError(f"`{type(node.op).__name__}` is not allowed")
-        return ast.UnaryOp(node.op, self.visit(node.operand))
-
-    def visit_BinOp(self, node):
-        if not isinstance(node.op, _EXPR_BINOPS):
-            raise ValueError(f"operator `{type(node.op).__name__}` is not allowed")
-        left, right = self.visit(node.left), self.visit(node.right)
-        if isinstance(node.op, ast.Pow) and not (
-                isinstance(right, ast.Constant) and right.value.is_integer()):
-            return ast.Call(ast.Name("_pow", ast.Load()), [left, right], [])
-        return ast.BinOp(left, node.op, right)
-
-    def visit_Call(self, node):
-        if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS
-                and len(node.args) == 1 and not node.keywords
-                and not isinstance(node.args[0], ast.Starred)):
-            raise ValueError(
-                f"only one-argument calls of {', '.join(_EXPR_FUNCS)} are allowed")
-        call = ast.Call(ast.Name(node.func.id, ast.Load()), [self.visit(node.args[0])], [])
-        return ast.Call(ast.Name("float", ast.Load()), [call], [])
-
-
-_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
-        ast.UAdd: operator.pos}
-
-
-def walk(tree: ast.expr, env: dict):
-    """Value of a checked tree with its local names bound by ``env``:
-    operation for operation, on the values as given, what it computes
-    compiled."""
-    if isinstance(tree, ast.Constant):
-        return tree.value
-    if isinstance(tree, ast.Name):
-        return env[tree.id]
-    if isinstance(tree, ast.UnaryOp):
-        return _OPS[type(tree.op)](walk(tree.operand, env))
-    if isinstance(tree, ast.Call):
-        return _SCOPE[tree.func.id](*[walk(arg, env) for arg in tree.args])
-    return _OPS[type(tree.op)](walk(tree.left, env), walk(tree.right, env))
-
-
-@lru_cache(maxsize=256)
-def _parsed(src: str) -> ast.Expression:
-    return ast.parse(src, mode="eval")
-
-
-def parse_expression(src: str, env: dict) -> ast.expr:
-    """Checked tree of the expression ``src``.
-
-    The grammar is numbers, the names in ``env`` (a string value renames the
-    name to that local, a number binds it as a constant), ``+ - * / **``,
-    unary minus and one-argument calls of sin, cos, tan, exp, log, sqrt, abs
-    and tanh (the numpy versions, so sqrt and log of a negative number give
-    NaN). Anything else raises ValueError.
-    """
-    try:
-        return _ExprChecker(env).visit(_parsed(src))
-    except (SyntaxError, OverflowError, RecursionError) as exc:
-        raise ValueError(str(exc)) from None
-
-
-class _Fill(ast.NodeTransformer):
-    # each tree gets its locations once and is spliced in, uncopied, at
-    # every use of its name: compile only reads the module
-
-    def __init__(self, trees: dict):
-        self.trees = {name: ast.fix_missing_locations(tree) for name, tree in trees.items()}
-
-    def visit_Name(self, node):
-        return self.trees.get(node.id, node)
-
-
-@lru_cache(maxsize=16)
-def _parsed_module(src: str) -> ast.Module:
-    return ast.parse(src)
-
-
-def _splice(stmts: list, blocks: dict) -> list:
-    """``stmts`` with each marker statement preceded by its block's
-    statements and given its expression, nested statements included. The
-    statements that hold a marker or nest statements are copied, so the
-    parsed source is left as it was."""
-    out = []
-    for stmt in stmts:
-        value = getattr(stmt, "value", None)
-        if (isinstance(stmt, (ast.Assign, ast.Return)) and isinstance(value, ast.Name)
-                and value.id in blocks):
-            body, expr = blocks[value.id]
-            out += body
-            stmt = copy.copy(stmt)
-            stmt.value = expr
-        else:
-            nested = [attr for attr in ("body", "orelse", "handlers", "finalbody")
-                      if isinstance(getattr(stmt, attr, None), list)]
-            if nested:
-                stmt = copy.copy(stmt)
-                for attr in nested:
-                    setattr(stmt, attr, _splice(getattr(stmt, attr), blocks))
-        out.append(stmt)
-    return out
-
-
-def compile_functions(src: str, blocks: dict, trees: dict) -> dict:
-    """Namespace of the definitions in ``src``, with ``blocks`` spliced in.
-
-    ``src`` is generated from names and the integrator's own tableau only
-    and is compiled as parsed, except at its markers: a statement
-    ``target = name`` or ``return name`` whose ``name`` is a key of
-    ``blocks``. A block is a list of source lines, statements and then one
-    expression, in which each name in ``trees`` stands for that checked
-    tree. Each block is parsed and filled once, and each of its markers
-    becomes its statements followed by the target assigned, or returned,
-    its expression; all markers share those nodes, since compile only
-    reads them. So the numbers of a config or an expression reach the
-    compiler as the constants of trees from :func:`parse_expression`, never
-    as text; only the blocks are walked to fill them, and ``src``, which
-    depends on the state dimension alone for a closed loop, is parsed once
-    per process. The globals are ``_SCOPE`` and the functions defined; there
-    are no builtins.
-    """
-    fill = _Fill(trees)
-    filled = {}
-    for name, lines in blocks.items():
-        *body, last = fill.visit(ast.parse("\n".join(lines))).body
-        filled[name] = body, last.value
-    module = ast.Module(_splice(_parsed_module(src).body, filled), type_ignores=[])
-    ns = dict(_SCOPE)
-    exec(compile(module, "<generated>", "exec"), ns)
-    return ns
-
-
 def _names(m: int) -> tuple[str, ...]:
     return (*(f"x{i}" for i in range(1, m + 1)), "z", "epsilon")
 
@@ -452,14 +254,14 @@ class ExprSlowField:
     """Slow drift defined by expression strings in x1..xm, z and epsilon,
     and the named constants ``constants`` they use.
 
-    The grammar is that of :func:`parse_expression`, with ``pi``; anything
-    else raises ValueError on construction. The constants, given as a
-    mapping or as (name, value) pairs, are kept as pairs of names and
-    floats sorted by name. Instances hold only strings and numbers, so they
-    compare by value and pickle cleanly into sweep workers; the checked
-    trees are cached per expression tuple and walked by :func:`walk` on a
-    call, and a closed loop splices the checked expressions into its own
-    generated function.
+    The grammar is that of :func:`slowfast.expr.parse_expression`, with
+    ``pi``; anything else raises ValueError on construction. The constants,
+    given as a mapping or as (name, value) pairs, are kept as pairs of names
+    and floats sorted by name. Instances hold only strings and numbers, so
+    they compare by value and pickle cleanly into sweep workers; the checked
+    trees are cached per expression tuple and walked by
+    :func:`slowfast.expr.walk` on a call, and a closed loop splices the
+    checked expressions into its own generated function.
     """
 
     exprs: tuple[str, ...]

@@ -2,7 +2,7 @@
 (one entry per variable) to float coefficients.
 
 :func:`expand` reads a polynomial tree of
-:func:`slowfast.normal_form.parse_expression`, :func:`substitute` replaces
+:func:`slowfast.expr.parse_expression`, :func:`substitute` replaces
 each variable by a monomial in new names, with negative exponents where a
 chart radius divides, and :func:`render` writes the result back as a
 checked tree. The Lyapunov proof and the blow-up algebra load it on first use.

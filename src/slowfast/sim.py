@@ -15,8 +15,8 @@ The closed loops integrated here have 2 to a handful of states, where
 per-call overhead costs far more than the arithmetic. So the whole
 adaptive loop is one straight-line function, generated once per state
 dimension n on first use from n, the tableau and the step control
-constants (:func:`_loop_source`) and compiled by
-:func:`slowfast.normal_form.compile_functions`: the state and the stages
+constants (:func:`_loop_source`) and compiled by :func:`compile_functions`,
+the package's one compiler of generated code: the state and the stages
 are scalar Python float locals across steps, each stage input is a list display,
 the error norm is unrolled in the order of a loop over the components,
 and the step control (clamp to the record time, reject or accept, step
@@ -43,14 +43,16 @@ the ball (:mod:`slowfast.lyapunov`), with the same verdict (see
 """
 from __future__ import annotations
 
+import ast
+import copy
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .normal_form import compile_functions
+from . import expr
 
 __all__ = [
     "IntegratorConfig",
@@ -262,7 +264,7 @@ def _loop_source(n: int, stage=_call) -> str:
     time units (``dwell``), or at a record time before ``t_final`` whose
     state has V <= ``level`` (``proved``), where V is the quadratic form
     whose upper-triangle coefficients are ``form``, row by row, summed by
-    one call of ``normal_form._quadratic``. A negative ``level``, the
+    one call of :func:`_quadratic`. A negative ``level``, the
     default -1.0, skips V, so a trajectory run pays one comparison per
     record for it and never stops there. It returns ``(times, states, t,
     reason, accepted, rejected, retried, h_min)``: the recorded times and
@@ -402,12 +404,98 @@ def _loop_source(n: int, stage=_call) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quadratic(form, y) -> float:
+    """y^T P y of the upper-triangle coefficients ``form`` of P, row by row,
+    summed left to right from 0.0 (``sum`` compensates from Python 3.12)."""
+    v = 0.0
+    p = iter(form)
+    for i, yi in enumerate(y):
+        for yj in y[i:]:
+            v += next(p) * yi * yj
+    return v
+
+
+# globals of every generated function: no builtins, expr.SCOPE and the loop's names
+_SCOPE = {**expr.SCOPE, "_hypot": math.hypot, "_sqrt": math.sqrt, "_inf": math.inf,
+          "_ArithmeticError": ArithmeticError, "_quadratic": _quadratic, "__builtins__": {}}
+
+
+class _Fill(ast.NodeTransformer):
+    # each tree gets its locations once and is spliced in, uncopied, at
+    # every use of its name: compile only reads the module
+
+    def __init__(self, trees: dict):
+        self.trees = {name: ast.fix_missing_locations(tree) for name, tree in trees.items()}
+
+    def visit_Name(self, node):
+        return self.trees.get(node.id, node)
+
+
+@lru_cache(maxsize=16)
+def _parsed_module(src: str) -> ast.Module:
+    return ast.parse(src)
+
+
+def _splice(stmts: list, blocks: dict) -> list:
+    """``stmts`` with each marker statement preceded by its block's
+    statements and given its expression, nested statements included. The
+    statements that hold a marker or nest statements are copied, so the
+    parsed source is left as it was."""
+    out = []
+    for stmt in stmts:
+        value = getattr(stmt, "value", None)
+        if (isinstance(stmt, (ast.Assign, ast.Return)) and isinstance(value, ast.Name)
+                and value.id in blocks):
+            body, last = blocks[value.id]
+            out += body
+            stmt = copy.copy(stmt)
+            stmt.value = last
+        else:
+            nested = [attr for attr in ("body", "orelse", "handlers", "finalbody")
+                      if isinstance(getattr(stmt, attr, None), list)]
+            if nested:
+                stmt = copy.copy(stmt)
+                for attr in nested:
+                    setattr(stmt, attr, _splice(getattr(stmt, attr), blocks))
+        out.append(stmt)
+    return out
+
+
+def compile_functions(src: str, blocks: dict, trees: dict) -> dict:
+    """Namespace of the definitions in ``src``, with ``blocks`` spliced in.
+
+    ``src`` is generated from names and the integrator's own tableau only
+    and is compiled as parsed, except at its markers: a statement
+    ``target = name`` or ``return name`` whose ``name`` is a key of
+    ``blocks``. A block is a list of source lines, statements and then one
+    expression, in which each name in ``trees`` stands for that checked
+    tree. Each block is parsed and filled once, and each of its markers
+    becomes its statements followed by the target assigned, or returned,
+    its expression; all markers share those nodes, since compile only
+    reads them. So the numbers of a config or an expression reach the
+    compiler as the constants of trees from :func:`slowfast.expr.parse_expression`,
+    never as text; only the blocks are walked to fill them, and ``src``,
+    which depends on the state dimension alone for a closed loop, is parsed
+    once per process. The globals are ``_SCOPE`` and the functions defined;
+    there are no builtins.
+    """
+    fill = _Fill(trees)
+    filled = {}
+    for name, lines in blocks.items():
+        *body, last = fill.visit(ast.parse("\n".join(lines))).body
+        filled[name] = body, last.value
+    module = ast.Module(_splice(_parsed_module(src).body, filled), type_ignores=[])
+    ns = dict(_SCOPE)
+    exec(compile(module, "<generated>", "exec"), ns)
+    return ns
+
+
 def compile_loop(names: Sequence[str], field: list[str], trees: dict,
                  control: list[str] | None = None):
     """``(rhs, ueval)`` of the field ``field`` in the state ``names``: the
     one generator of a loop with its field inline.
 
-    ``field`` is a block of :func:`slowfast.normal_form.compile_functions`,
+    ``field`` is a block of :func:`compile_functions`,
     statements and then the n components separated by commas, in which each
     name of ``trees`` stands for that checked tree. ``rhs(t, y)`` returns
     the components as a list of floats and carries as ``run`` the loop of

@@ -22,9 +22,10 @@ from slowfast.closedloop import (
     law,
 )
 from slowfast.control import Theorem2Params, Theorem3Params, evaluate
-from slowfast.normal_form import _SCOPE, NormalFormSystem, walk
+from slowfast.expr import walk
+from slowfast.normal_form import NormalFormSystem
 from slowfast.scenarios import EX1_CONFIGS, EX1_ICS, ConfigError, build_variant, parse_config
-from slowfast.sim import NonFiniteError, config_for, integrate
+from slowfast.sim import _SCOPE, NonFiniteError, config_for, integrate
 from slowfast.systems import TunnelDiodeSystem, build_planar_example
 
 P2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)
@@ -62,6 +63,14 @@ class TestBuild:
         u0 = ueval(0.0, [0.0] * 3)
         assert u0 == pytest.approx([-4.0, 16.0])
         assert rhs(0.0, np.zeros(3)) == pytest.approx([0.0, 0.0, 0.0])
+
+    def test_slots_admit_pi_as_the_record_does(self):
+        sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)),
+                               slots=("pi * v1",))
+        _, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        y = [0.2, -0.3]
+        v1 = evaluate(law(sys, Thm2(P2)), y[:1], y[1])[0]
+        assert ueval(0.0, y) == [math.pi * v1]
 
     def test_tunnel_diode_highgain_additive(self):
         sys = TunnelDiodeSystem()

@@ -19,7 +19,8 @@ from slowfast.control import (
     thm2_law,
     thm3_law,
 )
-from slowfast.normal_form import ExprSlowField, NormalFormSystem, State, walk
+from slowfast.expr import walk
+from slowfast.normal_form import ExprSlowField, NormalFormSystem, State
 from slowfast.poly import render
 from slowfast.verification import run_suites
 

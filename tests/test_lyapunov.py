@@ -19,7 +19,8 @@ import slowfast
 from slowfast import closedloop, lyapunov, poly
 from slowfast.closedloop import CellRunner, OpenLoop, Thm2, Thm2Plus3, certificate
 from slowfast.control import Theorem2Params, Theorem3Params
-from slowfast.normal_form import ExprSlowField, NormalFormSystem, parse_expression, walk
+from slowfast.expr import parse_expression, walk
+from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.scenarios import build_system, build_variant, parse_config
 from slowfast.sim import BALL, DWELL, classify, config_for, integrate
 from slowfast.systems import build_planar_example

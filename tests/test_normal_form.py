@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast import normal_form
+from slowfast import normal_form, sim
+from slowfast.expr import _EXPR_FUNCS, parse_expression, walk
 from slowfast.normal_form import (
     ExprSlowField,
     NormalFormSystem,
@@ -206,6 +207,16 @@ class TestDegeneracyOrder:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="off the critical"):
             degeneracy_order([1e300, -1e300], 1e10, 3)
 
+    def test_overflowing_z_term_is_off_the_manifold(self):
+        # z^2 = 1e320 passes the largest float, as an overflowing x-term does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, z in (([-1e300], 1e160), ([0.0], -1e160)):
+                with pytest.raises(ValueError, match="off the critical manifold"):
+                    degeneracy_order(x, z, 2)
+                assert eval_g(x, z, 2) == -np.inf
+            assert eval_g([0.0, 0.0], -1e160, 3) == np.inf  # an odd power keeps z's sign
+
     def test_huge_point_without_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -253,7 +264,7 @@ class TestValidate:
 # each expression is walked, and compiled as the reference, on seeded
 # states: every grammar function, non-integral powers (NaN for a negative
 # base), sqrt(-1), overflow and a division by zero
-WALKED = [f"{fn}(x1 * z + x2) - epsilon * pi" for fn in normal_form._EXPR_FUNCS] + [
+WALKED = [f"{fn}(x1 * z + x2) - epsilon * pi" for fn in _EXPR_FUNCS] + [
     "x1 ** 1.5 + x2 ** z - -x1 + +z",
     "x2 ** z",
     "sqrt(-1) + x1",
@@ -268,8 +279,8 @@ def _compiled_drift(exprs):
     trees = {f"_e{i}": tree for i, tree in enumerate(normal_form._drift_trees(exprs))}
     names = ", ".join(f"x{i}" for i in range(1, len(exprs) + 1))
     src = f"def slow_f(x, z, epsilon):\n    {names}, = x\n    return _f\n"
-    return normal_form.compile_functions(src, {"_f": [f"[{', '.join(trees)}]"]},
-                                         trees)["slow_f"]
+    return sim.compile_functions(src, {"_f": [f"[{', '.join(trees)}]"]},
+                                 trees)["slow_f"]
 
 
 def _outcome(fn, *args):
@@ -303,14 +314,14 @@ class TestWalker:
             assert seen == {ZeroDivisionError, np.float64}
 
     def test_walked_law_is_the_compiled_law(self):
-        tree = normal_form.parse_expression("-c - a * x + tanh(z) ** 2.5",
-                                            {"c": 1.0, "a": 2.0, "x": "x1", "z": "z"})
-        compiled = normal_form.compile_functions(
+        tree = parse_expression("-c - a * x + tanh(z) ** 2.5",
+                                {"c": 1.0, "a": 2.0, "x": "x1", "z": "z"})
+        compiled = sim.compile_functions(
             "def u(x1, z):\n    return _u\n", {"_u": ["_t"]}, {"_t": tree})["u"]
         rng = np.random.default_rng(3)
         with np.errstate(all="ignore"):
             for x1, z in rng.uniform(-3.0, 3.0, (50, 2)).tolist():
                 want = compiled(x1, z)
-                got = normal_form.walk(tree, {"x1": x1, "z": z})
+                got = walk(tree, {"x1": x1, "z": z})
                 assert type(got) is type(want)
                 assert got == want or (got != got and want != want)

@@ -51,8 +51,8 @@ def test_generated_code_runs_only_in_compile_functions():
         with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
             visitor.visit(ast.parse(fh.read()))
         found += visitor.found
-    assert sorted(found) == [("slowfast.normal_form", "compile_functions", "compile"),
-                             ("slowfast.normal_form", "compile_functions", "exec")]
+    assert sorted(found) == [("slowfast.sim", "compile_functions", "compile"),
+                             ("slowfast.sim", "compile_functions", "exec")]
 
 
 def test_loops_are_generated_only_in_sim():
@@ -82,7 +82,7 @@ def _imported_modules(tree: ast.Module, package: str) -> set[str]:
 
 # the modules a simulation, reproduction or sweep runs through
 RUN_PATH = ["sim", "closedloop", "control", "normal_form", "roa", "scenarios", "systems",
-            "lyapunov", "poly", "cli"]
+            "lyapunov", "poly", "cli", "expr"]
 
 
 def _imports(module: str) -> set[str]:
@@ -100,6 +100,17 @@ def test_control_imports_nothing_from_blowup():
     for module in RUN_PATH:
         found = [m for m in _imports(module) if m.split(".")[:2] == ["slowfast", "blowup"]]
         assert not found, (module, found)
+
+
+def test_the_grammar_sits_below_the_integrator_and_the_model():
+    # the grammar imports no module of the package, and the integrator and
+    # the model each import only the grammar
+    def own(module: str) -> set[str]:
+        return {m for m in _imports(module) if m.split(".")[0] == "slowfast"}
+
+    assert own("expr") == set()
+    assert own("sim") == {"slowfast.expr"}
+    assert own("normal_form") == {"slowfast.expr"}
 
 
 # the names ``slowfast`` re-exports, by the module that defines them

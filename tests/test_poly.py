@@ -3,8 +3,9 @@ tested in test_lyapunov.py, beside the proof that reads it."""
 import numpy as np
 import pytest
 
-from slowfast.normal_form import compile_functions, parse_expression, walk
+from slowfast.expr import parse_expression, walk
 from slowfast.poly import expand, render, substitute
+from slowfast.sim import compile_functions
 
 NAMES = ["x1", "z"]
 ENV = {"x1": "x1", "z": "z"}

@@ -7,10 +7,9 @@ import pytest
 from slowfast import closedloop, roa, sim
 from slowfast.closedloop import CellRunner, Thm2
 from slowfast.control import Theorem2Params
-from slowfast.normal_form import compile_functions
 from slowfast.roa import GridSpec, RoAReport, compare, sweep, write_report_csv
 from slowfast.scenarios import EX2_CONFIGS, build_system, build_variant, parse_config
-from slowfast.sim import Outcome, config_for
+from slowfast.sim import Outcome, compile_functions, config_for
 from slowfast.systems import build_planar_example
 
 P2 = Theorem2Params(c=[1.0], a=[1.0], b=3.0)

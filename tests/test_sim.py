@@ -11,11 +11,12 @@ import slowfast
 from slowfast import sim
 from slowfast.closedloop import OpenLoop, Thm2, Thm2Plus3, build_closed_loop
 from slowfast.control import Theorem2Params, Theorem3Params
-from slowfast.normal_form import ExprSlowField, NormalFormSystem, _quadratic
+from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.sim import (
     IntegratorConfig,
     Outcome,
     Trajectory,
+    _quadratic,
     classify,
     config_for,
     control_sup_norm,
