@@ -74,10 +74,10 @@ class NormalFormSystem:
     ``fast`` is dz/dt as an expression in the same names; by default it is
     the normal form's g / epsilon in Horner form, which needs k - 1 slow
     states. ``slots``, if given, is the control recorded in place of the
-    additive v1..vm by the baseline law, as expressions in v1..vm and the
-    constants. An integer ``k`` >= 2 and every expression are checked on
-    construction, so the system is data throughout. The instance is
-    immutable and compares and hashes by value.
+    additive v1..vm by the baseline law, as expressions in v1..vm, pi, the
+    constants and epsilon. An integer ``k`` >= 2 and every expression are
+    checked on construction, so the system is data throughout. The instance
+    is immutable and compares and hashes by value.
     """
 
     k: int
@@ -106,7 +106,7 @@ class NormalFormSystem:
             object.__setattr__(self, "slots", tuple(self.slots))
             if len(self.slots) != m:
                 raise ValueError(f"slots must have {m} expressions, got {len(self.slots)}")
-            _checked(self.slots, tuple(f"v{i}" for i in range(1, m + 1)), bound, "slot")
+            _checked(self.slots, tuple(f"v{i}" for i in range(1, m + 1)), self.constants, "slot")
 
     @property
     def n_slow(self) -> int:

@@ -280,9 +280,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
         ics=tuple(ics), t_final=t_final, switch_on_time=switch,
         integrator=integrator, outputs=outputs,
     )
+    icfg = _checked("integrator", _integrator_config, cfg)
+    if not math.isfinite(t_final / icfg.record_stride):
+        raise ConfigError(f"t_final / integrator.record_stride must be finite, got"
+                          f" {t_final:g} / {icfg.record_stride:g}")
     # each segment of a run, the open one up to the switch if there is one
     # and the closed one up to t_final, spans at least one smallest step
-    min_step = _checked("integrator", _integrator_config, cfg).min_step
+    min_step = icfg.min_step
     if 0.0 < switch < min_step:
         raise ConfigError(f"switch_on_time must be 0 or at least the integrator's"
                           f" min_step {min_step:g}, got {switch:g}")

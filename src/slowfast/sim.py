@@ -44,10 +44,9 @@ the ball (:mod:`slowfast.lyapunov`), with the same verdict (see
 from __future__ import annotations
 
 import ast
-import copy
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -421,8 +420,8 @@ _SCOPE = {**expr.SCOPE, "_hypot": math.hypot, "_sqrt": math.sqrt, "_inf": math.i
 
 
 class _Fill(ast.NodeTransformer):
-    # each tree gets its locations once and is spliced in, uncopied, at
-    # every use of its name: compile only reads the module
+    # each tree gets its locations once and replaces, uncopied, every use of
+    # its name: compile only reads the module
 
     def __init__(self, trees: dict):
         self.trees = {name: ast.fix_missing_locations(tree) for name, tree in trees.items()}
@@ -431,60 +430,19 @@ class _Fill(ast.NodeTransformer):
         return self.trees.get(node.id, node)
 
 
-@lru_cache(maxsize=16)
-def _parsed_module(src: str) -> ast.Module:
-    return ast.parse(src)
+def compile_functions(src: str, trees: dict) -> dict:
+    """Namespace of the definitions in ``src``, in which each name of
+    ``trees`` stands for that checked tree.
 
-
-def _splice(stmts: list, blocks: dict) -> list:
-    """``stmts`` with each marker statement preceded by its block's
-    statements and given its expression, nested statements included. The
-    statements that hold a marker or nest statements are copied, so the
-    parsed source is left as it was."""
-    out = []
-    for stmt in stmts:
-        value = getattr(stmt, "value", None)
-        if (isinstance(stmt, (ast.Assign, ast.Return)) and isinstance(value, ast.Name)
-                and value.id in blocks):
-            body, last = blocks[value.id]
-            out += body
-            stmt = copy.copy(stmt)
-            stmt.value = last
-        else:
-            nested = [attr for attr in ("body", "orelse", "handlers", "finalbody")
-                      if isinstance(getattr(stmt, attr, None), list)]
-            if nested:
-                stmt = copy.copy(stmt)
-                for attr in nested:
-                    setattr(stmt, attr, _splice(getattr(stmt, attr), blocks))
-        out.append(stmt)
-    return out
-
-
-def compile_functions(src: str, blocks: dict, trees: dict) -> dict:
-    """Namespace of the definitions in ``src``, with ``blocks`` spliced in.
-
-    ``src`` is generated from names and the integrator's own tableau only
-    and is compiled as parsed, except at its markers: a statement
-    ``target = name`` or ``return name`` whose ``name`` is a key of
-    ``blocks``. A block is a list of source lines, statements and then one
-    expression, in which each name in ``trees`` stands for that checked
-    tree. Each block is parsed and filled once, and each of its markers
-    becomes its statements followed by the target assigned, or returned,
-    its expression; all markers share those nodes, since compile only
-    reads them. So the numbers of a config or an expression reach the
-    compiler as the constants of trees from :func:`slowfast.expr.parse_expression`,
-    never as text; only the blocks are walked to fill them, and ``src``,
-    which depends on the state dimension alone for a closed loop, is parsed
-    once per process. The globals are ``_SCOPE`` and the functions defined;
-    there are no builtins.
+    ``src`` is text of names and the integrator's own tableau only; it is
+    parsed, and every ``ast.Name`` whose id is a key of ``trees`` is replaced
+    by that tree, shared by all its uses, since compile only reads it. So
+    the numbers of a config or an expression reach the compiler as the
+    constants of trees from :func:`slowfast.expr.parse_expression`, never as
+    text. The globals are ``_SCOPE`` and the functions defined; there are no
+    builtins.
     """
-    fill = _Fill(trees)
-    filled = {}
-    for name, lines in blocks.items():
-        *body, last = fill.visit(ast.parse("\n".join(lines))).body
-        filled[name] = body, last.value
-    module = ast.Module(_splice(_parsed_module(src).body, filled), type_ignores=[])
+    module = _Fill(trees).visit(ast.parse(src))
     ns = dict(_SCOPE)
     exec(compile(module, "<generated>", "exec"), ns)
     return ns
@@ -495,26 +453,29 @@ def compile_loop(names: Sequence[str], field: list[str], trees: dict,
     """``(rhs, ueval)`` of the field ``field`` in the state ``names``: the
     one generator of a loop with its field inline.
 
-    ``field`` is a block of :func:`compile_functions`,
-    statements and then the n components separated by commas, in which each
-    name of ``trees`` stands for that checked tree. ``rhs(t, y)`` returns
+    ``field`` is a list of source lines, statements and then the n
+    components separated by commas, in which each name of ``trees`` stands
+    for that checked tree (:func:`compile_functions`). ``rhs(t, y)`` returns
     the components as a list of floats and carries as ``run`` the loop of
-    :func:`_loop_source` with the block inline at every stage. The block
-    ``control`` gives ``ueval(t, y)`` of a recorded float list, else None.
+    :func:`_loop_source` with the field's lines inline at every stage. The
+    lines ``control``, statements and then one expression, give
+    ``ueval(t, y)`` of a recorded float list, else None.
     """
     state = "".join(f"{name}, " for name in names)
+    *body, values = field
 
     def inline(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-        return [f"{state}= {', '.join(args)}"], "_stage"
+        return [f"{state}= {', '.join(args)}", *body], f"({values},)"
 
-    *body, values = field
+    def function(head: str, lines: list[str]) -> str:
+        *stmts, value = lines
+        return "\n".join([head, *(f"    {line}" for line in stmts), f"    return {value}\n"])
+
     src = _loop_source(len(names), inline)
-    src += f"def rhs(t, y):\n    {state}= y.tolist()\n    return _rhs\n"
-    blocks = {"_stage": [*body, f"({values},)"], "_rhs": [*body, f"[{values}]"]}
+    src += function("def rhs(t, y):", [f"{state}= y.tolist()", *body, f"[{values}]"])
     if control is not None:
-        src += f"def ueval(t, y):\n    {state}= y\n    return _control\n"
-        blocks["_control"] = control
-    ns = compile_functions(src, blocks, trees)
+        src += function("def ueval(t, y):", [f"{state}= y", *control])
+    ns = compile_functions(src, trees)
     ns["rhs"].run = ns["run"]
     return ns["rhs"], ns.get("ueval")
 
@@ -523,7 +484,7 @@ def compile_loop(names: Sequence[str], field: list[str], trees: dict,
 def _loop(n: int):
     """The generic loop of :func:`_loop_source` for state dimension ``n``,
     compiled once: ``f(t, list) -> list`` is called at every stage."""
-    return compile_functions(_loop_source(n), {}, {})["run"]
+    return compile_functions(_loop_source(n), {})["run"]
 
 
 def _on_lists(fn):
@@ -606,7 +567,10 @@ def integrate(
     h = max(h, min_step)
 
     stride = cfg.record_stride
-    n_rec = max(1, int(math.ceil((cfg.t_final - t0) / stride - 1e-12)))
+    records = (cfg.t_final - t0) / stride
+    if not math.isfinite(records):
+        raise ValueError(f"(t_final - t0) / record_stride must be finite, got {records}")
+    n_rec = max(1, int(math.ceil(records - 1e-12)))
     run = getattr(rhs, "run", None) or _loop(n)
     # no norm is below a ball of 0.0, so without stop_ball nothing dwells,
     # and without a proof the loop's default level skips the check

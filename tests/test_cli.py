@@ -195,6 +195,20 @@ def test_integrator_that_cannot_be_built_exits_one(tmp_path, capsys, command, in
 
 
 @pytest.mark.parametrize("command", ["simulate", "roa"])
+def test_record_count_that_is_not_finite_exits_one(tmp_path, capsys, command):
+    # integrate would raise OverflowError on it, which a run reads as a
+    # numerical failure of every initial condition, or of every cell
+    raw = dict(PLANAR, t_final=1e300, integrator={"record_stride": 1e-10})
+    grid = ["--grid", "2"] if command == "roa" else []
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out"), *grid])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: t_final / integrator.record_stride must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
 @pytest.mark.parametrize("window, message", [
     ({"switch_on_time": 1e-14}, "switch_on_time must be 0 or at least"),
     ({"t_final": 1e-14}, "t_final - switch_on_time must be at least"),

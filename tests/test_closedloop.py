@@ -72,6 +72,14 @@ class TestBuild:
         v1 = evaluate(law(sys, Thm2(P2)), y[:1], y[1])[0]
         assert ueval(0.0, y) == [math.pi * v1]
 
+    def test_slots_admit_epsilon_as_the_loop_does(self):
+        sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)),
+                               slots=("epsilon * v1",))
+        _, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        y = [0.2, -0.3]
+        v1 = evaluate(law(sys, Thm2(P2)), y[:1], y[1])[0]
+        assert ueval(0.0, y) == [0.01 * v1]
+
     def test_tunnel_diode_highgain_additive(self):
         sys = TunnelDiodeSystem()
         rhs, ueval, _ = build_closed_loop(

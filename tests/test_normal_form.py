@@ -278,9 +278,8 @@ def _compiled_drift(exprs):
     """The drift's checked trees compiled into one function (x, z, epsilon)."""
     trees = {f"_e{i}": tree for i, tree in enumerate(normal_form._drift_trees(exprs))}
     names = ", ".join(f"x{i}" for i in range(1, len(exprs) + 1))
-    src = f"def slow_f(x, z, epsilon):\n    {names}, = x\n    return _f\n"
-    return sim.compile_functions(src, {"_f": [f"[{', '.join(trees)}]"]},
-                                 trees)["slow_f"]
+    src = f"def slow_f(x, z, epsilon):\n    {names}, = x\n    return [{', '.join(trees)}]\n"
+    return sim.compile_functions(src, trees)["slow_f"]
 
 
 def _outcome(fn, *args):
@@ -316,8 +315,7 @@ class TestWalker:
     def test_walked_law_is_the_compiled_law(self):
         tree = parse_expression("-c - a * x + tanh(z) ** 2.5",
                                 {"c": 1.0, "a": 2.0, "x": "x1", "z": "z"})
-        compiled = sim.compile_functions(
-            "def u(x1, z):\n    return _u\n", {"_u": ["_t"]}, {"_t": tree})["u"]
+        compiled = sim.compile_functions("def u(x1, z):\n    return _t\n", {"_t": tree})["u"]
         rng = np.random.default_rng(3)
         with np.errstate(all="ignore"):
             for x1, z in rng.uniform(-3.0, 3.0, (50, 2)).tolist():

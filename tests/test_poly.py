@@ -52,5 +52,5 @@ class TestRender:
 
     def test_compiles_as_a_checked_tree(self):
         tree = render({(1, 2): 4.0, (0, 0): -1.0}, ["a", "r"])
-        ns = compile_functions("def f(a, r):\n    return _v\n", {"_v": ["_t"]}, {"_t": tree})
+        ns = compile_functions("def f(a, r):\n    return _t\n", {"_t": tree})
         assert ns["f"](0.5, 3.0) == 17.0

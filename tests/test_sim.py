@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import slowfast
-from slowfast import sim
-from slowfast.closedloop import OpenLoop, Thm2, Thm2Plus3, build_closed_loop
+from slowfast import normal_form, sim
+from slowfast.closedloop import CellRunner, OpenLoop, Thm2, Thm2Plus3, build_closed_loop
 from slowfast.control import Theorem2Params, Theorem3Params
 from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.sim import (
@@ -18,6 +19,7 @@ from slowfast.sim import (
     Trajectory,
     _quadratic,
     classify,
+    compile_functions,
     config_for,
     control_sup_norm,
     integrate,
@@ -117,6 +119,16 @@ class TestIntegrate:
         cfg = IntegratorConfig(t_final=1.0)
         with pytest.raises(ValueError, match="must return 2 values"):
             integrate(lambda t, y: [0.0], np.array([1.0, 1.0]), cfg)
+
+    def test_record_count_that_is_not_finite_rejected(self):
+        # a ValueError, not the OverflowError that a sweep cell records as diverged
+        cfg = IntegratorConfig(t_final=1e300, record_stride=1e-10)
+        with pytest.raises(ValueError, match="record_stride must be finite") as raised:
+            integrate(decay, np.array([1.0]), cfg)
+        assert type(raised.value) is ValueError
+        cell = CellRunner(build_planar_example(0.01), OpenLoop(), cfg)
+        with pytest.raises(ValueError, match="record_stride must be finite"):
+            cell([0.1, 0.1])
 
     def test_records_follow_stride(self):
         cfg = IntegratorConfig(t_final=0.5, record_stride=0.1, max_step=1e-2)
@@ -737,6 +749,37 @@ class TestTrajectoryCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,z,u1"
         assert all(row.split(",")[-1] == "0" for row in lines[1:])
+
+
+class TestCompiler:
+    def test_config_numbers_reach_the_compiler_only_in_trees(self, monkeypatch):
+        c = 0.7182818284590452
+        sources = []
+
+        def capture(src, trees):
+            sources.append(src)
+            return compile_functions(src, trees)
+
+        monkeypatch.setattr(sim, "compile_functions", capture)
+        system = NormalFormSystem(k=2, epsilon=0.01,
+                                  slow_f=ExprSlowField(("c * x1 + z",), constants={"c": c}))
+        rhs, _, _ = build_closed_loop(system, OpenLoop())
+        assert len(sources) == 1 and repr(c) not in sources[0]
+        assert rhs(0.0, np.array([1.0, 0.0]))[0] == c
+
+    def test_shared_trees_are_left_as_they_were(self):
+        # the cached trees of a drift are filled into every loop uncopied
+        exprs = ("sin(x1) * z + 2.5 * x1 ** 3 - epsilon",)
+        tree, = normal_form._drift_trees(exprs)
+        dump = ast.dump(tree)
+        loops = [sim.compile_loop(["x1", "z", "epsilon"], ["_d, -z, 0.0"], {"_d": tree})[0]
+                 for _ in range(2)]
+        assert normal_form._drift_trees(exprs) == (tree,)
+        assert ast.dump(tree) == dump
+        cfg = IntegratorConfig(t_final=0.5, record_stride=0.1, max_step=1e-2)
+        first, second = (integrate(rhs, np.array([0.4, -0.3, 0.01]), cfg) for rhs in loops)
+        assert first.states.tolist() == second.states.tolist()
+        assert first.states[-1, 0] != 0.4
 
 
 class TestConfig:
