@@ -149,87 +149,70 @@ def _check_size(gains, m: int) -> None:
         raise ValueError(f"controller sized for {len(gains)} slow states, system has {m}")
 
 
-def _trees(system, variant: Variant) -> dict:
-    """Checked trees of the law (``_v1``..``_vm``), the drift (``_f1``..``_fm``)
-    and the fast field (``_g``) in x1..xm and z, with pi and the system's
-    constants bound."""
-    m = system.n_slow
-    env = _env([*(f"x{i}" for i in range(1, m + 1)), "z"], system.constants)
-    trees = {f"_v{i}": tree for i, tree in enumerate(law(system, variant), 1)}
-    trees.update((f"_f{i}", parse_expression(src, env)) for i, src in enumerate(system.drift, 1))
-    trees["_g"] = parse_expression(system.fast, env)
-    return trees
+def _field(system, variant: Variant) -> tuple[list, list, list]:
+    """(names, field, law) of the closed loop: the state names x1..xm, z;
+    the field [f_1 + v_1, ..., f_m + v_m, g] as checked trees, the drift and
+    the fast field with pi and the system's constants bound; and the law's
+    trees v_1..v_m (:func:`law`). The compiled loop and its certificate are
+    both made from this one field."""
+    names = [*(f"x{i}" for i in range(1, system.n_slow + 1)), "z"]
+    env = _env(names, system.constants)
+    v = law(system, variant)
+    field = [ast.BinOp(parse_expression(src, env), ast.Add(), vi)
+             for src, vi in zip(system.drift, v)]
+    return names, [*field, parse_expression(system.fast, env)], v
 
 
 @lru_cache(maxsize=64)
-def _generated(system, variant: Variant):
-    """(rhs, ueval) of :func:`slowfast.sim.compile_loop` for ``system`` and
-    ``variant``, cached on the pair: equal variants share one entry.
+def build_closed_loop(system, variant: Variant):
+    """(rhs, control_eval) for the slow-time closed loop.
 
-    The field's block assigns the law to v1..vm; its value is the drift plus
-    v and the fast field, in x1..xm and z. The recorded control is v, or the
-    slot form of the baseline law on a system with slots. All are checked
-    trees (:func:`_trees`) with the system's constants bound.
+    The right-hand side is one generated function per (system, variant):
+    the field of :func:`_field`, the law's and the drift's arithmetic
+    inline, with every gain and constant compiled in. ``control_eval``
+    reports the signal that is recorded in trajectories: the additive
+    control, except that the baseline law on a system with control slots
+    (``slots``, the circuit) is recorded in slot form. ``rhs(t, y)`` takes
+    the state as an array, the ODE convention; ``control_eval(t, y)`` takes
+    it as the list of floats that :func:`slowfast.sim.integrate` records.
+    Both return lists of Python floats. ``rhs`` carries as ``run`` the whole
+    adaptive Dormand-Prince loop with its field inline at every stage
+    (:func:`slowfast.sim.compile_loop`). Both are cached on (system,
+    variant), both hashable values, so a sweep compiles its loop once per
+    process and equal variants share one entry.
     """
+    names, field, v = _field(system, variant)
     m = system.n_slow
     vs = [f"v{i}" for i in range(1, m + 1)]
-    trees = _trees(system, variant)
-    assign = [f"{v} = _{v}" for v in vs]
+    trees = {f"_d{i}": tree for i, tree in enumerate(field)}
+    trees.update((f"_{name}", tree) for name, tree in zip(vs, v))
     recorded = vs
     if system.slots is not None and isinstance(variant, Thm2):
         recorded = [f"_u{i}" for i in range(1, m + 1)]
         slot_env = _env(vs, system.constants)
         trees.update(zip(recorded, (parse_expression(src, slot_env) for src in system.slots)))
-    field = ", ".join(f"_f{i} + {v}" for i, v in enumerate(vs, 1)) + ", _g"
-    names = [*(f"x{i}" for i in range(1, m + 1)), "z"]
-    return compile_loop(names, [*assign, field], trees, [*assign, f"[{', '.join(recorded)}]"])
-
-
-def build_closed_loop(system, variant: Variant):
-    """(rhs, control_eval, n_controls) for the slow-time closed loop.
-
-    The right-hand side is one generated function per (system, variant):
-    the control law's and the system's arithmetic, the drift's expressions
-    included, as scalar locals in one frame, with every gain and constant
-    compiled in. ``control_eval`` reports the signal that is recorded in
-    trajectories: the additive control, except that the baseline law on a
-    system with control slots (``slots``, the circuit) is recorded in slot
-    form. ``rhs(t, y)`` takes the state as an array, the ODE convention;
-    ``control_eval(t, y)`` takes it as the list of floats that
-    :func:`slowfast.sim.integrate` records. Both return lists of Python
-    floats. ``rhs`` carries as ``run`` the whole adaptive Dormand-Prince
-    loop with its field inline at every stage (:func:`slowfast.sim.compile_loop`).
-    The functions are cached on (system, variant), both hashable values, so
-    a sweep compiles its loop once per process.
-    """
-    rhs, ueval = _generated(system, variant)
-    return rhs, ueval, system.n_slow
+    control = [*(f"{name} = _{name}" for name in vs), f"[{', '.join(recorded)}]"]
+    return compile_loop(names, [", ".join(f"_d{i}" for i in range(m + 1))], trees, control)
 
 
 @lru_cache(maxsize=64)
-def _certificate(system, variant: Variant):
-    # imported on first use: runs without sweep cells never compile it
-    from .lyapunov import certify
-
-    trees = _trees(system, variant)
-    field = [ast.BinOp(trees[f"_f{i}"], ast.Add(), trees[f"_v{i}"])
-             for i in range(1, system.n_slow + 1)]
-    names = [f"x{i}" for i in range(1, system.n_slow + 1)] + ["z"]
-    return certify([*field, trees["_g"]], names, BALL)
-
-
 def certificate(system, variant: Variant):
     """(P, level) of a proved-invariant sublevel set {y^T P y <= level} of
     the closed loop's origin inside the ball ``sim.BALL``, or None.
 
     The proof (:func:`slowfast.lyapunov.certify`) expands into monomials
-    the same checked trees that :func:`build_closed_loop` compiles; a loop
-    whose field is not polynomial, whose origin is not a hyperbolic sink or
-    whose remainder the bound cannot control gets None. It is made on first
-    use and cached per system and variant, like the generated loop, and
-    only region-of-attraction cells (:class:`CellRunner`) ask for it.
+    the field of :func:`_field`, the trees that :func:`build_closed_loop`
+    compiles; a loop whose field is not polynomial, whose origin is not a
+    hyperbolic sink or whose remainder the bound cannot control gets None.
+    It is made on first use and cached per system and variant, like the
+    generated loop, and only region-of-attraction cells
+    (:class:`CellRunner`) ask for it.
     """
-    return _certificate(system, variant)
+    # imported on first use: runs without sweep cells never compile it
+    from .lyapunov import certify
+
+    names, field, _ = _field(system, variant)
+    return certify(field, names, BALL)
 
 
 @dataclass(frozen=True)
@@ -255,13 +238,13 @@ class CellRunner:
     def prepare(self) -> None:
         """Generate the loop and prove its certificate now, so that
         processes forked afterwards inherit both."""
-        _generated(self.system, self.variant)
-        _certificate(self.system, self.variant)
+        build_closed_loop(self.system, self.variant)
+        certificate(self.system, self.variant)
 
     def simulate(self, ic) -> Trajectory:
-        rhs, _ = _generated(self.system, self.variant)
+        rhs, _ = build_closed_loop(self.system, self.variant)
         return integrate(rhs, np.asarray(ic, dtype=float), self.cfg, stop_ball=BALL,
-                         invariant=_certificate(self.system, self.variant))
+                         invariant=certificate(self.system, self.variant))
 
     def __call__(self, ic) -> Outcome:
         try:

@@ -72,6 +72,11 @@ class _ExprChecker(ast.NodeTransformer):
         if not isinstance(node.op, _EXPR_BINOPS):
             raise ValueError(f"operator `{type(node.op).__name__}` is not allowed")
         left, right = self.visit(node.left), self.visit(node.right)
+        den = right
+        while isinstance(den, ast.UnaryOp):  # -0 is the constant 0 too
+            den = den.operand
+        if isinstance(node.op, ast.Div) and isinstance(den, ast.Constant) and den.value == 0:
+            raise ValueError("division by the constant 0")
         if isinstance(node.op, ast.Pow) and not (
                 isinstance(right, ast.Constant) and right.value.is_integer()):
             return ast.Call(ast.Name("_pow", ast.Load()), [left, right], [])
@@ -119,7 +124,7 @@ def parse_expression(src: str, env: dict) -> ast.expr:
     name to that local, a number binds it as a constant), ``+ - * / **``,
     unary minus and one-argument calls of sin, cos, tan, exp, log, sqrt, abs
     and tanh (the numpy versions, so sqrt and log of a negative number give
-    NaN). Anything else raises ValueError.
+    NaN). Anything else, and a division by the constant 0, raises ValueError.
     """
     try:
         return _ExprChecker(env).visit(_parsed(src))

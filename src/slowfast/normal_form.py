@@ -75,9 +75,9 @@ class NormalFormSystem:
     the normal form's g / epsilon in Horner form, which needs k - 1 slow
     states. ``slots``, if given, is the control recorded in place of the
     additive v1..vm by the baseline law, as expressions in v1..vm, pi, the
-    constants and epsilon. An integer ``k`` >= 2 and every expression are
-    checked on construction, so the system is data throughout. The instance
-    is immutable and compares and hashes by value.
+    constants and epsilon. An integer ``k`` >= 2, a finite ``epsilon`` > 0
+    and every expression are checked on construction, so the system is data
+    throughout. The instance is immutable and compares and hashes by value.
     """
 
     k: int
@@ -90,6 +90,8 @@ class NormalFormSystem:
         if (not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool)
                 or self.k < 2):
             raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not isinstance(self.slow_f, ExprSlowField):
             raise ValueError(f"slow_f must be an ExprSlowField, got {type(self.slow_f).__name__}")
         m, bound = self.n_slow, self.slow_f.constants
@@ -182,8 +184,6 @@ def eval_rhs_slow(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float
 
     Same direction field as :func:`eval_rhs_fast`, scaled by 1/eps.
     """
-    if not sys.epsilon > 0:
-        raise ValueError("slow-time field requires epsilon > 0")
     dx, dz = eval_rhs_fast(sys, s, u)
     return dx / sys.epsilon, dz / sys.epsilon
 
@@ -257,7 +257,7 @@ class ExprSlowField:
     The grammar is that of :func:`slowfast.expr.parse_expression`, with
     ``pi``; anything else raises ValueError on construction. The constants,
     given as a mapping or as (name, value) pairs, are kept as pairs of names
-    and floats sorted by name. Instances hold only strings and numbers, so
+    and finite floats sorted by name. Instances hold only strings and numbers, so
     they compare by value and pickle cleanly into sweep workers; the checked
     trees are cached per expression tuple and walked by
     :func:`slowfast.expr.walk` on a call, and a closed loop splices the
@@ -270,6 +270,9 @@ class ExprSlowField:
     def __post_init__(self):
         object.__setattr__(self, "constants", tuple(
             sorted((name, float(value)) for name, value in dict(self.constants).items())))
+        for name, value in self.constants:
+            if not math.isfinite(value):
+                raise ValueError(f"constant {name} must be finite, got {value}")
         _drift_trees(self.exprs, self.constants)
 
     def __call__(self, x, z: float, eps: float) -> list:

@@ -375,7 +375,7 @@ def _open_segment(system, ic, cfg: IntegratorConfig,
     controller is on from t = 0."""
     if switch_on_time <= 0.0:
         return None
-    rhs, ueval, _ = build_closed_loop(system, OpenLoop())
+    rhs, ueval = build_closed_loop(system, OpenLoop())
     return integrate(rhs, ic, replace(cfg, t_final=switch_on_time), control=ueval)
 
 
@@ -383,7 +383,7 @@ def _switch_on(system, variant: Variant, ic, opened: Trajectory | None,
                cfg: IntegratorConfig) -> Trajectory:
     """The run from ``ic`` under ``variant``, switched on at the end of the
     open-loop segment ``opened`` (at t = 0 when there is none)."""
-    rhs, ueval, _ = build_closed_loop(system, variant)
+    rhs, ueval = build_closed_loop(system, variant)
     if opened is None:
         return integrate(rhs, ic, cfg, control=ueval)
     if opened.outcome.is_diverged:

@@ -51,8 +51,8 @@ def TunnelDiodeSystem(L: float = 1.0, Cap: float = 1.0,
     additive form dx = f + v, with v = (u1/L, -u2/Cap), so the slots are
     (L v1, -Cap v2).
     """
-    if not (L > 0 and Cap > 0 and epsilon > 0):
-        raise ValueError("L, Cap and epsilon must all be > 0")
+    if not (L > 0 and Cap > 0):
+        raise ValueError("L and Cap must all be > 0")
     drift = ExprSlowField(("(x2 + z + 4) / L", "(16 - x1) / Cap"), {"L": L, "Cap": Cap})
     return NormalFormSystem(k=2, epsilon=epsilon, slow_f=drift,
                             fast="-(3 * z * z + x1 + z ** 3) / epsilon",
@@ -61,6 +61,4 @@ def TunnelDiodeSystem(L: float = 1.0, Cap: float = 1.0,
 
 def build_planar_example(epsilon: float) -> NormalFormSystem:
     """Planar fold system dx = 1 + x + z + u, eps dz = -(z^2 + x)."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     return NormalFormSystem(k=2, epsilon=epsilon, slow_f=ExprSlowField(("1 + x1 + z",)))

@@ -135,7 +135,7 @@ def suite_slow_fast_scaling(rng: np.random.Generator) -> Iterator[float]:
     for k in range(2, 7):
         eps = float(rng.uniform(1e-3, 1.0))
         sysm = normal_form.NormalFormSystem(k=k, epsilon=eps, slow_f=_random_field(rng, k - 1))
-        rhs, _, _ = build_closed_loop(sysm, OpenLoop())
+        rhs, _ = build_closed_loop(sysm, OpenLoop())
         for _ in range(40):
             s = normal_form.State(x=rng.uniform(-2, 2, k - 1), z=rng.uniform(-2, 2))
             u = rng.uniform(-2, 2, k - 1)
@@ -356,7 +356,7 @@ def suite_conjugacy(rng: np.random.Generator) -> Iterator[float]:
     sysm = build_planar_example(eps)
     p = control.Theorem2Params(c=[1.0], a=[1.0], b=3.0)
     tau = blowup.family_time_rescale(eps, k)
-    rhs, _, _ = build_closed_loop(sysm, Thm2(p))
+    rhs, _ = build_closed_loop(sysm, Thm2(p))
     cfg_direct = config_for(eps, 1.0, rtol=1e-10, atol=1e-12, record_stride=0.1)
     cfg_chart = config_for(eps, 1.0 / tau, rtol=1e-10, atol=1e-12, max_step=1e-2,
                            record_stride=0.1 / tau)

@@ -182,6 +182,19 @@ def test_system_that_cannot_be_built_exits_one(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "roa"])
+def test_division_by_the_constant_zero_exits_one(tmp_path, capsys, command):
+    # it read as a numerical failure: every initial condition failed
+    # (simulate, exit 2), or every cell diverged (roa, exit 0)
+    raw = dict(PLANAR, system={"builtin": "custom", "k": 2, "f": ["x1 / 0"]})
+    grid = ["--grid", "2"] if command == "roa" else []
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out"), *grid])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: system")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
 @pytest.mark.parametrize("integrator", [
     {"rtol": -1}, {"record_stride": 0}, {"min_step": 1e-3, "max_step": 1e-3},
 ])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import slowfast
-from slowfast import closedloop, sim
+from slowfast import closedloop, lyapunov, poly, sim
 from slowfast.closedloop import (
     CellRunner,
     ExprSlowField,
@@ -35,15 +35,14 @@ P3 = Theorem3Params(K=[50.0], chi_star=[-2.0])
 class TestBuild:
     def test_open_loop_planar(self):
         sys = build_planar_example(0.05)
-        rhs, ueval, m = build_closed_loop(sys, OpenLoop())
-        assert m == 1
+        rhs, ueval = build_closed_loop(sys, OpenLoop())
         y = np.array([0.1, 1.0])
         assert ueval(0.0, y.tolist()) == pytest.approx([0.0])
         assert rhs(0.0, y) == pytest.approx([1.0 + 0.1 + 1.0, -(1.0 + 0.1) / 0.05])
 
     def test_thm2_planar_matches_formula(self):
         sys = build_planar_example(0.01)
-        rhs, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        rhs, ueval = build_closed_loop(sys, Thm2(P2))
         y = np.array([0.2, -0.3])
         pz, px = (1 / 0.01) ** (1 / 3), (1 / 0.01) ** (2 / 3)
         u = -1.0 + 3.0 * pz * (-0.3) - px * 0.2
@@ -58,8 +57,7 @@ class TestBuild:
     def test_tunnel_diode_slots(self):
         sys = TunnelDiodeSystem()
         p = Theorem2Params(c=[4.0, 16.0], a=[1.0, 1.0], b=10.0)
-        rhs, ueval, m = build_closed_loop(sys, Thm2(p))
-        assert m == 2
+        rhs, ueval = build_closed_loop(sys, Thm2(p))
         u0 = ueval(0.0, [0.0] * 3)
         assert u0 == pytest.approx([-4.0, 16.0])
         assert rhs(0.0, np.zeros(3)) == pytest.approx([0.0, 0.0, 0.0])
@@ -67,7 +65,7 @@ class TestBuild:
     def test_slots_admit_pi_as_the_record_does(self):
         sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)),
                                slots=("pi * v1",))
-        _, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        _, ueval = build_closed_loop(sys, Thm2(P2))
         y = [0.2, -0.3]
         v1 = evaluate(law(sys, Thm2(P2)), y[:1], y[1])[0]
         assert ueval(0.0, y) == [math.pi * v1]
@@ -75,14 +73,14 @@ class TestBuild:
     def test_slots_admit_epsilon_as_the_loop_does(self):
         sys = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(("1 + x1 + z",)),
                                slots=("epsilon * v1",))
-        _, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        _, ueval = build_closed_loop(sys, Thm2(P2))
         y = [0.2, -0.3]
         v1 = evaluate(law(sys, Thm2(P2)), y[:1], y[1])[0]
         assert ueval(0.0, y) == [0.01 * v1]
 
     def test_tunnel_diode_highgain_additive(self):
         sys = TunnelDiodeSystem()
-        rhs, ueval, _ = build_closed_loop(
+        rhs, ueval = build_closed_loop(
             sys, HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True)
         )
         assert ueval(0.0, [0.0] * 3) == pytest.approx([-4.0, -16.0])
@@ -160,7 +158,7 @@ class TestExprSlowField:
         sys = NormalFormSystem(
             k=2, epsilon=0.05, slow_f=ExprSlowField(exprs=("1 + x1 + z",))
         )
-        rhs, _, _ = build_closed_loop(sys, Thm2(P2))
+        rhs, _ = build_closed_loop(sys, Thm2(P2))
         direct = build_closed_loop(build_planar_example(0.05), Thm2(P2))[0]
         y = np.array([0.3, -0.4])
         assert rhs(0.0, y) == pytest.approx(direct(0.0, y), rel=1e-14)
@@ -181,7 +179,7 @@ class TestExprSlowField:
     def test_closed_loop_rhs_returns_python_floats(self):
         sys = NormalFormSystem(
             k=2, epsilon=0.05, slow_f=ExprSlowField(exprs=("sin(z) + 1 + x1",)))
-        rhs, ueval, _ = build_closed_loop(sys, Thm2(P2))
+        rhs, ueval = build_closed_loop(sys, Thm2(P2))
         y = [0.3, -0.2]
         k1 = rhs(0.0, np.array(y))
         assert [type(v) for v in k1] == [float, float]
@@ -228,7 +226,7 @@ class TestFloatPath:
 
     def test_circuit_highgain_segment(self):
         sys = TunnelDiodeSystem(epsilon=0.01)
-        rhs, ueval, _ = build_closed_loop(
+        rhs, ueval = build_closed_loop(
             sys, HighGain(a=(1.0, 1.0), b=10.0, cancel_constants=True))
         traj = self._assert_same_run(rhs, ueval, EX1_ICS[0], config_for(0.01, 2.0))
         assert len(traj) == 201
@@ -238,7 +236,7 @@ class TestFloatPath:
         sys = NormalFormSystem(k=4, epsilon=0.05, slow_f=f)
         variant = Thm2Plus3(Theorem2Params(c=[1.0, 0.0, 0.0], a=[1.0, 1.0, 1.0], b=3.0),
                             Theorem3Params(K=[5.0, 0.0, 0.0], chi_star=[-2.0, 0.0, 0.0]))
-        rhs, ueval, _ = build_closed_loop(sys, variant)
+        rhs, ueval = build_closed_loop(sys, variant)
         self._assert_same_run(rhs, ueval, [0.1, -0.1, 0.05, 0.2], config_for(0.05, 3.0),
                               stop_ball=1e-3)
 
@@ -249,7 +247,7 @@ class TestFloatPath:
         n = 0
         for system, _, variants in _loops():
             for variant in variants:
-                rhs, ueval, _ = build_closed_loop(system, variant)
+                rhs, ueval = build_closed_loop(system, variant)
                 y = rng.uniform(-1.0, 1.0, system.n_slow + 1)
                 y[0] = abs(y[0])  # x1 ** 0.5 starts real
                 self._assert_same_run(rhs, ueval, y, config_for(system.epsilon, 0.5))
@@ -264,7 +262,7 @@ class TestFloatPath:
 
         def loop(expr):
             system = NormalFormSystem(k=2, epsilon=0.01, slow_f=ExprSlowField(exprs=(expr,)))
-            return build_closed_loop(system, OpenLoop())[:2]
+            return build_closed_loop(system, OpenLoop())
 
         def raises_on_both_paths(exc, rhs, ueval, ic):
             for r, u in ((rhs, ueval), (lambda t, y: rhs(t, y), lambda t, y: ueval(t, y))):
@@ -480,7 +478,7 @@ class TestGenerated:
         n = 0
         for system, slow_f, variants in _loops():
             for variant in variants:
-                rhs, ueval, _ = build_closed_loop(system, variant)
+                rhs, ueval = build_closed_loop(system, variant)
                 ref_rhs, ref_ueval = _ref_loop(system, variant, slow_f)
                 for _ in range(300):
                     y = rng.uniform(-3.0, 3.0, system.n_slow + 1)
@@ -501,7 +499,7 @@ class TestGenerated:
             sys = NormalFormSystem(k=k, epsilon=eps,
                                    slow_f=ExprSlowField(exprs=("1 + z",) * (k - 1)))
             for variant in _variants(k - 1)[1:]:
-                _, ueval, _ = build_closed_loop(sys, variant)
+                _, ueval = build_closed_loop(sys, variant)
                 for _ in range(50):
                     y = rng.uniform(-3.0, 3.0, k)
                     u = evaluate(law(sys, variant), y[:-1], y[-1])
@@ -513,7 +511,7 @@ class TestGenerated:
         n = 0
         for system, _, variants in _loops():
             for variant in variants:
-                rhs, ueval, _ = build_closed_loop(system, variant)
+                rhs, ueval = build_closed_loop(system, variant)
                 scope = rhs.run.__globals__
                 assert scope is rhs.__globals__ is ueval.__globals__
                 assert set(scope) == set(_SCOPE) | {"run", "rhs", "ueval"}
@@ -525,7 +523,7 @@ class TestGenerated:
         code = textwrap.dedent("""
             import slowfast, slowfast.scenarios, slowfast.cli
             from slowfast import closedloop
-            assert closedloop._generated.cache_info().currsize == 0
+            assert closedloop.build_closed_loop.cache_info().currsize == 0
             from slowfast.control import Theorem2Params
             from slowfast.sim import config_for
             from slowfast.systems import build_planar_example
@@ -535,7 +533,7 @@ class TestGenerated:
                 cfg=config_for(0.01, 1.0))
             runner((0.5, 0.5))
             runner((-0.5, 0.5))
-            info = closedloop._generated.cache_info()
+            info = closedloop.build_closed_loop.cache_info()
             assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
         """)
         src = os.path.dirname(os.path.dirname(slowfast.__file__))
@@ -543,6 +541,42 @@ class TestGenerated:
         done = subprocess.run([executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_compiled_loop_is_the_one_field(self):
+        # rhs steps exactly the trees of closedloop._field, which the
+        # certificate proves: each component walked, compared with ==
+        rng = np.random.default_rng(33)
+        n = 0
+        for system, _, variants in _loops():
+            for variant in variants:
+                rhs, _ = build_closed_loop(system, variant)
+                names, field, _ = closedloop._field(system, variant)
+                for _ in range(50):
+                    y = rng.uniform(-3.0, 3.0, len(names))
+                    y[0] = abs(y[0])  # x1 ** 0.5 stays real
+                    env = dict(zip(names, y.tolist()))
+                    assert rhs(0.0, y) == [walk(t, env) for t in field], describe(variant)
+                n += 1
+        assert n == 28
+
+    def test_certificate_reads_the_compiled_jacobian(self):
+        # J of the expanded field against central differences of rhs at the
+        # origin, step 1e-6: the worst relative error measured was 5e-10
+        h, n = 1e-6, 0
+        for system, _, variants in _loops():
+            for variant in variants:
+                names, field, _ = closedloop._field(system, variant)
+                try:
+                    polys = [poly.expand(t, names) for t in field]
+                except poly.NotPolynomial:
+                    continue
+                _, J, _ = lyapunov._split(polys, len(names))
+                rhs, _ = build_closed_loop(system, variant)
+                fd = np.transpose([(np.array(rhs(0.0, h * e)) - rhs(0.0, -h * e)) / (2 * h)
+                                   for e in np.eye(len(names))])
+                assert np.all(np.abs(fd - J) <= 1e-8 * (1.0 + np.abs(J))), describe(variant)
+                n += 1
+        assert n == 18  # the planar fold, both circuits and the cubic k = 3 drift
 
     def test_hostile_expression_never_reaches_the_generator(self, monkeypatch):
         hostile = "().__class__.__base__.__subclasses__().__len__()"

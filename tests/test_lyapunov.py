@@ -4,7 +4,6 @@ The proof must refuse whatever it cannot prove, and a refused loop keeps
 the integrated dwell with today's outcome; a cell stopped by a proof must
 classify as the integrated dwell would.
 """
-import ast
 import math
 import os
 import subprocess
@@ -55,24 +54,20 @@ def _fold(expr):
 
 def _field(system, variant):
     """(c, J, B) of a closed loop, expanded from the trees it compiles."""
-    trees = closedloop._trees(system, variant)
-    m = system.n_slow
-    field = [ast.BinOp(trees[f"_f{i}"], ast.Add(), trees[f"_v{i}"]) for i in range(1, m + 1)]
-    names = [f"x{i}" for i in range(1, m + 1)] + ["z"]
-    polys = [poly.expand(tree, names) for tree in [*field, trees["_g"]]]
-    return lyapunov._split(polys, m + 1)
+    names, field, _ = closedloop._field(system, variant)
+    return lyapunov._split([poly.expand(tree, names) for tree in field], len(names))
 
 
 @pytest.fixture
 def fresh_certificates():
-    closedloop._certificate.cache_clear()
+    closedloop.certificate.cache_clear()
     yield
-    closedloop._certificate.cache_clear()
+    closedloop.certificate.cache_clear()
 
 
 def _today(system, variant, ic):
     """A cell as it ran before proofs: the integrated dwell, classified."""
-    rhs, _, _ = closedloop.build_closed_loop(system, variant)
+    rhs, _ = closedloop.build_closed_loop(system, variant)
     traj = integrate(rhs, np.asarray(ic, dtype=float), config_for(system.epsilon, 10.0),
                      stop_ball=BALL)
     return traj, classify(traj)
@@ -224,7 +219,7 @@ def test_proved_cells_classify_as_the_integrated_dwell(loop):
     its stop, and its full integrated dwell gives the same verdict."""
     system, variant, box = ORACLE_LOOPS[loop]
     runner, ics = _cells(system, variant, box, 14, seed=16)
-    rhs, _, _ = closedloop.build_closed_loop(system, variant)
+    rhs, _ = closedloop.build_closed_loop(system, variant)
     proved = 0
     for ic in ics:
         traj = runner.simulate(ic)
@@ -256,7 +251,7 @@ def test_proved_too_late_is_undecided():
     """A proof at a record too close to t_final gives what the dwell would."""
     cfg = config_for(EPS, 1.2)
     ic = [-2.0, 2.0]  # enters the ball at t = 0.61
-    rhs, _, _ = closedloop.build_closed_loop(PLANAR, K0)
+    rhs, _ = closedloop.build_closed_loop(PLANAR, K0)
     traj = integrate(rhs, ic, cfg, stop_ball=BALL, invariant=certificate(PLANAR, K0))
     ref = integrate(rhs, ic, cfg, stop_ball=BALL)
     assert traj.stats.reason == "proved" and ref.stats.reason == "t_final"
@@ -265,7 +260,7 @@ def test_proved_too_late_is_undecided():
 
 def test_trajectory_runs_never_stop_on_the_proof():
     cfg = config_for(EPS, 3.0)
-    rhs, _, _ = closedloop.build_closed_loop(PLANAR, K0)
+    rhs, _ = closedloop.build_closed_loop(PLANAR, K0)
     proof = certificate(PLANAR, K0)
     traj = integrate(rhs, [-2.0, 2.0], cfg, invariant=proof)
     ref = integrate(rhs, [-2.0, 2.0], cfg)

@@ -132,8 +132,8 @@ class TestRhs:
         assert dz == 0.0
 
     def test_epsilon_zero_rejected_in_slow_time(self):
-        sys = NormalFormSystem(k=2, epsilon=0.0, slow_f=zero_f)
         with pytest.raises(ValueError, match="epsilon"):
+            sys = NormalFormSystem(k=2, epsilon=0.0, slow_f=zero_f)
             eval_rhs_slow(sys, State(x=[1.0], z=0.0), [0.0])
 
     def test_non_finite_evaluator_signalled(self):
@@ -259,6 +259,33 @@ class TestValidate:
         for slow_f in (lambda x, z, e: [1.0 + x[0] + z], ("1 + x1 + z",), None):
             with pytest.raises(ValueError, match="ExprSlowField"):
                 NormalFormSystem(k=2, epsilon=0.01, slow_f=slow_f)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.01, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        # such a record would run: a cell from [0.1, 0.1] read diverged at
+        # t = 0 (0, NaN) or t = 0.038 (-0.01), and undecided (inf)
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            NormalFormSystem(k=2, epsilon=eps, slow_f=affine_f)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_constants_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="constant L must be finite"):
+            ExprSlowField(("x1 * L",), {"L": value})
+
+    @pytest.mark.parametrize("src, bound", [
+        ("x1 / 0", {}), ("x1 / -0.0", {}), ("x1 / L", {"L": 0.0}), ("z / +(-0)", {}),
+    ])
+    def test_division_by_the_constant_zero_refused(self, src, bound):
+        with pytest.raises(ValueError, match="division by the constant 0"):
+            parse_expression(src, {"x1": "x1", "z": "z", **bound})
+        with pytest.raises(ValueError, match="division by the constant 0"):
+            ExprSlowField((src,), bound)
+
+    def test_divisor_zero_only_at_run_time_is_numerical(self):
+        tree = parse_expression("z / (x1 - x1)", {"x1": "x1", "z": "z"})
+        with pytest.raises(ZeroDivisionError):
+            walk(tree, {"x1": 1.0, "z": 1.0})
+        assert walk(parse_expression("x1 / L", {"x1": "x1", "L": -2.0}), {"x1": 1.0}) == -0.5
 
 
 # each expression is walked, and compiled as the reference, on seeded

@@ -39,7 +39,7 @@ _cusp_f = ExprSlowField(("1 + x1 + z", "0.5 * x2 - z * z"))
 def test_k3_normal_form_thm2_matches_dop853(eps):
     sysm = NormalFormSystem(k=3, epsilon=eps, slow_f=_cusp_f)
     p = Theorem2Params(c=[1.0, 0.0], a=[1.0, 1.0], b=3.0)
-    rhs, _, _ = build_closed_loop(sysm, Thm2(p))
+    rhs, _ = build_closed_loop(sysm, Thm2(p))
     ic = [0.2, -0.1, 0.3]
     times = [0.5, 1.0, 2.0, 5.0]
     traj = integrate(rhs, ic, config_for(eps, 5.0))
@@ -51,8 +51,8 @@ def test_k3_normal_form_thm2_matches_dop853(eps):
 def test_ex1_stabilizer_segment_matches_dop853():
     # the closed-loop segment of the first ex1 u-run, from the switch state
     sysm = TunnelDiodeSystem(epsilon=0.01)
-    rhs_off, _, _ = build_closed_loop(sysm, OpenLoop())
-    rhs_on, _, _ = build_closed_loop(
+    rhs_off, _ = build_closed_loop(sysm, OpenLoop())
+    rhs_on, _ = build_closed_loop(
         sysm, Thm2(Theorem2Params(c=[4.0, 16.0], a=[1.0, 1.0], b=10.0)))
     switch = integrate(rhs_off, EX1_ICS[0], config_for(0.01, 10.0)).states[-1]
     times = [10.5, 11.0, 12.0, 15.0]

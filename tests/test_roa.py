@@ -102,7 +102,7 @@ class TestSweep:
                 raise RuntimeError("a sweep worker compiled the loop")
             return compile_functions(*args)
 
-        closedloop._generated.cache_clear()
+        closedloop.build_closed_loop.cache_clear()
         monkeypatch.setattr(sim, "compile_functions", compile_in_parent_only)
         sys = build_planar_example(0.01)
         grid = GridSpec(x_ranges=((-1.0, 1.0, 2),), z_range=(-1.0, 1.0, 2))
@@ -253,17 +253,17 @@ class TestSweep:
         # the caches key on the (system, variant) values: a serial sweep
         # builds its loop and its certificate once, and a second sweep of an
         # equal variant built anew builds neither again
-        closedloop._generated.cache_clear()
-        closedloop._certificate.cache_clear()
+        closedloop.build_closed_loop.cache_clear()
+        closedloop.certificate.cache_clear()
         grid = GridSpec(x_ranges=((-1.0, 1.0, 3),), z_range=(-1.0, 1.0, 3))
         cfg = config_for(0.01, 1.0)
         rep = sweep(build_planar_example(0.01), Thm2(P2), grid, cfg)
         assert len(rep.outcomes) == 9
-        for cache in (closedloop._generated, closedloop._certificate):
+        for cache in (closedloop.build_closed_loop, closedloop.certificate):
             assert cache.cache_info().misses == 1
         again = Thm2(Theorem2Params(c=[1.0], a=[1.0], b=3.0))
         assert sweep(build_planar_example(0.01), again, grid, cfg).outcomes == rep.outcomes
-        for cache in (closedloop._generated, closedloop._certificate):
+        for cache in (closedloop.build_closed_loop, closedloop.certificate):
             assert cache.cache_info().misses == 1
 
     def test_refinement_preserves_coinciding_nodes(self):

@@ -113,7 +113,7 @@ class TestConfigSchema:
         raw["system"] = {"builtin": "tunnel_diode", "L": 2.0, "Cap": 0.5}
         cfg = parse_config(raw)
         system = build_system(cfg)
-        rhs, _, _ = build_closed_loop(system, build_variant(cfg, system))
+        rhs, _ = build_closed_loop(system, build_variant(cfg, system))
         assert rhs(0.0, np.zeros(3)) == [0.0, 0.0, 0.0]
 
     def test_sections_are_checked_json_with_defaults_filled_in(self):
@@ -214,7 +214,7 @@ class TestRunScenario:
             run_scenario(parse_config(raw), out_dir=out)
             return [p.read_bytes() for p in sorted(out.iterdir())]
 
-        closedloop._generated.cache_clear()
+        closedloop.build_closed_loop.cache_clear()
         assert run(first) == run(-first)
 
     def test_custom_expression_system(self):

@@ -56,7 +56,7 @@ class TestIntegrate:
 
     def test_open_loop_planar_diverges(self):
         sys = build_planar_example(0.05)
-        rhs, _, _ = build_closed_loop(sys, OpenLoop())
+        rhs, _ = build_closed_loop(sys, OpenLoop())
         traj = integrate(rhs, np.array([0.1, 1.0]), config_for(0.05, 10.0))
         assert traj.outcome.is_diverged
         assert 0.0 < traj.outcome.t_escape < 10.0
@@ -137,7 +137,7 @@ class TestIntegrate:
 
     def test_determinism_bitwise(self):
         sys = build_planar_example(0.05)
-        rhs, ueval, _ = build_closed_loop(sys, OpenLoop())
+        rhs, ueval = build_closed_loop(sys, OpenLoop())
         cfg = config_for(0.05, 1.0)
         a = integrate(rhs, np.array([-0.5, 0.5]), cfg, control=ueval)
         b = integrate(rhs, np.array([-0.5, 0.5]), cfg, control=ueval)
@@ -476,7 +476,7 @@ class TestReferenceLoop:
         # each closed loop runs on its own generated loop and, behind a
         # plain callable, on the generic one
         for system, variant, ic, cfg, ball, reason in _fused_cases(k):
-            rhs, ueval, _ = build_closed_loop(system, variant)
+            rhs, ueval = build_closed_loop(system, variant)
             assert callable(rhs.run)
             for f, u in ((rhs, ueval), (lambda t, y: rhs(t, y), lambda t, y: ueval(t, y))):
                 _assert_same_as_reference(f, ic, cfg, reason, control=u, stop_ball=ball)
@@ -763,7 +763,7 @@ class TestCompiler:
         monkeypatch.setattr(sim, "compile_functions", capture)
         system = NormalFormSystem(k=2, epsilon=0.01,
                                   slow_f=ExprSlowField(("c * x1 + z",), constants={"c": c}))
-        rhs, _, _ = build_closed_loop(system, OpenLoop())
+        rhs, _ = build_closed_loop(system, OpenLoop())
         assert len(sources) == 1 and repr(c) not in sources[0]
         assert rhs(0.0, np.array([1.0, 0.0]))[0] == c
 

@@ -62,8 +62,8 @@ def example1_controllers(epsilon, a1, a2, b, A1=1.0, A2=1.0, B=10.0,
     sys = TunnelDiodeSystem(epsilon=epsilon)
     p = Theorem2Params(c=drift_at_origin(sys), a=[a1, a2], b=b)
     hg = HighGain(a=(A1, A2), b=B, cancel_constants=cancel_constants)
-    _, u_eval, _ = build_closed_loop(sys, Thm2(p))
-    _, v_eval, _ = build_closed_loop(sys, hg)
+    _, u_eval = build_closed_loop(sys, Thm2(p))
+    _, v_eval = build_closed_loop(sys, hg)
     return (lambda x1, x2, z: u_eval(0.0, [x1, x2, z]),
             lambda x1, x2, z: v_eval(0.0, [x1, x2, z]))
 
@@ -90,7 +90,7 @@ class TestFoldPoints:
         sympy = pytest.importorskip("sympy")
         zs = sympy.Symbol("z")
         # at eps = 1 the fast component of the open loop is g itself
-        rhs, _, _ = build_closed_loop(
+        rhs, _ = build_closed_loop(
             TunnelDiodeSystem(epsilon=1.0), OpenLoop())
         for v, i in diode_fold_points():
             # translated coordinates of the fold: x1 = 16 - I, z = V - 4
@@ -126,14 +126,14 @@ class TestTunnelDiodeSystem:
 
     def test_fast_field_vanishes_at_translated_origin(self):
         sys = TunnelDiodeSystem()
-        rhs, _, _ = build_closed_loop(sys, OpenLoop())
+        rhs, _ = build_closed_loop(sys, OpenLoop())
         assert rhs(0.0, np.zeros(3))[2] == 0.0
 
     def test_translated_field_matches_circuit_pushforward(self):
         # x1 = 16 - I_L, x2 = V_C, z = V_D - 4 with controls flipped in sign;
         # this is the resolution of the printed tuple-ordering conflict
         sys = TunnelDiodeSystem(L=2.0, Cap=0.5, epsilon=0.02)
-        rhs, _, _ = build_closed_loop(sys, OpenLoop())
+        rhs, _ = build_closed_loop(sys, OpenLoop())
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(1000):
@@ -160,7 +160,7 @@ class TestTunnelDiodeSystem:
         # (+u1/L, -u2/Cap), the recorded u must give the same field
         sys = TunnelDiodeSystem(L=L, Cap=Cap, epsilon=0.01)
         p = Theorem2Params(c=drift_at_origin(sys), a=[1.0, 2.0], b=10.0)
-        rhs, ueval, _ = build_closed_loop(sys, Thm2(p))
+        rhs, ueval = build_closed_loop(sys, Thm2(p))
         rng = np.random.default_rng(7)
         for _ in range(1000):
             y = rng.uniform(-5.0, 5.0, 3)
@@ -236,7 +236,7 @@ class TestOneRecord:
         raw = {"system": section, "epsilon": 0.01,
                "controller": {"type": "thm2", "a": a, "b": 3.0},
                "ics": [[0.0] * (len(a) + 1)]}
-        closedloop._generated.cache_clear()
+        closedloop.build_closed_loop.cache_clear()
         built = []
         for _ in range(2):
             cfg = parse_config(raw)
@@ -245,7 +245,7 @@ class TestOneRecord:
             built.append(system)
         first, second = built
         assert first is not second and first == second and hash(first) == hash(second)
-        info = closedloop._generated.cache_info()
+        info = closedloop.build_closed_loop.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_constants_are_stored_as_floats(self):
