@@ -20,6 +20,7 @@ blow-down.
 """
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
@@ -235,9 +236,8 @@ def chart_loop(sys: NormalFormSystem, variant: Variant, chart: Chart):
     stays the same float along a run. It is the one evaluator of a chart
     field; each call derives and compiles the loop afresh."""
     names = [*(f"v{i}" for i in range(1, sys.k)), "w", "rb"]
-    field = {f"_d{i}": poly.render(q, names)
-             for i, q in enumerate(chart_field(sys, variant, chart))}
-    return compile_loop(names, [f"{', '.join(field)}, 0.0"], field)[0]
+    rendered = [poly.render(q, names) for q in chart_field(sys, variant, chart)]
+    return compile_loop(names, [*rendered, ast.Constant(0.0)])[0]
 
 
 def family_time_rescale(epsilon: float, k: int) -> float:

@@ -150,17 +150,23 @@ def _check_size(gains, m: int) -> None:
 
 
 def _field(system, variant: Variant) -> tuple[list, list, list]:
-    """(names, field, law) of the closed loop: the state names x1..xm, z;
-    the field [f_1 + v_1, ..., f_m + v_m, g] as checked trees, the drift and
-    the fast field with pi and the system's constants bound; and the law's
-    trees v_1..v_m (:func:`law`). The compiled loop and its certificate are
-    both made from this one field."""
+    """(names, field, recorded) of the closed loop: the state names x1..xm,
+    z, and checked trees of the field [f_1 + v_1, ..., f_m + v_m, g], with v
+    the law's trees (:func:`law`) and pi and the system's constants bound in
+    the drift and the fast field, and of the recorded control: v, or, for the
+    baseline law on a system with control slots (``slots``, the circuit),
+    the slots with each v_i bound to its law tree. The compiled loop and its
+    certificate are both made from this one field."""
     names = [*(f"x{i}" for i in range(1, system.n_slow + 1)), "z"]
     env = _env(names, system.constants)
     v = law(system, variant)
     field = [ast.BinOp(parse_expression(src, env), ast.Add(), vi)
              for src, vi in zip(system.drift, v)]
-    return names, [*field, parse_expression(system.fast, env)], v
+    recorded = v
+    if system.slots is not None and isinstance(variant, Thm2):
+        slot_env = {**{f"v{i}": vi for i, vi in enumerate(v, 1)}, **_env((), system.constants)}
+        recorded = [parse_expression(src, slot_env) for src in system.slots]
+    return names, [*field, parse_expression(system.fast, env)], recorded
 
 
 @lru_cache(maxsize=64)
@@ -170,29 +176,17 @@ def build_closed_loop(system, variant: Variant):
     The right-hand side is one generated function per (system, variant):
     the field of :func:`_field`, the law's and the drift's arithmetic
     inline, with every gain and constant compiled in. ``control_eval``
-    reports the signal that is recorded in trajectories: the additive
-    control, except that the baseline law on a system with control slots
-    (``slots``, the circuit) is recorded in slot form. ``rhs(t, y)`` takes
-    the state as an array, the ODE convention; ``control_eval(t, y)`` takes
-    it as the list of floats that :func:`slowfast.sim.integrate` records.
-    Both return lists of Python floats. ``rhs`` carries as ``run`` the whole
-    adaptive Dormand-Prince loop with its field inline at every stage
+    reports the signal that is recorded in trajectories, the recorded
+    control of :func:`_field`. ``rhs(t, y)`` takes the state as an array,
+    the ODE convention; ``control_eval(t, y)`` takes it as the list of
+    floats that :func:`slowfast.sim.integrate` records. Both return lists
+    of Python floats. ``rhs`` carries as ``run`` the whole adaptive
+    Dormand-Prince loop with its field inline at every stage
     (:func:`slowfast.sim.compile_loop`). Both are cached on (system,
     variant), both hashable values, so a sweep compiles its loop once per
     process and equal variants share one entry.
     """
-    names, field, v = _field(system, variant)
-    m = system.n_slow
-    vs = [f"v{i}" for i in range(1, m + 1)]
-    trees = {f"_d{i}": tree for i, tree in enumerate(field)}
-    trees.update((f"_{name}", tree) for name, tree in zip(vs, v))
-    recorded = vs
-    if system.slots is not None and isinstance(variant, Thm2):
-        recorded = [f"_u{i}" for i in range(1, m + 1)]
-        slot_env = _env(vs, system.constants)
-        trees.update(zip(recorded, (parse_expression(src, slot_env) for src in system.slots)))
-    control = [*(f"{name} = _{name}" for name in vs), f"[{', '.join(recorded)}]"]
-    return compile_loop(names, [", ".join(f"_d{i}" for i in range(m + 1))], trees, control)
+    return compile_loop(*_field(system, variant))
 
 
 @lru_cache(maxsize=64)

@@ -143,8 +143,10 @@ def highgain_law(a, b: float, epsilon: float, constants=None) -> list:
             for i, (ai, c) in enumerate(zip(a, const), 1)]
 
 
+@np.errstate(all="ignore")
 def evaluate(law: list, x, z: float) -> list[float]:
-    """The law trees walked at the state (x, z), as Python floats.
+    """The law trees walked at the state (x, z), as Python floats; a numpy
+    function gives NaN or inf, never a warning.
 
     ``x`` must have one entry per control. Compiling costs about half a
     millisecond a call, which the verification suites, with their thousands

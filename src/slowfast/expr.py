@@ -32,13 +32,13 @@ class _ExprChecker(ast.NodeTransformer):
     """Admits only the expression grammar, in one pass.
 
     Each name is looked up in ``env``: a string renames it to that local, a
-    number makes it a constant. Numbers become floats, ``a ** b`` becomes
-    ``_pow(a, b)`` unless b is an integral constant (a float to such a power
-    is never complex) and a call ``fn(a)`` becomes ``float(fn(a))``, so every
-    value is a float; any other node type is an error, so no
-    attribute, subscript, comprehension or call outside the listed numpy
-    functions can reach the compiler. The checked tree is built new, so the
-    parsed tree can be shared.
+    checked tree stands in for it, shared, and a number makes it a constant.
+    Numbers become floats, ``a ** b`` becomes ``_pow(a, b)`` unless b is an
+    integral constant (a float to such a power is never complex) and a call
+    ``fn(a)`` becomes ``float(fn(a))``, so every value is a float; any other
+    node type is an error, so no attribute, subscript, comprehension or call
+    outside the listed numpy functions can reach the compiler. The checked
+    tree is built new, so the parsed tree can be shared.
     """
 
     def __init__(self, env: dict):
@@ -61,6 +61,8 @@ class _ExprChecker(ast.NodeTransformer):
         value = self.env[node.id]
         if isinstance(value, str):
             return ast.Name(value, ast.Load())
+        if isinstance(value, ast.expr):
+            return value
         return ast.Constant(float(value))
 
     def visit_UnaryOp(self, node):
@@ -121,7 +123,8 @@ def parse_expression(src: str, env: dict) -> ast.expr:
     """Checked tree of the expression ``src``.
 
     The grammar is numbers, the names in ``env`` (a string value renames the
-    name to that local, a number binds it as a constant), ``+ - * / **``,
+    name to that local, a checked tree is put in its place and a number
+    binds it as a constant), ``+ - * / **``,
     unary minus and one-argument calls of sin, cos, tan, exp, log, sqrt, abs
     and tanh (the numpy versions, so sqrt and log of a negative number give
     NaN). Anything else, and a division by the constant 0, raises ValueError.

@@ -201,10 +201,10 @@ def degeneracy_order(x, z: float, k: int) -> int:
     if not (np.all(np.isfinite(xv)) and np.isfinite(z)):
         raise ValueError(f"point must be finite, got x={xv.tolist()}, z={z}")
     g, size = _g_terms(xv, z, k, 0)
-    if not abs(g) <= MANIFOLD_TOL * size < math.inf:  # an overflowed term holds no point
-        raise ValueError(
-            f"point is off the critical manifold: |g| = {abs(g):.3e} > {MANIFOLD_TOL * size:.3e}"
-        )
+    if not abs(g) <= MANIFOLD_TOL * size < math.inf:
+        why = (f"|g| = {abs(g):.3e} > {MANIFOLD_TOL * size:.3e}" if size < math.inf
+               else "a term of g overflows")
+        raise ValueError(f"point is off the critical manifold: {why}")
     for m in range(1, k):
         d, size = _g_terms(xv, z, k, m)
         if abs(d) > MANIFOLD_TOL * size:
@@ -240,9 +240,11 @@ def _drift_trees(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = 
     return _checked(exprs, _names(len(exprs)), bound, "slow field")
 
 
+@np.errstate(all="ignore")
 def _drift(exprs: tuple[str, ...], x, z, eps, bound=()) -> list:
     """The drift expressions walked at (x, z, eps); x1..xm are the entries
-    of ``x`` as it iterates (numpy scalars from an array)."""
+    of ``x`` as it iterates (numpy scalars from an array). A numpy function
+    gives NaN or inf, never a warning."""
     trees = _drift_trees(exprs, bound)
     names = (f"x{i}" for i in range(1, len(trees) + 1))
     env = dict(zip(names, x, strict=True), z=z, epsilon=eps)

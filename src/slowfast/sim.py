@@ -224,12 +224,7 @@ def _rms(values: list, scales: list) -> float:
     return math.sqrt(acc / len(scales))
 
 
-def _call(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-    """A stage as one call of the loop's argument ``f`` on the list ``y``."""
-    return [], f"f({t}, {y})"
-
-
-def _loop_source(n: int, stage=_call) -> str:
+def _loop_source(n: int, state: Sequence[str] | None = None) -> str:
     """Source of the adaptive Dormand-Prince loop for state dimension ``n``.
 
     Built only from ``n``, the tableau and the step control constants;
@@ -242,11 +237,11 @@ def _loop_source(n: int, stage=_call) -> str:
     the same values, so a step calls nothing but the field, ``hypot`` and
     ``sqrt``.
 
-    ``stage(t, args, y)`` emits the field at each of stages 2..7: ``t`` is
-    the stage time, ``args`` the n component expressions of the stage
-    input and ``y`` the same input as one list display. It returns
-    statements and an expression of the n field components. The default
-    calls ``f(t, y)``; :func:`compile_loop` writes a field inline.
+    Each of stages 2..7 calls ``f(t, y)`` on the stage input as one list
+    display. Given the field's variable names ``state``, a stage instead
+    binds them to the input's n components and gives the field as the
+    tuple of the names ``_d0``, ``_d1``, ... that :func:`compile_loop`
+    fills with its trees.
 
     The generated ``run(f, t, y, k1, hp, rtol, atol, max_step, min_step,
     div_norm, stride, n_rec, t_final, ball, margin, form, level)``
@@ -276,18 +271,17 @@ def _loop_source(n: int, stage=_call) -> str:
     def names(stem: str) -> str:
         return "".join(f"{stem}_{i}, " for i in idx)
 
-    def row(stem: str) -> str:
-        return f"[{', '.join(f'{stem}_{i}' for i in idx)}]"
-
     def combo(terms, i: int) -> str:
         return " + ".join(f"{w!r} * k{s}_{i}" for s, w in terms)
 
-    def field(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-        lines, value = stage(t, args, y)
-        return [f"            {line}" for line in lines], value
+    def field(t: str, args: list[str]) -> tuple[list[str], str]:
+        if state is None:
+            return [], f"f({t}, [{', '.join(args)}])"
+        return ([f"            {''.join(f'{name}, ' for name in state)}= {', '.join(args)}"],
+                f"({''.join(f'_d{i}, ' for i in idx)})")
 
     def record(indent: str) -> list[str]:
-        return [f"{indent}times.append(t)", f"{indent}states.append({row('y')})"]
+        return [f"{indent}times.append(t)", f"{indent}states.append([{names('y')}])"]
 
     def factor(bound: str, lo: float, hi: float | None = None) -> list[str]:
         # s = SAFETY * err ** ORDER_EXP, then max(lo, s) and min(hi, s)
@@ -329,12 +323,12 @@ def _loop_source(n: int, stage=_call) -> str:
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
         terms = list(enumerate(weights, start=1))
         args = [f"y_{i} + h * ({combo(terms, i)})" for i in idx]
-        body, value = field(at, args, f"[{', '.join(args)}]")
+        body, value = field(at, args)
         lines += [*body, f"            {names(f'k{s}')}= {value}"]
     for i in idx:
         lines.append(f"            w_{i} = y_{i} + h * ({combo(_SOLUTION, i)})")
     ws = [f"w_{i}" for i in idx]
-    body, value = field("t + h", ws, row("w"))
+    body, value = field("t + h", ws)
     lines += [f"            norm = _hypot({', '.join(ws)})",
               "            if not norm < _inf:",
               "                retried += 1",
@@ -448,33 +442,26 @@ def compile_functions(src: str, trees: dict) -> dict:
     return ns
 
 
-def compile_loop(names: Sequence[str], field: list[str], trees: dict,
-                 control: list[str] | None = None):
+def compile_loop(names: Sequence[str], field: list, control: list | None = None):
     """``(rhs, ueval)`` of the field ``field`` in the state ``names``: the
     one generator of a loop with its field inline.
 
-    ``field`` is a list of source lines, statements and then the n
-    components separated by commas, in which each name of ``trees`` stands
-    for that checked tree (:func:`compile_functions`). ``rhs(t, y)`` returns
-    the components as a list of floats and carries as ``run`` the loop of
-    :func:`_loop_source` with the field's lines inline at every stage. The
-    lines ``control``, statements and then one expression, give
-    ``ueval(t, y)`` of a recorded float list, else None.
+    ``field`` is the n components and ``control`` the recorded control, both
+    lists of checked trees in ``names``, filled in as ``_d0``, ... and
+    ``_u0``, ... (:func:`compile_functions`). ``rhs(t, y)`` returns the
+    components as a list of floats and carries as ``run`` the loop of
+    :func:`_loop_source` with the field inline at every stage. ``ueval(t,
+    y)`` of a recorded float list returns the control as a list, and is
+    None without ``control``.
     """
     state = "".join(f"{name}, " for name in names)
-    *body, values = field
-
-    def inline(t: str, args: list[str], y: str) -> tuple[list[str], str]:
-        return [f"{state}= {', '.join(args)}", *body], f"({values},)"
-
-    def function(head: str, lines: list[str]) -> str:
-        *stmts, value = lines
-        return "\n".join([head, *(f"    {line}" for line in stmts), f"    return {value}\n"])
-
-    src = _loop_source(len(names), inline)
-    src += function("def rhs(t, y):", [f"{state}= y.tolist()", *body, f"[{values}]"])
+    trees = {f"_d{i}": tree for i, tree in enumerate(field)}
+    src = _loop_source(len(names), names)
+    src += f"def rhs(t, y):\n    {state}= y.tolist()\n    return [{', '.join(trees)}]\n"
     if control is not None:
-        src += function("def ueval(t, y):", [f"{state}= y", *control])
+        us = {f"_u{i}": tree for i, tree in enumerate(control)}
+        src += f"def ueval(t, y):\n    {state}= y\n    return [{', '.join(us)}]\n"
+        trees.update(us)
     ns = compile_functions(src, trees)
     ns["rhs"].run = ns["run"]
     return ns["rhs"], ns.get("ueval")
@@ -498,6 +485,7 @@ def _on_lists(fn):
     return adapted
 
 
+@np.errstate(all="ignore")
 def integrate(
     rhs: RHS,
     ic: Sequence[float] | np.ndarray,
@@ -539,7 +527,9 @@ def integrate(
     ``control`` is evaluated after the loop, once per recorded sample in
     order, on the list of floats recorded there, and may return any
     sequence of floats. The trajectory's ``stats`` count the attempts and
-    give the reason the loop stopped.
+    give the reason the loop stopped. Everything runs under
+    ``np.errstate(all="ignore")``, so a numpy function of a field gives NaN
+    or inf, never a warning, whatever the warnings filter.
     """
     y0 = np.array(ic, dtype=float)
     if y0.ndim != 1:

@@ -49,7 +49,6 @@ class TestSimulate:
         assert code == 0
         assert "diverged" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_every_ic_failing_exits_two(self, tmp_path, capsys):
         raw = dict(PLANAR)
         raw["system"] = {"builtin": "custom", "k": 2,
@@ -159,7 +158,6 @@ BAD_CONTROLLERS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero encountered")
 @pytest.mark.parametrize("command", ["simulate", "roa"])
 @pytest.mark.parametrize("name", list(BAD_CONTROLLERS))
 def test_controller_that_cannot_run_exits_one(tmp_path, capsys, command, name):
@@ -377,6 +375,31 @@ def test_simulate_loads_neither_verification_nor_blowup(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# a drift that is NaN for x1 < 0: every IC crosses there, or starts there
+SQRT = dict(PLANAR, system={"builtin": "custom", "k": 2, "f": ["1 + x1 + z + 0 * sqrt(x1)"]},
+            ics=[[-1.0, 0.5], [1.0, 0.5]])
+
+
+@pytest.mark.parametrize("raw, argv, code, message", [
+    (SQRT, ["simulate"], 0, "ic=[-1.0, 0.5]: diverged"),
+    (SQRT, ["roa", "--grid", "3"], 0, "roa.csv"),
+    (BAD_CONTROLLERS["thm2-drift-not-finite"], ["simulate"], 1,
+     "config error: controller: the drift at the origin must be finite"),
+], ids=["simulate", "roa", "log-at-origin"])
+def test_verdict_does_not_depend_on_the_warnings_filter(tmp_path, raw, argv, code, message):
+    # numpy functions give NaN or inf: no RuntimeWarning, so none is raised
+    src = os.path.dirname(os.path.dirname(slowfast.__file__))
+    command, *rest = argv
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "slowfast.cli", command,
+         "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out"), *rest],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert message in done.stdout + done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert (tmp_path / "out" / "roa.csv").exists() == (command == "roa")
 
 
 class TestVerifyCommand:

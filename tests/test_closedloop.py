@@ -256,7 +256,6 @@ class TestFloatPath:
                 n += 1
         assert n == 28
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_failing_fields(self):
         cfg = config_for(0.01, 1.0)
 
@@ -307,7 +306,6 @@ class TestCellRunner:
         clone = pickle.loads(pickle.dumps(runner))
         assert clone((0.0, 0.0)).kind == "converged"
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_failures_count_as_diverged(self):
         bad = NormalFormSystem(
             k=2, epsilon=0.01,
@@ -558,6 +556,25 @@ class TestGenerated:
                     assert rhs(0.0, y) == [walk(t, env) for t in field], describe(variant)
                 n += 1
         assert n == 28
+
+    def test_recorded_control_is_the_walked_trees(self):
+        # ueval evaluates exactly the recorded trees of closedloop._field,
+        # the slot form of both circuits under Thm2 included: compared with ==
+        rng = np.random.default_rng(34)
+        n = slot_form = 0
+        for system, _, variants in _loops():
+            for variant in variants:
+                _, ueval = build_closed_loop(system, variant)
+                names, _, recorded = closedloop._field(system, variant)
+                slot_form += system.slots is not None and isinstance(variant, Thm2)
+                for _ in range(50):
+                    y = rng.uniform(-3.0, 3.0, len(names))
+                    y[0] = abs(y[0])  # x1 ** 0.5 stays real
+                    yl = y.tolist()
+                    want = [walk(t, dict(zip(names, yl))) for t in recorded]
+                    assert ueval(0.0, yl) == want, describe(variant)
+                n += 1
+        assert (n, slot_form) == (28, 2)
 
     def test_certificate_reads_the_compiled_jacobian(self):
         # J of the expanded field against central differences of rhs at the

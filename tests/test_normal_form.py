@@ -212,7 +212,8 @@ class TestDegeneracyOrder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x, z in (([-1e300], 1e160), ([0.0], -1e160)):
-                with pytest.raises(ValueError, match="off the critical manifold"):
+                with pytest.raises(ValueError,
+                                   match="off the critical manifold: a term of g overflows"):
                     degeneracy_order(x, z, 2)
                 assert eval_g(x, z, 2) == -np.inf
             assert eval_g([0.0, 0.0], -1e160, 3) == np.inf  # an odd power keeps z's sign

@@ -66,6 +66,24 @@ def test_loops_are_generated_only_in_sim():
     assert callers == {"slowfast.sim"}
 
 
+def test_only_sim_writes_generated_source():
+    # compile_loop's callers pass checked trees and names: no source text
+    callers, text = set(), []
+    for name in MODULES:
+        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "compile_loop":
+                continue
+            callers.add(name)
+            text += [(name, node.lineno) for arg in [*node.args, *node.keywords]
+                     for sub in ast.walk(arg) if isinstance(sub, ast.JoinedStr)
+                     or isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+    assert callers == {"slowfast.blowup", "slowfast.closedloop"}
+    assert text == []
+
+
 def _imported_modules(tree: ast.Module, package: str) -> set[str]:
     """Every module an import statement anywhere in ``tree`` names, made absolute."""
     found = set()

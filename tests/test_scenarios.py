@@ -223,7 +223,6 @@ class TestRunScenario:
         result = run_scenario(parse_config(raw))
         assert result.outcomes[0].is_converged
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_all_numerical_failures_flagged(self):
         raw = planar_config()
         raw["system"] = {"builtin": "custom", "k": 2,

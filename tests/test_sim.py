@@ -12,6 +12,7 @@ import slowfast
 from slowfast import normal_form, sim
 from slowfast.closedloop import CellRunner, OpenLoop, Thm2, Thm2Plus3, build_closed_loop
 from slowfast.control import Theorem2Params, Theorem3Params
+from slowfast.expr import parse_expression
 from slowfast.normal_form import ExprSlowField, NormalFormSystem
 from slowfast.sim import (
     IntegratorConfig,
@@ -772,8 +773,8 @@ class TestCompiler:
         exprs = ("sin(x1) * z + 2.5 * x1 ** 3 - epsilon",)
         tree, = normal_form._drift_trees(exprs)
         dump = ast.dump(tree)
-        loops = [sim.compile_loop(["x1", "z", "epsilon"], ["_d, -z, 0.0"], {"_d": tree})[0]
-                 for _ in range(2)]
+        field = [tree, parse_expression("-z", {"z": "z"}), ast.Constant(0.0)]
+        loops = [sim.compile_loop(["x1", "z", "epsilon"], field)[0] for _ in range(2)]
         assert normal_form._drift_trees(exprs) == (tree,)
         assert ast.dump(tree) == dump
         cfg = IntegratorConfig(t_final=0.5, record_stride=0.1, max_step=1e-2)
