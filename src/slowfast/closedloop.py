@@ -18,7 +18,7 @@ import numpy as np
 from .control import (Theorem2Params, Theorem3Params, highgain_law, thm2_law, thm2_template,
                       thm3_law)
 from .expr import parse_expression
-from .normal_form import ExprSlowField, _env, _require_g
+from .normal_form import ExprSlowField, _env, _finite_drift, _names, _require_g
 from .sim import (BALL, IntegratorConfig, NonFiniteError, Outcome, Trajectory, classify,
                   compile_loop, integrate)
 
@@ -91,13 +91,7 @@ def describe(variant: Variant) -> str:
 
 def drift_at_origin(system) -> list[float]:
     """f(0, 0, 0): the slow drift at the origin, as m finite floats."""
-    try:
-        f0 = np.asarray(system.slow_f([0.0] * system.n_slow, 0.0, 0.0), dtype=float)
-    except ArithmeticError as exc:
-        raise ValueError(f"the drift at the origin cannot be evaluated: {exc}") from None
-    if not np.all(np.isfinite(f0)):
-        raise ValueError(f"the drift at the origin must be finite; got {f0.tolist()}")
-    return f0.tolist()
+    return _finite_drift(system.slow_f, [0.0] * system.n_slow, 0.0, 0.0, "the origin")
 
 
 def law(system, variant: Variant, powers: tuple[str, str] | None = None) -> list:
@@ -157,7 +151,7 @@ def _field(system, variant: Variant) -> tuple[list, list, list]:
     baseline law on a system with control slots (``slots``, the circuit),
     the slots with each v_i bound to its law tree. The compiled loop and its
     certificate are both made from this one field."""
-    names = [*(f"x{i}" for i in range(1, system.n_slow + 1)), "z"]
+    names = list(_names(system.n_slow)[:-1])
     env = _env(names, system.constants)
     v = law(system, variant)
     field = [ast.BinOp(parse_expression(src, env), ast.Add(), vi)

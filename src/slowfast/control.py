@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import parse_expression, walk
-from .normal_form import _vec
+from .expr import parse_expression
+from .normal_form import _vec, evaluate
 
 __all__ = ["Theorem2Params", "Theorem3Params", "THM2_TEMPLATE", "thm2_template", "thm2_law",
            "thm3_law", "highgain_law", "evaluate", "closed_loop_jacobian_origin",
@@ -141,20 +141,6 @@ def highgain_law(a, b: float, epsilon: float, constants=None) -> list:
                              {"a": ai, "b": b, "c": c, "eps": epsilon,
                               "x": f"x{i}", "z": "z"})
             for i, (ai, c) in enumerate(zip(a, const), 1)]
-
-
-@np.errstate(all="ignore")
-def evaluate(law: list, x, z: float) -> list[float]:
-    """The law trees walked at the state (x, z), as Python floats; a numpy
-    function gives NaN or inf, never a warning.
-
-    ``x`` must have one entry per control. Compiling costs about half a
-    millisecond a call, which the verification suites, with their thousands
-    of single evaluations, should not pay.
-    """
-    env = {f"x{i}": xi for i, xi in enumerate(_vec(x, len(law), "x").tolist(), 1)}
-    env["z"] = float(z)
-    return [walk(tree, env) for tree in law]
 
 
 def _check_order(k: int, gains) -> None:

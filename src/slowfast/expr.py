@@ -102,7 +102,8 @@ _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 def walk(tree: ast.expr, env: dict):
     """Value of a checked tree with its local names bound by ``env``:
     operation for operation, on the values as given, what it computes
-    compiled."""
+    compiled. :func:`slowfast.normal_form.evaluate` is the entry point that
+    binds a state as Python floats, as a compiled loop does."""
     if isinstance(tree, ast.Constant):
         return tree.value
     if isinstance(tree, ast.Name):

@@ -13,8 +13,9 @@ optional control slots, all as expressions. The builtin rows of
 :mod:`slowfast.systems` and ``custom`` configs fill in the same record.
 
 Every expression of the record is checked by the grammar of
-:mod:`slowfast.expr`; a drift is walked there (:func:`slowfast.expr.walk`),
-and a closed loop compiles the same checked trees in :mod:`slowfast.sim`.
+:mod:`slowfast.expr`. :func:`evaluate` walks checked trees at a state on
+Python floats, and a closed loop compiles the same trees in
+:mod:`slowfast.sim`, so both compute the same numbers.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "eval_rhs_fast",
     "eval_rhs_slow",
     "degeneracy_order",
+    "evaluate",
 ]
 
 #: relative size below which g or a z-derivative of g counts as zero: at most
@@ -171,12 +173,22 @@ def _require_g(sys: NormalFormSystem, what: str) -> None:
 def eval_rhs_fast(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float]:
     """Fast-time vector field: x' = eps*(f + u), z' = g, for the control vector u."""
     _require_g(sys, "the normal-form vector field")
-    x, z = _vec(s.x, sys.k - 1, "x"), float(s.z)
+    x, z = _vec(s.x, sys.k - 1, "x"), s.z
     uv = _vec(u, sys.k - 1, "u")
-    f = np.asarray(sys.slow_f(x, z, sys.epsilon), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("slow_f returned non-finite values")
-    return sys.epsilon * (f + uv), eval_g(x, z, sys.k)
+    f = _finite_drift(sys.slow_f, x, z, sys.epsilon, f"x={x.tolist()}, z={z}")
+    return sys.epsilon * (np.array(f) + uv), eval_g(x, z, sys.k)
+
+
+def _finite_drift(slow_f: ExprSlowField, x, z: float, eps: float, point: str) -> list[float]:
+    """``slow_f`` at (x, z, eps) as m finite floats; where it raises an
+    ArithmeticError or is not finite, a ValueError names ``point``."""
+    try:
+        f = slow_f(x, z, eps)
+    except ArithmeticError as exc:
+        raise ValueError(f"the drift at {point} cannot be evaluated: {exc}") from None
+    if not all(map(math.isfinite, f)):
+        raise ValueError(f"the drift at {point} must be finite; got {f}")
+    return f
 
 
 def eval_rhs_slow(sys: NormalFormSystem, s: State, u) -> tuple[np.ndarray, float]:
@@ -241,13 +253,15 @@ def _drift_trees(exprs: tuple[str, ...], bound: tuple[tuple[str, float], ...] = 
 
 
 @np.errstate(all="ignore")
-def _drift(exprs: tuple[str, ...], x, z, eps, bound=()) -> list:
-    """The drift expressions walked at (x, z, eps); x1..xm are the entries
-    of ``x`` as it iterates (numpy scalars from an array). A numpy function
-    gives NaN or inf, never a warning."""
-    trees = _drift_trees(exprs, bound)
-    names = (f"x{i}" for i in range(1, len(trees) + 1))
-    env = dict(zip(names, x, strict=True), z=z, epsilon=eps)
+def evaluate(trees, x, z: float, **named) -> list[float]:
+    """The m checked ``trees`` walked at the state (x, z): x1..xm and z bound
+    to Python floats, as a compiled loop binds them, and any other name to
+    its value in ``named``. So a walk computes, operation for operation,
+    what the loop steps, an ArithmeticError included; a numpy function gives
+    NaN or inf, never a warning. Compiling would cost about half a
+    millisecond a call, which the verification suites should not pay.
+    """
+    env = dict(zip(_names(len(trees)), [*_vec(x, len(trees), "x").tolist(), float(z)]), **named)
     return [walk(tree, env) for tree in trees]
 
 
@@ -259,10 +273,12 @@ class ExprSlowField:
     The grammar is that of :func:`slowfast.expr.parse_expression`, with
     ``pi``; anything else raises ValueError on construction. The constants,
     given as a mapping or as (name, value) pairs, are kept as pairs of names
-    and finite floats sorted by name. Instances hold only strings and numbers, so
-    they compare by value and pickle cleanly into sweep workers; the checked
-    trees are cached per expression tuple and walked by
-    :func:`slowfast.expr.walk` on a call, and a closed loop splices the
+    and finite floats sorted by name; a constant named x1..xm, z, epsilon or
+    pi would shadow a variable of the drift and is refused. Instances hold
+    only strings and numbers, so they compare by value and pickle cleanly
+    into sweep workers; the checked trees are cached per expression tuple
+    and walked by :func:`evaluate` on a call, which returns Python floats
+    for a list or an array ``x`` alike, and a closed loop splices the
     checked expressions into its own generated function.
     """
 
@@ -273,9 +289,11 @@ class ExprSlowField:
         object.__setattr__(self, "constants", tuple(
             sorted((name, float(value)) for name, value in dict(self.constants).items())))
         for name, value in self.constants:
+            if name in (*_names(len(self.exprs)), "pi"):
+                raise ValueError(f"constant {name} shadows a variable of the drift")
             if not math.isfinite(value):
                 raise ValueError(f"constant {name} must be finite, got {value}")
         _drift_trees(self.exprs, self.constants)
 
-    def __call__(self, x, z: float, eps: float) -> list:
-        return _drift(self.exprs, x, z, eps, self.constants)
+    def __call__(self, x, z: float, eps: float) -> list[float]:
+        return evaluate(_drift_trees(self.exprs, self.constants), x, z, epsilon=float(eps))

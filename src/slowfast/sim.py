@@ -132,8 +132,8 @@ class IntegratorConfig:
             raise ValueError("rtol and atol must be > 0")
         if not self.divergence_norm > 0:
             raise ValueError("divergence_norm must be > 0")
-        if not self.record_stride > 0:
-            raise ValueError("record_stride must be > 0")
+        if not self.record_stride >= self.min_step:
+            raise ValueError("need record_stride >= min_step")
 
 
 def config_for(epsilon: float, t_final: float, **overrides) -> IntegratorConfig:
@@ -628,20 +628,14 @@ def control_sup_norm(traj: Trajectory, window: tuple[float, float]) -> float:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header t,x1,...,z,u1,... and >= 15 significant digits."""
-    d = traj.states.shape[1]
-    times = traj.times.tolist()
-    if traj.controls is not None:
-        m = traj.controls.shape[1]
-        controls = traj.controls.tolist()
-    else:
-        m = d - 1
-        controls = [[0.0] * m] * len(times)
+    n, d = traj.states.shape
+    controls = traj.controls if traj.controls is not None else np.zeros((n, d - 1))
     header = (
         ["t"] + [f"x{i}" for i in range(1, d)] + ["z"]
-        + [f"u{i}" for i in range(1, m + 1)]
+        + [f"u{i}" for i in range(1, controls.shape[1] + 1)]
     )
-    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row.format(t, *x, *u)
-                      for t, x, u in zip(times, traj.states.tolist(), controls))
+        fh.writelines(row % tuple(r) for r in
+                      np.column_stack([traj.times, traj.states, controls]).tolist())

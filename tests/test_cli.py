@@ -235,6 +235,19 @@ def test_segment_shorter_than_min_step_exits_one(tmp_path, capsys, command, wind
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+def test_record_stride_below_min_step_exits_one(tmp_path, capsys, command):
+    # every IC would stop at t = 0 and read as diverged, with exit 0
+    raw = dict(PLANAR, ics=[[0.1, 0.1]], integrator={"record_stride": 1e-14})
+    code = main([command, "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("config error: integrator: need record_stride >= min_step")
+    assert "ic=" not in out
+    assert not (tmp_path / "out").exists()
+
+
 class TestRoaCommand:
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PLANAR)

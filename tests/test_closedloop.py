@@ -19,6 +19,7 @@ from slowfast.closedloop import (
     Thm2Plus3,
     build_closed_loop,
     describe,
+    drift_at_origin,
     law,
 )
 from slowfast.control import Theorem2Params, Theorem3Params, evaluate
@@ -203,6 +204,27 @@ class TestExprSlowField:
         f = ExprSlowField(exprs=("-x1 + 2 ** 3 * pi - epsilon / z",))
         assert f(np.array([1.0]), 2.0, 0.5) == pytest.approx(
             [-1.0 + 8.0 * np.pi - 0.25], rel=1e-15)
+
+    def test_list_and_array_walk_alike(self):
+        # Python floats either way, and the loop's ZeroDivisionError either way
+        f = ExprSlowField(exprs=("1 / x1 + z",))
+        for x, zero in (([2.0], [0.0]), (np.array([2.0]), np.array([0.0]))):
+            assert [type(v) for v in f(x, np.float64(1.0), 0.01)] == [float]
+            with pytest.raises(ZeroDivisionError):
+                f(zero, 1.0, 0.01)
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "z", "epsilon", "pi"])
+    def test_constant_shadowing_a_variable_refused(self, name):
+        with pytest.raises(ValueError, match=f"^constant {name} shadows a variable of the drift$"):
+            ExprSlowField(exprs=("x1 + z", "x2"), constants={name: 7.0})
+        assert ExprSlowField(exprs=("x1 + z", "x2"), constants={"x3": 7.0})
+
+    def test_drift_that_cannot_be_evaluated_at_the_origin(self):
+        sys = NormalFormSystem(k=2, epsilon=0.1, slow_f=ExprSlowField(("1 / x1 + z",)))
+        with pytest.raises(ValueError) as raised:
+            drift_at_origin(sys)
+        assert str(raised.value) == ("the drift at the origin cannot be evaluated: "
+                                     "float division by zero")
 
 
 class TestFloatPath:

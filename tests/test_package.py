@@ -84,6 +84,21 @@ def test_only_sim_writes_generated_source():
     assert text == []
 
 
+def test_only_the_model_walks_checked_trees():
+    # one point evaluator: normal_form.evaluate walks what the loops compile
+    callers = set()
+    for name in MODULES:
+        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        callers.update(name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "walk")
+    assert callers == {"slowfast.expr", "slowfast.normal_form"}
+    from slowfast import control, normal_form
+
+    assert control.evaluate is normal_form.evaluate
+    assert not hasattr(normal_form, "_drift")
+
+
 def _imported_modules(tree: ast.Module, package: str) -> set[str]:
     """Every module an import statement anywhere in ``tree`` names, made absolute."""
     found = set()

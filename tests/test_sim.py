@@ -796,6 +796,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=0.0)
 
+    def test_record_stride_below_min_step_rejected(self):
+        # every step clamped to such a stride is shorter than min_step: a run
+        # would stop at t = 0 and read as diverged
+        with pytest.raises(ValueError, match="need record_stride >= min_step"):
+            IntegratorConfig(record_stride=1e-14)
+
+    def test_record_stride_equal_to_min_step_runs(self):
+        cfg = IntegratorConfig(t_final=2.0 ** -7, max_step=1e-2, min_step=2.0 ** -10,
+                               record_stride=2.0 ** -10)
+        traj = integrate(decay, np.array([1.0]), cfg)
+        assert traj.times.tolist() == [i * 2.0 ** -10 for i in range(9)]
+
     @pytest.mark.parametrize("name", ["rtol", "atol", "max_step", "divergence_norm",
                                       "t_final", "record_stride"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
