@@ -13,9 +13,7 @@ import sys
 from .roa import GridSpec, sweep, write_report_csv
 from .scenarios import (
     ConfigError,
-    _integrator_config,
-    build_system,
-    build_variant,
+    build,
     default_ex2_grid,
     load_config,
     make_out_dir,
@@ -108,8 +106,8 @@ def _cmd_simulate(args) -> int:
         result = run_scenario(cfg, out_dir=args.out or cfg.outputs)
     except ConfigError as exc:
         return _config_error(exc)
-    for ic, out, fail in zip(cfg.ics, result.outcomes, result.failures):
-        note = f" ({fail})" if fail else ""
+    for ic, out in zip(cfg.ics, result.outcomes):
+        note = f" ({out.failure})" if out.failure else ""
         print(f"ic={list(ic)}: {out.kind}{note}")
     if result.all_failed:
         print("every initial condition failed numerically", file=sys.stderr)
@@ -169,7 +167,7 @@ def _cmd_roa(args) -> int:
         if cfg.switch_on_time > 0:
             raise ConfigError("switch_on_time must be 0: a sweep runs closed loop"
                               f" from t = 0, got {cfg.switch_on_time}")
-        system = build_system(cfg)
+        system, variant, icfg = build(cfg)
         grid = GridSpec(
             x_ranges=((args.x_range[0], args.x_range[1], args.grid),) * system.n_slow,
             z_range=(args.z_range[0], args.z_range[1], args.grid),
@@ -178,8 +176,7 @@ def _cmd_roa(args) -> int:
         make_out_dir(out_dir)
     except ValueError as exc:  # a ConfigError, or a malformed grid
         return _config_error(exc)
-    report = sweep(system, build_variant(cfg, system), grid, _integrator_config(cfg),
-                   jobs=args.jobs)
+    report = sweep(system, variant, grid, icfg, jobs=args.jobs)
     path = os.path.join(out_dir, "roa.csv")
     write_report_csv(report, path)
     print(f"{report.variant}: converged={report.converged_count}"

@@ -19,8 +19,7 @@ from .control import (Theorem2Params, Theorem3Params, highgain_law, thm2_law, th
                       thm3_law)
 from .expr import parse_expression
 from .normal_form import ExprSlowField, _env, _finite_drift, _names, _require_g
-from .sim import (BALL, IntegratorConfig, NonFiniteError, Outcome, Trajectory, classify,
-                  compile_loop, integrate)
+from .sim import BALL, IntegratorConfig, Outcome, Trajectory, attempt, compile_loop, integrate
 
 __all__ = [
     "OpenLoop",
@@ -212,11 +211,10 @@ class CellRunner:
     (system, variant) for each cell, see :func:`build_closed_loop`),
     stopped once the state has dwelt in the ball ``sim.BALL``, or earlier
     at the first recorded state inside the loop's proved-invariant set
-    (:func:`certificate`), and classified from its trajectory by
-    :func:`slowfast.sim.classify`. Numerical failures (a
-    non-finite initial condition or field there, an ArithmeticError) are
-    recorded as diverged so that a sweep goes on; any other exception is a
-    bug and propagates.
+    (:func:`certificate`), and classified by :func:`slowfast.sim.attempt`:
+    a numerical failure (a non-finite initial condition or field there, an
+    ArithmeticError) is a diverged cell, so that a sweep goes on, and any
+    other exception is a bug and propagates.
     """
 
     system: object
@@ -235,8 +233,4 @@ class CellRunner:
                          invariant=certificate(self.system, self.variant))
 
     def __call__(self, ic) -> Outcome:
-        try:
-            traj = self.simulate(ic)
-        except (NonFiniteError, ArithmeticError):
-            return Outcome.diverged(0.0)
-        return classify(traj)
+        return attempt(self.simulate, ic)[1]

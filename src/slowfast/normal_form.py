@@ -77,7 +77,8 @@ class NormalFormSystem:
     the normal form's g / epsilon in Horner form, which needs k - 1 slow
     states. ``slots``, if given, is the control recorded in place of the
     additive v1..vm by the baseline law, as expressions in v1..vm, pi, the
-    constants and epsilon. An integer ``k`` >= 2, a finite ``epsilon`` > 0
+    constants and epsilon; a constant named v1..vm would replace the law
+    there and is refused. An integer ``k`` >= 2, a finite ``epsilon`` > 0
     and every expression are checked on construction, so the system is data
     throughout. The instance is immutable and compares and hashes by value.
     """
@@ -110,7 +111,11 @@ class NormalFormSystem:
             object.__setattr__(self, "slots", tuple(self.slots))
             if len(self.slots) != m:
                 raise ValueError(f"slots must have {m} expressions, got {len(self.slots)}")
-            _checked(self.slots, tuple(f"v{i}" for i in range(1, m + 1)), self.constants, "slot")
+            controls = tuple(f"v{i}" for i in range(1, m + 1))
+            for name, _ in bound:
+                if name in controls:
+                    raise ValueError(f"constant {name} shadows a control of the slots")
+            _checked(self.slots, controls, self.constants, "slot")
 
     @property
     def n_slow(self) -> int:

@@ -36,9 +36,9 @@ from .roa import GridSpec, RoAComparison, RoAReport, compare, sweep, write_repor
 from .sim import (
     IntegratorConfig,
     IntegratorStats,
-    NonFiniteError,
     Outcome,
     Trajectory,
+    attempt,
     classify,
     config_for,
     control_sup_norm,
@@ -52,6 +52,7 @@ __all__ = [
     "ScenarioConfig",
     "parse_config",
     "load_config",
+    "build",
     "run_scenario",
     "ScenarioResult",
     "Ex1Report",
@@ -280,7 +281,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         ics=tuple(ics), t_final=t_final, switch_on_time=switch,
         integrator=integrator, outputs=outputs,
     )
-    icfg = _checked("integrator", _integrator_config, cfg)
+    _, _, icfg = _checked("integrator", build, cfg)
     if not math.isfinite(t_final / icfg.record_stride):
         raise ConfigError(f"t_final / integrator.record_stride must be finite, got"
                           f" {t_final:g} / {icfg.record_stride:g}")
@@ -307,6 +308,13 @@ def load_config(path) -> ScenarioConfig:
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
+
+
+def build(cfg: ScenarioConfig) -> tuple:
+    """(system, variant, integrator config): what every run of ``cfg`` builds."""
+    system = build_system(cfg)
+    return system, build_variant(cfg, system), config_for(cfg.epsilon, cfg.t_final,
+                                                          **cfg.integrator)
 
 
 def build_system(cfg: ScenarioConfig):
@@ -338,16 +346,6 @@ def _variant(section: dict, system) -> Variant:
     if ctype == "thm2":
         return Thm2(p2)
     return Thm2Plus3(p2, Theorem3Params(K=section["K"], chi_star=section["chi_star"]))
-
-
-def _integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
-    return config_for(cfg.epsilon, cfg.t_final, **cfg.integrator)
-
-
-def _built(cfg: ScenarioConfig) -> tuple:
-    """(system, variant, integrator config): what a run of ``cfg`` builds."""
-    system = build_system(cfg)
-    return system, build_variant(cfg, system), _integrator_config(cfg)
 
 
 def simulate_switched(
@@ -404,48 +402,37 @@ def _switch_on(system, variant: Variant, ic, opened: Trajectory | None,
 
 @dataclass
 class ScenarioResult:
+    """One trajectory and outcome per initial condition; a run that failed
+    has None and an outcome whose ``failure`` says why (``sim.attempt``)."""
+
     config: ScenarioConfig
-    trajectories: list[Trajectory]
+    trajectories: list[Trajectory | None]
     outcomes: list[Outcome]
-    failures: list[str | None]
 
     @property
     def all_failed(self) -> bool:
-        return all(f is not None for f in self.failures)
+        return all(out.failure is not None for out in self.outcomes)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run every configured initial condition and optionally emit CSVs."""
-    system, variant, icfg = _built(cfg)
+    system, variant, icfg = build(cfg)
     make_out_dir(out_dir)
-    trajectories: list[Trajectory] = []
-    outcomes: list[Outcome] = []
-    failures: list[str | None] = []
-    for ic in cfg.ics:
-        try:
-            traj = simulate_switched(system, variant, ic, icfg,
-                                     switch_on_time=cfg.switch_on_time)
-        except (NonFiniteError, ArithmeticError) as exc:  # numerical failures are results
-            trajectories.append(None)
-            outcomes.append(Outcome.diverged(0.0))
-            failures.append(str(exc))
-            continue
-        trajectories.append(traj)
-        outcomes.append(classify(traj))
-        failures.append(None)
+    runs = [attempt(simulate_switched, system, variant, ic, icfg, cfg.switch_on_time)
+            for ic in cfg.ics]
+    result = ScenarioResult(config=cfg, trajectories=[traj for traj, _ in runs],
+                            outcomes=[out for _, out in runs])
     if out_dir is not None:
         lines = [f"scenario: {describe(variant)} epsilon={cfg.epsilon}"]
-        for i, (ic, traj, out, fail) in enumerate(
-                zip(cfg.ics, trajectories, outcomes, failures)):
+        for i, (ic, (traj, out)) in enumerate(zip(cfg.ics, runs)):
             if traj is not None:
                 write_trajectory_csv(traj, os.path.join(out_dir, f"traj_{i:03d}.csv"))
             t_event = out.t_enter if out.is_converged else out.t_escape
             lines.append(f"ic={list(ic)} outcome={out.kind}"
                          + (f" t={t_event:.6g}" if t_event is not None else "")
-                         + (f" failure={fail}" if fail else ""))
+                         + (f" failure={out.failure}" if out.failure else ""))
         _write_summary(os.path.join(out_dir, "summary.txt"), lines)
-    return ScenarioResult(config=cfg, trajectories=trajectories,
-                          outcomes=outcomes, failures=failures)
+    return result
 
 
 def make_out_dir(out_dir) -> None:
@@ -503,8 +490,7 @@ def run_ex1(
     cfgs = {name: parse_config({**raw, **run}) for name, raw in EX1_CONFIGS.items()}
     u = cfgs["u"]  # its ICs hold every loop's
     epsilon, t_final, switch_on_time = u.epsilon, u.t_final, u.switch_on_time  # checked
-    system = build_system(u)
-    icfg = _integrator_config(u)
+    system, _, icfg = build(u)
     make_out_dir(out_dir)
     # every controller switches on from the one open-loop run of its IC
     opened = {ic: _open_segment(system, ic, icfg, switch_on_time) for ic in u.ics}
@@ -591,8 +577,7 @@ def select_compensation_gain() -> tuple[float, dict[float, list[str]]]:
     chosen = None
     for K in K_CANDIDATES:
         cfg = _ex2_config("compensated", min(EX2_EPSILONS), K)
-        system, variant, icfg = _built(cfg)
-        runner = CellRunner(system=system, variant=variant, cfg=icfg)
+        runner = CellRunner(*build(cfg))
         kinds = [runner(ic).kind for ic in cfg.ics]
         details[K] = kinds
         if chosen is None and all(k == "converged" for k in kinds):
@@ -625,7 +610,7 @@ def run_ex2_matrix(out_dir=None) -> Ex2Report:
         for name, loop, K in (("open-loop", "open-loop", None), ("K=0", "baseline", None),
                               (k_name, "compensated", K_star)):
             cfg = _ex2_config(loop, eps, K)
-            system, variant, icfg = _built(cfg)
+            system, variant, icfg = build(cfg)
             for ic in cfg.ics:
                 traj = simulate_switched(system, variant, ic, icfg)
                 outcomes[(name, eps, ic)] = classify(traj)
@@ -706,7 +691,7 @@ def run_ex2_roa(
     epsilon = min(EX2_EPSILONS)
     reports = []
     for loop, K in (("compensated", K_star), ("baseline", None)):
-        system, variant, icfg = _built(_ex2_config(loop, epsilon, K))
+        system, variant, icfg = build(_ex2_config(loop, epsilon, K))
         reports.append(sweep(system, variant, grid, icfg, jobs=jobs))
     rep_comp, rep_base = reports
     cmp = compare(rep_comp, rep_base)

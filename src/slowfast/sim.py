@@ -61,6 +61,7 @@ __all__ = [
     "Outcome",
     "Trajectory",
     "integrate",
+    "attempt",
     "classify",
     "control_sup_norm",
     "write_trajectory_csv",
@@ -146,19 +147,21 @@ def config_for(epsilon: float, t_final: float, **overrides) -> IntegratorConfig:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Classification of a trajectory: converged, diverged or undecided."""
+    """Classification of a trajectory: converged, diverged or undecided;
+    ``failure`` is the error text of a run that failed (:func:`attempt`)."""
 
     kind: str
     t_enter: float | None = None
     t_escape: float | None = None
+    failure: str | None = None
 
     @classmethod
     def converged(cls, t_enter: float) -> "Outcome":
         return cls("converged", t_enter=t_enter)
 
     @classmethod
-    def diverged(cls, t_escape: float) -> "Outcome":
-        return cls("diverged", t_escape=t_escape)
+    def diverged(cls, t_escape: float, failure: str | None = None) -> "Outcome":
+        return cls("diverged", t_escape=t_escape, failure=failure)
 
     @classmethod
     def undecided(cls) -> "Outcome":
@@ -180,10 +183,12 @@ class IntegratorStats:
     ``accepted`` and ``rejected`` count the attempts whose error estimate
     passed and failed, and ``retried`` the attempts halved because a stage
     was not finite or raised an :class:`ArithmeticError`. ``h_min`` is the
-    smallest accepted step (None when no step was accepted). ``reason`` is
+    smallest accepted step (None when no step was accepted); it can be
+    below ``min_step`` for a step clamped onto a record time. ``reason`` is
     ``"t_final"``, ``"dwell"`` (the state stayed in the stop ball),
     ``"norm"`` (the state norm passed ``divergence_norm``) or
-    ``"collapse"`` (the step fell below ``min_step``) or ``"proved"`` (a
+    ``"collapse"`` (a step short of the next record time fell below
+    ``min_step``) or ``"proved"`` (a
     recorded state lay in a proved-invariant set inside the stop ball, see
     :func:`integrate`).
     """
@@ -252,7 +257,13 @@ def _loop_source(n: int, state: Sequence[str] | None = None) -> str:
     shorter than ``min_step``; an attempt whose error exceeds 1 is retried
     with a smaller step, and one whose state norm or error is not finite,
     or whose field raises an :class:`ArithmeticError`, with half the step.
-    The run stops at ``t_final``, when the step falls below ``min_step``
+    Until an attempt is accepted, its retries only shrink: they land on the
+    record time only when the step reaches it, and are never stretched, so
+    no failed attempt is tried again. A step clamped onto the record time
+    may be shorter than ``min_step`` (the rounding of ``t0 + i * stride``,
+    or a shrunk step landing short of it, can leave such a gap); it leaves
+    the next step's guess as it was. The run stops at ``t_final``, when a
+    step that does not land on the record time falls below ``min_step``
     (``collapse``), when an accepted state's norm exceeds ``div_norm``
     (``norm``), once the norm has stayed below ``ball`` for ``margin``
     time units (``dwell``), or at a record time before ``t_final`` whose
@@ -303,21 +314,23 @@ def _loop_source(n: int, state: Sequence[str] | None = None) -> str:
              "    rec_i = 1",
              "    t_target = t0 + rec_i * stride if rec_i < n_rec else t_final",
              "    entry = None",
+             "    shrunk = False",
              "    while True:",
              # h = min(hp, max_step, gap), stretched onto the record time
-             # rather than leave an unsteppable sliver
+             # rather than leave an unsteppable sliver unless it follows a
+             # failed attempt
              "        gap = t_target - t",
              "        h = hp if hp < max_step else max_step",
-             "        if h > gap:",
-             "            h = gap",
-             "        clamped = h >= gap - min_step",
+             "        clamped = h >= gap if shrunk else h >= gap - min_step",
              "        if clamped:",
              "            h = gap",
-             "        if h < min_step:",
+             "        elif h < min_step:",
              "            reason = 'collapse'",
              "            if t_rec < t:",
              *record("                "),
              "            break",
+             # set until this attempt is accepted
+             "        shrunk = True",
              "        try:"]
     for s, (c, weights) in enumerate(_STAGES, start=2):
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
@@ -357,18 +370,21 @@ def _loop_source(n: int, state: Sequence[str] | None = None) -> str:
               "                hp = 0.5 * h",
               "            continue",
               "        accepted += 1",
+              "        shrunk = False",
               "        if h < h_min:",
               "            h_min = h",
               "        t = t_target if clamped else t + h",
               *(f"        y_{i} = w_{i}" for i in idx),
               *(f"        k1_{i} = k7_{i}" for i in idx),
-              "        if err == 0.0:",
-              f"            s = {_MAX_FACTOR!r}",
-              "        else:",
-              *factor("            ", _MIN_FACTOR, _MAX_FACTOR),
-              "        hp = h * s",
-              "        if not hp < max_step:",
-              "            hp = max_step",
+              # a sliver clamped onto the record time leaves the guess as it was
+              "        if h >= min_step:",
+              "            if err == 0.0:",
+              f"                s = {_MAX_FACTOR!r}",
+              "            else:",
+              *factor("                ", _MIN_FACTOR, _MAX_FACTOR),
+              "            hp = h * s",
+              "            if not hp < max_step:",
+              "                hp = max_step",
               "        if norm > div_norm:",
               "            reason = 'norm'",
               *record("            "),
@@ -598,6 +614,22 @@ def classify(traj: Trajectory, ball: float = BALL) -> Outcome:
     if traj.outcome.is_diverged or (traj.stats is not None and traj.stats.reason == "proved"):
         return traj.outcome
     return _dwelt(traj.times, traj.states, ball, traj.times[-1])
+
+
+def attempt(simulate: Callable[..., Trajectory], *args) -> tuple[Trajectory | None, Outcome]:
+    """``simulate(*args)`` and its :func:`classify` outcome: the one rule
+    that turns a run into an outcome.
+
+    A :class:`NonFiniteError` or an :class:`ArithmeticError` that
+    ``simulate`` raises is a numerical result: no trajectory, and an
+    outcome diverged at 0.0 whose ``failure`` is the error's text. Any other
+    exception is a bug and propagates.
+    """
+    try:
+        traj = simulate(*args)
+    except (NonFiniteError, ArithmeticError) as exc:
+        return None, Outcome.diverged(0.0, failure=str(exc))
+    return traj, classify(traj)
 
 
 def _dwelt(times: np.ndarray, states: np.ndarray, ball: float, t_end: float) -> Outcome:

@@ -2,7 +2,7 @@
 
 The per-criterion lines print through the capture so any pytest run
 shows them; criterion 7 sweeps two 41 x 41 grids and dominates the
-runtime (27 to 32 s on a shared 2-core VM with Python 3.11). Its two
+runtime (19 to 23 s on a shared 2-core VM with Python 3.11). Its two
 reports are also checked cell for cell against the outcomes recorded in
 ``perfbench/reference.json``, without sweeping the grids again, and the
 outputs of ``ex1`` and ``ex2 --skip-roa``, written once by the module

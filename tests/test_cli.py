@@ -415,6 +415,32 @@ def test_verdict_does_not_depend_on_the_warnings_filter(tmp_path, raw, argv, cod
     assert (tmp_path / "out" / "roa.csv").exists() == (command == "roa")
 
 
+# min_step = record_stride = 1e-3 on the planar fold: at eps = 0.01 from z = 1
+# the first step, clamped onto the first record time, is rejected, and a
+# retry stretched back onto it would repeat that attempt for ever; at
+# eps = 0.05 the record gaps that round below min_step are no step collapse
+SHORT_STEPS = {"max_step": 1e-2, "min_step": 1e-3, "record_stride": 1e-3}
+REJECTED_AT_RECORD = dict(PLANAR, epsilon=0.01, ics=[[0.1, 1.0]], t_final=1.0,
+                          integrator=SHORT_STEPS)
+ROUNDED_STRIDE = dict(PLANAR, ics=[[0.1, 0.1]], integrator=SHORT_STEPS)
+
+
+@pytest.mark.parametrize("raw, argv, message", [
+    (REJECTED_AT_RECORD, ["simulate"], "ic=[0.1, 1.0]: "),
+    (REJECTED_AT_RECORD, ["roa", "--grid", "3"], " of 9\n"),
+    (ROUNDED_STRIDE, ["simulate"], "ic=[0.1, 0.1]: converged\n"),
+], ids=["simulate", "roa", "stride"])
+def test_steps_at_record_times_finish(tmp_path, raw, argv, message):
+    src = os.path.dirname(os.path.dirname(slowfast.__file__))
+    command, *rest = argv
+    done = subprocess.run(
+        [sys.executable, "-m", "slowfast.cli", command, "--config", write_config(tmp_path, raw),
+         "--out", str(tmp_path / "out"), *rest],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert message in done.stdout
+
+
 class TestVerifyCommand:
     def test_help_names_every_suite(self, capsys):
         from slowfast.verification import SUITES

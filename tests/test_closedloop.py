@@ -79,6 +79,14 @@ class TestBuild:
         v1 = evaluate(law(sys, Thm2(P2)), y[:1], y[1])[0]
         assert ueval(0.0, y) == [0.01 * v1]
 
+    def test_slot_constant_named_like_a_control_refused(self):
+        # a drift constant v1 would stand for the law in the recorded control
+        f = ExprSlowField(("x1 + z",), {"v1": 3.0})
+        with pytest.raises(ValueError, match="^constant v1 shadows a control of the slots$"):
+            NormalFormSystem(k=2, epsilon=0.01, slow_f=f, fast="-(z * z + x1) / epsilon",
+                             slots=("v1",))
+        assert NormalFormSystem(k=2, epsilon=0.01, slow_f=f, slots=None).n_slow == 1
+
     def test_tunnel_diode_highgain_additive(self):
         sys = TunnelDiodeSystem()
         rhs, ueval = build_closed_loop(

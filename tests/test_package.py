@@ -25,11 +25,16 @@ def test_every_exported_name_exists(name):
     assert missing == []
 
 
-class _CodeRunners(ast.NodeVisitor):
-    """(module, enclosing function, builtin) of each call of exec, eval or compile."""
+class _Scoped(ast.NodeVisitor):
+    """Collects into ``found`` what a subclass finds, knowing the module and
+    the enclosing function, ``where``."""
 
     def __init__(self, module: str):
         self.module, self.scope, self.found = module, [], []
+
+    @property
+    def where(self) -> tuple[str, str]:
+        return self.module, ".".join(self.scope)
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -38,20 +43,29 @@ class _CodeRunners(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+
+def _found(visitor) -> list:
+    """What ``visitor(module)`` finds in every module of the package."""
+    found = []
+    for name in MODULES:
+        v = visitor(name)
+        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+            v.visit(ast.parse(fh.read()))
+        found += v.found
+    return found
+
+
+class _CodeRunners(_Scoped):
+    """(module, enclosing function, builtin) of each call of exec, eval or compile."""
+
     def visit_Call(self, node):
         if isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval", "compile"):
-            self.found.append((self.module, ".".join(self.scope), node.func.id))
+            self.found.append((*self.where, node.func.id))
         self.generic_visit(node)
 
 
 def test_generated_code_runs_only_in_compile_functions():
-    found = []
-    for name in MODULES:
-        visitor = _CodeRunners(name)
-        with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
-            visitor.visit(ast.parse(fh.read()))
-        found += visitor.found
-    assert sorted(found) == [("slowfast.sim", "compile_functions", "compile"),
+    assert sorted(_found(_CodeRunners)) == [("slowfast.sim", "compile_functions", "compile"),
                              ("slowfast.sim", "compile_functions", "exec")]
 
 
@@ -97,6 +111,23 @@ def test_only_the_model_walks_checked_trees():
 
     assert control.evaluate is normal_form.evaluate
     assert not hasattr(normal_form, "_drift")
+
+
+class _NonFiniteHandlers(_Scoped):
+    """(module, enclosing function) of each except clause that names NonFiniteError."""
+
+    def visit_ExceptHandler(self, node):
+        if node.type is not None and any(
+                getattr(sub, "id", getattr(sub, "attr", None)) == "NonFiniteError"
+                for sub in ast.walk(node.type)):
+            self.found.append(self.where)
+        self.generic_visit(node)
+
+
+def test_one_rule_turns_a_failed_run_into_an_outcome():
+    # sim.attempt alone catches NonFiniteError: sweep cells and configured
+    # runs both become outcomes through it
+    assert _found(_NonFiniteHandlers) == [("slowfast.sim", "attempt")]
 
 
 def _imported_modules(tree: ast.Module, package: str) -> set[str]:

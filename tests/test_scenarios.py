@@ -24,7 +24,7 @@ from slowfast import closedloop, scenarios
 from slowfast.cli import main
 from slowfast.closedloop import OpenLoop, Thm2, build_closed_loop
 from slowfast.control import Theorem2Params
-from slowfast.sim import IntegratorStats, config_for, integrate
+from slowfast.sim import IntegratorStats, Outcome, config_for, integrate
 from slowfast.systems import build_planar_example
 
 
@@ -190,7 +190,7 @@ class TestRunScenario:
         raw["controller"] = {"type": "none"}
         result = run_scenario(parse_config(raw))
         assert result.outcomes[0].is_diverged
-        assert result.failures[0] is None
+        assert result.outcomes[0].failure is None
         assert not result.all_failed
 
     def test_csv_bytes_identical_across_runs(self, tmp_path):
@@ -229,6 +229,17 @@ class TestRunScenario:
                          "f": ["sqrt(-1.0 - x1*x1)"]}
         result = run_scenario(parse_config(raw))
         assert result.all_failed
+
+    def test_the_failure_text_is_on_the_outcome(self, tmp_path):
+        raw = planar_config(ics=[[-1.0, 0.5], [1.0, 0.5]])
+        raw["system"] = {"builtin": "custom", "k": 2, "f": ["sqrt(-1.0 - x1*x1)"]}
+        raw["controller"] = {**raw["controller"], "c": [0.0]}
+        result = run_scenario(parse_config(raw), out_dir=tmp_path)
+        text = "rhs is not finite at the initial condition"
+        assert result.trajectories == [None, None]
+        assert result.outcomes == [Outcome.diverged(0.0, failure=text)] * 2
+        assert (tmp_path / "summary.txt").read_text().splitlines()[1:] == [
+            f"ic={ic} outcome=diverged t=0 failure={text}" for ic in ([-1.0, 0.5], [1.0, 0.5])]
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -19,6 +19,7 @@ from slowfast.sim import (
     Outcome,
     Trajectory,
     _quadratic,
+    attempt,
     classify,
     compile_functions,
     config_for,
@@ -281,18 +282,21 @@ def _reference_integrate(rhs, ic, cfg, t0=0.0, control=None, stop_ball=None,
     rec_i = 0
     ball_entry = None
     margin = sim.DWELL + 2.0 * stride
+    shrunk = False  # the last attempt failed
 
     while rec_i < len(pending):
         t_target = pending[rec_i]
         gap = t_target - t
         h_try = h if h < max_step else max_step  # min(h, max_step, gap)
-        if h_try > gap:
-            h_try = gap
-        # stretch onto the boundary rather than leave an unsteppable sliver
-        clamped = h_try >= gap - min_step
+        if h_try >= gap:
+            clamped = True
+        else:
+            # stretch onto the boundary rather than leave an unsteppable
+            # sliver, but not after a failed attempt, which it would repeat
+            clamped = not shrunk and h_try >= gap - min_step
         if clamped:
             h_try = gap
-        if h_try < min_step:
+        elif h_try < min_step:  # a step clamped onto the boundary may be shorter
             outcome = Outcome.diverged(t)
             if times[-1] < t:
                 emit(t, y)
@@ -306,19 +310,23 @@ def _reference_integrate(rhs, ic, cfg, t0=0.0, control=None, stop_ball=None,
 
         if not isfinite(err):
             h = 0.5 * h_try
+            shrunk = True
             continue
         if err > 1.0:
             h = h_try * max(0.1, sim._SAFETY * err**sim._ORDER_EXP)
+            shrunk = True
             continue
 
         # accepted
+        shrunk = False
         t = t_target if clamped else t + h_try
         y = y_new
         k1 = k7
-        factor = sim._MAX_FACTOR if err == 0.0 else min(
-            sim._MAX_FACTOR, max(sim._MIN_FACTOR, sim._SAFETY * err**sim._ORDER_EXP)
-        )
-        h = min(max_step, h_try * factor)
+        if h_try >= min_step:  # a shorter step, clamped, leaves h as it was
+            factor = sim._MAX_FACTOR if err == 0.0 else min(
+                sim._MAX_FACTOR, max(sim._MIN_FACTOR, sim._SAFETY * err**sim._ORDER_EXP)
+            )
+            h = min(max_step, h_try * factor)
 
         if norm > div_norm:
             outcome = Outcome.diverged(t)
@@ -419,12 +427,35 @@ def _generic_cases(n):
          IntegratorConfig(t_final=3.0, **loose), None, "collapse"),
         (lambda t, y: [math.nan if y[0] > 1.5 else 1.0] * n, ones(0.0),
          IntegratorConfig(t_final=3.0, **loose), None, "collapse"),
+        # steps stretched onto a record time are rejected: each retry lands
+        # short of it, and the sliver left is clamped onto it
+        (_bounded(lambda t, y: -100.0 * y), ones(1.0), SHRINKING, None, "t_final"),
         # steps held at max_step end 5e-4 short of each record time, which
         # is under min_step: each such step is stretched onto it
         (lambda t, y: [0.01 * math.cos(t + i) for i in range(n)], ones(1.0),
          IntegratorConfig(rtol=1e-3, atol=1e-6, t_final=1.0, max_step=0.1, min_step=1e-3,
                           record_stride=0.2 + 5e-4), None, "t_final"),
     ]
+
+
+def _bounded(rhs, calls=10**6):
+    """``rhs`` that raises after ``calls`` calls: a loop that repeats one
+    attempt for ever fails instead of hanging."""
+    count = 0
+
+    def bounded(t, y):
+        nonlocal count
+        count += 1
+        if count > calls:
+            raise RuntimeError("the run does not finish")
+        return rhs(t, y)
+
+    return bounded
+
+
+# tolerances at which a fast decay rejects steps stretched onto record times
+SHRINKING = IntegratorConfig(rtol=1e-6, atol=1e-9, t_final=1.0, max_step=5e-2, min_step=1e-3,
+                             record_stride=1e-2)
 
 
 def _fused_cases(k):
@@ -459,6 +490,7 @@ def _fused_cases(k):
         (system("0.01"), OpenLoop(), at(1.0),
          IntegratorConfig(rtol=1e-3, atol=1e-6, t_final=1.0, max_step=0.1, min_step=1e-3,
                           record_stride=0.2 + 5e-4), None, "t_final"),
+        (system(f"-100 * x{m}"), OpenLoop(), at(1.0), SHRINKING, None, "t_final"),
     ]
 
 
@@ -474,12 +506,12 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_fused_loop(self, k):
-        # each closed loop runs on its own generated loop and, behind a
-        # plain callable, on the generic one
+        # each closed loop runs, behind a plain callable, on the generic loop
+        # and then on its own generated loop
         for system, variant, ic, cfg, ball, reason in _fused_cases(k):
             rhs, ueval = build_closed_loop(system, variant)
             assert callable(rhs.run)
-            for f, u in ((rhs, ueval), (lambda t, y: rhs(t, y), lambda t, y: ueval(t, y))):
+            for f, u in ((_bounded(rhs), lambda t, y: ueval(t, y)), (rhs, ueval)):
                 _assert_same_as_reference(f, ic, cfg, reason, control=u, stop_ball=ball)
 
     def test_sliver_is_stretched_onto_the_record_time(self):
@@ -489,6 +521,20 @@ class TestReferenceLoop:
         traj = integrate(rhs, ic, cfg)
         assert traj.times.tolist() == [0.0, *_record_times(0.0, 1.0, 0.2 + 5e-4)]
         assert (traj.stats.accepted, traj.stats.rejected, traj.stats.retried) == (10, 0, 0)
+
+    @pytest.mark.parametrize("rate, cfg, stats", [
+        # the first step, clamped onto the first record time, is rejected,
+        # and its retry would need a step below min_step
+        (1e4, IntegratorConfig(t_final=0.1, max_step=1e-2, min_step=1e-3, record_stride=1e-3),
+         ("collapse", 0, 1, 0)),
+        (100.0, SHRINKING, ("t_final", 142, 6, 0)),
+    ], ids=["collapse", "t_final"])
+    def test_a_rejected_step_is_never_tried_again(self, rate, cfg, stats):
+        # a retry stretched back onto the record time would repeat the
+        # rejected attempt for ever
+        traj = integrate(_bounded(lambda t, y: -rate * y), [1.0], cfg)
+        s = traj.stats
+        assert (s.reason, s.accepted, s.rejected, s.retried) == stats
 
 
 class TestGeneratedAttempt:
@@ -616,6 +662,27 @@ class TestStats:
         runner = CellRunner(system=build_planar_example(0.01), variant=OpenLoop(),
                             cfg=config_for(0.01, 10.0))
         assert runner.simulate([0.1, 1.0]).stats.reason == "norm"
+
+
+class TestAttempt:
+    def test_a_run_is_classified(self):
+        traj, out = attempt(integrate, decay, [1e-4], IntegratorConfig(t_final=2.0))
+        assert out == classify(traj) and out.is_converged and out.failure is None
+
+    @pytest.mark.parametrize("rhs, text", [
+        (lambda t, y: [math.nan], "rhs is not finite at the initial condition"),
+        (lambda t, y: [1.0 / 0.0], "float division by zero"),
+    ])
+    def test_a_numerical_failure_is_a_diverged_outcome_with_its_text(self, rhs, text):
+        assert attempt(integrate, rhs, [1.0], IntegratorConfig()) == (
+            None, Outcome("diverged", t_escape=0.0, failure=text))
+
+    def test_any_other_exception_propagates(self):
+        def bug(t, y):
+            raise TypeError("a bug, not a numerical failure")
+
+        with pytest.raises(TypeError, match="a bug"):
+            attempt(integrate, bug, [1.0], IntegratorConfig())
 
 
 class TestClassify:
@@ -807,6 +874,17 @@ class TestConfig:
                                record_stride=2.0 ** -10)
         traj = integrate(decay, np.array([1.0]), cfg)
         assert traj.times.tolist() == [i * 2.0 ** -10 for i in range(9)]
+
+    @pytest.mark.parametrize("t_final", [0.01, 0.012, 0.1, 0.199])
+    def test_decimal_record_stride_equal_to_min_step_runs(self, t_final):
+        # i * 1e-3 rounds, so some record gaps fall short of min_step: a step
+        # clamped onto a record time is not a step collapse
+        cfg = IntegratorConfig(t_final=t_final, max_step=1e-2, min_step=1e-3,
+                               record_stride=1e-3)
+        traj = integrate(decay, np.array([1.0]), cfg)
+        assert traj.stats.reason == "t_final"
+        assert traj.times.tolist() == [0.0, *_record_times(0.0, t_final, 1e-3)]
+        assert traj.stats.h_min < cfg.min_step
 
     @pytest.mark.parametrize("name", ["rtol", "atol", "max_step", "divergence_norm",
                                       "t_final", "record_stride"])

@@ -1,12 +1,17 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast import closedloop
-from slowfast.closedloop import HighGain, OpenLoop, Thm2, build_closed_loop, drift_at_origin
+from slowfast.closedloop import (HighGain, OpenLoop, Thm2, build_closed_loop, drift_at_origin,
+                                 law)
 from slowfast.control import Theorem2Params
-from slowfast.normal_form import ExprSlowField, NormalFormSystem
+from slowfast.expr import parse_expression
+from slowfast.normal_form import ExprSlowField, NormalFormSystem, evaluate
 from slowfast.scenarios import build_system, build_variant, parse_config
 from slowfast.systems import (
     TunnelDiodeSystem,
@@ -172,6 +177,22 @@ class TestTunnelDiodeSystem:
                 assert np.array_equal(got, want)
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.floats(0.1, 10.0), Cap=st.floats(0.1, 10.0),
+           y=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    def test_recorded_control_is_the_law_through_the_slots(self, L, Cap, y):
+        # the law's value, put through the record's own slot texts with each
+        # v_i bound last, is what the loop records
+        sys = TunnelDiodeSystem(L=L, Cap=Cap, epsilon=0.01)
+        variant = Thm2(Theorem2Params(c=drift_at_origin(sys), a=[1.0, 2.0], b=10.0))
+        *x, z = y
+        v = evaluate(law(sys, variant), x, z)
+        controls = {"v1": "v1", "v2": "v2"}
+        slots = [parse_expression(src, {"pi": math.pi, **sys.constants, **controls})
+                 for src in sys.slots]
+        _, ueval = build_closed_loop(sys, variant)
+        assert ueval(0.0, y) == evaluate(slots, x, z, **dict(zip(controls, v)))
 
     def test_cubic_expansion_identity(self):
         sympy = pytest.importorskip("sympy")
